@@ -42,6 +42,15 @@ const char* to_string(BufferPolicyKind b) {
   return "?";
 }
 
+std::optional<TestMutation> parse_test_mutation(const std::string& name) {
+  if (name.empty()) return TestMutation::kNone;
+  if (name == "drop_window") return TestMutation::kDropWindow;
+  if (name == "route_into_dead_link") return TestMutation::kRouteIntoDeadLink;
+  if (name == "damq_credit_leak") return TestMutation::kDamqCreditLeak;
+  if (name == "strand_waiter") return TestMutation::kStrandWaiter;
+  return std::nullopt;
+}
+
 namespace {
 
 // Mirrors Topology::neighbor (noc/topology.cpp) without depending on the
@@ -220,6 +229,10 @@ std::optional<std::string> SimConfig::validate() const {
   }
   if (faults.link_escalation_threshold < 0) {
     return err("link_escalation_threshold must be >= 0");
+  }
+  if (!parse_test_mutation(test_mutation)) {
+    // A mistyped plant would otherwise silently plant nothing.
+    return err("unknown test_mutation \"" + test_mutation + "\"");
   }
   if (!dead_links.empty() || !dead_routers.empty()) {
     int live = 0;

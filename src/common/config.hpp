@@ -61,6 +61,21 @@ enum class BufferPolicyKind : std::uint8_t {
   kVoq,
 };
 
+/// Bugs the differential fuzzer can plant in the optimized router (never
+/// the reference) to prove it catches them; SimConfig::test_mutation names
+/// one.
+enum class TestMutation : std::uint8_t {
+  kNone,
+  kDropWindow,         ///< "drop_window"
+  kRouteIntoDeadLink,  ///< "route_into_dead_link"
+  kDamqCreditLeak,     ///< "damq_credit_leak"
+  kStrandWaiter,       ///< "strand_waiter"
+};
+
+/// The plant a test_mutation name selects ("" = kNone), or nullopt for an
+/// unknown name.
+std::optional<TestMutation> parse_test_mutation(const std::string& name);
+
 const char* to_string(RoutingAlgorithm a);
 const char* to_string(LinkProtection p);
 const char* to_string(TrafficPattern t);
@@ -229,11 +244,17 @@ struct SimConfig {
   /// by the differential fuzz harness; behaviour must be bit-identical.
   bool use_reference_router = false;
   /// Name of a deliberately planted bug, applied to the *optimized* router
-  /// only ("" = none). The fuzz harness plants one to prove it can detect
-  /// divergences end to end. Known names: "drop_window" (reverts the
-  /// 4-stage HBH drop window to the pre-fix now+2); "route_into_dead_link"
-  /// (routes with the fault-blind closed form, steering headers at failed
-  /// ports — only observable on faulted topologies).
+  /// only ("" = none; validate() rejects unknown names). The fuzz harness
+  /// plants one to prove it can detect divergences end to end:
+  ///  * "drop_window" reverts the 4-stage HBH drop window to the pre-fix
+  ///    now+2;
+  ///  * "route_into_dead_link" routes with the fault-blind closed form,
+  ///    steering headers at failed ports (faulted topologies only);
+  ///  * "damq_credit_leak" skips the shared_held_ release on a DAMQ credit
+  ///    return;
+  ///  * "strand_waiter" leaves registered deadlock waiters on a draining
+  ///    port instead of re-homing them.
+  /// The router maps the name to a TestMutation once, at construction.
   std::string test_mutation;
   /// Force the per-cycle full router scan instead of the event-queue
   /// kernel (DESIGN.md §4.10). The two are byte-identical by contract;

@@ -29,8 +29,8 @@
 //    unprotected handshakes — can legitimately consume instances);
 //  * work-mask agreement — a clear in_work_/out_work_ bit proves the VC
 //    idle, a set bit proves it busy (the PR 3 active-list contract);
-//  * occupancy counters — tx_occ_ and staged_count_ match a from-scratch
-//    recount;
+//  * occupancy counters — the per-port input occupancy counters and
+//    staged_count_ match a from-scratch recount;
 //  * receive-sequence monotonicity — after the HBH drop window and any
 //    replay, a receiver still observes every packet's flits in strictly
 //    increasing seq order (gated off when lost NACKs are possible);

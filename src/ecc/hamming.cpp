@@ -1,64 +1,49 @@
 #include "ecc/hamming.hpp"
 
 #include <array>
-#include <bit>
-
-#include "common/check.hpp"
 
 namespace ftnoc::ecc {
 namespace {
 
-constexpr bool is_power_of_two(int x) {
-  return x > 0 && (x & (x - 1)) == 0;
-}
+// Per-byte syndrome table. The 72 codeword positions split into nine bytes
+// (lo holds bytes 0..7, hi is byte 8). kSyndrome[b][v] is the XOR of the
+// positions of v's set bits when v sits in byte b, in bits 0..6, plus v's
+// parity in bit 7. Hamming check group g covers exactly the positions with
+// bit g set, so bit g of the XOR over a codeword's nine entries is group
+// g's parity, and bit 7 is the parity of the whole word: nine lookups
+// instead of a popcount per group (the default build has no POPCNT, so
+// each std::popcount is a library call).
+using SyndromeTable = std::array<std::array<std::uint8_t, 256>, 9>;
 
-struct Masks {
-  // For each of the 7 Hamming check groups: the set of codeword positions
-  // participating in that parity group, split into lo (0..63) / hi (64..71).
-  std::array<std::uint64_t, kCheckBits> lo{};
-  std::array<std::uint8_t, kCheckBits> hi{};
-  // Position (1..71) of the i-th data bit within the codeword.
-  std::array<std::uint8_t, kDataBits> data_pos{};
-};
-
-constexpr Masks build_masks() {
-  Masks m{};
-  int data_index = 0;
-  for (int pos = 1; pos < kCodewordBits; ++pos) {
-    if (!is_power_of_two(pos)) {
-      m.data_pos[data_index++] = static_cast<std::uint8_t>(pos);
-    }
-    for (int g = 0; g < kCheckBits; ++g) {
-      if (pos & (1 << g)) {
-        if (pos < 64) {
-          m.lo[g] |= (1ULL << pos);
-        } else {
-          m.hi[g] = static_cast<std::uint8_t>(m.hi[g] | (1u << (pos - 64)));
-        }
+constexpr SyndromeTable build_syndrome_table() {
+  SyndromeTable t{};
+  for (int b = 0; b < 9; ++b) {
+    for (int v = 0; v < 256; ++v) {
+      int e = 0;
+      for (int bit = 0; bit < 8; ++bit) {
+        if ((v >> bit) & 1) e ^= (8 * b + bit) | 0x80;
       }
+      t[b][v] = static_cast<std::uint8_t>(e);
     }
   }
-  return m;
+  return t;
 }
 
-constexpr Masks kMasks = build_masks();
+constexpr SyndromeTable kSyndrome = build_syndrome_table();
 
-int group_parity(const Codeword& cw, int g) {
-  const int p = std::popcount(cw.lo & kMasks.lo[g]) +
-                std::popcount(static_cast<unsigned>(cw.hi & kMasks.hi[g]));
-  return p & 1;
-}
-
-int overall_parity(const Codeword& cw) {
-  return (std::popcount(cw.lo) + std::popcount(static_cast<unsigned>(cw.hi))) &
-         1;
+// Bits 0..6: the Hamming syndrome; bit 7: the overall parity.
+std::uint8_t syndrome_and_parity(const Codeword& cw) {
+  std::uint8_t s = kSyndrome[8][cw.hi];
+  for (int b = 0; b < 8; ++b) {
+    s = static_cast<std::uint8_t>(s ^ kSyndrome[b][(cw.lo >> (8 * b)) & 0xFF]);
+  }
+  return s;
 }
 
 // The data positions (everything except 0 and the powers of two) form six
 // contiguous runs: 3, 5-7, 9-15, 17-31, 33-63 and 65-71. Scattering and
 // gathering are therefore six shift-and-mask segments instead of a 64-step
-// bit loop; kMasks.data_pos still defines the authoritative layout and the
-// unit tests pin the two formulations against each other.
+// bit loop; the unit tests pin them against a bit-by-bit reference codec.
 
 }  // namespace
 
@@ -70,14 +55,21 @@ Codeword encode(std::uint64_t data) {
           (((data >> 11) & 0x7FFFULL) << 17) |
           (((data >> 26) & 0x7FFFFFFFULL) << 33);
   cw.hi = static_cast<std::uint8_t>(((data >> 57) & 0x7FULL) << 1);
-  // Set each check bit so its group's parity is even. The check bit at
-  // position 2^g participates in group g, so setting it fixes exactly that
-  // group (all check positions are still zero here).
-  for (int g = 0; g < kCheckBits; ++g) {
-    if (group_parity(cw, g)) cw.flip(1 << g);
+  // With every check position still zero, syndrome bit g is group g's
+  // parity; setting the check bit at position 2^g, which sits in group g
+  // alone, makes that group even.
+  const std::uint8_t s = syndrome_and_parity(cw);
+  const unsigned checks = s & 0x7Fu;
+  for (int g = 0; g < 6; ++g) {
+    cw.lo |= static_cast<std::uint64_t>((checks >> g) & 1u) << (1 << g);
   }
-  // Overall parity bit (position 0) makes the full codeword even-parity.
-  if (overall_parity(cw)) cw.flip(0);
+  cw.hi = static_cast<std::uint8_t>(cw.hi | (checks >> 6));
+  // Overall parity bit (position 0) makes the full codeword even-parity:
+  // the data's parity (bit 7) plus that of the check bits just set
+  // (0x6996 is the parity of each 4-bit value).
+  const unsigned check_parity =
+      (0x6996u >> ((checks ^ (checks >> 4)) & 0xFu)) & 1u;
+  cw.lo |= ((s >> 7) ^ check_parity) & 1u;
   return cw;
 }
 
@@ -90,11 +82,9 @@ std::uint64_t extract_data(const Codeword& cw) {
 }
 
 DecodeResult decode(const Codeword& cw) {
-  int syndrome = 0;
-  for (int g = 0; g < kCheckBits; ++g) {
-    syndrome |= group_parity(cw, g) << g;
-  }
-  const int parity = overall_parity(cw);
+  const std::uint8_t s = syndrome_and_parity(cw);
+  const int syndrome = s & 0x7F;
+  const int parity = s >> 7;
 
   if (syndrome == 0 && parity == 0) {
     return {DecodeStatus::kClean, extract_data(cw)};

@@ -116,21 +116,25 @@ bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
     auto pkt = std::move(*it);
     pending_.erase(it);
     lane.busy = true;
+    lane_flits_ += static_cast<int>(pkt.size());
     for (auto& f : pkt) {
       f.vc = static_cast<VcId>(v);
       lane.flits.push_back(std::move(f));
     }
   }
 
-  // Send at most one flit per cycle over the PE-to-router channel.
-  if (!wire_->flit.can_write()) return false;
+  // Send at most one flit per cycle over the PE-to-router channel. A PE
+  // with no flit in any lane (most of them, on a lightly loaded fabric)
+  // skips the lane scan.
+  if (lane_flits_ == 0 || !wire_->flit.can_write()) return false;
   const int nv = static_cast<int>(lanes_.size());
-  for (int off = 0; off < nv; ++off) {
-    const int v = (send_rotation_ + off) % nv;
+  int v = send_rotation_;
+  for (int off = 0; off < nv; ++off, v = (v + 1 == nv) ? 0 : v + 1) {
     auto& lane = lanes_[static_cast<std::size_t>(v)];
     if (lane.flits.empty() || lane.credits <= 0) continue;
     Flit f = lane.flits.front();
     lane.flits.pop_front();
+    --lane_flits_;
     --lane.credits;
     // Stamp the network-injection time on the whole packet the moment its
     // header enters the network (the wire delivers it next cycle, hence
@@ -148,7 +152,7 @@ bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
     wire_->flit.write(f);
     if (stats_) stats_->on_flit_injected();
     if (lane.flits.empty()) lane.busy = false;
-    send_rotation_ = (v + 1) % nv;
+    send_rotation_ = (v + 1 == nv) ? 0 : v + 1;
     return true;
   }
   return false;
@@ -294,20 +298,10 @@ Network::Network(const SimConfig& cfg)
     live_wire_mask_.assign((nwires + 63) / 64, 0);
     tx_occ_cache_.assign(static_cast<std::size_t>(n), 0);
     rtx_occ_cache_.assign(static_cast<std::size_t>(n), 0);
-    // Devirtualized router view + flat geometric-neighbour table for the
-    // hot pop/wake loop (geometry never changes after construction).
+    // Devirtualized router view for the hot pop/wake loop.
     fast_routers_.resize(static_cast<std::size_t>(n));
     for (NodeId i = 0; i < n; ++i) {
       fast_routers_[i] = static_cast<Router*>(routers_[i].get());
-    }
-    nbr_gid_.assign(static_cast<std::size_t>(n) * 4, -1);
-    for (NodeId i = 0; i < n; ++i) {
-      for (int d = 0; d < 4; ++d) {
-        const auto nb = topo_.neighbor(i, static_cast<Direction>(d));
-        if (nb) nbr_gid_[static_cast<std::size_t>(i) * 4 +
-                         static_cast<std::size_t>(d)] =
-            static_cast<std::int32_t>(*nb);
-      }
     }
     // Everybody gets one initial step at cycle 0; routers that stay
     // quiescent simply never re-arm (a dead node's router among them).
@@ -320,17 +314,6 @@ Network::Network(const SimConfig& cfg)
   if (cfg_.link_stats) {
     link_fwd_.assign(link_wires_.size(), 0);
     link_stall_.assign(link_wires_.size(), 0);
-    link_stats_nbr_.assign(link_wires_.size(), -1);
-    for (NodeId i = 0; i < n; ++i) {
-      for (int d = 0; d < 4; ++d) {
-        const auto nb = topo_.neighbor(i, static_cast<Direction>(d));
-        if (nb) {
-          link_stats_nbr_[static_cast<std::size_t>(i) * 4 +
-                          static_cast<std::size_t>(d)] =
-              static_cast<std::int32_t>(*nb);
-        }
-      }
-    }
   }
 
   // Workload ingestion (DESIGN.md §4.14): parse + expand into TraceRecords
@@ -611,16 +594,13 @@ void Network::accumulate_link_stats() {
       ++link_fwd_[wid];
       continue;
     }
-    const std::int32_t nb = link_stats_nbr_[wid];
-    if (nb < 0) continue;  // No wire without a neighbor; belt and braces.
-    const auto back =
-        static_cast<PortId>(opposite(static_cast<Direction>(wid & 3)));
-    int occ = 0;
-    for (int v = 0; v < cfg_.num_vcs; ++v) {
-      occ += routers_[static_cast<std::size_t>(nb)]->input_buffer_size(
-          back, static_cast<VcId>(v));
+    // A wire exists only where the neighbour does.
+    const auto dir = static_cast<Direction>(wid & 3);
+    const NodeId nb = *topo_.neighbor(static_cast<NodeId>(wid >> 2), dir);
+    if (routers_[nb]->input_port_occupancy(
+            static_cast<PortId>(opposite(dir))) > 0) {
+      ++link_stall_[wid];
     }
-    if (occ > 0) ++link_stall_[wid];
   }
 }
 
@@ -703,13 +683,11 @@ void Network::step_event() {
       for (std::uint8_t m = wi.wrote_fwd; m != 0;
            m &= static_cast<std::uint8_t>(m - 1)) {
         const int d = std::countr_zero(static_cast<unsigned>(m));
-        const std::int32_t nb =
-            nbr_gid_[static_cast<std::size_t>(i) * 4 +
-                     static_cast<std::size_t>(d)];
-        FTNOC_DCHECK(nb >= 0);
+        const auto nb = topo_.neighbor(i, static_cast<Direction>(d));
+        FTNOC_DCHECK(nb.has_value());
         mark_wire_live(static_cast<std::uint32_t>(i) * 4 +
                        static_cast<std::uint32_t>(d));
-        if (nb >= 0) schedule(static_cast<NodeId>(nb), now_ + 1);
+        if (nb) schedule(*nb, now_ + 1);
       }
       for (std::uint8_t m = wi.wrote_back; m != 0;
            m &= static_cast<std::uint8_t>(m - 1)) {
@@ -719,15 +697,13 @@ void Network::step_event() {
           mark_wire_live(local_wire_id(i));
           continue;
         }
-        const std::int32_t nb =
-            nbr_gid_[static_cast<std::size_t>(i) * 4 +
-                     static_cast<std::size_t>(d)];
-        FTNOC_DCHECK(nb >= 0);
-        if (nb < 0) continue;
-        mark_wire_live(static_cast<std::uint32_t>(nb) * 4 +
+        const auto nb = topo_.neighbor(i, static_cast<Direction>(d));
+        FTNOC_DCHECK(nb.has_value());
+        if (!nb) continue;
+        mark_wire_live(static_cast<std::uint32_t>(*nb) * 4 +
                        static_cast<std::uint32_t>(
                            opposite(static_cast<Direction>(d))));
-        schedule(static_cast<NodeId>(nb), now_ + 1);
+        schedule(*nb, now_ + 1);
       }
 
       // Only a stepped router can change its occupancy terms.

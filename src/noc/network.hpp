@@ -83,6 +83,7 @@ class ProcessingElement {
   std::deque<std::vector<Flit>> pending_;
   std::vector<Lane> lanes_;
   int send_rotation_ = 0;
+  int lane_flits_ = 0;  ///< Flits held across lanes_; 0 skips the send scan.
   std::unordered_map<PacketId, std::vector<Flit>> e2e_buffer_;
 };
 
@@ -255,10 +256,9 @@ class Network {
   std::size_t trace_next_ = 0;
 
   // Per-link analytics (cfg.link_stats): flits forwarded / stall cycles
-  // per directed wire, and the receiver node of each wire (-1 = no wire).
+  // per directed wire.
   std::vector<std::uint64_t> link_fwd_;
   std::vector<std::uint64_t> link_stall_;
-  std::vector<std::int32_t> link_stats_nbr_;
 
   // Fault-storm timeline (sorted by cycle; validate() enforces): next
   // cfg_.storm_kills entry to fire. A vetoed kill is skipped, not retried.
@@ -276,9 +276,6 @@ class Network {
   /// Devirtualized view of routers_ for the event kernel's hot loop
   /// (only populated for optimized-router networks).
   std::vector<Router*> fast_routers_;
-  /// Geometric neighbour of node i in direction d at [i*4+d], -1 at a mesh
-  /// edge. Constant after construction (link death does not move geometry).
-  std::vector<std::int32_t> nbr_gid_;
   static constexpr std::size_t kWheelSize = 256;  // Power of two.
   /// Bucket wheel: slot (cycle & 255) holds a node bitmask of routers due
   /// that cycle. Spurious entries are harmless (a quiescent step is a

@@ -1262,6 +1262,12 @@ int ReferenceRouter::input_buffer_size(PortId p, VcId v) const {
   return static_cast<int>(ivc(p, v).buf.size());
 }
 
+int ReferenceRouter::input_port_occupancy(PortId p) const {
+  int n = 0;
+  for (VcId v = 0; v < num_vcs_; ++v) n += input_buffer_size(p, v);
+  return n;
+}
+
 long long ReferenceRouter::live_flit_count() const {
   long long n = 0;
   for (const auto& in : inputs_) n += static_cast<long long>(in.buf.size());

@@ -8,7 +8,7 @@
 // optimized cycle kernel introduced:
 //   * no in_work_/out_work_ bitmasks — every phase is a full ascending scan
 //     over all (port, VC) pairs with the eligibility predicates inlined;
-//   * no tx_occ_ running counter, no staged_count_, no slot caches —
+//   * no occupancy running counters, no staged_count_, no slot caches —
 //     occupancies are recounted on demand;
 //   * no quiescent idle fast path — phases always run (on a truly idle
 //     router they are provable no-ops, which is exactly the property the
@@ -68,6 +68,7 @@ class ReferenceRouter final : public RouterIface {
   int rtx_buffer_slots() const override;
   bool in_recovery() const override { return agent_.in_recovery(); }
   int input_buffer_size(PortId p, VcId v) const override;
+  int input_port_occupancy(PortId p) const override;
   std::string debug_dump(Cycle now) const override;
   std::uint64_t state_digest() const override;
 

@@ -114,6 +114,9 @@ Router::Router(NodeId id, const SimConfig& cfg, const Topology& topo,
   f_sa_live_ = faults_ != nullptr && cfg_.faults.sa_error_rate > 0.0;
   f_rtx_live_ = faults_ != nullptr && cfg_.faults.rtx_error_rate > 0.0;
   f_hs_live_ = faults_ != nullptr && cfg_.faults.handshake_error_rate > 0.0;
+  const auto plant = parse_test_mutation(cfg_.test_mutation);
+  FTNOC_CHECK(plant.has_value());
+  mutation_ = *plant;
 }
 
 void Router::connect(PortId p, Wire* in, Wire* out) {
@@ -172,7 +175,7 @@ void Router::begin_link_drain(PortId p, Cycle now) {
   // kVaWait case above. A waiter with absorbed flits is a committed
   // stream; it keeps the port until replayed, like an in-flight wormhole.
   // (The strand_waiter mutation reverts this fix for the fuzz self-test.)
-  if (cfg_.test_mutation != "strand_waiter") {
+  if (mutation_ != TestMutation::kStrandWaiter) {
     for (int v = 0; v < num_vcs_; ++v) {
       const int og = gid(p, static_cast<VcId>(v));
       auto& out = outputs_[static_cast<std::size_t>(og)];
@@ -393,7 +396,7 @@ void Router::phase_maintenance(Cycle now) {
           // not released, inflating the sender's shared accounting. The
           // digest comparison and the shared-pool conservation walk catch
           // it the same cycle.
-          if (cfg_.test_mutation != "damq_credit_leak") --held;
+          if (mutation_ != TestMutation::kDamqCreditLeak) --held;
           ++shared_credits_[p];
         } else {
           ++out.credits;
@@ -548,8 +551,8 @@ void Router::handle_incoming_flit(PortId p, Flit& f, Cycle now) {
           // so its drop window is one cycle longer. The "drop_window"
           // planted mutation reverts that fix (fuzz-harness self-test): a
           // stale third follower is then accepted out of order.
-          const bool long_window =
-              cfg_.pipeline_stages == 4 && cfg_.test_mutation != "drop_window";
+          const bool long_window = cfg_.pipeline_stages == 4 &&
+                                   mutation_ != TestMutation::kDropWindow;
           drop_until_[gid(p, f.vc)] = now + (long_window ? 3 : 2);
           FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_dropped());
           return;
@@ -601,7 +604,7 @@ void Router::accept_flit(PortId p, const Flit& f0, Cycle now) {
   });
   vc.buf.push_back(std::move(f));
   if (vc.buf.size() == 1) vc.front_arrived = now;
-  ++tx_occ_;
+  ++in_port_occ_[p];
   update_input_work(gid(p, v));
   charge(power::EnergyEvent::kBufferWrite);
 }
@@ -725,7 +728,7 @@ void Router::phase_replay_and_switch(Cycle now) {
     Flit f = vc.buf.front();
     vc.buf.pop_front();
     vc.sync_front_arrived();
-    --tx_occ_;
+    --in_port_occ_[p];
     charge(power::EnergyEvent::kBufferRead);
     charge(power::EnergyEvent::kCrossbarTraversal);
     const bool tail = is_tail(f.type);
@@ -1220,7 +1223,7 @@ void Router::phase_rt(Cycle now) {
         const Flit f = vc.buf.front();
         vc.buf.pop_front();
         vc.sync_front_arrived();
-        --tx_occ_;
+        --in_port_occ_[g / num_vcs_];
         FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_dropped());
         charge(power::EnergyEvent::kBufferRead);
         send_credit(static_cast<PortId>(g / num_vcs_),
@@ -1244,7 +1247,7 @@ void Router::phase_rt(Cycle now) {
       // e.g. unprotected handshake lines, §4.6). Discard the stray flit.
       vc.buf.pop_front();
       vc.sync_front_arrived();
-      --tx_occ_;
+      --in_port_occ_[g / num_vcs_];
       FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_dropped());
       send_credit(static_cast<PortId>(g / num_vcs_),
                   static_cast<VcId>(g % num_vcs_));
@@ -1260,7 +1263,7 @@ void Router::phase_rt(Cycle now) {
     const NodeId dest = vc.buf.front().dest;
     PortMask correct = route(topo_, cfg_.routing, id_, dest);
     if (topo_.has_faults()) {
-      if (cfg_.test_mutation == "route_into_dead_link") {
+      if (mutation_ == TestMutation::kRouteIntoDeadLink) {
         // Planted mutation (fuzz-harness self-test): route by the closed
         // form, as a router whose RT link-state input is stuck-at-good
         // would — it aims wormholes straight into dead links.
@@ -1633,7 +1636,7 @@ void Router::phase_deadlock(Cycle now) {
     Flit f = vc.buf.front();
     vc.buf.pop_front();
     vc.sync_front_arrived();
-    --tx_occ_;
+    --in_port_occ_[in_port];
     f.vc = vc.out_vc;
     if (owns) {
       // Owner flits go ahead of any queued waiter's in the pending region
@@ -1695,11 +1698,15 @@ void Router::phase_deadlock(Cycle now) {
 
 // Utilization counts only physically present buffers: mesh-edge ports have
 // no link and their VCs can never hold a flit, so including them would
-// dilute the Figure 8/9 numbers. Input-buffer occupancy is a running
-// counter bumped at every push/pop; barrel occupancy sums are O(set bits)
-// of the output work mask (a clear bit proves an empty barrel). Flits only
-// ever arrive through connected wires.
-int Router::tx_buffer_occupancy() const { return tx_occ_; }
+// dilute the Figure 8/9 numbers. Input-buffer occupancy sums per-port
+// running counters bumped at every push/pop; barrel occupancy sums are
+// O(set bits) of the output work mask (a clear bit proves an empty
+// barrel). Flits only ever arrive through connected wires.
+int Router::tx_buffer_occupancy() const {
+  int occ = 0;
+  for (const int n : in_port_occ_) occ += n;
+  return occ;
+}
 
 int Router::tx_buffer_slots() const {
   if (tx_slots_cache_ < 0) {
@@ -1745,12 +1752,12 @@ void Router::check_local_invariants(Cycle now) {
 #if FTNOC_ENABLE_INVARIANTS
   if (!mon_) return;
   const int pv = num_ports_ * num_vcs_;
-  int occ = 0;
+  std::array<int, kNumDirections> occ{};
   for (int g = 0; g < pv; ++g) {
     const PortId p = static_cast<PortId>(g / num_vcs_);
     const VcId v = static_cast<VcId>(g % num_vcs_);
     const auto& in = inputs_[static_cast<std::size_t>(g)];
-    occ += static_cast<int>(in.buf.size());
+    occ[p] += static_cast<int>(in.buf.size());
     const bool in_busy = !in.buf.empty() || in.state != VcState::kRouting;
     if (in_busy != (((in_work_ >> g) & 1u) != 0)) {
       mon_->fail(InvariantId::kWorkMaskAgreement, now, id_, p, v,
@@ -1773,11 +1780,14 @@ void Router::check_local_invariants(Cycle now) {
                      std::to_string(rtx ? rtx->occupancy() : 0) + ")");
     }
   }
-  if (occ != tx_occ_) {
-    mon_->fail(InvariantId::kOccupancyCounter, now, id_, -1, -1,
-               "tx_occ_ running counter is " + std::to_string(tx_occ_) +
-                   " but the input buffers hold " + std::to_string(occ) +
-                   " flits");
+  for (PortId p = 0; p < num_ports_; ++p) {
+    if (occ[p] != in_port_occ_[p]) {
+      mon_->fail(InvariantId::kOccupancyCounter, now, id_, p, -1,
+                 "in_port_occ_ running counter is " +
+                     std::to_string(in_port_occ_[p]) +
+                     " but the port's VC buffers hold " +
+                     std::to_string(occ[p]) + " flits");
+    }
   }
   int rtx_occ = 0;
   for (const auto& rtx : out_rtx_) {

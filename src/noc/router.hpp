@@ -87,6 +87,9 @@ class Router final : public RouterIface {
 
   /// Occupancy of one input VC buffer (tests).
   int input_buffer_size(PortId p, VcId v) const override;
+  int input_port_occupancy(PortId p) const override {
+    return in_port_occ_[p];
+  }
   /// Whether an input VC currently holds an active wormhole (tests).
   bool input_vc_active(PortId p, VcId v) const;
   /// Human-readable state snapshot (debugging and trace examples).
@@ -97,8 +100,8 @@ class Router final : public RouterIface {
 
   // --- Invariant monitor hooks (DESIGN.md §4.8) ---------------------------
   void set_monitor(InvariantMonitor* mon) override { mon_ = mon; }
-  /// Recomputes the PR 3 derived state (work masks, tx_occ_,
-  /// staged_count_) from scratch and reports any disagreement.
+  /// Recomputes the derived state (work masks, per-port occupancy
+  /// counters, staged_count_) from scratch and reports any disagreement.
   void check_local_invariants(Cycle now) override;
   long long live_flit_count() const override;
   int held_credits(PortId p, VcId v) const override;
@@ -309,6 +312,8 @@ class Router final : public RouterIface {
   const Topology& topo_;
   int num_vcs_;
   int num_ports_ = kNumDirections;
+  /// The fuzz plant cfg_.test_mutation names, parsed once.
+  TestMutation mutation_ = TestMutation::kNone;
 
   FaultInjector* faults_;
   // Per-process upset draws with rate <= 0 return false without consuming
@@ -419,7 +424,9 @@ class Router final : public RouterIface {
   std::vector<std::pair<PortId, VcId>> va_want_;  // per input gid: request
   std::uint32_t va_req_ogs_ = 0;  ///< Output gids with requests this cycle.
   std::uint32_t absorbed_ = 0;    ///< Output gids absorbed-into this cycle.
-  int tx_occ_ = 0;  ///< Running sum of input-buffer occupancy (sampling).
+  /// Running input-buffer occupancy per input port, bumped at every push
+  /// and pop: buffer sampling sums it, per-link stall accounting reads it.
+  std::array<int, kNumDirections> in_port_occ_{};
   /// Running sum of retransmission-barrel occupancy across all output VCs
   /// (sampling). Updated at every barrel mutation; a NACK rollback moves
   /// entries sent->pending without changing the sum.

@@ -141,6 +141,9 @@ class RouterIface {
   virtual bool in_recovery() const = 0;
   /// Occupancy of one input VC buffer (tests, credit-conservation walk).
   virtual int input_buffer_size(PortId p, VcId v) const = 0;
+  /// Flits buffered across all VCs of input port `p`. The per-link stall
+  /// accounting reads one per idle link per measured cycle.
+  virtual int input_port_occupancy(PortId p) const = 0;
   /// Human-readable state snapshot (debugging and trace examples).
   virtual std::string debug_dump(Cycle now) const = 0;
 

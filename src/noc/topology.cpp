@@ -10,6 +10,27 @@ Topology::Topology(int width, int height, bool torus)
     : width_(width), height_(height), torus_(torus) {
   FTNOC_CHECK(width >= 1 && height >= 1);
   FTNOC_CHECK(width * height >= 2);
+  nbr_.assign(static_cast<std::size_t>(num_nodes()) * 4, kInvalidNode);
+  for (int n = 0; n < num_nodes(); ++n) {
+    for (int d = 0; d < 4; ++d) {
+      Coord c = coord_of(static_cast<NodeId>(n));
+      switch (static_cast<Direction>(d)) {
+        // Row 0 is the top of the mesh: north decreases y.
+        case Direction::kNorth: c.y -= 1; break;
+        case Direction::kSouth: c.y += 1; break;
+        case Direction::kEast: c.x += 1; break;
+        case Direction::kWest: c.x -= 1; break;
+        case Direction::kLocal: break;
+      }
+      if (!contains(c)) {
+        if (!torus_) continue;
+        c.x = (c.x + width_) % width_;
+        c.y = (c.y + height_) % height_;
+      }
+      nbr_[static_cast<std::size_t>(n) * 4 + static_cast<std::size_t>(d)] =
+          node_at(c);
+    }
+  }
 }
 
 Coord Topology::coord_of(NodeId n) const {
@@ -24,24 +45,6 @@ NodeId Topology::node_at(Coord c) const {
 
 bool Topology::contains(Coord c) const {
   return c.x >= 0 && c.x < width_ && c.y >= 0 && c.y < height_;
-}
-
-std::optional<NodeId> Topology::neighbor(NodeId n, Direction d) const {
-  Coord c = coord_of(n);
-  switch (d) {
-    // Row 0 is the top of the mesh: north decreases y.
-    case Direction::kNorth: c.y -= 1; break;
-    case Direction::kSouth: c.y += 1; break;
-    case Direction::kEast: c.x += 1; break;
-    case Direction::kWest: c.x -= 1; break;
-    case Direction::kLocal: return std::nullopt;
-  }
-  if (!contains(c)) {
-    if (!torus_) return std::nullopt;
-    c.x = (c.x + width_) % width_;
-    c.y = (c.y + height_) % height_;
-  }
-  return node_at(c);
 }
 
 bool Topology::dead_port(NodeId n, Direction d) const {

@@ -15,6 +15,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/types.hpp"
 
 namespace ftnoc {
@@ -34,8 +35,17 @@ class Topology {
 
   /// The neighbour reached by leaving `n` through `d`, or nullopt at a mesh
   /// edge. kLocal never has a neighbour. Ignores the fault mask (the
-  /// physical channel still exists; it just must not be used).
-  std::optional<NodeId> neighbor(NodeId n, Direction d) const;
+  /// physical channel still exists; it just must not be used). A lookup in
+  /// the table the constructor builds: VA, the deadlock waiter scan and the
+  /// fault-aware routing paths call this several times per header.
+  std::optional<NodeId> neighbor(NodeId n, Direction d) const {
+    FTNOC_DCHECK(n < num_nodes());
+    if (d == Direction::kLocal) return std::nullopt;
+    const NodeId nb = nbr_[static_cast<std::size_t>(n) * 4 +
+                           static_cast<std::size_t>(d)];
+    if (nb == kInvalidNode) return std::nullopt;
+    return nb;
+  }
 
   /// True if `d` is a usable network direction at node `n`.
   bool has_neighbor(NodeId n, Direction d) const {
@@ -88,6 +98,10 @@ class Topology {
   int width_;
   int height_;
   bool torus_;
+  /// nbr_[n * 4 + d]: the neighbour of `n` through link direction `d`, or
+  /// kInvalidNode at a mesh edge. Geometry never changes after
+  /// construction; link and router deaths live in the fault mask below.
+  std::vector<NodeId> nbr_;
   bool has_faults_ = false;
   std::uint32_t epoch_ = 0;
   std::vector<std::uint8_t> dead_ports_;    ///< Per node, bit per direction.

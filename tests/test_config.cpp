@@ -141,6 +141,20 @@ TEST(Config, OverrideParsesBufferPolicy) {
   EXPECT_TRUE(apply_override(cfg, "buffer_policy=shared").has_value());
 }
 
+TEST(Config, RejectsUnknownTestMutation) {
+  SimConfig cfg;
+  for (const char* plant : {"drop_window", "route_into_dead_link",
+                            "damq_credit_leak", "strand_waiter"}) {
+    cfg.test_mutation = plant;
+    EXPECT_EQ(cfg.validate(), std::nullopt) << plant;
+  }
+  // A mistyped plant used to plant nothing, silently.
+  EXPECT_EQ(apply_override(cfg, "test_mutation=strand_waitr"), std::nullopt);
+  const auto err = cfg.validate();
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("test_mutation"), std::string::npos) << *err;
+}
+
 TEST(Config, RejectsDamqReserveOutOfRange) {
   SimConfig cfg;
   cfg.buffer_policy = BufferPolicyKind::kDamq;

@@ -266,6 +266,56 @@ TEST(EventWakeup, WorkloadReplayFaultedLockstep) {
   EXPECT_EQ(nets.scan->link_stall_counts(), nets.event->link_stall_counts());
 }
 
+// Per-link counters across router implementations. The optimized Router
+// on the event kernel answers the stall query from per-port running
+// counters; the ReferenceRouter on the scan kernel sums its VC buffers. A
+// workload replay under DAMQ shared buffering with storm kills mid-run
+// (drains, re-homes, escape detours, recovery absorption) must keep the
+// two in lock-step and give identical link vectors; the invariant monitor
+// recounts every port's counter each cycle.
+TEST(EventWakeup, LinkStatsRouterMatchesReferenceUnderDamqStorm) {
+  SimConfig cfg = sparse_base();
+  cfg.injection_rate = 0.0;  // Pure workload-driven.
+  cfg.routing = RoutingAlgorithm::kMinimalAdaptive;
+  cfg.adaptive_faults = true;
+  cfg.num_vcs = 1;  // Single-VC adaptive: the replay really deadlocks.
+  cfg.buffer_policy = BufferPolicyKind::kDamq;
+  cfg.deadlock.enable_recovery = true;
+  cfg.deadlock.probe_threshold = 16;
+  cfg.deadlock.probe_backoff = 8;
+  cfg.link_stats = true;
+  cfg.check_invariants = true;  // Recounts each port's occupancy counter.
+  cfg.storm_kills.push_back({300, 5, Direction::kEast});
+  cfg.storm_kills.push_back({700, 9, Direction::kEast});
+  cfg.storm_kills.push_back({1100, 6, Direction::kSouth});
+  cfg.workload_text =
+      "packet_flits 4\n"
+      "many_to_one sink start=0 dest=0 flits=16 count=3 period=400 "
+      "stagger=5\n"
+      "all_to_all background start=0 flits=8 stagger=3\n";
+  SimConfig ref_cfg = cfg;
+  ref_cfg.use_reference_router = true;
+  Network opt(cfg);
+  Network ref(ref_cfg);
+  opt.stats().begin_measurement(0);
+  ref.stats().begin_measurement(0);
+  for (Cycle c = 0; c < 4000; ++c) {
+    opt.step();
+    ref.step();
+    ASSERT_EQ(opt.state_digest(), ref.state_digest())
+        << "Router diverged from ReferenceRouter at cycle " << opt.now();
+  }
+  EXPECT_EQ(opt.stats().links_storm_killed(), 3u)
+      << "storm timeline never fully fired";
+  EXPECT_GT(opt.stats().flits_absorbed(), 0u)
+      << "no deadlock recovery absorbed a flit";
+  EXPECT_EQ(opt.link_fwd_counts(), ref.link_fwd_counts());
+  EXPECT_EQ(opt.link_stall_counts(), ref.link_stall_counts());
+  std::uint64_t stalls = 0;
+  for (const std::uint64_t s : opt.link_stall_counts()) stalls += s;
+  EXPECT_GT(stalls, 0u) << "the replay never backed a link up";
+}
+
 // Statically faulted topology: dead links and a dead router reshape the
 // wake graph (some wires never exist); the event kernel must still cover
 // every live router's delayed actions.

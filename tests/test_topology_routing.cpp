@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "noc/routing.hpp"
 #include "noc/topology.hpp"
 
@@ -52,6 +56,41 @@ TEST(Topology, NeighborIsSymmetric) {
       const auto dir = static_cast<Direction>(d);
       if (auto nb = t.neighbor(n, dir)) {
         EXPECT_EQ(t.neighbor(*nb, opposite(dir)), n);
+      }
+    }
+  }
+}
+
+// The neighbour table built at construction equals the closed form: step
+// one coordinate, wrap on a torus, nothing past a mesh edge, nothing for
+// the local port. Degenerate 1-wide fabrics included (a 1-wide torus
+// wraps onto itself).
+TEST(Topology, NeighborTableMatchesClosedForm) {
+  const std::vector<std::pair<int, int>> sizes = {
+      {1, 2}, {2, 1}, {3, 5}, {8, 8}, {32, 32}};
+  // Indexed by Direction: N, E, S, W. Row 0 is the top (north is -y).
+  constexpr int kDx[4] = {0, 1, 0, -1};
+  constexpr int kDy[4] = {-1, 0, 1, 0};
+  for (const auto& [w, h] : sizes) {
+    for (const bool torus : {false, true}) {
+      const Topology t(w, h, torus);
+      for (NodeId n = 0; n < t.num_nodes(); ++n) {
+        const int x = n % w;
+        const int y = n / w;
+        for (int d = 0; d < 4; ++d) {
+          const int nx = x + kDx[d];
+          const int ny = y + kDy[d];
+          std::optional<NodeId> want;
+          if (torus) {
+            want = static_cast<NodeId>(((ny + h) % h) * w + (nx + w) % w);
+          } else if (nx >= 0 && nx < w && ny >= 0 && ny < h) {
+            want = static_cast<NodeId>(ny * w + nx);
+          }
+          EXPECT_EQ(t.neighbor(n, static_cast<Direction>(d)), want)
+              << w << "x" << h << (torus ? " torus" : " mesh") << " node "
+              << n << " dir " << d;
+        }
+        EXPECT_EQ(t.neighbor(n, Direction::kLocal), std::nullopt);
       }
     }
   }

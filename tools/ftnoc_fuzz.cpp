@@ -471,6 +471,10 @@ int replay_main(const Options& opt) {
     std::fprintf(stderr, "cannot read repro file: %s\n", opt.replay.c_str());
     return 2;
   }
+  if (!ftnoc::parse_test_mutation(plant)) {
+    std::fprintf(stderr, "unknown plant in repro: %s\n", plant.c_str());
+    return 2;
+  }
   const RunResult res = run_pair(ov, cycles, plant);
   if (res.failed) {
     std::printf("reproduced: %s\n", res.what.c_str());
@@ -519,6 +523,10 @@ int main(int argc, char** argv) {
                    "                  [--replay FILE]\n");
       return 2;
     }
+  }
+  if (!ftnoc::parse_test_mutation(opt.plant)) {
+    std::fprintf(stderr, "unknown plant: %s\n", opt.plant.c_str());
+    return 2;
   }
   if (!opt.replay.empty()) return replay_main(opt);
   return fuzz_main(opt);
