@@ -22,7 +22,8 @@ SweepCache& cache() {
   return c;
 }
 
-void extra_counters(benchmark::State& state, const SimResults& r) {
+void extra_counters(benchmark::State& state, const sweep::PointResult& pr) {
+  const SimResults& r = pr.results;
   state.counters["probes"] = static_cast<double>(r.probes_sent);
   state.counters["confirmed"] = static_cast<double>(r.deadlocks_confirmed);
   state.counters["recoveries"] = static_cast<double>(r.recoveries_entered);

@@ -22,7 +22,8 @@ SweepCache& cache() {
   return c;
 }
 
-void extra_counters(benchmark::State& state, const SimResults& r) {
+void extra_counters(benchmark::State& state, const sweep::PointResult& pr) {
+  const SimResults& r = pr.results;
   const double created = static_cast<double>(r.packets_created);
   state.counters["delivered_frac"] =
       created > 0.0 ? static_cast<double>(r.messages_ejected) / created : 1.0;

@@ -66,11 +66,6 @@ inline SimResults run_point(benchmark::State& state, const SimConfig& cfg) {
   return r;
 }
 
-/// The error-rate sweep used by Figures 5-7 and 13.
-inline const std::vector<double>& error_rates() {
-  return sweep::fig_error_rates();
-}
-
 inline std::string rate_label(double r) { return sweep::rate_label(r); }
 
 /// Runs a whole grid through the parallel SweepEngine once (on first
@@ -108,10 +103,10 @@ class SweepCache {
 };
 
 /// Registers one manual-time benchmark per cached point; `extra` lets each
-/// figure add its own counters from the point's results.
+/// figure add its own counters from the point's config and results.
 inline void register_sweep(
     SweepCache& cache,
-    void (*extra)(benchmark::State&, const SimResults&) = nullptr) {
+    void (*extra)(benchmark::State&, const sweep::PointResult&) = nullptr) {
   const auto& pts = cache.points();
   for (std::size_t i = 0; i < pts.size(); ++i) {
     benchmark::RegisterBenchmark(
@@ -122,7 +117,7 @@ inline void register_sweep(
             state.SetIterationTime(pr.wall_ms / 1000.0);
           }
           export_counters(state, pr.results);
-          if (extra != nullptr) extra(state, pr.results);
+          if (extra != nullptr) extra(state, pr);
         })
         ->UseManualTime()
         ->Unit(benchmark::kMillisecond)

@@ -23,7 +23,8 @@ SweepCache& cache() {
   return c;
 }
 
-void extra_counters(benchmark::State& state, const SimResults& r) {
+void extra_counters(benchmark::State& state, const sweep::PointResult& pr) {
+  const SimResults& r = pr.results;
   state.counters["corrupted"] = static_cast<double>(r.corrupted_delivered);
   state.counters["retx_events"] =
       static_cast<double>(r.link_retransmission_events);

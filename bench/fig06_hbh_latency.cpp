@@ -7,47 +7,30 @@
 // Expected shape (paper): latency stays almost constant up to a 10% error
 // rate for all three patterns; the curves are ordered by average hop count
 // / load imbalance (BC highest, NR lowest).
+//
+// The grid lives in sweep/presets.hpp (shared with ftnoc_sweep) and runs
+// batch-parallel through the SweepEngine.
 
 #include "bench_common.hpp"
+#include "sweep/presets.hpp"
 
 namespace ftnoc::bench {
 namespace {
 
-void run_pattern(benchmark::State& state, TrafficPattern pattern,
-                 double error_rate) {
-  SimConfig cfg = paper_config();
-  cfg.protection = LinkProtection::kHbh;
-  cfg.pattern = pattern;
-  cfg.faults.link_error_rate = error_rate;
-  const SimResults r = run_point(state, cfg);
+SweepCache& cache() {
+  static SweepCache c(sweep::fig06_points(paper_config()));
+  return c;
+}
+
+void extra_counters(benchmark::State& state, const sweep::PointResult& pr) {
+  const SimResults& r = pr.results;
   state.counters["retx_events"] =
       static_cast<double>(r.link_retransmission_events);
   state.counters["sec_corrected"] =
       static_cast<double>(r.link_single_corrected);
 }
 
-void register_all() {
-  struct Pattern {
-    const char* name;
-    TrafficPattern p;
-  };
-  const Pattern patterns[] = {{"NR", TrafficPattern::kUniformRandom},
-                              {"BC", TrafficPattern::kBitComplement},
-                              {"TN", TrafficPattern::kTornado}};
-  for (const auto& pat : patterns) {
-    for (const double rate : error_rates()) {
-      const std::string name =
-          std::string("Fig6/") + pat.name + "/err=" + rate_label(rate);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [p = pat.p, rate](benchmark::State& st) { run_pattern(st, p, rate); })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
-    }
-  }
-}
-
-const int registered = (register_all(), 0);
+const int registered = (register_sweep(cache(), extra_counters), 0);
 
 }  // namespace
 }  // namespace ftnoc::bench

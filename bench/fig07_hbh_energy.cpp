@@ -5,46 +5,29 @@
 // rate — a retransmission only repeats a single-hop flit transfer, which
 // is negligible against the full source-to-destination traversal energy.
 // Series are ordered by average hop count (BC > TN > NR on the 8x8 mesh).
+//
+// The grid lives in sweep/presets.hpp (shared with ftnoc_sweep) and runs
+// batch-parallel through the SweepEngine.
 
 #include "bench_common.hpp"
+#include "sweep/presets.hpp"
 
 namespace ftnoc::bench {
 namespace {
 
-void run_pattern(benchmark::State& state, TrafficPattern pattern,
-                 double error_rate) {
-  SimConfig cfg = paper_config();
-  cfg.protection = LinkProtection::kHbh;
-  cfg.pattern = pattern;
-  cfg.faults.link_error_rate = error_rate;
-  const SimResults r = run_point(state, cfg);
+SweepCache& cache() {
+  static SweepCache c(sweep::fig07_points(paper_config()));
+  return c;
+}
+
+void extra_counters(benchmark::State& state, const sweep::PointResult& pr) {
+  const SimResults& r = pr.results;
   state.counters["energy_total_uJ"] = r.total_energy_uj;
   state.counters["retx_events"] =
       static_cast<double>(r.link_retransmission_events);
 }
 
-void register_all() {
-  struct Pattern {
-    const char* name;
-    TrafficPattern p;
-  };
-  const Pattern patterns[] = {{"NR", TrafficPattern::kUniformRandom},
-                              {"BC", TrafficPattern::kBitComplement},
-                              {"TN", TrafficPattern::kTornado}};
-  for (const auto& pat : patterns) {
-    for (const double rate : error_rates()) {
-      const std::string name =
-          std::string("Fig7/") + pat.name + "/err=" + rate_label(rate);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [p = pat.p, rate](benchmark::State& st) { run_pattern(st, p, rate); })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
-    }
-  }
-}
-
-const int registered = (register_all(), 0);
+const int registered = (register_sweep(cache(), extra_counters), 0);
 
 }  // namespace
 }  // namespace ftnoc::bench

@@ -8,53 +8,27 @@
 // Runs past the saturation point never eject the full message budget; the
 // bench caps them by cycles and reports the utilization measured in steady
 // state (completed=0 marks those points).
+//
+// The grid lives in sweep/presets.hpp (shared with ftnoc_sweep) and runs
+// batch-parallel through the SweepEngine.
 
 #include "bench_common.hpp"
+#include "sweep/presets.hpp"
 
 namespace ftnoc::bench {
 namespace {
 
-void run_util(benchmark::State& state, RoutingAlgorithm algo,
-              double injection_rate) {
-  SimConfig cfg = paper_config();
-  cfg.routing = algo;
-  cfg.injection_rate = injection_rate;
-  // Saturated runs can't reach the ejection target; bound them in time.
-  cfg.max_cycles = env_u64("FTNOC_BENCH_MAX_CYCLES", 60'000);
-  // Deep saturation with pure minimal-adaptive routing can deadlock (the
-  // paper pairs AD with the recovery scheme).
-  cfg.deadlock.enable_recovery = algo == RoutingAlgorithm::kMinimalAdaptive;
-  // Early detection is protective under heavy load (see DESIGN.md 4.4):
-  // an aggressive Cthres keeps the deep-saturation points drainable.
-  cfg.deadlock.probe_threshold = 16;
-  cfg.deadlock.probe_backoff = 9;
-  const SimResults r = run_point(state, cfg);
-  state.counters["tx_util"] = r.tx_buffer_utilization;
-  state.counters["throughput"] = r.throughput_flits_node_cycle;
+SweepCache& cache() {
+  static SweepCache c(sweep::fig08_points(paper_config()));
+  return c;
 }
 
-void register_all() {
-  struct Algo {
-    const char* name;
-    RoutingAlgorithm a;
-  };
-  const Algo algos[] = {{"AD", RoutingAlgorithm::kMinimalAdaptive},
-                        {"DT", RoutingAlgorithm::kXY}};
-  for (const auto& algo : algos) {
-    for (int i = 1; i <= 10; ++i) {
-      const double rate = 0.1 * i;
-      const std::string name = std::string("Fig8/") + algo.name +
-                               "/inj=" + rate_label(rate);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [a = algo.a, rate](benchmark::State& st) { run_util(st, a, rate); })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
-    }
-  }
+void extra_counters(benchmark::State& state, const sweep::PointResult& pr) {
+  state.counters["tx_util"] = pr.results.tx_buffer_utilization;
+  state.counters["throughput"] = pr.results.throughput_flits_node_cycle;
 }
 
-const int registered = (register_all(), 0);
+const int registered = (register_sweep(cache(), extra_counters), 0);
 
 }  // namespace
 }  // namespace ftnoc::bench

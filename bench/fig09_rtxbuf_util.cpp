@@ -8,50 +8,27 @@
 // saturation and then flattens/declines as blocking throttles flit
 // transmissions — the paper's motivation for reusing these mostly-idle
 // buffers for deadlock recovery.
+//
+// The grid lives in sweep/presets.hpp (shared with ftnoc_sweep) and runs
+// batch-parallel through the SweepEngine.
 
 #include "bench_common.hpp"
+#include "sweep/presets.hpp"
 
 namespace ftnoc::bench {
 namespace {
 
-void run_util(benchmark::State& state, RoutingAlgorithm algo,
-              double injection_rate) {
-  SimConfig cfg = paper_config();
-  cfg.routing = algo;
-  cfg.injection_rate = injection_rate;
-  cfg.max_cycles = env_u64("FTNOC_BENCH_MAX_CYCLES", 60'000);
-  cfg.deadlock.enable_recovery = algo == RoutingAlgorithm::kMinimalAdaptive;
-  // Early detection is protective under heavy load (see DESIGN.md 4.4):
-  // an aggressive Cthres keeps the deep-saturation points drainable.
-  cfg.deadlock.probe_threshold = 16;
-  cfg.deadlock.probe_backoff = 9;
-  const SimResults r = run_point(state, cfg);
-  state.counters["rtx_util"] = r.rtx_buffer_utilization;
-  state.counters["tx_util"] = r.tx_buffer_utilization;
+SweepCache& cache() {
+  static SweepCache c(sweep::fig09_points(paper_config()));
+  return c;
 }
 
-void register_all() {
-  struct Algo {
-    const char* name;
-    RoutingAlgorithm a;
-  };
-  const Algo algos[] = {{"AD", RoutingAlgorithm::kMinimalAdaptive},
-                        {"DT", RoutingAlgorithm::kXY}};
-  for (const auto& algo : algos) {
-    for (int i = 1; i <= 10; ++i) {
-      const double rate = 0.1 * i;
-      const std::string name = std::string("Fig9/") + algo.name +
-                               "/inj=" + rate_label(rate);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [a = algo.a, rate](benchmark::State& st) { run_util(st, a, rate); })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
-    }
-  }
+void extra_counters(benchmark::State& state, const sweep::PointResult& pr) {
+  state.counters["rtx_util"] = pr.results.rtx_buffer_utilization;
+  state.counters["tx_util"] = pr.results.tx_buffer_utilization;
 }
 
-const int registered = (register_all(), 0);
+const int registered = (register_sweep(cache(), extra_counters), 0);
 
 }  // namespace
 }  // namespace ftnoc::bench

@@ -9,69 +9,33 @@
 // SA-Logic > LINK-HBH > RT-Logic, because the SA arbitrates every flit
 // (often repeatedly, under contention), each flit traverses each link only
 // once per hop, and the RT runs only on header flits.
+//
+// The grid lives in sweep/presets.hpp (shared with ftnoc_sweep) and runs
+// batch-parallel through the SweepEngine.
 
 #include "bench_common.hpp"
+#include "sweep/presets.hpp"
 
 namespace ftnoc::bench {
 namespace {
 
-enum class Mechanism { kLink, kRt, kSa };
+SweepCache& cache() {
+  static SweepCache c(sweep::fig13a_points(paper_config()));
+  return c;
+}
 
-void run_mechanism(benchmark::State& state, Mechanism m, double error_rate) {
-  SimConfig cfg = paper_config();
-  cfg.protection = LinkProtection::kHbh;
-  switch (m) {
-    case Mechanism::kLink:
-      cfg.faults.link_error_rate = error_rate;
-      break;
-    case Mechanism::kRt:
-      cfg.faults.rt_error_rate = error_rate;
-      break;
-    case Mechanism::kSa:
-      cfg.faults.sa_error_rate = error_rate;
-      break;
-  }
-  const SimResults r = run_point(state, cfg);
-  double corrected = 0.0;
-  switch (m) {
-    case Mechanism::kLink:
-      corrected = static_cast<double>(r.link_errors_corrected);
-      break;
-    case Mechanism::kRt:
-      corrected = static_cast<double>(r.rt_errors_recovered);
-      break;
-    case Mechanism::kSa:
-      corrected = static_cast<double>(r.sa_errors_recovered);
-      break;
-  }
-  state.counters["corrected"] = corrected;
+void extra_counters(benchmark::State& state, const sweep::PointResult& pr) {
+  // Each series injects exactly one fault mechanism; report its counter.
+  const SimResults& r = pr.results;
+  const FaultConfig& f = pr.config.faults;
+  std::uint64_t corrected = r.link_errors_corrected;
+  if (f.rt_error_rate > 0) corrected = r.rt_errors_recovered;
+  if (f.sa_error_rate > 0) corrected = r.sa_errors_recovered;
+  state.counters["corrected"] = static_cast<double>(corrected);
   state.counters["corrupted"] = static_cast<double>(r.corrupted_delivered);
 }
 
-void register_all() {
-  struct Series {
-    const char* name;
-    Mechanism m;
-  };
-  const Series series[] = {{"LINK-HBH", Mechanism::kLink},
-                           {"RT-Logic", Mechanism::kRt},
-                           {"SA-Logic", Mechanism::kSa}};
-  // Paper sweeps 1e-5 .. 1e-2 for this experiment.
-  const double rates[] = {1e-5, 1e-4, 1e-3, 1e-2};
-  for (const auto& s : series) {
-    for (const double rate : rates) {
-      const std::string name =
-          std::string("Fig13a/") + s.name + "/err=" + rate_label(rate);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [m = s.m, rate](benchmark::State& st) { run_mechanism(st, m, rate); })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
-    }
-  }
-}
-
-const int registered = (register_all(), 0);
+const int registered = (register_sweep(cache(), extra_counters), 0);
 
 }  // namespace
 }  // namespace ftnoc::bench

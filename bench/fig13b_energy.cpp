@@ -5,55 +5,26 @@
 // sits slightly above the logic-error schemes at high error rates because
 // a link retransmission repeats buffer/crossbar/link work, while a caught
 // logic upset only costs one extra arbitration.
+//
+// The grid lives in sweep/presets.hpp (shared with ftnoc_sweep) and runs
+// batch-parallel through the SweepEngine.
 
 #include "bench_common.hpp"
+#include "sweep/presets.hpp"
 
 namespace ftnoc::bench {
 namespace {
 
-enum class Mechanism { kLink, kRt, kSa };
-
-void run_mechanism(benchmark::State& state, Mechanism m, double error_rate) {
-  SimConfig cfg = paper_config();
-  cfg.protection = LinkProtection::kHbh;
-  switch (m) {
-    case Mechanism::kLink:
-      cfg.faults.link_error_rate = error_rate;
-      break;
-    case Mechanism::kRt:
-      cfg.faults.rt_error_rate = error_rate;
-      break;
-    case Mechanism::kSa:
-      cfg.faults.sa_error_rate = error_rate;
-      break;
-  }
-  const SimResults r = run_point(state, cfg);
-  state.counters["energy_total_uJ"] = r.total_energy_uj;
+SweepCache& cache() {
+  static SweepCache c(sweep::fig13b_points(paper_config()));
+  return c;
 }
 
-void register_all() {
-  struct Series {
-    const char* name;
-    Mechanism m;
-  };
-  const Series series[] = {{"LINK-HBH", Mechanism::kLink},
-                           {"RT-Logic", Mechanism::kRt},
-                           {"SA-Logic", Mechanism::kSa}};
-  const double rates[] = {1e-5, 1e-4, 1e-3, 1e-2};
-  for (const auto& s : series) {
-    for (const double rate : rates) {
-      const std::string name =
-          std::string("Fig13b/") + s.name + "/err=" + rate_label(rate);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [m = s.m, rate](benchmark::State& st) { run_mechanism(st, m, rate); })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
-    }
-  }
+void extra_counters(benchmark::State& state, const sweep::PointResult& pr) {
+  state.counters["energy_total_uJ"] = pr.results.total_energy_uj;
 }
 
-const int registered = (register_all(), 0);
+const int registered = (register_sweep(cache(), extra_counters), 0);
 
 }  // namespace
 }  // namespace ftnoc::bench

@@ -85,30 +85,11 @@ bool parse_results(const std::string& line, SimResults& r) {
   ok = ok &&
        get_real(line, "rtx_buffer_utilization", r.rtx_buffer_utilization);
   ok = ok && get_u64(line, "link_errors_corrected", r.link_errors_corrected);
-  ok = ok && get_u64(line, "link_single_corrected", r.link_single_corrected);
-  ok = ok && get_u64(line, "link_retransmission_events",
-                     r.link_retransmission_events);
-  ok = ok &&
-       get_u64(line, "link_flits_retransmitted", r.link_flits_retransmitted);
-  ok = ok && get_u64(line, "flits_dropped", r.flits_dropped);
-  ok = ok && get_u64(line, "nacks_sent", r.nacks_sent);
-  ok = ok && get_u64(line, "rt_errors_recovered", r.rt_errors_recovered);
-  ok = ok && get_u64(line, "va_errors_recovered", r.va_errors_recovered);
-  ok = ok && get_u64(line, "sa_errors_recovered", r.sa_errors_recovered);
-  ok = ok && get_u64(line, "unprotected_errors", r.unprotected_errors);
-  ok = ok && get_u64(line, "corrupted_delivered", r.corrupted_delivered);
-  ok = ok && get_u64(line, "e2e_retransmits", r.e2e_retransmits);
-  ok = ok && get_u64(line, "rtx_errors_corrected", r.rtx_errors_corrected);
-  ok = ok && get_u64(line, "handshake_errors_corrected",
-                     r.handshake_errors_corrected);
-  ok = ok && get_u64(line, "hard_fault_reroutes", r.hard_fault_reroutes);
-  ok = ok && get_u64(line, "probes_sent", r.probes_sent);
-  ok = ok && get_u64(line, "probes_discarded", r.probes_discarded);
-  ok = ok && get_u64(line, "deadlocks_confirmed", r.deadlocks_confirmed);
-  ok = ok && get_u64(line, "recoveries_entered", r.recoveries_entered);
-  ok = ok && get_u64(line, "recoveries_exited", r.recoveries_exited);
-  ok = ok && get_u64(line, "fallback_recoveries", r.fallback_recoveries);
-  ok = ok && get_u64(line, "flits_absorbed", r.flits_absorbed);
+#define FTNOC_X(name, window, gate)            \
+  if (CounterGate::gate == CounterGate::kAlways) \
+    ok = ok && get_u64(line, #name, r.name);
+  FTNOC_COUNTERS(FTNOC_X)
+#undef FTNOC_X
   return ok;
 }
 

@@ -291,13 +291,21 @@ Network::Network(const SimConfig& cfg)
   // Kernel selection (DESIGN.md §4.10). The reference model keeps no wake
   // bookkeeping, so reference networks always run the full scan.
   scan_kernel_ = cfg_.use_reference_router || cfg_.force_scan_kernel;
-  if (!scan_kernel_) {
+  tx_occ_cache_.assign(static_cast<std::size_t>(n), 0);
+  rtx_occ_cache_.assign(static_cast<std::size_t>(n), 0);
+  for (const auto& r : routers_) {
+    tx_slots_total_ += r->tx_buffer_slots();
+    rtx_slots_total_ += r->rtx_buffer_slots();
+  }
+  if (scan_kernel_) {
+    // The scan steps every router every cycle.
+    stepped_.resize(static_cast<std::size_t>(n));
+    for (NodeId i = 0; i < n; ++i) stepped_[i] = i;
+  } else {
     const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
     for (auto& slot : wheel_) slot.assign(words, 0);
     const std::size_t nwires = link_wires_.size() + local_wires_.size();
     live_wire_mask_.assign((nwires + 63) / 64, 0);
-    tx_occ_cache_.assign(static_cast<std::size_t>(n), 0);
-    rtx_occ_cache_.assign(static_cast<std::size_t>(n), 0);
     // Devirtualized router view for the hot pop/wake loop.
     fast_routers_.resize(static_cast<std::size_t>(n));
     for (NodeId i = 0; i < n; ++i) {
@@ -448,14 +456,6 @@ double Network::rtx_buffer_fraction() const {
   return slots ? static_cast<double>(occ) / static_cast<double>(slots) : 0.0;
 }
 
-void Network::step() {
-  if (scan_kernel_) {
-    step_scan();
-  } else {
-    step_event();
-  }
-}
-
 bool Network::try_kill_link(NodeId n, Direction dir, bool storm) {
   const auto nb = topo_.neighbor(n, dir);
   if (!nb || !topo_.link_alive(n, dir)) return false;
@@ -482,10 +482,8 @@ bool Network::try_kill_link(NodeId n, Direction dir, bool storm) {
 }
 
 void Network::fire_storm_kills() {
-  // Both kernels call this unconditionally every cycle (Network::step is
-  // never skipped), so the storm timeline fires at identical cycles under
-  // scan and event execution. Vetoed kills are skipped, never retried —
-  // exactly the escalation path's limp-on behaviour.
+  // Vetoed kills are skipped, never retried — exactly the escalation
+  // path's limp-on behaviour.
   while (next_storm_kill_ < cfg_.storm_kills.size() &&
          cfg_.storm_kills[next_storm_kill_].at <= now_) {
     const auto& k = cfg_.storm_kills[next_storm_kill_++];
@@ -511,7 +509,13 @@ void Network::release_due_trace() {
   }
 }
 
-void Network::step_scan() {
+// One cycle. Both kernels run this body; they differ only in which routers
+// are stepped (scan: every node through RouterIface; event: the wheel's due
+// set through the devirtualized Router) and which wires are ticked (scan:
+// all of them; event: the live list). Everything else is shared, in this
+// order, because the shared fault-injector RNG, stats and energy meter make
+// the within-cycle order observable.
+void Network::step() {
   fire_due_events();
   release_due_trace();
   // "No new packets are allowed to enter the transmission buffers that are
@@ -521,12 +525,29 @@ void Network::step_scan() {
   // keep streaming). Without it, sources far from the deadlock keep
   // refilling the slack that absorption creates and a saturated region
   // gridlocks at population == capacity, where Eq. (1) no longer holds.
+  // PEs step every cycle under both kernels (synthetic sources draw RNG
+  // every cycle; a sourceless idle PE's step changes nothing).
   for (NodeId i = 0; i < static_cast<NodeId>(pes_.size()); ++i) {
     if (!topo_.router_alive(i)) continue;  // Dead node: PE is off.
-    pes_[i]->step(now_, next_packet_id_,
-                  recovery_line_ || routers_[i]->in_recovery());
+    if (pes_[i]->step(now_, next_packet_id_,
+                      recovery_line_ || routers_[i]->in_recovery()) &&
+        !scan_kernel_) {
+      // The PE drove the injection wire: the router consumes next cycle.
+      schedule(i, now_ + 1);
+      mark_wire_live(local_wire_id(i));
+    }
   }
-  for (auto& r : routers_) r->step(now_);
+
+  if (scan_kernel_) {
+    for (const NodeId i : stepped_) {
+      RouterIface& r = *routers_[i];
+      r.step(now_);
+      note_occupancy(i, r.tx_buffer_occupancy(), r.rtx_buffer_occupancy());
+    }
+  } else {
+    step_woken_routers();
+  }
+
   // Fault-storm timeline (§4.12): configured kills fire before the
   // escalation poll so a storm cycle and an organic escalation compose in
   // a fixed order.
@@ -534,10 +555,12 @@ void Network::step_scan() {
   // Runtime escalation (§4.9): promote links whose receivers report a
   // sustained uncorrectable-error streak to hard-dead — unless the kill
   // would partition the live mesh, in which case the link limps on (the
-  // streak re-arms and re-requests). Polled in ascending node/port order
-  // so both router implementations see identical escalation sequences.
+  // streak re-arms and re-requests). Only stepped routers can have raised
+  // a request (the poll clears the set every cycle a router runs), and
+  // stepped_ is ascending, so both kernels and both router
+  // implementations see identical escalation sequences.
   if (cfg_.faults.link_escalation_threshold > 0) {
-    for (NodeId i = 0; i < static_cast<NodeId>(routers_.size()); ++i) {
+    for (const NodeId i : stepped_) {
       const std::uint8_t reqs = routers_[i]->take_escalation_requests();
       if (reqs == 0) continue;
       for (int d = 0; d < 4; ++d) {
@@ -546,29 +569,33 @@ void Network::step_scan() {
       }
     }
   }
-  // Buffer-utilization sampling scans every router; sample_buffers drops
-  // pre-measurement samples anyway, so skip the scan entirely until the
-  // warmup ends.
-  if (stats_.measuring()) {
-    stats_.sample_buffers(tx_buffer_fraction(), rtx_buffer_fraction());
-  }
+  // Buffer-utilization sampling (dropped before the measurement window).
+  // Integer totals are order-independent, so they divide to a full scan's
+  // exact doubles.
+  stats_.sample_buffers(sampled_tx_fraction(), sampled_rtx_fraction());
 
-  // The wired-OR recovery line can only be asserted when deadlock recovery
-  // exists at all; skip the router scan otherwise.
+  // Wired-OR recovery line, only when deadlock recovery exists at all. A
+  // recovering router always re-ticks itself (in_recovery is part of the
+  // retick predicate) and recovery is entered and exited only inside
+  // step(), so the stepped set covers every possible asserter.
   recovery_line_ = false;
   if (cfg_.deadlock.enable_recovery) {
-    for (const auto& r : routers_) {
-      if (r->in_recovery()) {
+    for (const NodeId i : stepped_) {
+      if (routers_[i]->in_recovery()) {
         recovery_line_ = true;
         break;
       }
     }
   }
 
-  for (auto& w : link_wires_) {
-    if (w) w->tick();
+  if (scan_kernel_) {
+    for (auto& w : link_wires_) {
+      if (w) w->tick();
+    }
+    for (auto& w : local_wires_) w->tick();
+  } else {
+    tick_live_wires();
   }
-  for (auto& w : local_wires_) w->tick();
   if (cfg_.link_stats) accumulate_link_stats();
 #if FTNOC_ENABLE_INVARIANTS
   // After the wire ticks everything in flight is visible in a channel's
@@ -619,7 +646,8 @@ void Network::mark_wire_live(std::uint32_t wid) {
   live_wires_.push_back(wid);
 }
 
-// The event kernel. Byte-identical to step_scan() by construction:
+// The event kernel's router schedule. Byte-identical to the scan by
+// construction:
 //  * a router is stepped at cycle t iff a signal written at t-1 is readable
 //    on one of its wires this cycle (the writer's wake masks), its own
 //    retained state demands it (retick — the internal half of the
@@ -629,23 +657,8 @@ void Network::mark_wire_live(std::uint32_t wid) {
 //    no-op (no RNG draws, charges, stats or arbiter movement);
 //  * wires hold a signal for exactly one cycle, so only wires with
 //    something in flight need ticking — an untouched wire's tick is a
-//    no-op by construction;
-//  * PEs are stepped unconditionally (synthetic sources draw RNG every
-//    cycle; a sourceless idle PE's step changes nothing).
-
-void Network::step_event() {
-  fire_due_events();
-  release_due_trace();
-  for (NodeId i = 0; i < static_cast<NodeId>(pes_.size()); ++i) {
-    if (!topo_.router_alive(i)) continue;  // Dead node: PE is off.
-    if (pes_[i]->step(now_, next_packet_id_,
-                      recovery_line_ || fast_routers_[i]->in_recovery())) {
-      // The PE drove the injection wire: the router consumes next cycle.
-      schedule(i, now_ + 1);
-      mark_wire_live(local_wire_id(i));
-    }
-  }
-
+//    no-op by construction.
+void Network::step_woken_routers() {
   // Spill far timers that moved inside the wheel horizon.
   while (!far_due_.empty() &&
          far_due_.begin()->first < now_ + kWheelSize) {
@@ -655,9 +668,7 @@ void Network::step_event() {
     far_due_.erase(it);
   }
 
-  // Pop this cycle's bucket; step the due routers in ascending node order
-  // (the scan's order — the shared fault-injector RNG, stats and energy
-  // meter make the within-cycle order observable).
+  // Pop this cycle's bucket; step the due routers in ascending node order.
   stepped_.clear();
   auto& slot = wheel_[now_ & (kWheelSize - 1)];
   for (std::size_t w = 0; w < slot.size(); ++w) {
@@ -670,6 +681,7 @@ void Network::step_event() {
       Router* const r = fast_routers_[i];
       r->step(now_);
       stepped_.push_back(i);
+      note_occupancy(i, r->tx_buffer_occupancy(), r->rtx_buffer_occupancy());
 
       const WakeInfo wi = r->take_wake_info();
       if (wi.retick) {
@@ -705,71 +717,11 @@ void Network::step_event() {
                            opposite(static_cast<Direction>(d))));
         schedule(*nb, now_ + 1);
       }
-
-      // Only a stepped router can change its occupancy terms.
-      const int txo = r->tx_buffer_occupancy();
-      const int rxo = r->rtx_buffer_occupancy();
-      tx_occ_total_ += txo - tx_occ_cache_[i];
-      tx_occ_cache_[i] = txo;
-      rtx_occ_total_ += rxo - rtx_occ_cache_[i];
-      rtx_occ_cache_[i] = rxo;
     }
   }
+}
 
-  // Fault-storm timeline (§4.12): fires at the same pre-escalation point
-  // as in step_scan — Network::step runs every cycle under both kernels,
-  // so the schedules coincide exactly.
-  fire_storm_kills();
-  // Runtime escalation (§4.9): only stepped routers can have raised a
-  // request (the poll clears the set every cycle a router runs), and
-  // stepped_ is ascending — the scan's visit order. A granted kill puts
-  // both endpoints back on the schedule until their drains complete.
-  if (cfg_.faults.link_escalation_threshold > 0) {
-    for (const NodeId i : stepped_) {
-      const std::uint8_t reqs = fast_routers_[i]->take_escalation_requests();
-      if (reqs == 0) continue;
-      for (int d = 0; d < 4; ++d) {
-        if ((reqs & (1u << d)) == 0) continue;
-        try_kill_link(i, static_cast<Direction>(d), /*storm=*/false);
-      }
-    }
-  }
-
-  if (stats_.measuring()) {
-    if (tx_slots_total_ < 0) {
-      tx_slots_total_ = 0;
-      rtx_slots_total_ = 0;
-      for (const auto& r : routers_) {
-        tx_slots_total_ += r->tx_buffer_slots();
-        rtx_slots_total_ += r->rtx_buffer_slots();
-      }
-    }
-    // Integer sums are order-independent, so the incrementally maintained
-    // totals divide to the scan's exact doubles.
-    stats_.sample_buffers(
-        tx_slots_total_ ? static_cast<double>(tx_occ_total_) /
-                              static_cast<double>(tx_slots_total_)
-                        : 0.0,
-        rtx_slots_total_ ? static_cast<double>(rtx_occ_total_) /
-                               static_cast<double>(rtx_slots_total_)
-                         : 0.0);
-  }
-
-  // Wired-OR recovery line: a recovering router always re-ticks itself
-  // (in_recovery is part of the retick predicate) and recovery is entered
-  // and exited only inside step(), so the stepped set covers every
-  // possible asserter.
-  recovery_line_ = false;
-  if (cfg_.deadlock.enable_recovery) {
-    for (const NodeId i : stepped_) {
-      if (fast_routers_[i]->in_recovery()) {
-        recovery_line_ = true;
-        break;
-      }
-    }
-  }
-
-  // Tick only wires with signals in flight; settled wires leave the list.
+void Network::tick_live_wires() {
   std::size_t keep = 0;
   for (std::size_t k = 0; k < live_wires_.size(); ++k) {
     const std::uint32_t wid = live_wires_[k];
@@ -780,11 +732,6 @@ void Network::step_event() {
     }
   }
   live_wires_.resize(keep);
-  if (cfg_.link_stats) accumulate_link_stats();
-#if FTNOC_ENABLE_INVARIANTS
-  if (monitor_) run_invariant_walks();
-#endif
-  ++now_;
 }
 
 Router& Network::router(NodeId n) {

@@ -99,7 +99,9 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Advances the whole network one clock cycle.
+  /// Advances the whole network one clock cycle. One body serves both
+  /// kernels (DESIGN.md §4.10); they differ only in which routers are
+  /// stepped and which wires are ticked.
   void step();
 
   Cycle now() const { return now_; }
@@ -155,9 +157,22 @@ class Network {
     delivery_listener_ = std::move(fn);
   }
 
-  /// Network-wide buffer occupancy fractions this instant (Figures 8/9).
+  /// Network-wide buffer occupancy fractions this instant (Figures 8/9),
+  /// recomputed by a full scan of every router.
   double tx_buffer_fraction() const;
   double rtx_buffer_fraction() const;
+  /// The same fractions from the running totals that step() samples. After
+  /// every step they equal the full scans above exactly (integer sums).
+  double sampled_tx_fraction() const {
+    return tx_slots_total_ ? static_cast<double>(tx_occ_total_) /
+                                 static_cast<double>(tx_slots_total_)
+                           : 0.0;
+  }
+  double sampled_rtx_fraction() const {
+    return rtx_slots_total_ ? static_cast<double>(rtx_occ_total_) /
+                                  static_cast<double>(rtx_slots_total_)
+                            : 0.0;
+  }
 
  private:
   void on_eject(NodeId dest, const Flit& f, Cycle now);
@@ -166,7 +181,7 @@ class Network {
   /// queue. Records whose source router is hard-dead are counted as
   /// dead-source drops instead of being queued at a PE that can never
   /// drain (the packet would otherwise silently wedge the drain
-  /// condition). Shared by both kernels so the schedules coincide.
+  /// condition).
   void release_due_trace();
   /// Accumulates the per-link forwarded/stalled counters from the settled
   /// post-tick wire state (cfg_.link_stats only, measurement window only).
@@ -178,16 +193,21 @@ class Network {
   /// network-wide flit-conservation ledger and the per-link credit sums.
   void run_invariant_walks();
 
-  // --- Event-queue kernel (DESIGN.md §4.10) -------------------------------
-  /// The classic kernel: step every live PE, every router and tick every
-  /// wire each cycle. Always used for reference-router networks and under
-  /// the `kernel=scan` override.
-  void step_scan();
-  /// The event kernel: routers are stepped only when scheduled (wire
-  /// traffic written toward them last cycle, a self-requested re-tick, or
-  /// an exact timer); only live wires are ticked. Byte-identical to
-  /// step_scan() — the golden digests and the differential fuzzer pin it.
-  void step_event();
+  // --- Kernel scheduling (DESIGN.md §4.10) ---------------------------------
+  /// Event kernel: steps the routers due this cycle (wheel pop, ascending
+  /// node id) and schedules whatever their wake reports ask for.
+  void step_woken_routers();
+  /// Event kernel: ticks only wires with signals in flight; settled wires
+  /// leave the live list.
+  void tick_live_wires();
+  /// Refreshes router `i`'s terms of the running buffer-occupancy totals
+  /// (called right after each router step, the only place they change).
+  void note_occupancy(NodeId i, int tx, int rtx) {
+    tx_occ_total_ += tx - tx_occ_cache_[i];
+    tx_occ_cache_[i] = tx;
+    rtx_occ_total_ += rtx - rtx_occ_cache_[i];
+    rtx_occ_cache_[i] = rtx;
+  }
   /// Schedules router `n` to be stepped at cycle `due` (> now_). Within
   /// the wheel horizon this sets a bit in the due slot's node mask;
   /// farther timers spill to the sorted overflow map.
@@ -203,8 +223,7 @@ class Network {
   /// is trimmed to a safe prefix (tests/test_fault_model.cpp pins this).
   /// Returns whether the kill was accepted.
   bool try_kill_link(NodeId n, Direction dir, bool storm);
-  /// Fires every cfg_.storm_kills entry due by now_ (single cursor; both
-  /// kernels call this every cycle, so the timelines coincide exactly).
+  /// Fires every cfg_.storm_kills entry due by now_ (single cursor).
   void fire_storm_kills();
   std::uint32_t local_wire_id(NodeId n) const {
     return static_cast<std::uint32_t>(link_wires_.size()) +
@@ -269,7 +288,7 @@ class Network {
   /// the end of each cycle; gates new-packet injection the next cycle).
   bool recovery_line_ = false;
 
-  // --- Event-queue kernel state -------------------------------------------
+  // --- Kernel state ---------------------------------------------------------
   /// True when this network runs the per-cycle full scan (reference
   /// routers, or the `kernel=scan` override).
   bool scan_kernel_ = false;
@@ -284,21 +303,21 @@ class Network {
   /// Timers beyond the wheel horizon, spilled back in as now_ approaches.
   std::map<Cycle, std::vector<NodeId>> far_due_;
   /// Routers stepped this cycle, ascending — feeds the escalation poll and
-  /// the recovery-line OR (both order- or membership-sensitive).
+  /// the recovery-line OR (both order- or membership-sensitive). The scan
+  /// kernel fills it once with every node.
   std::vector<NodeId> stepped_;
   /// Wires with signals in flight: id < link_wires_.size() is a link wire,
   /// else a local (PE) wire. Mask is the dedup bitset for the list.
   std::vector<std::uint32_t> live_wires_;
   std::vector<std::uint64_t> live_wire_mask_;
-  /// Incrementally maintained buffer-occupancy totals (the sampling scan
-  /// only stepped routers can change their term). Slot totals are constant
-  /// after construction and cached on first use.
+  /// Running buffer-occupancy totals and each router's last-seen terms
+  /// (note_occupancy). Slot totals are constant after construction.
   std::vector<int> tx_occ_cache_;
   std::vector<int> rtx_occ_cache_;
   long long tx_occ_total_ = 0;
   long long rtx_occ_total_ = 0;
-  long long tx_slots_total_ = -1;
-  long long rtx_slots_total_ = -1;
+  long long tx_slots_total_ = 0;
+  long long rtx_slots_total_ = 0;
 };
 
 }  // namespace ftnoc

@@ -74,6 +74,16 @@ SimResults Simulator::run() {
     }
   }
 
+  // Counters are copied on both paths: measurement-window counters drop
+  // every event before begin_measurement(), so a run that never warmed up
+  // reports only its whole-run accounting.
+  r.packets_created = stats.packets_created();
+  r.messages_ejected = stats.messages_ejected();
+  r.link_errors_corrected = stats.link_errors_corrected();
+#define FTNOC_X(name, window, gate) r.name = stats.name();
+  FTNOC_COUNTERS(FTNOC_X)
+#undef FTNOC_X
+
   if (!warmed_up) {
     // The run hit max_cycles before ejecting even the warm-up budget:
     // there is no measurement window at all. Report the replica as
@@ -82,13 +92,6 @@ SimResults Simulator::run() {
     // window would report measure_start()=0 garbage (stale throughput,
     // zero-latency "samples") that poisons campaign aggregation.
     r.completed = false;
-    r.packets_created = stats.packets_created();
-    r.messages_ejected = stats.messages_ejected();
-    r.packets_rerouted = stats.packets_rerouted();
-    r.unreachable_drops = stats.unreachable_drops();
-    r.links_escalated = stats.links_escalated();
-    r.links_storm_killed = stats.links_storm_killed();
-    r.dead_source_drops = stats.dead_source_drops();
     return r;
   }
 
@@ -98,8 +101,6 @@ SimResults Simulator::run() {
   r.p99_latency_cycles = stats.latency_histogram().quantile(0.99);
   r.max_latency_cycles = stats.latency().max();
   r.measured_messages = stats.measured_messages();
-  r.packets_created = stats.packets_created();
-  r.messages_ejected = stats.messages_ejected();
 
   const Cycle measured_cycles =
       net.now() > stats.measure_start() ? net.now() - stats.measure_start()
@@ -118,35 +119,6 @@ SimResults Simulator::run() {
 
   r.tx_buffer_utilization = stats.tx_buffer_utilization().mean();
   r.rtx_buffer_utilization = stats.rtx_buffer_utilization().mean();
-
-  r.link_errors_corrected = stats.link_errors_corrected();
-  r.link_single_corrected = stats.link_single_corrected();
-  r.link_retransmission_events = stats.link_retransmission_events();
-  r.link_flits_retransmitted = stats.link_flits_retransmitted();
-  r.flits_dropped = stats.flits_dropped();
-  r.nacks_sent = stats.nacks_sent();
-  r.rt_errors_recovered = stats.rt_errors_recovered();
-  r.va_errors_recovered = stats.va_errors_recovered();
-  r.sa_errors_recovered = stats.sa_errors_recovered();
-  r.unprotected_errors = stats.unprotected_errors();
-  r.corrupted_delivered = stats.corrupted_delivered();
-  r.e2e_retransmits = stats.e2e_retransmits();
-  r.rtx_errors_corrected = stats.rtx_errors_corrected();
-  r.handshake_errors_corrected = stats.handshake_errors_corrected();
-  r.hard_fault_reroutes = stats.hard_fault_reroutes();
-  r.packets_rerouted = stats.packets_rerouted();
-  r.unreachable_drops = stats.unreachable_drops();
-  r.links_escalated = stats.links_escalated();
-  r.links_storm_killed = stats.links_storm_killed();
-  r.dead_source_drops = stats.dead_source_drops();
-
-  r.probes_sent = stats.probes_sent();
-  r.probes_discarded = stats.probes_discarded();
-  r.deadlocks_confirmed = stats.deadlocks_confirmed();
-  r.recoveries_entered = stats.recoveries_entered();
-  r.recoveries_exited = stats.recoveries_exited();
-  r.fallback_recoveries = stats.fallback_recoveries();
-  r.flits_absorbed = stats.flits_absorbed();
   return r;
 }
 

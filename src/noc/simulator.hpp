@@ -43,38 +43,16 @@ struct SimResults {
   double tx_buffer_utilization = 0.0;
   double rtx_buffer_utilization = 0.0;
 
-  // Fault-tolerance accounting (measurement window).
+  /// SEC singles + retransmitted multi-bit flit errors (measurement
+  /// window; StatsCollector::link_errors_corrected).
   std::uint64_t link_errors_corrected = 0;
-  std::uint64_t link_single_corrected = 0;
-  std::uint64_t link_retransmission_events = 0;
-  std::uint64_t link_flits_retransmitted = 0;
-  /// Detected-uncorrectable flits dropped at a receiver (the NACK drop-2
-  /// window plus drops that were never replayed).
-  std::uint64_t flits_dropped = 0;
-  std::uint64_t nacks_sent = 0;
-  std::uint64_t rt_errors_recovered = 0;
-  std::uint64_t va_errors_recovered = 0;
-  std::uint64_t sa_errors_recovered = 0;
-  std::uint64_t unprotected_errors = 0;
-  std::uint64_t corrupted_delivered = 0;
-  std::uint64_t e2e_retransmits = 0;
-  std::uint64_t rtx_errors_corrected = 0;
-  std::uint64_t handshake_errors_corrected = 0;
-  std::uint64_t hard_fault_reroutes = 0;
 
-  // Permanent-fault accounting (whole run, like packets_created). Always
-  // zero unless the config has dead links/routers or escalation armed.
-  /// Waiting packets sent back to routing because their next hop died.
-  std::uint64_t packets_rerouted = 0;
-  /// Packets dropped because no live path to their destination exists.
-  std::uint64_t unreachable_drops = 0;
-  /// Flaky links escalated to hard-dead at runtime.
-  std::uint64_t links_escalated = 0;
-  /// Fault-storm timeline kills accepted past the partition veto.
-  std::uint64_t links_storm_killed = 0;
-  /// Trace/workload records dropped at release because their source router
-  /// is hard-dead (whole run; never counted as created).
-  std::uint64_t dead_source_drops = 0;
+  // Event counters: one field per noc/stats.hpp FTNOC_COUNTERS entry,
+  // under the entry's name. Whole-run entries are filled even when the run
+  // never warmed up; measurement-window entries are zero then.
+#define FTNOC_X(name, window, gate) std::uint64_t name = 0;
+  FTNOC_COUNTERS(FTNOC_X)
+#undef FTNOC_X
 
   /// Per-directed-link congestion rows (cfg.link_stats only; links with
   /// zero activity are omitted). `dir` is the numeric Direction (N=0, E=1,
@@ -88,15 +66,6 @@ struct SimResults {
     std::uint64_t stall = 0;
   };
   std::vector<LinkUtil> link_util;
-
-  // Deadlock accounting.
-  std::uint64_t probes_sent = 0;
-  std::uint64_t probes_discarded = 0;
-  std::uint64_t deadlocks_confirmed = 0;
-  std::uint64_t recoveries_entered = 0;
-  std::uint64_t recoveries_exited = 0;
-  std::uint64_t fallback_recoveries = 0;
-  std::uint64_t flits_absorbed = 0;
 
   std::string summary() const;
 };

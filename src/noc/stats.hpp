@@ -4,12 +4,73 @@
 // the warm-up ejection count is reached and all per-run metrics reported by
 // the benches come from the measurement window only.
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/stats_util.hpp"
 #include "common/types.hpp"
 
 namespace ftnoc {
+
+/// Which events a table counter sees: only those inside the measurement
+/// window, or every event of the run (delivery/topology accounting).
+enum class CounterWindow { kMeasured, kWholeRun };
+
+/// When a table counter's JSONL column is emitted. kAlways columns are part
+/// of every result line (and of campaign journal replica lines); the others
+/// appear only for configs that can move them, so older key sets stay
+/// byte-identical: has_permanent_faults(), a non-empty storm_kills
+/// timeline, has_workload().
+enum class CounterGate { kAlways, kPermanentFaults, kStormKills, kWorkload };
+
+// The event-counter table: X(name, window, gate), in JSONL key order. Each
+// entry becomes a StatsCollector accessor and a SimResults field of the
+// same name; Simulator::run copies it, sweep/jsonl.cpp emits it and the
+// campaign journal parses it back, all by walking this list. Adding a
+// counter is one line here plus the on_* hook that bumps it.
+#define FTNOC_COUNTERS(X)                                 \
+  X(link_single_corrected, kMeasured, kAlways)            \
+  X(link_retransmission_events, kMeasured, kAlways)       \
+  X(link_flits_retransmitted, kMeasured, kAlways)         \
+  X(flits_dropped, kMeasured, kAlways)                    \
+  X(nacks_sent, kMeasured, kAlways)                       \
+  X(rt_errors_recovered, kMeasured, kAlways)              \
+  X(va_errors_recovered, kMeasured, kAlways)              \
+  X(sa_errors_recovered, kMeasured, kAlways)              \
+  X(unprotected_errors, kMeasured, kAlways)               \
+  X(corrupted_delivered, kMeasured, kAlways)              \
+  X(e2e_retransmits, kMeasured, kAlways)                  \
+  X(rtx_errors_corrected, kMeasured, kAlways)             \
+  X(handshake_errors_corrected, kMeasured, kAlways)       \
+  X(hard_fault_reroutes, kMeasured, kAlways)              \
+  X(probes_sent, kMeasured, kAlways)                      \
+  X(probes_discarded, kMeasured, kAlways)                 \
+  X(deadlocks_confirmed, kMeasured, kAlways)              \
+  X(recoveries_entered, kMeasured, kAlways)               \
+  X(recoveries_exited, kMeasured, kAlways)                \
+  X(fallback_recoveries, kMeasured, kAlways)              \
+  X(flits_absorbed, kMeasured, kAlways)                   \
+  X(packets_rerouted, kWholeRun, kPermanentFaults)        \
+  X(unreachable_drops, kWholeRun, kPermanentFaults)       \
+  X(links_escalated, kWholeRun, kPermanentFaults)         \
+  X(links_storm_killed, kWholeRun, kStormKills)           \
+  X(dead_source_drops, kWholeRun, kWorkload)
+
+/// A table entry's index into the collector's counts.
+enum class Counter : std::size_t {
+#define FTNOC_X(name, window, gate) name,
+  FTNOC_COUNTERS(FTNOC_X)
+#undef FTNOC_X
+};
+
+/// Each table entry's window, indexed by Counter.
+inline constexpr CounterWindow kCounterWindow[] = {
+#define FTNOC_X(name, window, gate) CounterWindow::window,
+    FTNOC_COUNTERS(FTNOC_X)
+#undef FTNOC_X
+};
+inline constexpr std::size_t kNumCounters = std::size(kCounterWindow);
 
 class StatsCollector {
  public:
@@ -38,56 +99,61 @@ class StatsCollector {
     latency_.add(lat);
     latency_hist_.add(lat);
     total_latency_.add(static_cast<double>(now - birth));
-    if (corrupted) ++corrupted_delivered_;
+    if (corrupted) count(Counter::corrupted_delivered);
   }
 
-  // --- Fault-tolerance events ---------------------------------------------
-  // Counted only inside the measurement window (callers don't need to
-  // check; the collector gates on measuring_).
-  void on_link_single_corrected() { bump(link_single_corrected_); }
+  // --- Table counters -------------------------------------------------------
+  /// Adds `n` to a table counter. Measurement-window counters ignore
+  /// events before begin_measurement(), so callers need not check.
+  void count(Counter c, std::uint64_t n = 1) {
+    const auto i = static_cast<std::size_t>(c);
+    if (kCounterWindow[i] == CounterWindow::kMeasured && !measuring_) return;
+    counts_[i] += n;
+  }
+
+  // Fault-tolerance events.
+  void on_link_single_corrected() { count(Counter::link_single_corrected); }
   void on_link_retransmission(std::uint64_t flits) {
-    if (measuring_) {
-      ++link_retransmission_events_;
-      link_flits_retransmitted_ += flits;
-    }
+    count(Counter::link_retransmission_events);
+    count(Counter::link_flits_retransmitted, flits);
   }
-  void on_nack_sent() { bump(nacks_sent_); }
-  void on_flit_dropped() { bump(flits_dropped_); }
-  void on_rt_error_recovered() { bump(rt_errors_recovered_); }
-  void on_va_error_recovered() { bump(va_errors_recovered_); }
-  void on_sa_error_recovered() { bump(sa_errors_recovered_); }
-  void on_unprotected_error() { bump(unprotected_errors_); }
-  void on_e2e_retransmit() { bump(e2e_retransmits_); }
-  void on_rtx_error_corrected() { bump(rtx_errors_corrected_); }
-  void on_handshake_error_corrected() { bump(handshake_errors_corrected_); }
+  void on_nack_sent() { count(Counter::nacks_sent); }
+  void on_flit_dropped() { count(Counter::flits_dropped); }
+  void on_rt_error_recovered() { count(Counter::rt_errors_recovered); }
+  void on_va_error_recovered() { count(Counter::va_errors_recovered); }
+  void on_sa_error_recovered() { count(Counter::sa_errors_recovered); }
+  void on_unprotected_error() { count(Counter::unprotected_errors); }
+  void on_e2e_retransmit() { count(Counter::e2e_retransmits); }
+  void on_rtx_error_corrected() { count(Counter::rtx_errors_corrected); }
+  void on_handshake_error_corrected() {
+    count(Counter::handshake_errors_corrected);
+  }
   /// A packet detoured non-minimally around a hard-failed link.
-  void on_hard_fault_reroute() { bump(hard_fault_reroutes_); }
+  void on_hard_fault_reroute() { count(Counter::hard_fault_reroutes); }
 
-  // --- Permanent-fault accounting ------------------------------------------
-  // Delivery accounting like packets_created_/messages_ejected_: counted
-  // over the whole run, not gated on the measurement window.
+  // Permanent-fault accounting.
   /// A waiting packet whose chosen next hop died was sent back to routing.
-  void on_packet_rerouted() { ++packets_rerouted_; }
+  void on_packet_rerouted() { count(Counter::packets_rerouted); }
   /// A packet was dropped because no live path to its destination exists.
-  void on_unreachable_drop() { ++unreachable_drops_; }
+  void on_unreachable_drop() { count(Counter::unreachable_drops); }
   /// A flaky link crossed the escalation threshold and was declared dead.
-  void on_link_escalated() { ++links_escalated_; }
+  void on_link_escalated() { count(Counter::links_escalated); }
   /// A configured fault-storm kill fired (accepted past the partition
   /// veto) — counted separately from organic escalations.
-  void on_storm_link_killed() { ++links_storm_killed_; }
+  void on_storm_link_killed() { count(Counter::links_storm_killed); }
   /// A trace/workload record whose source router is hard-dead was dropped
   /// at release time (it was never created, so it does not count against
   /// packets_created_).
-  void on_dead_source_drop() { ++dead_source_drops_; }
+  void on_dead_source_drop() { count(Counter::dead_source_drops); }
 
-  // --- Deadlock events -----------------------------------------------------
-  void on_probe_sent() { bump(probes_sent_); }
-  void on_probe_discarded() { bump(probes_discarded_); }
-  void on_deadlock_confirmed() { bump(deadlocks_confirmed_); }
-  void on_recovery_entered() { bump(recoveries_entered_); }
-  void on_recovery_exited() { bump(recoveries_exited_); }
-  void on_fallback_recovery() { bump(fallback_recoveries_); }
-  void on_flit_absorbed() { bump(flits_absorbed_); }
+  // Deadlock events.
+  void on_probe_sent() { count(Counter::probes_sent); }
+  void on_probe_discarded() { count(Counter::probes_discarded); }
+  void on_deadlock_confirmed() { count(Counter::deadlocks_confirmed); }
+  void on_recovery_entered() { count(Counter::recoveries_entered); }
+  void on_recovery_exited() { count(Counter::recoveries_exited); }
+  void on_fallback_recovery() { count(Counter::fallback_recoveries); }
+  void on_flit_absorbed() { count(Counter::flits_absorbed); }
 
   // --- Per-cycle sampling --------------------------------------------------
   /// `tx_frac` / `rtx_frac`: network-wide occupied-slot fractions this cycle.
@@ -109,51 +175,20 @@ class StatsCollector {
   const RunningStat& tx_buffer_utilization() const { return tx_util_; }
   const RunningStat& rtx_buffer_utilization() const { return rtx_util_; }
 
-  std::uint64_t link_single_corrected() const { return link_single_corrected_; }
-  std::uint64_t link_retransmission_events() const {
-    return link_retransmission_events_;
+#define FTNOC_X(name, window, gate)                          \
+  std::uint64_t name() const {                               \
+    return counts_[static_cast<std::size_t>(Counter::name)]; \
   }
-  std::uint64_t link_flits_retransmitted() const {
-    return link_flits_retransmitted_;
-  }
-  std::uint64_t nacks_sent() const { return nacks_sent_; }
-  std::uint64_t flits_dropped() const { return flits_dropped_; }
-  std::uint64_t rt_errors_recovered() const { return rt_errors_recovered_; }
-  std::uint64_t va_errors_recovered() const { return va_errors_recovered_; }
-  std::uint64_t sa_errors_recovered() const { return sa_errors_recovered_; }
-  std::uint64_t unprotected_errors() const { return unprotected_errors_; }
-  std::uint64_t corrupted_delivered() const { return corrupted_delivered_; }
-  std::uint64_t e2e_retransmits() const { return e2e_retransmits_; }
-  std::uint64_t rtx_errors_corrected() const { return rtx_errors_corrected_; }
-  std::uint64_t handshake_errors_corrected() const {
-    return handshake_errors_corrected_;
-  }
-  std::uint64_t hard_fault_reroutes() const { return hard_fault_reroutes_; }
-  std::uint64_t packets_rerouted() const { return packets_rerouted_; }
-  std::uint64_t unreachable_drops() const { return unreachable_drops_; }
-  std::uint64_t links_escalated() const { return links_escalated_; }
-  std::uint64_t links_storm_killed() const { return links_storm_killed_; }
-  std::uint64_t dead_source_drops() const { return dead_source_drops_; }
-
-  std::uint64_t probes_sent() const { return probes_sent_; }
-  std::uint64_t probes_discarded() const { return probes_discarded_; }
-  std::uint64_t deadlocks_confirmed() const { return deadlocks_confirmed_; }
-  std::uint64_t recoveries_entered() const { return recoveries_entered_; }
-  std::uint64_t recoveries_exited() const { return recoveries_exited_; }
-  std::uint64_t fallback_recoveries() const { return fallback_recoveries_; }
-  std::uint64_t flits_absorbed() const { return flits_absorbed_; }
+  FTNOC_COUNTERS(FTNOC_X)
+#undef FTNOC_X
 
   /// Total corrected link errors: SEC singles + retransmitted multi-bit
   /// flit errors (what Figure 13(a)'s LINK-HBH series counts).
   std::uint64_t link_errors_corrected() const {
-    return link_single_corrected_ + link_retransmission_events_;
+    return link_single_corrected() + link_retransmission_events();
   }
 
  private:
-  void bump(std::uint64_t& c) {
-    if (measuring_) ++c;
-  }
-
   bool measuring_ = false;
   Cycle measure_start_ = 0;
 
@@ -166,34 +201,7 @@ class StatsCollector {
   Histogram latency_hist_;
   RunningStat tx_util_;
   RunningStat rtx_util_;
-
-  std::uint64_t link_single_corrected_ = 0;
-  std::uint64_t link_retransmission_events_ = 0;
-  std::uint64_t link_flits_retransmitted_ = 0;
-  std::uint64_t nacks_sent_ = 0;
-  std::uint64_t flits_dropped_ = 0;
-  std::uint64_t rt_errors_recovered_ = 0;
-  std::uint64_t va_errors_recovered_ = 0;
-  std::uint64_t sa_errors_recovered_ = 0;
-  std::uint64_t unprotected_errors_ = 0;
-  std::uint64_t corrupted_delivered_ = 0;
-  std::uint64_t e2e_retransmits_ = 0;
-  std::uint64_t rtx_errors_corrected_ = 0;
-  std::uint64_t handshake_errors_corrected_ = 0;
-  std::uint64_t hard_fault_reroutes_ = 0;
-  std::uint64_t packets_rerouted_ = 0;
-  std::uint64_t unreachable_drops_ = 0;
-  std::uint64_t links_escalated_ = 0;
-  std::uint64_t links_storm_killed_ = 0;
-  std::uint64_t dead_source_drops_ = 0;
-
-  std::uint64_t probes_sent_ = 0;
-  std::uint64_t probes_discarded_ = 0;
-  std::uint64_t deadlocks_confirmed_ = 0;
-  std::uint64_t recoveries_entered_ = 0;
-  std::uint64_t recoveries_exited_ = 0;
-  std::uint64_t fallback_recoveries_ = 0;
-  std::uint64_t flits_absorbed_ = 0;
+  std::array<std::uint64_t, kNumCounters> counts_{};
 };
 
 }  // namespace ftnoc

@@ -25,6 +25,18 @@ void append_escaped(std::string& out, std::string_view s) {
   }
 }
 
+// Whether a gated counter's column belongs on this config's line. kAlways
+// columns are not gated: append_result_fields emits them unconditionally.
+bool gated_column_on(CounterGate g, const SimConfig& c) {
+  switch (g) {
+    case CounterGate::kAlways: return false;
+    case CounterGate::kPermanentFaults: return c.has_permanent_faults();
+    case CounterGate::kStormKills: return !c.storm_kills.empty();
+    case CounterGate::kWorkload: return c.has_workload();
+  }
+  return false;
+}
+
 }  // namespace
 
 void JsonRecord::str(const char* key, std::string_view v) {
@@ -180,27 +192,10 @@ void append_result_fields(JsonRecord& o, const SimResults& r) {
   o.real("tx_buffer_utilization", r.tx_buffer_utilization);
   o.real("rtx_buffer_utilization", r.rtx_buffer_utilization);
   o.u64("link_errors_corrected", r.link_errors_corrected);
-  o.u64("link_single_corrected", r.link_single_corrected);
-  o.u64("link_retransmission_events", r.link_retransmission_events);
-  o.u64("link_flits_retransmitted", r.link_flits_retransmitted);
-  o.u64("flits_dropped", r.flits_dropped);
-  o.u64("nacks_sent", r.nacks_sent);
-  o.u64("rt_errors_recovered", r.rt_errors_recovered);
-  o.u64("va_errors_recovered", r.va_errors_recovered);
-  o.u64("sa_errors_recovered", r.sa_errors_recovered);
-  o.u64("unprotected_errors", r.unprotected_errors);
-  o.u64("corrupted_delivered", r.corrupted_delivered);
-  o.u64("e2e_retransmits", r.e2e_retransmits);
-  o.u64("rtx_errors_corrected", r.rtx_errors_corrected);
-  o.u64("handshake_errors_corrected", r.handshake_errors_corrected);
-  o.u64("hard_fault_reroutes", r.hard_fault_reroutes);
-  o.u64("probes_sent", r.probes_sent);
-  o.u64("probes_discarded", r.probes_discarded);
-  o.u64("deadlocks_confirmed", r.deadlocks_confirmed);
-  o.u64("recoveries_entered", r.recoveries_entered);
-  o.u64("recoveries_exited", r.recoveries_exited);
-  o.u64("fallback_recoveries", r.fallback_recoveries);
-  o.u64("flits_absorbed", r.flits_absorbed);
+#define FTNOC_X(name, window, gate) \
+  if (CounterGate::gate == CounterGate::kAlways) o.u64(#name, r.name);
+  FTNOC_COUNTERS(FTNOC_X)
+#undef FTNOC_X
 }
 
 std::string to_jsonl(const PointResult& pr, bool include_timing) {
@@ -214,25 +209,19 @@ std::string to_jsonl(const PointResult& pr, bool include_timing) {
   append_config_fields(o, pr.config);
   append_result_fields(o, pr.results);
 
-  // Same gate as the config columns: fault-free lines keep the exact
-  // pre-fault-model key set (append_result_fields itself must not grow —
+  // Gated counters follow, each only for configs that can move it — the
+  // same gates as the config columns, so fault-free lines keep the exact
+  // pre-fault-model key set (append_result_fields itself must not grow:
   // the campaign journal's replica lines depend on its key order).
-  if (pr.config.has_permanent_faults()) {
-    o.u64("packets_rerouted", pr.results.packets_rerouted);
-    o.u64("unreachable_drops", pr.results.unreachable_drops);
-    o.u64("links_escalated", pr.results.links_escalated);
+#define FTNOC_X(name, window, gate)                      \
+  if (gated_column_on(CounterGate::gate, pr.config)) { \
+    o.u64(#name, pr.results.name);                     \
   }
-  // Storm runs additionally report how many timeline kills were accepted
-  // (gated on the storm config itself, so nothing else gains the column).
-  if (!pr.config.storm_kills.empty()) {
-    o.u64("links_storm_killed", pr.results.links_storm_killed);
-  }
-  // Workload runs report drops at dead sources; link_stats runs carry the
-  // per-link heatmap rows, packed "node:DIR=fwd/stall" so one JSONL line
-  // stays one row for the CSV/plot layer to explode.
-  if (pr.config.has_workload()) {
-    o.u64("dead_source_drops", pr.results.dead_source_drops);
-  }
+  FTNOC_COUNTERS(FTNOC_X)
+#undef FTNOC_X
+  // link_stats runs carry the per-link heatmap rows, packed
+  // "node:DIR=fwd/stall" so one JSONL line stays one row for the CSV/plot
+  // layer to explode.
   if (pr.config.link_stats) {
     std::string rows;
     for (const auto& lu : pr.results.link_util) {

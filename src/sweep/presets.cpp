@@ -408,9 +408,10 @@ std::vector<SweepPoint> perf_points(const SimConfig& base) {
 }
 
 std::vector<SweepPoint> perf_large_points(const SimConfig& base) {
-  // The same hot paths on a pinned 16x16 mesh: 16x the routers stepped
-  // per cycle and twice the diameter, so radix- and scale-dependent
-  // regressions move this number even when the 4x4 `perf` grid is flat.
+  // The same hot paths on a pinned 16x16 mesh: 4x the routers of the
+  // default 8x8 `perf` grid stepped per cycle and twice the diameter, so
+  // radix- and scale-dependent regressions move this number even when the
+  // `perf` grid is flat.
   // The message budget is smaller per node but larger in aggregate —
   // sized so the whole grid stays a CI-smoke-friendly few seconds.
   SimConfig big = base;

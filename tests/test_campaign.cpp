@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,8 @@
 #include "campaign/estimators.hpp"
 #include "campaign/journal.hpp"
 #include "common/stats_util.hpp"
+#include "noc/stats.hpp"
+#include "sweep/jsonl.hpp"
 #include "sweep/sweep.hpp"
 
 namespace ftnoc {
@@ -368,6 +372,85 @@ TEST(CampaignJournal, ReplicaLineRoundTripsResults) {
   EXPECT_EQ(replayed.aggs, run.aggs);
   EXPECT_EQ(replayed.lines, run.lines);
   std::remove(path.c_str());
+}
+
+
+// --- Counter table (noc/stats.hpp FTNOC_COUNTERS) --------------------------
+// Real runs leave most counters at zero, so a round trip over them cannot
+// tell a dropped or swapped column from a correct one. These results give
+// every table entry its own non-zero value.
+SimResults distinct_counter_results() {
+  SimResults r;
+  std::uint64_t v = 1000;
+#define FTNOC_X(name, window, gate) r.name = ++v;
+  FTNOC_COUNTERS(FTNOC_X)
+#undef FTNOC_X
+  return r;
+}
+
+/// The unsigned value of `"key":` in a flat JSON line, or nullopt.
+std::optional<std::uint64_t> json_u64(const std::string& line,
+                                      const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t pos = line.find(needle);
+  if (pos == std::string::npos) return std::nullopt;
+  return std::stoull(line.substr(pos + needle.size()));
+}
+
+TEST(CounterTable, JournalParsesEveryUngatedCounterBack) {
+  const SimResults r = distinct_counter_results();
+  const std::uint64_t hash = campaign::config_hash(tiny_config());
+  const std::string path = ::testing::TempDir() + "counter_table.jsonl";
+  write_lines(path, {campaign::replica_line(7, 0, 0, hash, 1, r)}, 1);
+  const auto journal = campaign::Journal::load(path, 7, {hash});
+  ASSERT_TRUE(journal.mismatch().empty()) << journal.mismatch();
+  const SimResults* back = journal.find(0, 0);
+  ASSERT_NE(back, nullptr);
+#define FTNOC_X(name, window, gate)                   \
+  if (CounterGate::gate == CounterGate::kAlways) {    \
+    EXPECT_EQ(back->name, r.name) << #name;           \
+  }
+  FTNOC_COUNTERS(FTNOC_X)
+#undef FTNOC_X
+  std::remove(path.c_str());
+}
+
+/// Checks that `to_jsonl` carries each table counter, with its own value,
+/// exactly when its gate is kAlways or listed in `open`.
+void expect_columns(const SimConfig& cfg, std::vector<CounterGate> open) {
+  sweep::PointResult pr;
+  pr.config = cfg;
+  pr.results = distinct_counter_results();
+  open.push_back(CounterGate::kAlways);
+  const std::string line = sweep::to_jsonl(pr);
+#define FTNOC_X(name, window, gate)                                     \
+  if (std::find(open.begin(), open.end(), CounterGate::gate) !=         \
+      open.end()) {                                                     \
+    EXPECT_EQ(json_u64(line, #name), pr.results.name) << #name;         \
+  } else {                                                              \
+    EXPECT_FALSE(json_u64(line, #name).has_value()) << #name;           \
+  }
+  FTNOC_COUNTERS(FTNOC_X)
+#undef FTNOC_X
+}
+
+TEST(CounterTable, ToJsonlEmitsEveryCounterOnlyUnderItsGate) {
+  SimConfig cfg = tiny_config();
+  expect_columns(cfg, {});
+
+  SimConfig workload = cfg;
+  workload.workload_text = "all_to_all background start=0 flits=4\n";
+  expect_columns(workload, {CounterGate::kWorkload});
+
+  // A storm timeline is a permanent fault too, so its gate never opens
+  // alone; a static dead link opens only the permanent-fault gate.
+  cfg.dead_links.emplace_back(5, Direction::kEast);
+  expect_columns(cfg, {CounterGate::kPermanentFaults});
+
+  cfg.storm_kills.push_back({100, 6, Direction::kSouth});
+  cfg.workload_text = workload.workload_text;
+  expect_columns(cfg, {CounterGate::kPermanentFaults,
+                       CounterGate::kStormKills, CounterGate::kWorkload});
 }
 
 }  // namespace

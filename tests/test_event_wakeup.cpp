@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -266,14 +267,10 @@ TEST(EventWakeup, WorkloadReplayFaultedLockstep) {
   EXPECT_EQ(nets.scan->link_stall_counts(), nets.event->link_stall_counts());
 }
 
-// Per-link counters across router implementations. The optimized Router
-// on the event kernel answers the stall query from per-port running
-// counters; the ReferenceRouter on the scan kernel sums its VC buffers. A
-// workload replay under DAMQ shared buffering with storm kills mid-run
-// (drains, re-homes, escape detours, recovery absorption) must keep the
-// two in lock-step and give identical link vectors; the invariant monitor
-// recounts every port's counter each cycle.
-TEST(EventWakeup, LinkStatsRouterMatchesReferenceUnderDamqStorm) {
+// A workload replay under DAMQ shared buffering with storm kills mid-run:
+// drains, re-homes, escape detours and recovery absorption all move flits
+// in and out of buffers.
+SimConfig damq_storm_workload() {
   SimConfig cfg = sparse_base();
   cfg.injection_rate = 0.0;  // Pure workload-driven.
   cfg.routing = RoutingAlgorithm::kMinimalAdaptive;
@@ -283,8 +280,6 @@ TEST(EventWakeup, LinkStatsRouterMatchesReferenceUnderDamqStorm) {
   cfg.deadlock.enable_recovery = true;
   cfg.deadlock.probe_threshold = 16;
   cfg.deadlock.probe_backoff = 8;
-  cfg.link_stats = true;
-  cfg.check_invariants = true;  // Recounts each port's occupancy counter.
   cfg.storm_kills.push_back({300, 5, Direction::kEast});
   cfg.storm_kills.push_back({700, 9, Direction::kEast});
   cfg.storm_kills.push_back({1100, 6, Direction::kSouth});
@@ -293,6 +288,19 @@ TEST(EventWakeup, LinkStatsRouterMatchesReferenceUnderDamqStorm) {
       "many_to_one sink start=0 dest=0 flits=16 count=3 period=400 "
       "stagger=5\n"
       "all_to_all background start=0 flits=8 stagger=3\n";
+  return cfg;
+}
+
+// Per-link counters across router implementations. The optimized Router
+// on the event kernel answers the stall query from per-port running
+// counters; the ReferenceRouter on the scan kernel sums its VC buffers.
+// The DAMQ storm replay must keep the two in lock-step and give identical
+// link vectors; the invariant monitor recounts every port's counter each
+// cycle.
+TEST(EventWakeup, LinkStatsRouterMatchesReferenceUnderDamqStorm) {
+  SimConfig cfg = damq_storm_workload();
+  cfg.link_stats = true;
+  cfg.check_invariants = true;  // Recounts each port's occupancy counter.
   SimConfig ref_cfg = cfg;
   ref_cfg.use_reference_router = true;
   Network opt(cfg);
@@ -314,6 +322,33 @@ TEST(EventWakeup, LinkStatsRouterMatchesReferenceUnderDamqStorm) {
   std::uint64_t stalls = 0;
   for (const std::uint64_t s : opt.link_stall_counts()) stalls += s;
   EXPECT_GT(stalls, 0u) << "the replay never backed a link up";
+}
+
+// step() samples buffer utilization from running occupancy totals that
+// only router steps refresh (both kernels). After every cycle they must
+// equal a full recount of every router, under the event kernel, the scan
+// kernel and the ReferenceRouter alike.
+TEST(EventWakeup, SampledOccupancyMatchesFullScanEveryCycle) {
+  for (const int variant : {0, 1, 2}) {
+    SimConfig cfg = damq_storm_workload();
+    cfg.force_scan_kernel = variant == 1;
+    cfg.use_reference_router = variant == 2;
+    Network net(cfg);
+    double max_tx = 0.0;
+    double max_rtx = 0.0;
+    for (Cycle c = 0; c < 4000; ++c) {
+      net.step();
+      ASSERT_EQ(net.sampled_tx_fraction(), net.tx_buffer_fraction())
+          << "variant " << variant << " cycle " << net.now();
+      ASSERT_EQ(net.sampled_rtx_fraction(), net.rtx_buffer_fraction())
+          << "variant " << variant << " cycle " << net.now();
+      max_tx = std::max(max_tx, net.tx_buffer_fraction());
+      max_rtx = std::max(max_rtx, net.rtx_buffer_fraction());
+    }
+    EXPECT_EQ(net.stats().links_storm_killed(), 3u) << "variant " << variant;
+    EXPECT_GT(max_tx, 0.0) << "variant " << variant;
+    EXPECT_GT(max_rtx, 0.0) << "variant " << variant;
+  }
 }
 
 // Statically faulted topology: dead links and a dead router reshape the

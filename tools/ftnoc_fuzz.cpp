@@ -362,28 +362,24 @@ int fuzz_main(const Options& opt) {
             "routing=adaptive",
             "dead_link=5:E"};
     } else if (opt.selftest && opt.plant == "strand_waiter") {
-      // This plant's habitat: heavy adaptive traffic with aggressive
-      // deadlock probing (so output VCs carry registered waiters) and a
-      // storm timeline that drains central links mid-run. A waiter whose
-      // flits have not been absorbed must be re-homed off the draining
-      // port; the plant reverts that, so the optimized router's
-      // has_waiter/out_work state wedges while the reference re-homes.
+      // This plant's habitat: heavy adaptive traffic on few VCs with
+      // aggressive deadlock probing (so output VCs carry registered
+      // waiters) and a storm timeline that drains central links mid-run.
+      // A waiter whose flits have not been absorbed must be re-homed off
+      // the draining port; the plant reverts that, so the optimized
+      // router's has_waiter/out_work state wedges while the reference
+      // re-homes. Every override here is one the minimized repro needs;
+      // the plant shows at run 2 (cycle 601, right after the 9:E kill).
       ov = {"seed=" + std::to_string(1000 + i),
             "mesh_width=4",
             "mesh_height=4",
             "num_vcs=2",
-            "vc_buffer_depth=4",
-            "pipeline_stages=3",
-            "packet_length=4",
             "injection_rate=0.4",
-            "protection=hbh",
             "routing=adaptive",
             "deadlock_recovery=1",
             "probe_threshold=8",
-            "probe_backoff=8",
-            "exit_block_window=256",
             "storm_kill=200:5:E",
-            "storm_kill=400:6:E",
+            "storm_kill=300:6:S",
             "storm_kill=600:9:E"};
     } else if (opt.selftest && opt.plant == "damq_credit_leak") {
       // This plant's habitat: damq shared buffering under enough load
