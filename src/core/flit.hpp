@@ -25,12 +25,13 @@ inline bool is_tail(FlitType t) {
   return t == FlitType::kTail || t == FlitType::kHeadTail;
 }
 
+// Field order is a layout decision: the 8-byte members first, then the
+// node ids, then the byte-wide fields, so the struct packs into exactly one
+// 64-byte cache line with no interior padding. The state digests mix the
+// fields by name (digest::Fnv::mix_flit), so reordering moves no digest
+// byte.
 struct Flit {
-  FlitType type = FlitType::kHead;
   PacketId packet_id = 0;
-  NodeId src = kInvalidNode;
-  NodeId dest = kInvalidNode;
-  std::uint8_t seq = 0;  ///< Index of this flit within its packet.
 
   /// Cycle the packet was created at the source PE (total-latency
   /// reference point, including source queueing).
@@ -43,6 +44,11 @@ struct Flit {
   /// recovery time is charged.
   Cycle inject_cycle = 0;
 
+  /// Transient per-hop bookkeeping: cycle this flit was written into the
+  /// current router's input buffer. Pipeline stages only operate on flits
+  /// that arrived in an earlier cycle.
+  Cycle arrived_cycle = 0;
+
   /// Ground-truth payload — what the source encoded. Used as the oracle
   /// when accounting silent corruptions (FEC-only scheme).
   std::uint64_t payload = 0;
@@ -51,20 +57,22 @@ struct Flit {
   /// flip bits here; receivers decode it.
   ecc::Codeword codeword;
 
+  NodeId src = kInvalidNode;
+  NodeId dest = kInvalidNode;
+
+  FlitType type = FlitType::kHead;
+  std::uint8_t seq = 0;  ///< Index of this flit within its packet.
+
   /// VC the flit occupies on the link it is currently traversing
   /// (stamped by the sender at switch traversal).
   VcId vc = kInvalidVc;
-
-  /// Transient per-hop bookkeeping: cycle this flit was written into the
-  /// current router's input buffer. Pipeline stages only operate on flits
-  /// that arrived in an earlier cycle.
-  Cycle arrived_cycle = 0;
 
   /// Transient: hops traversed so far (statistics).
   std::uint8_t hops = 0;
 
   std::string describe() const;
 };
+static_assert(sizeof(Flit) == 64, "Flit must stay one 64-byte cache line");
 
 /// Builds a flit with its codeword freshly encoded from `payload`.
 Flit make_flit(FlitType type, PacketId pid, NodeId src, NodeId dest,

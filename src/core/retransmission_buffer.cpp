@@ -5,118 +5,142 @@
 namespace ftnoc {
 
 RetransmissionBuffer::RetransmissionBuffer(int depth, Cycle nack_window)
-    : depth_(depth), nack_window_(nack_window) {
+    : RetransmissionBuffer(nullptr, depth, nack_window) {}
+
+RetransmissionBuffer::RetransmissionBuffer(Slot* slots, int depth,
+                                           Cycle nack_window)
+    : slots_(slots), nack_window_(nack_window), depth_(depth) {
   FTNOC_CHECK(depth >= 1);
   FTNOC_CHECK(nack_window >= 1);
+  if (slots_ == nullptr) {
+    owned_ = std::make_unique<Slot[]>(static_cast<std::size_t>(depth));
+    slots_ = owned_.get();
+  }
+}
+
+void RetransmissionBuffer::insert_at(int i, const Slot& s) {
+  FTNOC_CHECK(free_slots() > 0);
+  for (int k = occupancy(); k > i; --k) at(k) = at(k - 1);
+  at(i) = s;
+}
+
+void RetransmissionBuffer::erase_at(int i) {
+  if (i == 0) {
+    head_ = head_ + 1 == depth_ ? 0 : head_ + 1;
+    return;
+  }
+  const int last = occupancy() - 1;
+  for (int k = i; k < last; ++k) at(k) = at(k + 1);
 }
 
 void RetransmissionBuffer::record_transmission(const Flit& f, Cycle now) {
   // If the transmitted flit is the front of the pending region, this
-  // transmission consumes it (replay or absorbed-flit send).
-  if (!pending_.empty() && pending_[0].flit.packet_id == f.packet_id &&
-      pending_[0].flit.seq == f.seq) {
-    pending_.erase_at(0);
+  // transmission consumes it (replay or absorbed-flit send): the slot
+  // becomes the newest sent entry in place.
+  if (pending_ > 0) {
+    Slot& front = at(sent_);
+    if (front.flit.packet_id == f.packet_id && front.flit.seq == f.seq) {
+      front.flit = f;
+      front.sent_at = now;
+      ++sent_;
+      --pending_;
+      return;
+    }
   }
   if (occupancy() >= depth_) {
     // Barrel-shifter retirement: the oldest sent flit falls off. Callers
     // process NACKs before transmitting, so its NACK window has passed.
-    FTNOC_CHECK(!sent_.empty());
-    FTNOC_DCHECK(now - sent_[0].sent_at >= nack_window_);
-    sent_.erase_at(0);
+    FTNOC_CHECK(sent_ > 0);
+    FTNOC_DCHECK(now - at(0).sent_at >= nack_window_);
+    erase_at(0);
+    --sent_;
   }
-  sent_.push_back({f, now});
+  // A fresh send goes behind the sent region, ahead of any pending flits
+  // (a deadlock-recovery waiter's, queued behind this owner).
+  insert_at(sent_, {f, now, false});
+  ++sent_;
 }
 
 void RetransmissionBuffer::retire_expired(Cycle now) {
-  while (!sent_.empty() && now - sent_[0].sent_at > nack_window_) {
-    sent_.erase_at(0);
+  while (sent_ > 0 && now - at(0).sent_at > nack_window_) {
+    erase_at(0);
+    --sent_;
   }
 }
 
 int RetransmissionBuffer::on_nack() {
-  const int n = static_cast<int>(sent_.size());
-  // Preserve order: sent flits are older than anything already pending.
-  for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
-    pending_.insert_at(i, {sent_[i].flit, /*credit_held=*/true});
-  }
-  sent_.clear();
+  // Sent flits are older than anything already pending, so moving the
+  // boundary back to the head preserves replay order.
+  const int n = sent_;
+  for (int i = 0; i < n; ++i) at(i).credit_held = true;
+  pending_ += n;
+  sent_ = 0;
   return n;
 }
 
 const Flit& RetransmissionBuffer::front_pending() const {
-  FTNOC_CHECK(!pending_.empty());
-  return pending_[0].flit;
+  FTNOC_CHECK(pending_ > 0);
+  return at(sent_).flit;
 }
 
 bool RetransmissionBuffer::front_pending_credit_held() const {
-  FTNOC_CHECK(!pending_.empty());
-  return pending_[0].credit_held;
+  FTNOC_CHECK(pending_ > 0);
+  return at(sent_).credit_held;
 }
 
 Flit RetransmissionBuffer::pop_pending() {
-  FTNOC_CHECK(!pending_.empty());
-  Flit f = pending_[0].flit;
-  pending_.erase_at(0);
+  FTNOC_CHECK(pending_ > 0);
+  Flit f = at(sent_).flit;
+  erase_at(sent_);
+  --pending_;
   return f;
 }
 
 void RetransmissionBuffer::absorb(const Flit& f) {
-  FTNOC_CHECK(free_slots() > 0);
-  pending_.push_back({f, /*credit_held=*/false});
+  insert_at(occupancy(), {f, 0, /*credit_held=*/false});
+  ++pending_;
 }
 
 void RetransmissionBuffer::push_pending_back(const Flit& f) {
-  FTNOC_CHECK(free_slots() > 0);
-  pending_.push_back({f, /*credit_held=*/true});
+  insert_at(occupancy(), {f, 0, /*credit_held=*/true});
+  ++pending_;
 }
 
 void RetransmissionBuffer::absorb_as_owner(const Flit& f,
                                            PacketId owner_pid) {
-  FTNOC_CHECK(free_slots() > 0);
-  std::size_t i = 0;
-  while (i < pending_.size() && pending_[i].flit.packet_id == owner_pid) ++i;
-  pending_.insert_at(i, {f, /*credit_held=*/false});
+  int i = sent_;
+  while (i < occupancy() && at(i).flit.packet_id == owner_pid) ++i;
+  insert_at(i, {f, 0, /*credit_held=*/false});
+  ++pending_;
 }
 
 bool RetransmissionBuffer::contains_packet(PacketId pid) const {
-  for (const auto& e : sent_) {
-    if (e.flit.packet_id == pid) return true;
-  }
-  for (const auto& e : pending_) {
-    if (e.flit.packet_id == pid) return true;
+  for (int i = 0; i < occupancy(); ++i) {
+    if (at(i).flit.packet_id == pid) return true;
   }
   return false;
 }
 
 bool RetransmissionBuffer::has_pending_for(PacketId pid) const {
-  for (const auto& e : pending_) {
-    if (e.flit.packet_id == pid) return true;
+  for (int i = sent_; i < occupancy(); ++i) {
+    if (at(i).flit.packet_id == pid) return true;
   }
   return false;
 }
 
 bool RetransmissionBuffer::pending_contains(PacketId pid,
                                             std::uint8_t seq) const {
-  for (const auto& e : pending_) {
-    if (e.flit.packet_id == pid && e.flit.seq == seq) return true;
+  for (int i = sent_; i < occupancy(); ++i) {
+    const Flit& f = at(i).flit;
+    if (f.packet_id == pid && f.seq == seq) return true;
   }
   return false;
 }
 
 void RetransmissionBuffer::clear() {
-  sent_.clear();
-  pending_.clear();
-}
-
-void RetransmissionBuffer::tick_utilization() {
-  ++util_cycles_;
-  util_occupied_slot_cycles_ += static_cast<std::uint64_t>(occupancy());
-}
-
-double RetransmissionBuffer::mean_utilization() const {
-  if (util_cycles_ == 0) return 0.0;
-  return static_cast<double>(util_occupied_slot_cycles_) /
-         (static_cast<double>(util_cycles_) * static_cast<double>(depth_));
+  head_ = 0;
+  sent_ = 0;
+  pending_ = 0;
 }
 
 }  // namespace ftnoc

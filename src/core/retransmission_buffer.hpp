@@ -20,10 +20,17 @@
 // absorbs flits from its transmission buffer into the pending region
 // ("direct input" in Figure 3) with credit_held = false — they compete for
 // a downstream credit when they are finally transmitted.
+//
+// Storage is one depth-slot ring laid out as [sent | pending] from the
+// head. Transmitting the front pending flit (a replay or an absorbed
+// flit) just moves the boundary; retirement advances the head; a NACK
+// moves the boundary back to the head. Only absorb_as_owner, pop_pending
+// and a fresh send behind a waiter's pending flits shift entries, and
+// never more than depth-1 of them.
 
 #include <cstddef>
+#include <memory>
 
-#include "common/inline_vec.hpp"
 #include "common/types.hpp"
 #include "core/flit.hpp"
 
@@ -36,20 +43,31 @@ class RetransmissionBuffer {
   /// (4-stage pipeline) adds one more in-flight cycle.
   static constexpr Cycle kDefaultNackWindow = 3;
 
+  /// One ring slot. `sent_at` is meaningful in the sent region,
+  /// `credit_held` in the pending region.
+  struct Slot {
+    Flit flit;
+    Cycle sent_at = 0;
+    bool credit_held = false;
+  };
+
+  /// A barrel owning its own `depth` slots.
   /// @param nack_window  cycles a flit can still be NACKed after its
   ///                     transmission was recorded.
   explicit RetransmissionBuffer(int depth,
                                 Cycle nack_window = kDefaultNackWindow);
+  /// A barrel over `depth` caller-owned slots (a router's barrel slab),
+  /// which must outlive it.
+  RetransmissionBuffer(Slot* slots, int depth,
+                       Cycle nack_window = kDefaultNackWindow);
 
   int depth() const { return depth_; }
-  int occupancy() const {
-    return static_cast<int>(sent_.size() + pending_.size());
-  }
+  int occupancy() const { return sent_ + pending_; }
   int free_slots() const { return depth_ - occupancy(); }
 
-  bool has_pending() const { return !pending_.empty(); }
-  int pending_count() const { return static_cast<int>(pending_.size()); }
-  int sent_count() const { return static_cast<int>(sent_.size()); }
+  bool has_pending() const { return pending_ > 0; }
+  int pending_count() const { return pending_; }
+  int sent_count() const { return sent_; }
 
   /// Records that `f` was just transmitted on the link at cycle `now`.
   /// If `f` is the front pending flit this is a replay (or the transmission
@@ -62,10 +80,10 @@ class RetransmissionBuffer {
   void retire_expired(Cycle now);
 
   /// First cycle at which retire_expired(now) would retire something, or
-  /// 0 when the sent region is empty. sent_at is monotone within sent_,
-  /// so callers may skip retire_expired entirely before this cycle.
+  /// 0 when the sent region is empty. sent_at is monotone within the sent
+  /// region, so callers may skip retire_expired entirely before this cycle.
   Cycle next_retire_at() const {
-    return sent_.empty() ? 0 : sent_[0].sent_at + nack_window_ + 1;
+    return sent_ == 0 ? 0 : at(0).sent_at + nack_window_ + 1;
   }
 
   /// True if a transmission can be recorded at `now`: either a slot is
@@ -74,7 +92,7 @@ class RetransmissionBuffer {
   /// stalls on a depth-3 buffer).
   bool can_accept(Cycle now) const {
     if (free_slots() > 0) return true;
-    return !sent_.empty() && now - sent_[0].sent_at >= nack_window_;
+    return sent_ > 0 && now - at(0).sent_at >= nack_window_;
   }
 
   /// A NACK arrived: every sent-but-unretired flit must be replayed.
@@ -128,38 +146,35 @@ class RetransmissionBuffer {
   void clear();
 
   // --- Entry introspection (invariant monitor, state digests) -------------
-  const Flit& sent_flit(int i) const { return sent_[as_idx(i)].flit; }
-  Cycle sent_time(int i) const { return sent_[as_idx(i)].sent_at; }
-  const Flit& pending_flit(int i) const { return pending_[as_idx(i)].flit; }
-  bool pending_credit_held(int i) const {
-    return pending_[as_idx(i)].credit_held;
-  }
-
-  /// Lifetime utilization accounting: call once per cycle.
-  void tick_utilization();
-  double mean_utilization() const;
+  const Flit& sent_flit(int i) const { return at(i).flit; }
+  Cycle sent_time(int i) const { return at(i).sent_at; }
+  const Flit& pending_flit(int i) const { return at(sent_ + i).flit; }
+  bool pending_credit_held(int i) const { return at(sent_ + i).credit_held; }
 
  private:
-  static std::size_t as_idx(int i) { return static_cast<std::size_t>(i); }
+  /// Slot at ring position `i` counted from the head (the oldest entry).
+  Slot& at(int i) {
+    const int j = head_ + i;
+    return slots_[j < depth_ ? j : j - depth_];
+  }
+  const Slot& at(int i) const {
+    const int j = head_ + i;
+    return slots_[j < depth_ ? j : j - depth_];
+  }
+  /// Inserts `s` at ring position `i`, shifting positions [i, occupancy)
+  /// one toward the tail. Requires a free slot.
+  void insert_at(int i, const Slot& s);
+  /// Removes ring position `i`, shifting the later positions one toward
+  /// the head.
+  void erase_at(int i);
 
-  struct SentEntry {
-    Flit flit;
-    Cycle sent_at;
-  };
-  struct PendingEntry {
-    Flit flit;
-    bool credit_held;
-  };
-
-  int depth_;
+  std::unique_ptr<Slot[]> owned_;  ///< Null when viewing a router slab.
+  Slot* slots_;
   Cycle nack_window_;
-  // sent + pending together hold at most depth_ entries (default 3), so
-  // inline storage keeps the whole barrel heap-free; deeper configurations
-  // spill once and keep the capacity.
-  InlineVec<SentEntry, 4> sent_;        ///< Oldest at front ([0]).
-  InlineVec<PendingEntry, 4> pending_;  ///< Next to transmit at front ([0]).
-  std::uint64_t util_cycles_ = 0;
-  std::uint64_t util_occupied_slot_cycles_ = 0;
+  int depth_;
+  int head_ = 0;
+  int sent_ = 0;     ///< Ring positions [0, sent_) — oldest first.
+  int pending_ = 0;  ///< Positions [sent_, sent_ + pending_) — next first.
 };
 
 }  // namespace ftnoc

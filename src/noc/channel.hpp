@@ -6,9 +6,16 @@
 // which makes the sequential router update order within a cycle
 // unobservable — the simulation behaves as if all routers stepped in
 // lockstep.
+//
+// Each channel keeps two slots and a phase bit: slot `phase_` is this
+// cycle's (readable) value, the other slot is next cycle's (written)
+// value. A tick flips the phase and drops whatever the old current slot
+// held, so no value is moved or copied at the clock edge.
 
-#include <optional>
-#include <vector>
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <span>
 
 #include "common/check.hpp"
 
@@ -20,77 +27,97 @@ class Channel {
   /// Writes the value to appear on the wire next cycle. At most one write
   /// per cycle (the wire has no buffering).
   void write(const T& v) {
-    FTNOC_CHECK(!next_.has_value());
-    next_ = v;
+    FTNOC_CHECK(can_write());
+    slot_[next()] = v;
+    full_ |= bit(next());
   }
 
-  bool can_write() const { return !next_.has_value(); }
+  bool can_write() const { return (full_ & bit(next())) == 0; }
 
-  /// Reads and consumes this cycle's value, if any.
-  std::optional<T> read() {
-    std::optional<T> v = std::move(cur_);
-    cur_.reset();
-    return v;
+  /// Reads and consumes this cycle's value, if any. The value stays in
+  /// its slot until the next tick(), so the consumer may use it — and
+  /// alter it in place, e.g. link-fault injection — without a copy.
+  T* read() {
+    if ((full_ & bit(phase_)) == 0) return nullptr;
+    full_ &= static_cast<std::uint8_t>(~bit(phase_));
+    return &slot_[phase_];
   }
 
-  const std::optional<T>& peek() const { return cur_; }
-
-  /// In-place consumption for the hot receive path: mutate the current
-  /// value through the pointer (e.g. link-fault injection), then call
-  /// consume(). Equivalent to read() minus the temporary copies.
-  T* peek_mut() { return cur_.has_value() ? &*cur_ : nullptr; }
-  void consume() { cur_.reset(); }
+  /// This cycle's value, or nullptr.
+  const T* peek() const {
+    return (full_ & bit(phase_)) ? &slot_[phase_] : nullptr;
+  }
 
   /// Advances the register: next-cycle value becomes current.
   /// An unconsumed current value is dropped — wires don't hold state.
   void tick() {
-    cur_ = std::move(next_);
-    next_.reset();
+    full_ &= static_cast<std::uint8_t>(~bit(phase_));
+    phase_ = next();
   }
 
   /// Nothing readable now and nothing latched for the next edge; ticking
   /// an idle channel is a no-op, so it needs no tick until written again.
-  bool idle() const { return !cur_.has_value() && !next_.has_value(); }
+  bool idle() const { return full_ == 0; }
 
  private:
-  std::optional<T> cur_;
-  std::optional<T> next_;
+  std::uint8_t next() const {
+    return static_cast<std::uint8_t>(phase_ ^ 1u);
+  }
+  static std::uint8_t bit(std::uint8_t slot) {
+    return static_cast<std::uint8_t>(1u << slot);
+  }
+
+  std::array<T, 2> slot_{};
+  std::uint8_t phase_ = 0;
+  std::uint8_t full_ = 0;  ///< Bit s: slot_[s] holds a value.
 };
 
 /// A channel that can carry several independent values per cycle (used for
-/// credits: distinct VCs may each return a credit in the same cycle).
-/// The three backing vectors are rotated by swap, never reallocated, so a
-/// steady credit stream costs no heap traffic.
-template <typename T>
+/// credits: distinct VCs may each return a credit in the same cycle). Each
+/// slot holds up to N values inline; a router frees at most V+1 slots of
+/// one input port per cycle (one switch traversal, plus one drop or one
+/// deadlock absorption per VC), well under the default N for V <= 6.
+template <typename T, std::size_t N = 16>
 class MultiChannel {
  public:
-  void write(const T& v) { next_.push_back(v); }
+  void write(const T& v) {
+    Slot& s = slot_[phase_ ^ 1u];
+    FTNOC_CHECK(s.n < N);
+    s.v[s.n++] = v;
+  }
 
-  bool empty() const { return cur_.empty(); }
+  bool empty() const { return slot_[phase_].n == 0; }
 
-  /// Reads and consumes all of this cycle's values. The returned reference
-  /// is valid until the next read() or tick().
-  const std::vector<T>& read() {
-    scratch_.swap(cur_);
-    cur_.clear();
-    return scratch_;
+  /// Reads and consumes all of this cycle's values. The returned view is
+  /// valid until the next tick().
+  std::span<const T> read() {
+    Slot& s = slot_[phase_];
+    const std::span<const T> v(s.v.data(), s.n);
+    s.n = 0;
+    return v;
   }
 
   /// Non-consuming view of this cycle's values (invariant walks, digests).
-  const std::vector<T>& peek() const { return cur_; }
+  std::span<const T> peek() const {
+    const Slot& s = slot_[phase_];
+    return {s.v.data(), s.n};
+  }
 
   void tick() {
-    cur_.swap(next_);
-    next_.clear();
+    slot_[phase_].n = 0;
+    phase_ ^= 1u;
   }
 
   /// See Channel::idle().
-  bool idle() const { return cur_.empty() && next_.empty(); }
+  bool idle() const { return slot_[0].n == 0 && slot_[1].n == 0; }
 
  private:
-  std::vector<T> cur_;
-  std::vector<T> next_;
-  std::vector<T> scratch_;
+  struct Slot {
+    std::array<T, N> v{};
+    std::uint8_t n = 0;
+  };
+  std::array<Slot, 2> slot_{};
+  std::uint8_t phase_ = 0;
 };
 
 }  // namespace ftnoc

@@ -3,9 +3,9 @@
 //
 // The optimized router keeps every input-VC buffer in one contiguous
 // gid-major slab (`std::vector<Flit>`, stride = vc_buffer_depth) instead
-// of a heap-allocated RingQueue per VC. FlitRing is the non-owning ring
-// view over one VC's window of that slab; it mirrors the RingQueue<Flit>
-// API subset the phase code uses, so the phases stay layout-agnostic
+// of a heap-allocated queue per VC. FlitRing is the non-owning ring view
+// over one VC's window of that slab; it exposes only the queue operations
+// the phase code uses, so the phases stay layout-agnostic
 // while the storage itself is cache-linear in ascending-gid order — the
 // same decoupling of logical VC queues from physical buffer storage that
 // DAMQ organizations argue for.

@@ -15,16 +15,16 @@ namespace {
 constexpr PortId kLocalPort = static_cast<PortId>(Direction::kLocal);
 
 void mix_wire(digest::Fnv& h, const Wire& w) {
-  h.mix(w.flit.peek().has_value());
+  h.mix(w.flit.peek() != nullptr);
   if (w.flit.peek()) h.mix_flit(*w.flit.peek());
-  const auto& credits = w.credit.peek();
+  const auto credits = w.credit.peek();
   h.mix(credits.size());
   for (const Credit& c : credits) h.mix(static_cast<std::uint64_t>(c.vc));
-  h.mix(w.nack.peek().has_value());
+  h.mix(w.nack.peek() != nullptr);
   if (w.nack.peek()) h.mix(static_cast<std::uint64_t>(w.nack.peek()->vc));
-  h.mix(w.probe.peek().has_value());
+  h.mix(w.probe.peek() != nullptr);
   if (w.probe.peek()) h.mix_probe(*w.probe.peek());
-  h.mix(w.activation.peek().has_value());
+  h.mix(w.activation.peek() != nullptr);
   if (w.activation.peek()) h.mix_activation(*w.activation.peek());
 }
 }
@@ -101,7 +101,7 @@ bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
   for (std::size_t v = 0; !router_in_recovery && v < lanes_.size(); ++v) {
     if (pending_.empty()) break;
     auto& lane = lanes_[v];
-    if (lane.busy || !lane.flits.empty()) continue;
+    if (lane.remaining() != 0) continue;
     // Under voq, lane v only carries packets whose destination column maps
     // to class v; take the oldest such packet (plain FIFO otherwise).
     auto it = pending_.begin();
@@ -113,14 +113,11 @@ bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
       }
       if (it == pending_.end()) continue;
     }
-    auto pkt = std::move(*it);
+    lane.flits = std::move(*it);
+    lane.next = 0;
     pending_.erase(it);
-    lane.busy = true;
-    lane_flits_ += static_cast<int>(pkt.size());
-    for (auto& f : pkt) {
-      f.vc = static_cast<VcId>(v);
-      lane.flits.push_back(std::move(f));
-    }
+    lane_flits_ += static_cast<int>(lane.flits.size());
+    for (auto& f : lane.flits) f.vc = static_cast<VcId>(v);
   }
 
   // Send at most one flit per cycle over the PE-to-router channel. A PE
@@ -131,9 +128,8 @@ bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
   int v = send_rotation_;
   for (int off = 0; off < nv; ++off, v = (v + 1 == nv) ? 0 : v + 1) {
     auto& lane = lanes_[static_cast<std::size_t>(v)];
-    if (lane.flits.empty() || lane.credits <= 0) continue;
-    Flit f = lane.flits.front();
-    lane.flits.pop_front();
+    if (lane.remaining() == 0 || lane.credits <= 0) continue;
+    Flit& f = lane.flits[lane.next++];
     --lane_flits_;
     --lane.credits;
     // Stamp the network-injection time on the whole packet the moment its
@@ -142,16 +138,21 @@ bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
     // sentinel). An E2E retransmission keeps the first attempt's stamp.
     if (is_head(f.type) && f.inject_cycle == 0) {
       const Cycle stamp = now + 1;
-      for (auto& rest : lane.flits) rest.inject_cycle = stamp;
+      for (std::size_t k = lane.next; k < lane.flits.size(); ++k) {
+        lane.flits[k].inject_cycle = stamp;
+      }
       f.inject_cycle = stamp;
       const auto held = e2e_buffer_.find(f.packet_id);
       if (held != e2e_buffer_.end()) {
         for (auto& h : held->second) h.inject_cycle = stamp;
       }
     }
-    wire_->flit.write(f);
+    wire_->write(f);
     if (stats_) stats_->on_flit_injected();
-    if (lane.flits.empty()) lane.busy = false;
+    if (lane.remaining() == 0) {
+      lane.flits = {};  // Packet fully sent: release it.
+      lane.next = 0;
+    }
     send_rotation_ = (v + 1 == nv) ? 0 : v + 1;
     return true;
   }
@@ -164,10 +165,12 @@ std::uint64_t ProcessingElement::state_digest() const {
   h.mix(static_cast<std::uint64_t>(send_rotation_));
   h.mix(lanes_.size());
   for (const auto& lane : lanes_) {
-    h.mix(lane.busy);
+    h.mix(lane.remaining() != 0);  // Busy: a wormhole is in progress.
     h.mix(static_cast<std::uint64_t>(lane.credits));
-    h.mix(lane.flits.size());
-    for (const Flit& f : lane.flits) h.mix_flit(f);
+    h.mix(lane.remaining());
+    for (std::size_t k = lane.next; k < lane.flits.size(); ++k) {
+      h.mix_flit(lane.flits[k]);
+    }
   }
   h.mix(pending_.size());
   for (const auto& pkt : pending_) {
@@ -226,32 +229,32 @@ Network::Network(const SimConfig& cfg)
 #endif
   }
 
-  // Wires. link_wires_[node*4 + d] is the directed wire leaving `node`
-  // through direction d (flit/probe/activation forward; credit/NACK back).
-  link_wires_.resize(static_cast<std::size_t>(n) * 4);
-  local_wires_.resize(static_cast<std::size_t>(n));
+  // Wires. wires_[node*4 + d] is the directed wire leaving `node` through
+  // direction d (flit/probe/activation forward; credit/NACK back), unused
+  // at mesh edges; wires_[n*4 + i] is node i's injection wire.
+  wires_.resize(static_cast<std::size_t>(n) * 5);
+  link_wires_.assign(static_cast<std::size_t>(n) * 4, nullptr);
   for (NodeId i = 0; i < n; ++i) {
     for (int d = 0; d < 4; ++d) {
       if (topo_.has_neighbor(i, static_cast<Direction>(d))) {
-        link_wires_[static_cast<std::size_t>(i) * 4 + d] =
-            std::make_unique<Wire>();
+        const std::size_t wid = static_cast<std::size_t>(i) * 4 + d;
+        link_wires_[wid] = &wires_[wid];
       }
     }
-    local_wires_[i] = std::make_unique<Wire>();
   }
 
   for (NodeId i = 0; i < n; ++i) {
     for (int d = 0; d < 4; ++d) {
       const auto dir = static_cast<Direction>(d);
-      Wire* out = link_wires_[static_cast<std::size_t>(i) * 4 + d].get();
+      Wire* out = link_wires_[static_cast<std::size_t>(i) * 4 + d];
       Wire* in = nullptr;
       if (auto nb = topo_.neighbor(i, dir)) {
         const int back = static_cast<int>(opposite(dir));
-        in = link_wires_[static_cast<std::size_t>(*nb) * 4 + back].get();
+        in = link_wires_[static_cast<std::size_t>(*nb) * 4 + back];
       }
       routers_[i]->connect(static_cast<PortId>(d), in, out);
     }
-    routers_[i]->connect(kLocalPort, local_wires_[i].get(), nullptr);
+    routers_[i]->connect(kLocalPort, local_wire(i), nullptr);
     routers_[i]->set_eject_fn([this, i](const Flit& f, Cycle now) {
       on_eject(i, f, now);
     });
@@ -260,7 +263,7 @@ Network::Network(const SimConfig& cfg)
   pes_.reserve(static_cast<std::size_t>(n));
   for (NodeId i = 0; i < n; ++i) {
     pes_.push_back(std::make_unique<ProcessingElement>(
-        i, cfg_, topo_, local_wires_[i].get(), &stats_, root_rng_.fork()));
+        i, cfg_, topo_, local_wire(i), &stats_, root_rng_.fork()));
   }
 
   // Hard faults: kill both directions of each configured physical link
@@ -304,8 +307,7 @@ Network::Network(const SimConfig& cfg)
   } else {
     const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
     for (auto& slot : wheel_) slot.assign(words, 0);
-    const std::size_t nwires = link_wires_.size() + local_wires_.size();
-    live_wire_mask_.assign((nwires + 63) / 64, 0);
+    live_wire_mask_.assign((wires_.size() + 63) / 64, 0);
     // Devirtualized router view for the hot pop/wake loop.
     fast_routers_.resize(static_cast<std::size_t>(n));
     for (NodeId i = 0; i < n; ++i) {
@@ -589,10 +591,7 @@ void Network::step() {
   }
 
   if (scan_kernel_) {
-    for (auto& w : link_wires_) {
-      if (w) w->tick();
-    }
-    for (auto& w : local_wires_) w->tick();
+    for (Wire& w : wires_) w.tick();
   } else {
     tick_live_wires();
   }
@@ -608,25 +607,42 @@ void Network::step() {
 void Network::accumulate_link_stats() {
   if (!stats_.measuring()) return;
   // Post-tick, a wire's cur_mask reflects exactly what the consumer can
-  // read next cycle — including under the event kernel, where a settled
-  // wire recomputed cur_mask = 0 at its final tick before leaving the
-  // live list. A readable flit means the link carried traffic this cycle;
-  // an idle link whose receiver still buffers flits from it is stalled
-  // (the wormhole is blocked downstream — the congestion signal the
-  // heatmaps plot).
-  for (std::size_t wid = 0; wid < link_wires_.size(); ++wid) {
-    const Wire* w = link_wires_[wid].get();
-    if (!w) continue;
-    if (w->cur_mask & Wire::kCurFlit) {
-      ++link_fwd_[wid];
-      continue;
+  // read next cycle. A readable flit means the link carried traffic this
+  // cycle; only a wire ticked this cycle can hold one (every wire under
+  // the scan kernel, the live list under the event kernel, which keeps
+  // each wire still holding a value after its tick).
+  const auto nlinks = static_cast<std::uint32_t>(link_wires_.size());
+  const auto count_forward = [&](std::uint32_t wid) {
+    const Wire* w = link_wires_[wid];
+    if (w != nullptr && (w->cur_mask & Wire::kCurFlit)) ++link_fwd_[wid];
+  };
+  if (scan_kernel_) {
+    for (std::uint32_t wid = 0; wid < nlinks; ++wid) count_forward(wid);
+  } else {
+    for (const std::uint32_t wid : live_wires_) {
+      if (wid < nlinks) count_forward(wid);
     }
-    // A wire exists only where the neighbour does.
-    const auto dir = static_cast<Direction>(wid & 3);
-    const NodeId nb = *topo_.neighbor(static_cast<NodeId>(wid >> 2), dir);
-    if (routers_[nb]->input_port_occupancy(
-            static_cast<PortId>(opposite(dir))) > 0) {
-      ++link_stall_[wid];
+  }
+  // An idle link whose receiver still buffers flits from it is stalled
+  // (the wormhole is blocked downstream — the congestion signal the
+  // heatmaps plot). Only a router with buffered flits can stall a link,
+  // and the occupancy cache is current for every router after the steps.
+  const int n = topo_.num_nodes();
+  for (NodeId r = 0; r < n; ++r) {
+    if (tx_occ_cache_[r] == 0) continue;
+    for (int d = 0; d < 4; ++d) {
+      if (routers_[r]->input_port_occupancy(static_cast<PortId>(d)) == 0) {
+        continue;
+      }
+      // A port buffers flits only where a neighbour (and its wire) exists.
+      const auto dir = static_cast<Direction>(d);
+      const NodeId up = *topo_.neighbor(r, dir);
+      const std::size_t wid =
+          static_cast<std::size_t>(up) * 4 +
+          static_cast<std::size_t>(opposite(dir));
+      if ((link_wires_[wid]->cur_mask & Wire::kCurFlit) == 0) {
+        ++link_stall_[wid];
+      }
     }
   }
 }
@@ -750,11 +766,11 @@ std::uint64_t Network::state_digest() const {
   h.mix(next_packet_id_);
   h.mix(recovery_line_);
   for (const auto& r : routers_) h.mix(r->state_digest());
-  for (const auto& w : link_wires_) {
+  for (const Wire* w : link_wires_) {
     h.mix(w != nullptr);
     if (w) mix_wire(h, *w);
   }
-  for (const auto& w : local_wires_) mix_wire(h, *w);
+  for (std::size_t i = 0; i < pes_.size(); ++i) mix_wire(h, *local_wire(i));
   for (const auto& pe : pes_) h.mix(pe->state_digest());
   h.mix(edge_events_.size());
   for (const auto& [cyc, ev] : edge_events_) {
@@ -787,7 +803,7 @@ void Network::run_invariant_walks() {
   // the port dead once its barrel proves the wire clear.
   for (NodeId i = 0; i < topo_.num_nodes(); ++i) {
     for (int d = 0; d < 4; ++d) {
-      const Wire* w = link_wires_[static_cast<std::size_t>(i) * 4 + d].get();
+      const Wire* w = link_wires_[static_cast<std::size_t>(i) * 4 + d];
       if (!w || !w->flit.peek()) continue;
       if (routers_[i]->link_failed(static_cast<PortId>(d))) {
         monitor_->fail(InvariantId::kDeadLinkTraversal, now_, i,
@@ -803,7 +819,7 @@ void Network::run_invariant_walks() {
   // when the router accepts it from the PE and leaves it at ejection.
   long long live = 0;
   for (const auto& r : routers_) live += r->live_flit_count();
-  for (const auto& w : link_wires_) {
+  for (const Wire* w : link_wires_) {
     if (w && w->flit.peek()) ++live;
   }
   monitor_->check_flit_conservation(now_, live);
@@ -816,7 +832,7 @@ void Network::run_invariant_walks() {
   const int n = topo_.num_nodes();
   for (NodeId i = 0; i < n; ++i) {
     for (int d = 0; d < 4; ++d) {
-      const Wire* w = link_wires_[static_cast<std::size_t>(i) * 4 + d].get();
+      const Wire* w = link_wires_[static_cast<std::size_t>(i) * 4 + d];
       if (!w) continue;
       const auto nb = topo_.neighbor(i, static_cast<Direction>(d));
       FTNOC_CHECK(nb.has_value());
@@ -839,7 +855,7 @@ void Network::run_invariant_walks() {
     }
     // The PE -> router injection link: the sender-side counter is the PE
     // lane's credit balance.
-    const Wire* w = local_wires_[i].get();
+    const Wire* w = local_wire(i);
     for (VcId v = 0; v < cfg_.num_vcs; ++v) {
       int total = pes_[i]->lane_credits(v);
       if (w->flit.peek() && w->flit.peek()->vc == v) ++total;

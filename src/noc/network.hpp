@@ -69,10 +69,13 @@ class ProcessingElement {
   std::uint64_t state_digest() const;
 
  private:
+  /// One local-VC wormhole: the packet being injected, sent front to
+  /// back through a cursor. A lane holds one packet at a time.
   struct Lane {
-    bool busy = false;
-    int credits;
-    std::deque<Flit> flits;
+    int credits = 0;
+    std::size_t next = 0;     ///< Index of the next flit to send.
+    std::vector<Flit> flits;  ///< The packet; fully sent once next == size.
+    std::size_t remaining() const { return flits.size() - next; }
   };
 
   NodeId self_;
@@ -186,7 +189,8 @@ class Network {
   /// Accumulates the per-link forwarded/stalled counters from the settled
   /// post-tick wire state (cfg_.link_stats only, measurement window only).
   /// Reading architectural state that is byte-identical across kernels and
-  /// router implementations keeps the counters identical too.
+  /// router implementations keeps the counters identical too. Visits only
+  /// the wires ticked this cycle and the routers holding buffered flits.
   void accumulate_link_stats();
   int hop_distance(NodeId a, NodeId b) const;
   /// End-of-cycle structural walks: per-router local checks, the
@@ -229,10 +233,13 @@ class Network {
     return static_cast<std::uint32_t>(link_wires_.size()) +
            static_cast<std::uint32_t>(n);
   }
-  Wire* wire_by_id(std::uint32_t wid) {
-    const auto nlinks = static_cast<std::uint32_t>(link_wires_.size());
-    return wid < nlinks ? link_wires_[wid].get()
-                        : local_wires_[wid - nlinks].get();
+  Wire* wire_by_id(std::uint32_t wid) { return &wires_[wid]; }
+  /// The PE -> router injection wire of node `n`.
+  Wire* local_wire(std::size_t n) {
+    return &wires_[link_wires_.size() + n];
+  }
+  const Wire* local_wire(std::size_t n) const {
+    return &wires_[link_wires_.size() + n];
   }
 
   struct EdgeEvent {
@@ -253,10 +260,14 @@ class Network {
   std::vector<std::unique_ptr<RouterIface>> routers_;
   std::vector<std::unique_ptr<ProcessingElement>> pes_;
   std::unique_ptr<InvariantMonitor> monitor_;
-  // Directed inter-router wires: index = node * 4 + direction.
-  std::vector<std::unique_ptr<Wire>> link_wires_;
-  // PE -> router wires (local injection channel), one per node.
-  std::vector<std::unique_ptr<Wire>> local_wires_;
+  // Every wire, by value, indexed by wire id: the directed inter-router
+  // wires (node * 4 + direction; the slots at mesh edges stay idle), then
+  // one PE -> router injection wire per node. Sized once in the
+  // constructor; routers and PEs hold pointers into it.
+  std::vector<Wire> wires_;
+  // Directed inter-router wires: index = node * 4 + direction; nullptr at
+  // mesh edges.
+  std::vector<Wire*> link_wires_;
 
   // Per-destination, per-packet delivery record maintained between head
   // and tail ejection: corruption flag + flit count (a lost NACK or

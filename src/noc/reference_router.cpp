@@ -255,7 +255,7 @@ void ReferenceRouter::phase_maintenance(Cycle now) {
           if (stats_) stats_->on_handshake_error_corrected();
         } else {
           if (stats_) stats_->on_unprotected_error();
-          nack.reset();
+          nack = nullptr;
         }
       }
       if (nack) {
@@ -284,7 +284,7 @@ void ReferenceRouter::phase_maintenance(Cycle now) {
     if (staged_[p]) {
       FTNOC_CHECK(out_wires_[p] != nullptr);
       finalize_transmission(p, staged_[p]->vc, staged_[p]->stored, now);
-      out_wires_[p]->flit.write(staged_[p]->wire);
+      out_wires_[p]->write(staged_[p]->wire);
       staged_[p].reset();
     }
   }
@@ -294,7 +294,7 @@ void ReferenceRouter::phase_maintenance(Cycle now) {
       Wire* w = in_wires_[pending_nacks_[i].port];
       FTNOC_CHECK(w != nullptr);
       FTNOC_CHECK(w->nack.can_write());
-      w->nack.write({pending_nacks_[i].vc});
+      w->write(NackMsg{pending_nacks_[i].vc});
       charge(power::EnergyEvent::kNackSignal);
       pending_nacks_.erase(pending_nacks_.begin() +
                            static_cast<std::ptrdiff_t>(i));
@@ -309,7 +309,7 @@ void ReferenceRouter::phase_receive(Cycle now) {
     Wire* w = in_wires_[p];
     if (w == nullptr) continue;
     if (w->flit.peek()) {
-      handle_incoming_flit(p, std::move(*w->flit.read()), now);
+      handle_incoming_flit(p, *w->flit.read(), now);
     }
     if (w->probe.peek()) {
       handle_probe(p, *w->probe.read(), now);
@@ -566,7 +566,7 @@ void ReferenceRouter::transmit(PortId o, VcId v, Flit f, Cycle now,
   } else {
     finalize_transmission(o, v, f, now);
     FTNOC_CHECK(out_wires_[o]->flit.can_write());
-    out_wires_[o]->flit.write(wire);
+    out_wires_[o]->write(wire);
   }
   port_busy_[o] = true;
 }
@@ -581,7 +581,7 @@ void ReferenceRouter::eject(const Flit& f, PortId in_port, VcId in_vc,
 
 void ReferenceRouter::send_credit(PortId p, VcId v) {
   progress_this_cycle_ = true;
-  if (in_wires_[p]) in_wires_[p]->credit.write({v});
+  if (in_wires_[p]) in_wires_[p]->write(Credit{v});
 }
 
 void ReferenceRouter::release_input_after_tail(PortId p, VcId v, Cycle now) {
@@ -940,12 +940,12 @@ void ReferenceRouter::flush_outbox() {
     bool sent = false;
     if (item.is_probe) {
       if (w->probe.can_write()) {
-        w->probe.write(item.probe);
+        w->write(item.probe);
         sent = true;
       }
     } else {
       if (w->activation.can_write()) {
-        w->activation.write(item.activation);
+        w->write(item.activation);
         sent = true;
       }
     }

@@ -13,7 +13,8 @@
 //   * no quiescent idle fast path — phases always run (on a truly idle
 //     router they are provable no-ops, which is exactly the property the
 //     differential comparison verifies);
-//   * plain std::deque/std::vector/std::map instead of RingQueue/InlineVec.
+//   * plain std::deque/std::vector/std::map instead of slab rings and
+//     InlineVec, and barrels that own their slots instead of a router slab.
 //
 // Because the optimized kernel iterates work-mask bits in ascending gid
 // order — the same order as these full scans — the two implementations make

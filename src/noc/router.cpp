@@ -88,6 +88,13 @@ Router::Router(NodeId id, const SimConfig& cfg, const Topology& topo,
 
   const bool use_rtx =
       cfg_.protection == LinkProtection::kHbh || cfg_.deadlock.enable_recovery;
+  // Barrel storage: one slab of retransmission_depth slots per link-port
+  // output VC (the local port has no barrel), sized once, never grown.
+  const auto rdepth = static_cast<std::size_t>(cfg_.retransmission_depth);
+  if (use_rtx) {
+    rtx_slab_.resize(static_cast<std::size_t>(kNumDirections - 1) *
+                     static_cast<std::size_t>(num_vcs_) * rdepth);
+  }
   for (PortId p = 0; p < num_ports_; ++p) {
     if (damq_ && p != kLocalPort) {
       shared_credits_[p] =
@@ -102,7 +109,11 @@ Router::Router(NodeId id, const SimConfig& cfg, const Topology& topo,
       } else {
         out.credits =
             damq_ ? cfg_.damq_reserve_slots : cfg_.vc_buffer_depth;
-        if (use_rtx) orx(gid(p, v)).emplace(cfg_.retransmission_depth);
+        if (use_rtx) {
+          orx(gid(p, v)).emplace(
+              rtx_slab_.data() + static_cast<std::size_t>(gid(p, v)) * rdepth,
+              cfg_.retransmission_depth);
+        }
       }
     }
   }
@@ -415,7 +426,7 @@ void Router::phase_maintenance(Cycle now) {
           // Lost NACK: the receiver dropped flits that will never be
           // replayed — the packet arrives incomplete.
           if (stats_) stats_->on_unprotected_error();
-          nack.reset();
+          nack = nullptr;
         }
       }
       if (nack) {
@@ -462,7 +473,7 @@ void Router::phase_maintenance(Cycle now) {
       if (staged_[p]) {
         FTNOC_CHECK(out_wires_[p] != nullptr);
         finalize_transmission(p, staged_[p]->vc, staged_[p]->stored, now);
-        out_wires_[p]->flit.write(staged_[p]->wire);
+        out_wires_[p]->write(staged_[p]->wire);
         wrote_fwd_ |= port_bit(p);
         staged_[p].reset();
         --staged_count_;
@@ -476,7 +487,7 @@ void Router::phase_maintenance(Cycle now) {
       Wire* w = in_wires_[pending_nacks_[i].port];
       FTNOC_CHECK(w != nullptr);
       FTNOC_CHECK(w->nack.can_write());
-      w->nack.write({pending_nacks_[i].vc});
+      w->write(NackMsg{pending_nacks_[i].vc});
       wrote_back_ |= port_bit(pending_nacks_[i].port);
       charge(power::EnergyEvent::kNackSignal);
       pending_nacks_.erase_at(i);
@@ -497,8 +508,7 @@ void Router::phase_receive(Cycle now) {
     if ((m & Wire::kCurFwd) == 0) continue;
     Wire* w = in_wires_[p];
     if (m & Wire::kCurFlit) {
-      handle_incoming_flit(p, *w->flit.peek_mut(), now);
-      w->flit.consume();
+      handle_incoming_flit(p, *w->flit.read(), now);
     }
     if (m & Wire::kCurProbe) {
       handle_probe(p, *w->probe.read(), now);
@@ -678,7 +688,7 @@ void Router::phase_replay_and_switch(Cycle now) {
         // In-order delivery: this packet's own pending (older) flits must
         // replay first. A recovery waiter's pending flits do not block the
         // current owner. The pending mask keeps the common empty-barrel
-        // case off the fat barrel object.
+        // case off the barrel and its slab.
         if ((rtx_pending_mask_ >> gid(o, vc.out_vc)) & 1u) {
           const auto& rtx = orx(gid(o, vc.out_vc));
           if (rtx->has_pending_for(out.owner_pid)) continue;
@@ -839,11 +849,11 @@ void Router::transmit(PortId o, VcId v, Flit f, Cycle now,
       Flit wire = f;
       wire.codeword.flip(flip1);
       wire.codeword.flip(flip2);
-      out_wires_[o]->flit.write(wire);
+      out_wires_[o]->write(wire);
     } else {
       // Common case: the clean flit goes straight onto the wire — no
       // intermediate copy.
-      out_wires_[o]->flit.write(f);
+      out_wires_[o]->write(f);
     }
     wrote_fwd_ |= port_bit(o);
   }
@@ -860,7 +870,7 @@ void Router::eject(const Flit& f, PortId in_port, VcId in_vc, Cycle now) {
 void Router::send_credit(PortId p, VcId v) {
   progress_this_cycle_ = true;  // A buffer slot was freed.
   if (in_wires_[p]) {
-    in_wires_[p]->credit.write({v});
+    in_wires_[p]->write(Credit{v});
     wrote_back_ |= port_bit(p);
   }
 }
@@ -1334,12 +1344,12 @@ void Router::flush_outbox() {
     bool sent = false;
     if (item.is_probe) {
       if (w->probe.can_write()) {
-        w->probe.write(item.probe);
+        w->write(item.probe);
         sent = true;
       }
     } else {
       if (w->activation.can_write()) {
-        w->activation.write(item.activation);
+        w->write(item.activation);
         sent = true;
       }
     }

@@ -256,8 +256,8 @@ class Router final : public RouterIface {
     return voq_ ? voq_class(f.dest, cfg_.mesh_width, num_vcs_) : -1;
   }
   void accept_flit(PortId p, const Flit& f0, Cycle now);
-  /// `f` may alias the wire channel's current slot (consumed in place by
-  /// the caller after this returns); it is mutated by link-fault injection.
+  /// `f` may be the wire channel's just-read slot, valid until the next
+  /// tick; it is mutated in place by link-fault injection.
   void handle_incoming_flit(PortId p, Flit& f, Cycle now);
   void handle_probe(PortId p, const ProbeSignal& probe, Cycle now);
   void handle_activation(const ActivationSignal& act, Cycle now);
@@ -357,6 +357,10 @@ class Router final : public RouterIface {
   bool voq_ = false;
   std::vector<int> shared_credits_;  ///< Per port: free shared credits.
   std::vector<int> shared_held_;     ///< Per output gid: borrowed shared.
+  /// Gid-major slot storage for every link-port barrel (stride
+  /// retransmission_depth); out_rtx_[g] views its window. Sized once in
+  /// the constructor and never reallocated.
+  std::vector<RetransmissionBuffer::Slot> rtx_slab_;
   /// P*V retransmission barrels, split out of OutputVc so the hot scans
   /// walk small PODs; engaged on link-port gids only.
   std::vector<std::optional<RetransmissionBuffer>> out_rtx_;
@@ -435,9 +439,10 @@ class Router final : public RouterIface {
   mutable int rtx_slots_cache_ = -1;
 
   // --- Retransmission-barrel summary caches -------------------------------
-  // The barrels are fat objects (inline flit storage); the per-cycle scans
-  // must not touch them just to learn "empty". These mirrors are refreshed
-  // by refresh_rtx_cache() after every barrel mutation.
+  // The barrels sit behind a std::optional and a slab pointer; the
+  // per-cycle scans must not chase them just to learn "empty". These
+  // mirrors are refreshed by refresh_rtx_cache() after every barrel
+  // mutation.
   std::uint32_t rtx_sent_mask_ = 0;     ///< Output gids with sent entries.
   std::uint32_t rtx_pending_mask_ = 0;  ///< Output gids with pending entries.
   /// Per output gid: next_retire_at() mirror (valid while the sent bit is

@@ -35,13 +35,20 @@ struct NackMsg {
 
 /// All wires of one *directed* link A->B. Forward signals (flit, probe,
 /// activation) travel A->B; credit and NACK travel B->A on the same bundle.
+///
+/// Producers write through the Wire (write(...)), never through a channel
+/// directly: each write also records its channel in next_mask, so the
+/// clock edge touches only channels that hold or will hold a value.
 struct Wire {
-  /// Which channels have a readable value this cycle (kCur* bits), computed
-  /// at tick time. The per-cycle consumer polls touch this one byte instead
+  /// Which channels have a readable value this cycle (kCur* bits), set at
+  /// tick time. The per-cycle consumer polls touch this one byte instead
   /// of five channels spread over several cache lines. Consuming a value
   /// does not clear its bit: each channel has exactly one consumer that
   /// polls at most once per cycle, and the next tick recomputes the mask.
   std::uint8_t cur_mask = 0;
+  /// Which channels were written this cycle (kCur* bits); becomes
+  /// cur_mask at the next tick.
+  std::uint8_t next_mask = 0;
   /// Optional consumer-side mirrors of cur_mask, written at tick time.
   /// A router registers a slot inside its own contiguous signal array for
   /// each bundle it consumes (fwd side for its in-wires, back side for its
@@ -64,28 +71,49 @@ struct Wire {
   Channel<NackMsg> nack;
   Channel<ProbeSignal> probe;
   Channel<ActivationSignal> activation;
+
+  void write(const Flit& f) {
+    flit.write(f);
+    next_mask |= kCurFlit;
+  }
+  void write(Credit c) {
+    credit.write(c);
+    next_mask |= kCurCredit;
+  }
+  void write(NackMsg n) {
+    nack.write(n);
+    next_mask |= kCurNack;
+  }
+  void write(const ProbeSignal& p) {
+    probe.write(p);
+    next_mask |= kCurProbe;
+  }
+  void write(const ActivationSignal& a) {
+    activation.write(a);
+    next_mask |= kCurActivation;
+  }
+
+  /// The clock edge: flips only the channels holding a current or a next
+  /// value (every other channel is idle, and ticking it is a no-op).
   void tick() {
-    flit.tick();
-    credit.tick();
-    nack.tick();
-    probe.tick();
-    activation.tick();
-    cur_mask = static_cast<std::uint8_t>(
-        (flit.peek().has_value() ? kCurFlit : 0) |
-        (!credit.empty() ? kCurCredit : 0) |
-        (nack.peek().has_value() ? kCurNack : 0) |
-        (probe.peek().has_value() ? kCurProbe : 0) |
-        (activation.peek().has_value() ? kCurActivation : 0));
+    const auto touch = static_cast<std::uint8_t>(cur_mask | next_mask);
+    if (touch & kCurFlit) flit.tick();
+    if (touch & kCurCredit) credit.tick();
+    if (touch & kCurNack) nack.tick();
+    if (touch & kCurProbe) probe.tick();
+    if (touch & kCurActivation) activation.tick();
+    cur_mask = next_mask;
+    next_mask = 0;
     if (fwd_sig != nullptr) *fwd_sig = cur_mask;
     if (back_sig != nullptr) *back_sig = cur_mask;
   }
-  /// Ticks all channels and reports whether anything is still in flight
+  /// Ticks the wire and reports whether anything is still in flight
   /// (a value now readable at the consumer). A wire returning false has
   /// fully settled and needs no further ticks until the next write — the
   /// event-driven Network keeps only live wires on its tick list.
   bool tick_live() {
     tick();
-    return !idle();
+    return cur_mask != 0;
   }
   /// No value is readable and none is latched for the next edge.
   bool idle() const {

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+#include <functional>
 #include <map>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "noc/digest.hpp"
 #include "noc/traffic.hpp"
 
 namespace ftnoc {
@@ -31,6 +38,75 @@ TEST(Flit, DescribeMentionsPacketAndEndpoints) {
   const std::string d = f.describe();
   EXPECT_NE(d.find("pkt=9"), std::string::npos);
   EXPECT_NE(d.find("3->5"), std::string::npos);
+}
+
+// --- Digest coverage --------------------------------------------------------
+// The state digests see a flit only through digest::Fnv::mix_flit. A field
+// it skips would let two routers disagree on that field while the
+// differential comparison and the golden digests stay green.
+
+std::uint64_t flit_hash(const Flit& f) {
+  digest::Fnv h;
+  h.mix_flit(f);
+  return h.value();
+}
+
+Flit digest_base_flit() {
+  Flit f = make_flit(FlitType::kBody, 0x1122334455667788ULL, 3, 9, 2, 100,
+                     0x0123456789ABCDEFULL);
+  f.inject_cycle = 110;
+  f.arrived_cycle = 120;
+  f.vc = 1;
+  f.hops = 4;
+  return f;
+}
+
+TEST(FlitDigest, EachFieldChangesMixFlit) {
+  const Flit base = digest_base_flit();
+  const std::uint64_t h0 = flit_hash(base);
+  const std::vector<std::pair<std::string, std::function<void(Flit&)>>>
+      perturb = {
+          {"packet_id", [](Flit& f) { ++f.packet_id; }},
+          {"birth_cycle", [](Flit& f) { ++f.birth_cycle; }},
+          {"inject_cycle", [](Flit& f) { ++f.inject_cycle; }},
+          {"arrived_cycle", [](Flit& f) { ++f.arrived_cycle; }},
+          {"payload", [](Flit& f) { ++f.payload; }},
+          {"codeword.lo", [](Flit& f) { f.codeword.lo ^= 1; }},
+          {"codeword.hi", [](Flit& f) { f.codeword.hi ^= 1; }},
+          {"src", [](Flit& f) { ++f.src; }},
+          {"dest", [](Flit& f) { ++f.dest; }},
+          {"type", [](Flit& f) { f.type = FlitType::kTail; }},
+          {"seq", [](Flit& f) { ++f.seq; }},
+          {"vc", [](Flit& f) { ++f.vc; }},
+          {"hops", [](Flit& f) { ++f.hops; }},
+      };
+  for (const auto& [name, bump] : perturb) {
+    Flit f = base;
+    bump(f);
+    EXPECT_NE(flit_hash(f), h0) << "mix_flit ignores Flit::" << name;
+  }
+}
+
+// Field-agnostic form of the check above: flipping any byte of the flit
+// that is not padding must change the digest, so a field added later but
+// left out of mix_flit fails here without this test naming it. The only
+// padding is the tail of the codeword after its `hi` byte.
+TEST(FlitDigest, EveryNonPaddingByteChangesMixFlit) {
+  static_assert(std::is_trivially_copyable_v<Flit>);
+  const std::size_t pad_begin =
+      offsetof(Flit, codeword) + offsetof(ecc::Codeword, hi) + 1;
+  const std::size_t pad_end = offsetof(Flit, codeword) + sizeof(ecc::Codeword);
+  const Flit base = digest_base_flit();
+  const std::uint64_t h0 = flit_hash(base);
+  for (std::size_t i = 0; i < sizeof(Flit); ++i) {
+    if (i >= pad_begin && i < pad_end) continue;
+    unsigned char bytes[sizeof(Flit)];
+    std::memcpy(bytes, &base, sizeof(Flit));
+    bytes[i] ^= 0x01;  // Bit 0 keeps FlitType a valid enumerator.
+    Flit f;
+    std::memcpy(&f, bytes, sizeof(Flit));
+    EXPECT_NE(flit_hash(f), h0) << "mix_flit ignores byte " << i;
+  }
 }
 
 TEST(TrafficPacket, StructureOfFourFlitPacket) {

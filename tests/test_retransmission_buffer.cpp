@@ -147,14 +147,15 @@ TEST(RetransmissionBuffer, PendingContainsMatchesPacketAndSeq) {
 }
 
 TEST(RetransmissionBuffer, UtilizationTracksOccupancy) {
+  // The network samples barrel utilization as occupancy() / depth().
   RetransmissionBuffer b(3);
-  b.tick_utilization();  // empty
+  EXPECT_EQ(b.occupancy(), 0);
   b.record_transmission(flit(1, 0), 0);
-  b.tick_utilization();  // 1/3 occupied
+  EXPECT_EQ(b.occupancy(), 1);
   b.record_transmission(flit(1, 1), 1);
   b.record_transmission(flit(1, 2), 2);
-  b.tick_utilization();  // 3/3 occupied
-  EXPECT_NEAR(b.mean_utilization(), (0.0 + 1.0 / 3 + 1.0) / 3.0, 1e-12);
+  EXPECT_EQ(b.occupancy(), b.depth());
+  EXPECT_EQ(b.free_slots(), 0);
 }
 
 TEST(RetransmissionBuffer, ClearEmptiesEverything) {

@@ -46,7 +46,7 @@ class RouterHarness : public ::testing::Test {
   }
 
   // PE-side injection of one flit (assumes local credit available).
-  void inject(const Flit& f) { local_in_.flit.write(f); }
+  void inject(const Flit& f) { local_in_.write(f); }
 
   std::vector<Flit> make_packet(PacketId pid, NodeId dest, int len) {
     return TrafficSourcePacket(pid, dest, len);
@@ -106,7 +106,7 @@ TEST_F(RouterHarness, HeaderLatencyIsThreePipeStages) {
   inject(pkt[0]);  // Visible to the router at cycle 1.
   Cycle out_cycle = 0;
   for (int c = 0; c < 20 && out_cycle == 0; ++c) {
-    if (east_out_.flit.peek().has_value()) out_cycle = now_;
+    if (east_out_.flit.peek() != nullptr) out_cycle = now_;
     tick();
   }
   // Arrives cycle 1 (buffer write), RT 2, VA 3, SA+ST 4 -> on the wire,
@@ -147,7 +147,7 @@ TEST_F(RouterHarness, Figure4NackReplaysDroppedFlits) {
     if (nack_pending) {
       // Our (downstream) error-check stage took one cycle; the NACK goes
       // out now — the full 3-cycle loop of Figure 4.
-      east_out_.nack.write({0});
+      east_out_.write(NackMsg{0});
       nack_pending = false;
     }
     if (auto f = east_out_.flit.read()) {
@@ -184,17 +184,17 @@ TEST_F(RouterHarness, ReceiverDropsWindowAndNacksUpstream) {
   Flit bad = pkt[0];
   bad.codeword.flip(3);
   bad.codeword.flip(40);
-  east_in_.flit.write(bad);
+  east_in_.write(bad);
   tick();  // Router sees it at cycle 1.
 
   // Cycles 1-2: the two in-flight followers arrive and must be dropped.
-  east_in_.flit.write(pkt[1]);
+  east_in_.write(pkt[1]);
   tick();
   Cycle nack_seen = 0;
-  if (east_in_.nack.peek().has_value()) nack_seen = now_;
-  east_in_.flit.write(pkt[2]);
+  if (east_in_.nack.peek() != nullptr) nack_seen = now_;
+  east_in_.write(pkt[2]);
   tick();
-  if (!nack_seen && east_in_.nack.peek().has_value()) nack_seen = now_;
+  if (!nack_seen && east_in_.nack.peek() != nullptr) nack_seen = now_;
   // NACK written during cycle 2 (detection at 1 + one check cycle),
   // readable on the wire at cycle 3.
   east_in_.nack.read();
@@ -202,7 +202,7 @@ TEST_F(RouterHarness, ReceiverDropsWindowAndNacksUpstream) {
 
   // Retransmission: clean H1 D2 D3 T4.
   for (const auto& f : pkt) {
-    east_in_.flit.write(f);
+    east_in_.write(f);
     tick();
   }
   for (int c = 0; c < 10; ++c) tick();
@@ -238,7 +238,7 @@ TEST_F(RouterHarness, CreditsConsumedAndRestored) {
   int credits_owed = sent;
   for (int c = 0; c < 60; ++c) {
     if (credits_owed > 0) {
-      east_out_.credit.write({0});
+      east_out_.write(Credit{0});
       --credits_owed;
     }
     if (east_out_.flit.read()) {
@@ -268,7 +268,7 @@ TEST_F(RouterHarness, FourStageStagedFlitSquashedOnNack) {
     if (auto f = east_out_.flit.read()) {
       seqs.push_back(f->seq);
       if (!nacked && f->seq == 0) {
-        east_out_.nack.write({f->vc});
+        east_out_.write(NackMsg{f->vc});
         nacked = true;
       }
     }
@@ -305,16 +305,16 @@ TEST_F(RouterHarness, FourStageHbhDropWindowCoversThirdFollower) {
   int nacks_seen = 0;
   for (int c = 0; c < 40; ++c) {
     switch (c) {
-      case 0: east_in_.flit.write(pkt[0]); break;
-      case 1: east_in_.flit.write(pkt[1]); break;
-      case 2: east_in_.flit.write(corrupt); break;
-      case 3: east_in_.flit.write(pkt[3]); break;   // In flight: must drop.
-      case 4: east_in_.flit.write(pkt[4]); break;   // In flight: must drop.
-      case 5: east_in_.flit.write(pkt[5]); break;   // In flight: must drop.
-      case 10: east_in_.flit.write(pkt[2]); break;  // Replay, clean.
-      case 11: east_in_.flit.write(pkt[3]); break;
-      case 12: east_in_.flit.write(pkt[4]); break;
-      case 13: east_in_.flit.write(pkt[5]); break;
+      case 0: east_in_.write(pkt[0]); break;
+      case 1: east_in_.write(pkt[1]); break;
+      case 2: east_in_.write(corrupt); break;
+      case 3: east_in_.write(pkt[3]); break;   // In flight: must drop.
+      case 4: east_in_.write(pkt[4]); break;   // In flight: must drop.
+      case 5: east_in_.write(pkt[5]); break;   // In flight: must drop.
+      case 10: east_in_.write(pkt[2]); break;  // Replay, clean.
+      case 11: east_in_.write(pkt[3]); break;
+      case 12: east_in_.write(pkt[4]); break;
+      case 13: east_in_.write(pkt[5]); break;
       default: break;
     }
     if (east_in_.nack.read()) ++nacks_seen;
@@ -366,7 +366,7 @@ TEST(RouterIdle, QuiescentCycleChangesNothingAndChargesNothing) {
   // A flit on a wire breaks quiescence, and the router actually works.
   Flit f = make_flit(FlitType::kHeadTail, 1, 1, 0, 0, 1'000, 0xBEEF);
   f.vc = 0;
-  east_in.flit.write(f);
+  east_in.write(f);
   east_in.tick();
   EXPECT_FALSE(r.quiescent());
   for (Cycle c = 1'001; c <= 1'020; ++c) {
