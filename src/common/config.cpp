@@ -37,7 +37,6 @@ const char* to_string(BufferPolicyKind b) {
   switch (b) {
     case BufferPolicyKind::kPrivateVc: return "private_vc";
     case BufferPolicyKind::kDamq: return "damq";
-    case BufferPolicyKind::kVoq: return "voq";
   }
   return "?";
 }
@@ -174,17 +173,12 @@ std::optional<std::string> SimConfig::validate() const {
     // exactly refill the freed slots and recovery livelocks, so refuse
     // the configuration outright instead of wedging at runtime.
     //
-    // Under DAMQ sharing a single VC can legally occupy its reserve plus
-    // the whole shared region, so the bound must hold for that effective
-    // per-VC depth T_eff = K + V*(depth - K), not the nominal depth
-    // (DESIGN.md §4.11).
+    // A single VC can legally hold its reserve plus the port's whole
+    // shared region, so the bound must hold for that effective per-VC
+    // depth vc_capacity() = K + V*(depth - K); it is the nominal depth
+    // under private_vc (DESIGN.md §4.11).
     const long long m = packet_length;
-    long long t = vc_buffer_depth;
-    if (buffer_policy == BufferPolicyKind::kDamq) {
-      t = damq_reserve_slots +
-          static_cast<long long>(num_vcs) *
-              (vc_buffer_depth - damq_reserve_slots);
-    }
+    const long long t = vc_capacity();
     const long long r = retransmission_depth;
     const long long bound = m * ((t + m - 1) / m);
     if (t + r <= bound) {
@@ -199,13 +193,6 @@ std::optional<std::string> SimConfig::validate() const {
   if (buffer_policy == BufferPolicyKind::kDamq &&
       (damq_reserve_slots < 1 || damq_reserve_slots > vc_buffer_depth)) {
     return err("damq_reserve_slots must be in [1, vc_buffer_depth]");
-  }
-  if (buffer_policy == BufferPolicyKind::kVoq &&
-      routing != RoutingAlgorithm::kXY) {
-    return err(
-        "buffer_policy=voq requires routing=xy (the VOQ class discipline "
-        "pins each packet's VC for its whole journey, which is only "
-        "deadlock-free under dimension-ordered routing)");
   }
   if (routing == RoutingAlgorithm::kAdaptiveEscape && num_vcs < 2) {
     return err("escape routing needs >= 2 VCs (VC 0 is the escape lane)");
@@ -310,8 +297,6 @@ std::optional<std::string> apply_override(SimConfig& cfg,
       cfg.buffer_policy = BufferPolicyKind::kPrivateVc;
     } else if (val == "damq") {
       cfg.buffer_policy = BufferPolicyKind::kDamq;
-    } else if (val == "voq") {
-      cfg.buffer_policy = BufferPolicyKind::kVoq;
     } else {
       return bad();
     }

@@ -225,18 +225,11 @@ void InvariantMonitor::on_recovery_entered(Cycle now, NodeId router,
   // Eq. (1) with the engaging router's actual buffer sizes. The static
   // validate() gate makes this unreachable for uniform configs; checking
   // it here keeps the guarantee honest if per-node sizing ever lands.
-  // Under DAMQ the per-VC transmission buffer is elastic — a VC can
-  // legally absorb into its reserve plus the whole shared region — so the
-  // bound is evaluated at the same effective depth T_eff = K + V*(T - K)
-  // that validate() gates on (DESIGN.md §4.11).
-  int t_eff = tx_size;
-  if (cfg_.buffer_policy == BufferPolicyKind::kDamq) {
-    t_eff = cfg_.damq_reserve_slots +
-            cfg_.num_vcs * (tx_size - cfg_.damq_reserve_slots);
-  }
-  if (!recovery_buffer_bound_ok({t_eff}, {rtx_size}, cfg_.packet_length)) {
+  // tx_size is the effective per-VC depth K + V*(T - K) a VC can legally
+  // absorb into (DESIGN.md §4.11).
+  if (!recovery_buffer_bound_ok({tx_size}, {rtx_size}, cfg_.packet_length)) {
     fail(InvariantId::kRecoveryBufferBound, now, router, -1, -1,
-         "recovery engaged with T=" + std::to_string(t_eff) + " R=" +
+         "recovery engaged with T=" + std::to_string(tx_size) + " R=" +
              std::to_string(rtx_size) + " M=" +
              std::to_string(cfg_.packet_length) +
              " violating Eq. (1): sum(T+R) > M*sum(ceil(T/M))");

@@ -2,20 +2,20 @@
 // Structure-of-arrays flit storage for the router's input VCs.
 //
 // The optimized router keeps every input-VC buffer in one contiguous
-// gid-major slab (`std::vector<Flit>`, stride = vc_buffer_depth) instead
-// of a heap-allocated queue per VC. FlitRing is the non-owning ring view
-// over one VC's window of that slab; it exposes only the queue operations
-// the phase code uses, so the phases stay layout-agnostic
-// while the storage itself is cache-linear in ascending-gid order — the
-// same decoupling of logical VC queues from physical buffer storage that
-// DAMQ organizations argue for.
+// gid-major slab (`std::vector<Flit>`) instead of a heap-allocated queue
+// per VC. FlitRing is the non-owning ring view over one VC's window of
+// that slab; it exposes only the queue operations the phase code uses, so
+// the phases stay layout-agnostic while the storage itself is
+// cache-linear in ascending-gid order. Each window holds the most flits
+// its VC may legally buffer (SimConfig::vc_capacity on link ports); the
+// buffer policy is an admission rule over these rings, not a different
+// storage (DESIGN.md §4.11).
 
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 
 #include "common/check.hpp"
-#include "core/buffer_policy.hpp"
 #include "core/flit.hpp"
 
 namespace ftnoc {
@@ -75,58 +75,6 @@ class FlitRing {
   std::uint16_t cap_ = 0;
   std::uint16_t head_ = 0;
   std::uint16_t size_ = 0;
-};
-
-/// Policy-dispatching input-VC FIFO (DESIGN.md §4.11): a FlitRing view
-/// into the slab (private_vc/voq and the local port), or one logical
-/// queue of the port's shared DamqPool under damq. Same surface as
-/// FlitRing, so the phase code stays buffer-policy-blind. The pool
-/// pointer is set once at construction and never changes, so the branch
-/// predicts perfectly on the private path (the golden digests pin that
-/// path byte-identical to the pre-policy layout).
-class FlitBuf {
- public:
-  void bind(Flit* base, std::uint16_t cap) { ring_.bind(base, cap); }
-  /// Routes this VC's accesses to `vc`'s queue of the port pool instead
-  /// of the bound ring.
-  void use_pool(DamqPool<Flit>* pool, int vc) {
-    pool_ = pool;
-    pool_vc_ = vc;
-  }
-
-  bool empty() const { return pool_ ? pool_->empty(pool_vc_) : ring_.empty(); }
-  std::size_t size() const {
-    return pool_ ? static_cast<std::size_t>(pool_->size(pool_vc_))
-                 : ring_.size();
-  }
-  Flit& front() { return pool_ ? pool_->front(pool_vc_) : ring_.front(); }
-  const Flit& front() const {
-    return pool_ ? pool_->front(pool_vc_) : ring_.front();
-  }
-  /// i-th element counted from the front. O(i) on the pool path — used
-  /// by the state digest only, never by the per-cycle phases.
-  const Flit& operator[](std::size_t i) const {
-    return pool_ ? pool_->at(pool_vc_, static_cast<int>(i)) : ring_[i];
-  }
-  void push_back(Flit v) {
-    if (pool_) {
-      pool_->push_back(pool_vc_, std::move(v));
-    } else {
-      ring_.push_back(std::move(v));
-    }
-  }
-  void pop_front() {
-    if (pool_) {
-      pool_->pop_front(pool_vc_);
-    } else {
-      ring_.pop_front();
-    }
-  }
-
- private:
-  FlitRing ring_;
-  DamqPool<Flit>* pool_ = nullptr;
-  int pool_vc_ = 0;
 };
 
 }  // namespace ftnoc

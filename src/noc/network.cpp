@@ -102,20 +102,9 @@ bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
     if (pending_.empty()) break;
     auto& lane = lanes_[v];
     if (lane.remaining() != 0) continue;
-    // Under voq, lane v only carries packets whose destination column maps
-    // to class v; take the oldest such packet (plain FIFO otherwise).
-    auto it = pending_.begin();
-    if (cfg_.buffer_policy == BufferPolicyKind::kVoq) {
-      while (it != pending_.end() &&
-             voq_class(it->front().dest, cfg_.mesh_width, cfg_.num_vcs) !=
-                 static_cast<int>(v)) {
-        ++it;
-      }
-      if (it == pending_.end()) continue;
-    }
-    lane.flits = std::move(*it);
+    lane.flits = std::move(pending_.front());
     lane.next = 0;
-    pending_.erase(it);
+    pending_.pop_front();
     lane_flits_ += static_cast<int>(lane.flits.size());
     for (auto& f : lane.flits) f.vc = static_cast<VcId>(v);
   }
@@ -845,12 +834,11 @@ void Network::run_invariant_walks() {
           if (c.vc == v) ++total;
         }
         total += routers_[*nb]->input_buffer_size(back, v);
-        // Under damq the per-VC budget is elastic: K reserved plus however
-        // many shared slots the sender currently holds for this VC. The
-        // router reports it; -1 means "nominal depth" (RouterIface default).
-        int budget = routers_[i]->credit_budget(static_cast<PortId>(d), v);
-        if (budget < 0) budget = cfg_.vc_buffer_depth;
-        monitor_->check_credit_sum(now_, i, d, v, total, budget);
+        // The per-VC budget is elastic: K reserved plus however many
+        // shared slots the sender currently holds for this VC.
+        monitor_->check_credit_sum(
+            now_, i, d, v, total,
+            routers_[i]->credit_budget(static_cast<PortId>(d), v));
       }
     }
     // The PE -> router injection link: the sender-side counter is the PE

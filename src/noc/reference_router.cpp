@@ -54,25 +54,19 @@ ReferenceRouter::ReferenceRouter(NodeId id, const SimConfig& cfg,
   drop_until_.assign(static_cast<std::size_t>(pv), 0);
   va_rotation_.assign(static_cast<std::size_t>(pv), 0);
 
-  damq_ = cfg_.buffer_policy == BufferPolicyKind::kDamq;
-  voq_ = cfg_.buffer_policy == BufferPolicyKind::kVoq;
   shared_credits_.assign(static_cast<std::size_t>(num_ports_), 0);
   shared_held_.assign(static_cast<std::size_t>(pv), 0);
 
   const bool use_rtx =
       cfg_.protection == LinkProtection::kHbh || cfg_.deadlock.enable_recovery;
   for (PortId p = 0; p < num_ports_; ++p) {
-    if (damq_ && p != kLocalPort) {
-      shared_credits_[p] =
-          num_vcs_ * (cfg_.vc_buffer_depth - cfg_.damq_reserve_slots);
-    }
+    if (p != kLocalPort) shared_credits_[p] = cfg_.input_shared_slots();
     for (VcId v = 0; v < num_vcs_; ++v) {
       auto& out = ovc(p, v);
       if (p == kLocalPort) {
         out.credits = 1 << 28;
       } else {
-        out.credits =
-            damq_ ? cfg_.damq_reserve_slots : cfg_.vc_buffer_depth;
+        out.credits = cfg_.input_reserve();
         if (use_rtx) out.rtx.emplace(cfg_.retransmission_depth);
       }
     }
@@ -229,24 +223,17 @@ void ReferenceRouter::phase_maintenance(Cycle now) {
           continue;
         }
       }
-      auto& out = ovc(p, c.vc);
-      if (damq_) {
-        // Return borrowed shared slots before reserved ones; the budget
-        // K + shared_held stays conserved either way (DESIGN.md §4.11).
-        auto& held = shared_held_[static_cast<std::size_t>(gid(p, c.vc))];
-        if (held > 0) {
-          --held;
-          ++shared_credits_[p];
-          FTNOC_CHECK(shared_credits_[p] <=
-                      num_vcs_ *
-                          (cfg_.vc_buffer_depth - cfg_.damq_reserve_slots));
-        } else {
-          ++out.credits;
-          FTNOC_CHECK(out.credits <= cfg_.damq_reserve_slots);
-        }
+      // Repay borrowed shared slots before reserved ones; the budget
+      // K + shared_held stays conserved either way (DESIGN.md §4.11).
+      auto& held = shared_held_[static_cast<std::size_t>(gid(p, c.vc))];
+      if (held > 0) {
+        --held;
+        ++shared_credits_[p];
+        FTNOC_CHECK(shared_credits_[p] <= cfg_.input_shared_slots());
       } else {
+        auto& out = ovc(p, c.vc);
         ++out.credits;
-        FTNOC_CHECK(out.credits <= cfg_.vc_buffer_depth);
+        FTNOC_CHECK(out.credits <= cfg_.input_reserve());
       }
     }
     if (auto nack = w->nack.read()) {
@@ -379,23 +366,21 @@ void ReferenceRouter::handle_incoming_flit(PortId p, Flit f, Cycle now) {
 
 void ReferenceRouter::accept_flit(PortId p, Flit f, Cycle now) {
   auto& vc = ivc(p, f.vc);
-  if (damq_ && p != kLocalPort) {
-    // DAMQ admission, computed logically from the per-VC deque sizes: a
-    // VC below its reserve always has a slot; past it the port's shared
-    // region must have room. The sender credit protocol guarantees this
-    // holds at every arrival (DESIGN.md §4.11), hence CHECK, not drop.
-    if (static_cast<int>(vc.buf.size()) >= cfg_.damq_reserve_slots) {
-      int shared_in_use = 0;
-      for (VcId v = 0; v < num_vcs_; ++v) {
-        shared_in_use +=
-            std::max(0, static_cast<int>(ivc(p, v).buf.size()) -
-                            cfg_.damq_reserve_slots);
-      }
-      FTNOC_CHECK(shared_in_use <
-                  num_vcs_ * (cfg_.vc_buffer_depth - cfg_.damq_reserve_slots));
+  // Admission, computed from the per-VC deque sizes: a VC below its
+  // reserve always has a slot; past it the port's shared region must have
+  // room. The sender credit protocol guarantees this holds at every
+  // arrival (DESIGN.md §4.11), hence CHECK, not drop. The local port is
+  // private: reserve = depth, no shared region.
+  const int reserve =
+      p == kLocalPort ? cfg_.vc_buffer_depth : cfg_.input_reserve();
+  if (static_cast<int>(vc.buf.size()) >= reserve) {
+    int shared_in_use = 0;
+    for (VcId v = 0; v < num_vcs_; ++v) {
+      shared_in_use +=
+          std::max(0, static_cast<int>(ivc(p, v).buf.size()) - reserve);
     }
-  } else {
-    FTNOC_CHECK(static_cast<int>(vc.buf.size()) < cfg_.vc_buffer_depth);
+    FTNOC_CHECK(p != kLocalPort &&
+                shared_in_use < cfg_.input_shared_slots());
   }
   f.arrived_cycle = now;
   FTNOC_INVARIANT_HOOK(if (mon_) {
@@ -546,8 +531,8 @@ void ReferenceRouter::transmit(PortId o, VcId v, Flit f, Cycle now,
     if (out.credits > 0) {
       --out.credits;
     } else {
-      // Reserved credits exhausted: borrow from the port's shared pool.
-      FTNOC_CHECK(damq_ && shared_credits_[o] > 0);
+      // Reserved credits exhausted: borrow from the port's shared region.
+      FTNOC_CHECK(shared_credits_[o] > 0);
       --shared_credits_[o];
       ++shared_held_[static_cast<std::size_t>(gid(o, v))];
     }
@@ -627,9 +612,6 @@ std::optional<std::pair<PortId, VcId>> ReferenceRouter::pick_va_request(
     xy_port = first_port(
         route(topo_, RoutingAlgorithm::kXY, id_, vc.buf.front().dest));
   }
-  // Under voq a packet only ever requests the VC class of its destination
-  // column (voq lane); escape_mode is mutually exclusive (voq => XY).
-  const int lane = vc.buf.empty() ? -1 : voq_lane(vc.buf.front());
 
   std::array<std::pair<PortId, VcId>, 32> options;
   int n = 0;
@@ -640,7 +622,6 @@ std::optional<std::pair<PortId, VcId>> ReferenceRouter::pick_va_request(
                            : port_allocatable(o);
     if (!valid) continue;
     for (VcId v = 0; v < num_vcs_; ++v) {
-      if (lane >= 0 && v != lane) continue;
       if (ovc(o, v).allocated || n >= static_cast<int>(options.size())) {
         continue;
       }
@@ -1039,7 +1020,7 @@ void ReferenceRouter::handle_activation(const ActivationSignal& act,
       if (stats_) stats_->on_recovery_entered();
       FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_recovery_entered(
           now, id_, RecoveryTrigger::kActivationReturned, act.origin,
-          act.probe_id, cfg_.vc_buffer_depth, cfg_.retransmission_depth));
+          act.probe_id, cfg_.vc_capacity(), cfg_.retransmission_depth));
     }
     (void)now;
     return;
@@ -1050,7 +1031,7 @@ void ReferenceRouter::handle_activation(const ActivationSignal& act,
     if (stats_) stats_->on_recovery_entered();
     FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_recovery_entered(
         now, id_, RecoveryTrigger::kActivationRelay, act.origin, act.probe_id,
-        cfg_.vc_buffer_depth, cfg_.retransmission_depth));
+        cfg_.vc_capacity(), cfg_.retransmission_depth));
   }
   if (fwd) {
     charge(power::EnergyEvent::kProbeHop);
@@ -1101,7 +1082,7 @@ void ReferenceRouter::phase_deadlock(Cycle now) {
       }
       FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_recovery_entered(
           now, id_, RecoveryTrigger::kFallback, id_, pr.probe_id,
-          cfg_.vc_buffer_depth, cfg_.retransmission_depth));
+          cfg_.vc_capacity(), cfg_.retransmission_depth));
       break;
     }
     FTNOC_TRACE(ref_trace_fmt(
@@ -1135,10 +1116,8 @@ void ReferenceRouter::phase_deadlock(Cycle now) {
         }
       }
       if (o == kInvalidPort) continue;
-      const int lane = voq_lane(vc.buf.front());
       VcId v = kInvalidVc;
       for (VcId cv = 0; cv < num_vcs_; ++cv) {
-        if (lane >= 0 && cv != lane) continue;
         auto& cand_out = ovc(o, cv);
         if (cand_out.rtx && cand_out.allocated && !cand_out.has_waiter &&
             cand_out.rtx->free_slots() > 0) {
@@ -1307,10 +1286,10 @@ int ReferenceRouter::held_credits(PortId p, VcId v) const {
 }
 
 int ReferenceRouter::credit_budget(PortId p, VcId v) const {
-  if (!damq_ || p == kLocalPort) return cfg_.vc_buffer_depth;
-  // Per-VC conserved quantity under damq: the reserve plus whatever this
-  // VC currently borrows from the port's shared pool (DESIGN.md §4.11).
-  return cfg_.damq_reserve_slots +
+  FTNOC_CHECK(p != kLocalPort);
+  // Per-VC conserved quantity: the reserve plus whatever this VC currently
+  // borrows from the port's shared region (DESIGN.md §4.11).
+  return cfg_.input_reserve() +
          shared_held_[static_cast<std::size_t>(gid(p, v))];
 }
 
@@ -1336,10 +1315,8 @@ std::uint64_t ReferenceRouter::state_digest() const {
     h.mix(out.owner_pid);
     h.mix(out.tail_sent);
     h.mix(static_cast<std::uint64_t>(out.credits));
-    if (damq_) {
-      h.mix(static_cast<std::uint64_t>(
-          shared_held_[static_cast<std::size_t>(g)]));
-    }
+    h.mix(static_cast<std::uint64_t>(
+        shared_held_[static_cast<std::size_t>(g)]));
     h.mix(out.has_waiter);
     h.mix(out.waiter_gid);
     h.mix(out.waiter_pid);
@@ -1362,7 +1339,7 @@ std::uint64_t ReferenceRouter::state_digest() const {
     h.mix(static_cast<std::uint64_t>(va_arbs_.at(g).last_grant()));
   }
   for (PortId p = 0; p < num_ports_; ++p) {
-    if (damq_) h.mix(static_cast<std::uint64_t>(shared_credits_[p]));
+    h.mix(static_cast<std::uint64_t>(shared_credits_[p]));
     h.mix(staged_[p].has_value());
     if (staged_[p]) {
       h.mix_flit(staged_[p]->wire);

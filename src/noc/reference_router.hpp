@@ -34,7 +34,6 @@
 #include "common/config.hpp"
 #include "common/types.hpp"
 #include "core/allocation_comparator.hpp"
-#include "core/buffer_policy.hpp"
 #include "core/deadlock.hpp"
 #include "core/error_check_unit.hpp"
 #include "core/fault_injector.hpp"
@@ -160,15 +159,11 @@ class ReferenceRouter final : public RouterIface {
 
   bool port_has_neighbor(PortId p) const;
   bool port_usable(PortId p) const;
-  /// Under damq, whether output VC (`p`, `v`) can source a credit for one
-  /// more flit: a free reserved credit or a free slot in the port's shared
-  /// region (DESIGN.md §4.11). Under other policies, plain credits > 0.
+  /// Whether output VC (`p`, `v`) can source a credit for one more flit:
+  /// a free reserved credit or a free slot in the port's shared region
+  /// (DESIGN.md §4.11; the region is empty under private_vc).
   bool can_consume_credit(PortId p, VcId v) const {
-    return ovc(p, v).credits > 0 || (damq_ && shared_credits_[p] > 0);
-  }
-  /// The VC class a VOQ packet is pinned to, or -1 outside voq.
-  int voq_lane(const Flit& f) const {
-    return voq_ ? voq_class(f.dest, cfg_.mesh_width, num_vcs_) : -1;
+    return ovc(p, v).credits > 0 || shared_credits_[p] > 0;
   }
   bool port_allocatable(PortId p) const {
     return port_usable(p) && (draining_ & port_bit(p)) == 0;
@@ -217,11 +212,9 @@ class ReferenceRouter final : public RouterIface {
   std::vector<InputVc> inputs_;
   std::vector<OutputVc> outputs_;
   std::vector<Cycle> drop_until_;
-  // DAMQ sender-side shared-credit state (DESIGN.md §4.11). Zero-sized
-  // semantics under other policies: shared_credits_ stays all-zero and
-  // can_consume_credit() degenerates to credits > 0.
-  bool damq_ = false;
-  bool voq_ = false;
+  // Sender-side shared-credit state (DESIGN.md §4.11). Under private_vc
+  // shared_credits_ stays all-zero and can_consume_credit() degenerates
+  // to credits > 0.
   std::vector<int> shared_credits_;  ///< Per port: free shared credits.
   std::vector<int> shared_held_;     ///< Per output gid: borrowed shared.
   ErrorCheckUnit checker_;

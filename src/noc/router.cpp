@@ -48,13 +48,24 @@ Router::Router(NodeId id, const SimConfig& cfg, const Topology& topo,
       replay_arbs_(kNumDirections, cfg.num_vcs) {
   const int pv = num_ports_ * num_vcs_;
   FTNOC_CHECK(pv <= 32);  // Work masks are 32-bit (5 ports x <= 6 VCs).
-  const std::size_t depth = static_cast<std::size_t>(cfg_.vc_buffer_depth);
-  in_flit_slab_.resize(static_cast<std::size_t>(pv) * depth);
+  // A link-port VC's ring holds the most it may legally buffer, its
+  // reserve plus the port's shared region (vc_capacity); the local port's
+  // rings match the PE lane depth. The local port is the last, so link
+  // rings come first in the slab.
+  static_assert(kLocalPort == kNumDirections - 1);
+  reserve_ = cfg_.input_reserve();
+  shared_slots_ = cfg_.input_shared_slots();
+  const auto link_ring = static_cast<std::size_t>(cfg_.vc_capacity());
+  const auto local_ring = static_cast<std::size_t>(cfg_.vc_buffer_depth);
+  const auto link_vcs = static_cast<std::size_t>(kLocalPort * num_vcs_);
+  in_flit_slab_.resize(link_vcs * link_ring +
+                       static_cast<std::size_t>(num_vcs_) * local_ring);
   inputs_.resize(static_cast<std::size_t>(pv));
-  for (int g = 0; g < pv; ++g) {
-    inputs_[static_cast<std::size_t>(g)].buf.bind(
-        in_flit_slab_.data() + static_cast<std::size_t>(g) * depth,
-        static_cast<std::uint16_t>(depth));
+  Flit* base = in_flit_slab_.data();
+  for (std::size_t g = 0; g < inputs_.size(); ++g) {
+    const std::size_t ring = g < link_vcs ? link_ring : local_ring;
+    inputs_[g].buf.bind(base, static_cast<std::uint16_t>(ring));
+    base += ring;
   }
   outputs_.resize(static_cast<std::size_t>(pv));
   out_rtx_.resize(static_cast<std::size_t>(pv));
@@ -65,27 +76,13 @@ Router::Router(NodeId id, const SimConfig& cfg, const Topology& topo,
   va_want_.assign(static_cast<std::size_t>(pv),
                   {kInvalidPort, kInvalidVc});
 
+  shared_credits_.assign(static_cast<std::size_t>(num_ports_), 0);
+  shared_held_.assign(static_cast<std::size_t>(pv), 0);
+
   // Retransmission buffers exist on network output VCs when the link
   // protection scheme is HBH or when deadlock recovery (which reuses them)
   // is enabled — mirroring the paper's observation that forgoing deadlock
   // recovery support needs only the 3-deep link-error buffers.
-  damq_ = cfg_.buffer_policy == BufferPolicyKind::kDamq;
-  voq_ = cfg_.buffer_policy == BufferPolicyKind::kVoq;
-  shared_credits_.assign(static_cast<std::size_t>(num_ports_), 0);
-  shared_held_.assign(static_cast<std::size_t>(pv), 0);
-  if (damq_) {
-    // Link input ports store through the per-port shared pool; the local
-    // injection port keeps its private slab rings (DESIGN.md §4.11).
-    for (PortId p = 0; p < num_ports_; ++p) {
-      if (p == kLocalPort) continue;
-      in_pools_[p].reset(num_vcs_, cfg_.vc_buffer_depth,
-                         cfg_.damq_reserve_slots);
-      for (VcId v = 0; v < num_vcs_; ++v) {
-        ivc(p, v).buf.use_pool(&in_pools_[p], v);
-      }
-    }
-  }
-
   const bool use_rtx =
       cfg_.protection == LinkProtection::kHbh || cfg_.deadlock.enable_recovery;
   // Barrel storage: one slab of retransmission_depth slots per link-port
@@ -96,10 +93,7 @@ Router::Router(NodeId id, const SimConfig& cfg, const Topology& topo,
                      static_cast<std::size_t>(num_vcs_) * rdepth);
   }
   for (PortId p = 0; p < num_ports_; ++p) {
-    if (damq_ && p != kLocalPort) {
-      shared_credits_[p] =
-          num_vcs_ * (cfg_.vc_buffer_depth - cfg_.damq_reserve_slots);
-    }
+    if (p != kLocalPort) shared_credits_[p] = shared_slots_;
     for (VcId v = 0; v < num_vcs_; ++v) {
       auto& out = ovc(p, v);
       if (p == kLocalPort) {
@@ -107,8 +101,7 @@ Router::Router(NodeId id, const SimConfig& cfg, const Topology& topo,
         // credit and no retransmission buffer.
         out.credits = 1 << 28;
       } else {
-        out.credits =
-            damq_ ? cfg_.damq_reserve_slots : cfg_.vc_buffer_depth;
+        out.credits = reserve_;
         if (use_rtx) {
           orx(gid(p, v)).emplace(
               rtx_slab_.data() + static_cast<std::size_t>(gid(p, v)) * rdepth,
@@ -396,26 +389,21 @@ void Router::phase_maintenance(Cycle now) {
           continue;
         }
       }
-      auto& out = ovc(p, c.vc);
-      if (damq_) {
-        // Return borrowed shared slots before reserved ones; the budget
-        // K + shared_held stays conserved either way (DESIGN.md §4.11).
-        auto& held = shared_held_[static_cast<std::size_t>(gid(p, c.vc))];
-        if (held > 0) {
-          // Planted mutation (fuzz-harness self-test): leak the borrow —
-          // the shared credit is refunded but the per-VC held counter is
-          // not released, inflating the sender's shared accounting. The
-          // digest comparison and the shared-pool conservation walk catch
-          // it the same cycle.
-          if (mutation_ != TestMutation::kDamqCreditLeak) --held;
-          ++shared_credits_[p];
-        } else {
-          ++out.credits;
-          FTNOC_CHECK(out.credits <= cfg_.damq_reserve_slots);
-        }
+      // Repay borrowed shared slots before reserved ones; the budget
+      // K + shared_held stays conserved either way (DESIGN.md §4.11).
+      auto& held = shared_held_[static_cast<std::size_t>(gid(p, c.vc))];
+      if (held > 0) {
+        // Planted mutation (fuzz-harness self-test): leak the borrow —
+        // the shared credit is refunded but the per-VC held counter is
+        // not released, inflating the sender's shared accounting. The
+        // digest comparison and the shared-region conservation walk catch
+        // it the same cycle.
+        if (mutation_ != TestMutation::kDamqCreditLeak) --held;
+        ++shared_credits_[p];
       } else {
+        auto& out = ovc(p, c.vc);
         ++out.credits;
-        FTNOC_CHECK(out.credits <= cfg_.vc_buffer_depth);
+        FTNOC_CHECK(out.credits <= reserve_);
       }
     }
     if (auto nack = w->nack.read()) {
@@ -599,11 +587,12 @@ void Router::handle_incoming_flit(PortId p, Flit& f, Cycle now) {
 void Router::accept_flit(PortId p, const Flit& f0, Cycle now) {
   Flit f = f0;
   auto& vc = ivc(p, f.vc);
-  if (!damq_ || p == kLocalPort) {
-    FTNOC_CHECK(static_cast<int>(vc.buf.size()) < cfg_.vc_buffer_depth);
-  }
-  // (Under damq on a link port, DamqPool::push_back CHECKs admission —
-  // the sender credit protocol guarantees it never fails, §4.11.)
+  // Admission: a VC below its reserve always has a slot; past it the
+  // port's shared region must have room. The sender's credits guarantee
+  // it, hence CHECK, not drop (§4.11). The local port is private
+  // (reserve = depth, FlitRing::push_back CHECKs it).
+  FTNOC_CHECK(p == kLocalPort || static_cast<int>(vc.buf.size()) < reserve_ ||
+              shared_in_use(p) < shared_slots_);
   const VcId v = f.vc;
   f.arrived_cycle = now;
   FTNOC_INVARIANT_HOOK(if (mon_) {
@@ -811,8 +800,8 @@ void Router::transmit(PortId o, VcId v, Flit f, Cycle now,
     if (out.credits > 0) {
       --out.credits;
     } else {
-      // Reserved credits exhausted: borrow from the port's shared pool.
-      FTNOC_CHECK(damq_ && shared_credits_[o] > 0);
+      // Reserved credits exhausted: borrow from the port's shared region.
+      FTNOC_CHECK(shared_credits_[o] > 0);
       --shared_credits_[o];
       ++shared_held_[static_cast<std::size_t>(gid(o, v))];
     }
@@ -946,9 +935,6 @@ std::optional<std::pair<PortId, VcId>> Router::pick_va_request(InputVc& vc,
     xy_port = first_port(
         route(topo_, RoutingAlgorithm::kXY, id_, vc.buf.front().dest));
   }
-  // Under voq a packet only ever requests the VC class of its destination
-  // column (voq lane); escape_mode is mutually exclusive (voq => XY).
-  const int lane = vc.buf.empty() ? -1 : voq_lane(vc.buf.front());
 
   std::array<std::pair<PortId, VcId>, 32> options;
   int n = 0;
@@ -959,7 +945,6 @@ std::optional<std::pair<PortId, VcId>> Router::pick_va_request(InputVc& vc,
                            : port_allocatable(o);
     if (!valid) continue;
     for (VcId v = 0; v < num_vcs_; ++v) {
-      if (lane >= 0 && v != lane) continue;
       if (ovc(o, v).allocated || n >= static_cast<int>(options.size())) {
         continue;
       }
@@ -1457,7 +1442,7 @@ void Router::handle_activation(const ActivationSignal& act, Cycle now) {
       if (stats_) stats_->on_recovery_entered();
       FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_recovery_entered(
           now, id_, RecoveryTrigger::kActivationReturned, act.origin,
-          act.probe_id, cfg_.vc_buffer_depth, cfg_.retransmission_depth));
+          act.probe_id, cfg_.vc_capacity(), cfg_.retransmission_depth));
     }
     (void)now;
     return;
@@ -1468,7 +1453,7 @@ void Router::handle_activation(const ActivationSignal& act, Cycle now) {
     if (stats_) stats_->on_recovery_entered();
     FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_recovery_entered(
         now, id_, RecoveryTrigger::kActivationRelay, act.origin, act.probe_id,
-        cfg_.vc_buffer_depth, cfg_.retransmission_depth));
+        cfg_.vc_capacity(), cfg_.retransmission_depth));
   }
   if (fwd) {
     charge(power::EnergyEvent::kProbeHop);
@@ -1541,7 +1526,7 @@ void Router::phase_deadlock(Cycle now) {
       }
       FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_recovery_entered(
           now, id_, RecoveryTrigger::kFallback, id_, pr.probe_id,
-          cfg_.vc_buffer_depth, cfg_.retransmission_depth));
+          cfg_.vc_capacity(), cfg_.retransmission_depth));
       break;
     }
     FTNOC_TRACE(trace_fmt("[%llu] r%u PROBE id=%u via port %d target(%d,%d)",
@@ -1593,10 +1578,8 @@ void Router::phase_deadlock(Cycle now) {
         }
       }
       if (o == kInvalidPort) continue;
-      const int lane = voq_lane(vc.buf.front());
       VcId v = kInvalidVc;
       for (VcId cv = 0; cv < num_vcs_; ++cv) {
-        if (lane >= 0 && cv != lane) continue;
         auto& cand_out = ovc(o, cv);
         const auto& cand_rtx = orx(gid(o, cv));
         if (cand_rtx && cand_out.allocated && !cand_out.has_waiter &&
@@ -1855,28 +1838,27 @@ void Router::check_local_invariants(Cycle now) {
                "staged_count_ is " + std::to_string(staged_count_) + " but " +
                    std::to_string(staged) + " register(s) are occupied");
   }
-  if (damq_) {
-    // Shared-pool conservation (DESIGN.md §4.11): sender side, every
-    // shared credit is either free or held by exactly one output VC of
-    // its port; receiver side, the port pool's links/counters recount.
-    const int shared_budget =
-        num_vcs_ * (cfg_.vc_buffer_depth - cfg_.damq_reserve_slots);
-    for (PortId p = 0; p < num_ports_; ++p) {
-      if (p == kLocalPort) continue;
-      int held = 0;
-      for (VcId v = 0; v < num_vcs_; ++v) {
-        held += shared_held_[static_cast<std::size_t>(gid(p, v))];
-      }
-      if (shared_credits_[p] + held != shared_budget) {
-        mon_->fail(InvariantId::kSharedPoolConservation, now, id_, p, -1,
-                   "shared credits " + std::to_string(shared_credits_[p]) +
-                       " + held " + std::to_string(held) + " != pool size " +
-                       std::to_string(shared_budget));
-      }
-      if (!in_pools_[p].consistent()) {
-        mon_->fail(InvariantId::kSharedPoolConservation, now, id_, p, -1,
-                   "input DamqPool free-list/occupancy recount failed");
-      }
+  // Shared-region conservation (DESIGN.md §4.11): sender side, every
+  // shared credit is either free or held by exactly one output VC of its
+  // port; receiver side, the VCs' occupancy past their reserves fits the
+  // shared region. Both sides are trivially zero under private_vc.
+  for (PortId p = 0; p < num_ports_; ++p) {
+    if (p == kLocalPort) continue;
+    int held = 0;
+    for (VcId v = 0; v < num_vcs_; ++v) {
+      held += shared_held_[static_cast<std::size_t>(gid(p, v))];
+    }
+    if (shared_credits_[p] + held != shared_slots_) {
+      mon_->fail(InvariantId::kSharedPoolConservation, now, id_, p, -1,
+                 "shared credits " + std::to_string(shared_credits_[p]) +
+                     " + held " + std::to_string(held) +
+                     " != shared region " + std::to_string(shared_slots_));
+    }
+    if (shared_in_use(p) > shared_slots_) {
+      mon_->fail(InvariantId::kSharedPoolConservation, now, id_, p, -1,
+                 "input VCs hold " + std::to_string(shared_in_use(p)) +
+                     " flits past their reserves, shared region is " +
+                     std::to_string(shared_slots_));
     }
   }
 #else
@@ -1929,9 +1911,16 @@ int Router::held_credits(PortId p, VcId v) const {
 }
 
 int Router::credit_budget(PortId p, VcId v) const {
-  if (!damq_ || p == kLocalPort) return cfg_.vc_buffer_depth;
-  return cfg_.damq_reserve_slots +
-         shared_held_[static_cast<std::size_t>(gid(p, v))];
+  FTNOC_CHECK(p != kLocalPort);
+  return reserve_ + shared_held_[static_cast<std::size_t>(gid(p, v))];
+}
+
+int Router::shared_in_use(PortId p) const {
+  int n = 0;
+  for (VcId v = 0; v < num_vcs_; ++v) {
+    n += std::max(0, static_cast<int>(ivc(p, v).buf.size()) - reserve_);
+  }
+  return n;
 }
 
 std::uint64_t Router::state_digest() const {
@@ -1956,10 +1945,8 @@ std::uint64_t Router::state_digest() const {
     h.mix(out.owner_pid);
     h.mix(out.tail_sent);
     h.mix(static_cast<std::uint64_t>(out.credits));
-    if (damq_) {
-      h.mix(static_cast<std::uint64_t>(
-          shared_held_[static_cast<std::size_t>(g)]));
-    }
+    h.mix(static_cast<std::uint64_t>(
+        shared_held_[static_cast<std::size_t>(g)]));
     h.mix(out.has_waiter);
     h.mix(out.waiter_gid);
     h.mix(out.waiter_pid);
@@ -1983,7 +1970,7 @@ std::uint64_t Router::state_digest() const {
     h.mix(static_cast<std::uint64_t>(va_arbs_.at(g).last_grant()));
   }
   for (PortId p = 0; p < num_ports_; ++p) {
-    if (damq_) h.mix(static_cast<std::uint64_t>(shared_credits_[p]));
+    h.mix(static_cast<std::uint64_t>(shared_credits_[p]));
     h.mix(staged_[p].has_value());
     if (staged_[p]) {
       h.mix_flit(staged_[p]->wire);

@@ -32,7 +32,6 @@
 #include "common/inline_vec.hpp"
 #include "common/types.hpp"
 #include "core/allocation_comparator.hpp"
-#include "core/buffer_policy.hpp"
 #include "core/deadlock.hpp"
 #include "core/error_check_unit.hpp"
 #include "core/fault_injector.hpp"
@@ -147,7 +146,7 @@ class Router final : public RouterIface {
   // loops walk these arrays in ascending-gid order, which is what the
   // golden digests pin.
   struct InputVc {
-    FlitBuf buf;  ///< View into in_flit_slab_ (or the port's DamQ pool).
+    FlitRing buf;  ///< View into in_flit_slab_.
     VcState state = VcState::kRouting;
     PortMask candidates = 0;
     PortId out_port = kInvalidPort;
@@ -245,16 +244,16 @@ class Router final : public RouterIface {
   bool port_allocatable(PortId p) const {
     return port_usable(p) && (draining_ & port_bit(p)) == 0;
   }
-  /// Under damq, whether output VC (`p`, `v`) can source a credit for one
-  /// more flit: a free reserved credit or a free slot in the port's shared
-  /// region (DESIGN.md §4.11). Under other policies, plain credits > 0.
+  /// Whether output VC (`p`, `v`) can source a credit for one more flit:
+  /// a free reserved credit or a free slot in the port's shared region
+  /// (DESIGN.md §4.11; the region is empty under private_vc).
   bool can_consume_credit(PortId p, VcId v) const {
-    return ovc(p, v).credits > 0 || (damq_ && shared_credits_[p] > 0);
+    return ovc(p, v).credits > 0 || shared_credits_[p] > 0;
   }
-  /// The VC class a VOQ packet is pinned to, or -1 outside voq.
-  int voq_lane(const Flit& f) const {
-    return voq_ ? voq_class(f.dest, cfg_.mesh_width, num_vcs_) : -1;
-  }
+  /// Flits input port `p`'s VCs hold past their reserves: the receiver's
+  /// view of the shared region in use. O(V); admission slow path and the
+  /// invariant walk only.
+  int shared_in_use(PortId p) const;
   void accept_flit(PortId p, const Flit& f0, Cycle now);
   /// `f` may be the wire channel's just-read slot, valid until the next
   /// tick; it is mutated in place by link-fault injection.
@@ -341,20 +340,20 @@ class Router final : public RouterIface {
   alignas(8) std::array<std::uint8_t, 8> out_sig_{};
 
   // --- State -----------------------------------------------------------------
-  /// Gid-major contiguous flit storage for every input VC (stride
-  /// vc_buffer_depth); inputs_[g].buf is a FlitRing view into it. Sized
-  /// once in the constructor and never reallocated.
+  /// Gid-major contiguous flit storage for every input VC (vc_capacity
+  /// slots per link-port VC, vc_buffer_depth per local VC);
+  /// inputs_[g].buf is a FlitRing view into it. Sized once in the
+  /// constructor and never reallocated.
   std::vector<Flit> in_flit_slab_;
   std::vector<InputVc> inputs_;    // P*V
   std::vector<OutputVc> outputs_;  // P*V (hot allocation metadata)
-  /// DAMQ receiver-side storage: one shared pool per link input port
-  /// (engaged only under buffer_policy=damq; the local port keeps its
-  /// private slab rings). inputs_[g].buf routes into these via use_pool.
-  std::array<DamqPool<Flit>, kNumDirections> in_pools_;
-  // DAMQ sender-side shared-credit state (DESIGN.md §4.11). All-zero and
-  // untouched under other policies.
-  bool damq_ = false;
-  bool voq_ = false;
+  /// Link-port per-VC reserve K and per-port shared region V*(T-K)
+  /// (SimConfig::input_reserve/input_shared_slots; K = T, no shared
+  /// region, under private_vc).
+  int reserve_ = 0;
+  int shared_slots_ = 0;
+  // Sender-side shared-credit state (DESIGN.md §4.11). All-zero under
+  // private_vc.
   std::vector<int> shared_credits_;  ///< Per port: free shared credits.
   std::vector<int> shared_held_;     ///< Per output gid: borrowed shared.
   /// Gid-major slot storage for every link-port barrel (stride

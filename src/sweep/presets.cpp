@@ -300,11 +300,10 @@ std::vector<SweepPoint> buffer_ablation_points(const SimConfig& base) {
   // (error-rate decades at injection 0.25, hybrid HBH) stress retransmit
   // pressure where shared buffering should help; the Fig. 8 load sweep
   // (DT routing, cycle-capped past saturation) reads the buffer
-  // utilization columns the policies exist to move. routing=xy throughout
-  // so the voq variant is admissible (validate() requires it).
+  // utilization columns the policies exist to move. Both pin routing=xy,
+  // so the policies are compared on identical paths.
   static constexpr BufferPolicyKind kPolicies[] = {
-      BufferPolicyKind::kPrivateVc, BufferPolicyKind::kDamq,
-      BufferPolicyKind::kVoq};
+      BufferPolicyKind::kPrivateVc, BufferPolicyKind::kDamq};
   std::vector<SweepPoint> points;
   for (const BufferPolicyKind policy : kPolicies) {
     const std::string pname = to_string(policy);

@@ -66,12 +66,11 @@ std::vector<SweepPoint> fault_degradation_points(const SimConfig& base);
 /// unreachable_drops must end at 0 on every point.
 std::vector<SweepPoint> fault_storm_points(const SimConfig& base);
 
-/// Buffer-policy ablation grid (DESIGN.md §4.11): the three input-buffer
-/// organizations (private_vc / damq / voq) compared on two axes — a
-/// Fig. 6-style error-rate sweep at injection 0.25 under hybrid HBH, and
-/// a Fig. 8-style offered-load sweep under deterministic routing. Both
-/// halves pin routing=xy so voq is admissible; message counts are reduced
-/// to campaign scale.
+/// Buffer-policy ablation grid (DESIGN.md §4.11): the two input-buffer
+/// organizations (private_vc / damq) compared on two axes — a Fig. 6-style
+/// error-rate sweep at injection 0.25 under hybrid HBH, and a Fig. 8-style
+/// offered-load sweep under deterministic routing. Both halves pin
+/// routing=xy; message counts are reduced to campaign scale.
 std::vector<SweepPoint> buffer_ablation_points(const SimConfig& base);
 
 /// Performance-smoke grid for ftnoc_perf / CI: a handful of short,

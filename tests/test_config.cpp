@@ -125,15 +125,12 @@ TEST(Config, EnumToString) {
   EXPECT_STREQ(to_string(TrafficPattern::kTornado), "tn");
   EXPECT_STREQ(to_string(BufferPolicyKind::kPrivateVc), "private_vc");
   EXPECT_STREQ(to_string(BufferPolicyKind::kDamq), "damq");
-  EXPECT_STREQ(to_string(BufferPolicyKind::kVoq), "voq");
 }
 
 TEST(Config, OverrideParsesBufferPolicy) {
   SimConfig cfg;
   EXPECT_EQ(apply_override(cfg, "buffer_policy=damq"), std::nullopt);
   EXPECT_EQ(cfg.buffer_policy, BufferPolicyKind::kDamq);
-  EXPECT_EQ(apply_override(cfg, "buffer_policy=voq"), std::nullopt);
-  EXPECT_EQ(cfg.buffer_policy, BufferPolicyKind::kVoq);
   EXPECT_EQ(apply_override(cfg, "buffer_policy=private"), std::nullopt);
   EXPECT_EQ(cfg.buffer_policy, BufferPolicyKind::kPrivateVc);
   EXPECT_EQ(apply_override(cfg, "damq_reserve_slots=3"), std::nullopt);
@@ -170,15 +167,14 @@ TEST(Config, RejectsDamqReserveOutOfRange) {
   EXPECT_EQ(cfg.validate(), std::nullopt);
 }
 
-TEST(Config, VoqRequiresXyRouting) {
+TEST(Config, RejectsDeletedVoqPolicy) {
+  // buffer_policy=voq was measured as a loss and deleted (EXPERIMENTS.md
+  // buffer_ablation); the name is now an ordinary bad value.
   SimConfig cfg;
-  cfg.buffer_policy = BufferPolicyKind::kVoq;
-  cfg.routing = RoutingAlgorithm::kMinimalAdaptive;
-  EXPECT_TRUE(cfg.validate().has_value());
-  cfg.routing = RoutingAlgorithm::kAdaptiveEscape;
-  EXPECT_TRUE(cfg.validate().has_value());
-  cfg.routing = RoutingAlgorithm::kXY;
-  EXPECT_EQ(cfg.validate(), std::nullopt);
+  cfg.buffer_policy = BufferPolicyKind::kDamq;
+  EXPECT_EQ(apply_override(cfg, "buffer_policy=voq"),
+            std::optional<std::string>("bad value for buffer_policy: voq"));
+  EXPECT_EQ(cfg.buffer_policy, BufferPolicyKind::kDamq);
 }
 
 TEST(Config, DamqRelaxesEq1ViaEffectiveDepth) {

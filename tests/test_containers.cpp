@@ -14,7 +14,6 @@
 
 #include "common/inline_vec.hpp"
 #include "common/rng.hpp"
-#include "core/buffer_policy.hpp"
 #include "core/flit.hpp"
 #include "core/retransmission_buffer.hpp"
 
@@ -240,131 +239,6 @@ void run_barrel_property(int depth, Cycle window, std::uint64_t seed) {
       FAIL() << "diverged at step " << step << " (depth " << depth << ")";
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// DamqPool vs a std::deque-per-VC oracle.
-// ---------------------------------------------------------------------------
-
-// The oracle keeps one plain deque per VC; admission, shared-region usage
-// and the occupancy summaries are all recomputed from the deque sizes on
-// every query, so any drift in the pool's incremental counters shows up.
-struct DamqOracle {
-  int num_vcs;
-  int depth;
-  int reserve;
-  std::vector<std::deque<int>> q;
-
-  int shared_in_use() const {
-    int n = 0;
-    for (const auto& d : q) {
-      n += static_cast<int>(d.size()) > reserve
-               ? static_cast<int>(d.size()) - reserve
-               : 0;
-    }
-    return n;
-  }
-  int shared_budget() const { return num_vcs * (depth - reserve); }
-  int total() const {
-    int n = 0;
-    for (const auto& d : q) n += static_cast<int>(d.size());
-    return n;
-  }
-  bool can_accept(int vc) const {
-    return static_cast<int>(q[static_cast<std::size_t>(vc)].size()) <
-               reserve ||
-           shared_in_use() < shared_budget();
-  }
-};
-
-void run_damq_property(int num_vcs, int depth, int reserve,
-                       std::uint64_t seed) {
-  DamqPool<int> pool;
-  pool.reset(num_vcs, depth, reserve);
-  DamqOracle o{num_vcs, depth, reserve,
-               std::vector<std::deque<int>>(
-                   static_cast<std::size_t>(num_vcs))};
-  Rng rng(seed);
-  int next = 0;
-  for (int step = 0; step < 20000; ++step) {
-    const int vc = static_cast<int>(
-        rng.next_below(static_cast<std::uint64_t>(num_vcs)));
-    auto& dq = o.q[static_cast<std::size_t>(vc)];
-    // Admission must agree *before* deciding the op: it is the exact
-    // predicate ("below reserve, or shared room left") the routers lean
-    // on for flow control.
-    ASSERT_EQ(pool.can_accept(vc), o.can_accept(vc)) << "step " << step;
-    if (o.can_accept(vc) && (dq.empty() || rng.bernoulli(0.55))) {
-      pool.push_back(vc, next);
-      dq.push_back(next);
-      ++next;
-    } else if (!dq.empty()) {
-      ASSERT_EQ(pool.front(vc), dq.front());
-      pool.pop_front(vc);
-      dq.pop_front();
-    }
-    ASSERT_EQ(pool.size(vc), static_cast<int>(dq.size()));
-    ASSERT_EQ(pool.empty(vc), dq.empty());
-    ASSERT_EQ(pool.total_occupancy(), o.total()) << "step " << step;
-    ASSERT_EQ(pool.shared_in_use(), o.shared_in_use()) << "step " << step;
-    ASSERT_EQ(pool.free_slots(), num_vcs * depth - o.total());
-    for (std::size_t i = 0; i < dq.size(); ++i) {
-      ASSERT_EQ(pool.at(vc, static_cast<int>(i)), dq[i])
-          << "step " << step << " index " << i;
-    }
-    ASSERT_TRUE(pool.consistent()) << "step " << step;
-  }
-}
-
-TEST(DamqPool, MatchesDequeOracleSmallReserve) {
-  run_damq_property(/*num_vcs=*/3, /*depth=*/4, /*reserve=*/1, 0xDA301);
-}
-
-TEST(DamqPool, MatchesDequeOracleMidReserve) {
-  run_damq_property(/*num_vcs=*/4, /*depth=*/6, /*reserve=*/3, 0xDA302);
-}
-
-TEST(DamqPool, ReserveEqualsDepthDegeneratesToPrivate) {
-  // reserve == depth leaves no shared region: each VC is a private
-  // depth-slot FIFO, and the shared counters must stay pinned at zero.
-  DamqPool<int> pool;
-  pool.reset(/*num_vcs=*/2, /*depth=*/3, /*reserve=*/3);
-  EXPECT_EQ(pool.shared_budget(), 0);
-  for (int v = 0; v < 2; ++v) {
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(pool.can_accept(v));
-      pool.push_back(v, v * 10 + i);
-    }
-    EXPECT_FALSE(pool.can_accept(v));
-    EXPECT_EQ(pool.shared_in_use(), 0);
-  }
-  run_damq_property(/*num_vcs=*/2, /*depth=*/3, /*reserve=*/3, 0xDA303);
-}
-
-TEST(DamqPool, SharedExhaustionStarvesOnlyAboveReserve) {
-  // One greedy VC may take its reserve plus the whole shared region; the
-  // other VCs must still each get exactly their reserve, never less.
-  const int num_vcs = 3, depth = 4, reserve = 2;
-  DamqPool<int> pool;
-  pool.reset(num_vcs, depth, reserve);
-  int pushed = 0;
-  while (pool.can_accept(0)) pool.push_back(0, pushed++);
-  EXPECT_EQ(pool.size(0), reserve + pool.shared_budget());
-  EXPECT_EQ(pool.shared_in_use(), pool.shared_budget());
-  for (int v = 1; v < num_vcs; ++v) {
-    for (int i = 0; i < reserve; ++i) {
-      ASSERT_TRUE(pool.can_accept(v)) << "vc " << v << " slot " << i;
-      pool.push_back(v, pushed++);
-    }
-    EXPECT_FALSE(pool.can_accept(v));
-  }
-  EXPECT_EQ(pool.free_slots(), 0);
-  EXPECT_TRUE(pool.consistent());
-  // Draining the greedy VC below its reserve frees shared slots for the
-  // starved ones.
-  while (pool.size(0) > reserve - 1) pool.pop_front(0);
-  EXPECT_TRUE(pool.can_accept(1));
-  EXPECT_TRUE(pool.consistent());
 }
 
 TEST(RetransmissionBarrel, Depth3MatchesDequeOracle) {

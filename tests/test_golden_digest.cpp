@@ -151,7 +151,7 @@ TEST(GoldenDigest, KernelAndThreadCountInvariant) {
 // cover the shared-credit transitions too (a missed retick would stall or
 // reorder a shared-credit send only in the event kernel, splitting the
 // digests). The combos are compared to each other rather than to a pin —
-// byte-stability of the damq/voq paths across builds is what the
+// byte-stability of the damq path across builds is what the
 // buffer_ablation pin below is for.
 TEST(GoldenDigest, KernelAndThreadCountInvariantUnderDamq) {
   const std::uint64_t ref =
@@ -174,6 +174,43 @@ TEST(GoldenDigest, KernelAndThreadCountInvariantUnderDamq) {
         << c.what << " produced digest 0x" << std::hex << h
         << " under damq — kernels/thread-counts are no longer "
            "byte-interchangeable";
+  }
+}
+
+// damq at reserve = depth has no shared region: it must be the private_vc
+// layout exactly. Every fig05 line must match its private_vc twin byte for
+// byte once the two damq config columns are stripped, under both kernels.
+TEST(GoldenDigest, DamqAtFullReserveMatchesPrivateVc) {
+  for (const bool scan : {false, true}) {
+    SimConfig base;
+    base.total_messages = 600;
+    base.warmup_messages = 150;
+    base.max_cycles = 300'000;
+    base.mesh_width = 4;
+    base.mesh_height = 4;
+    base.force_scan_kernel = scan;
+    SimConfig damq = base;
+    damq.buffer_policy = BufferPolicyKind::kDamq;
+    damq.damq_reserve_slots = damq.vc_buffer_depth;
+    const std::string columns = ",\"buffer_policy\":\"damq\","
+                                "\"damq_reserve_slots\":" +
+                                std::to_string(damq.vc_buffer_depth);
+
+    sweep::SweepOptions opts;
+    opts.num_threads = 2;
+    sweep::SweepEngine engine(opts);
+    const auto priv = engine.run(sweep::preset_points("fig05", base));
+    const auto shared = engine.run(sweep::preset_points("fig05", damq));
+    ASSERT_EQ(priv.size(), shared.size());
+    ASSERT_FALSE(priv.empty());
+    for (std::size_t i = 0; i < priv.size(); ++i) {
+      std::string line = sweep::to_jsonl(shared[i]);
+      const auto at = line.find(columns);
+      ASSERT_NE(at, std::string::npos) << line;
+      line.erase(at, columns.size());
+      EXPECT_EQ(line, sweep::to_jsonl(priv[i]))
+          << (scan ? "scan" : "event") << " kernel, point " << i;
+    }
   }
 }
 
@@ -201,14 +238,15 @@ TEST(GoldenDigest, LargeMeshPresetByteIdenticalBothKernels) {
                    "production fabrics";
 }
 
-// The buffer_ablation preset is the only pinned family that runs the damq
-// and voq routers; without it a byte-level regression in the shared-pool
-// or VOQ paths is invisible to the other digests (which all run the
-// default private_vc layout — that those digests did NOT move is the
-// proof the subsystem left the default path untouched).
+// The buffer_ablation preset is the only pinned family that runs damq
+// with a shared region; without it a byte-level regression in the
+// shared-credit path is invisible to the other digests (which all run the
+// default private_vc layout). Re-pinned when the VOQ policy was deleted:
+// the value is the digest of the first 20 of the previous 30 lines (the
+// private_vc and damq rows, byte-identical), so only the VOQ rows left.
 TEST(GoldenDigest, BufferAblationPresetByteIdentical) {
   const std::uint64_t h = preset_digest("buffer_ablation");
-  EXPECT_EQ(h, 0x3cb870af55cd7b91ull)
+  EXPECT_EQ(h, 0x1bdad0e11753ded4ull)
       << "buffer_ablation JSONL digest moved: 0x" << std::hex << h
       << " — the simulation is no longer byte-identical to the pinned run";
 }

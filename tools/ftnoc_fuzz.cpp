@@ -20,7 +20,7 @@
 // "drop_window"; `--selftest --plant route_into_dead_link` instead
 // proves the permanent-fault paths are under the oracle (the optimized
 // router routes fault-blind on a topology with a dead link),
-// `--selftest --plant damq_credit_leak` proves the DAMQ shared-pool
+// `--selftest --plant damq_credit_leak` proves the DAMQ shared-region
 // credit accounting is (the optimized router leaks a shared_held_
 // decrement on credit return), and `--selftest --plant strand_waiter`
 // proves the link-drain waiter re-home path is (the optimized router
@@ -29,7 +29,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -149,7 +148,8 @@ std::vector<std::string> random_config(Rng& rng) {
     add("mesh_height", std::to_string(h));
     if (rng.bernoulli(0.2)) add("torus", "1");
     add("num_vcs", std::to_string(2 + rng.next_below(3)));       // 2..4
-    add("vc_buffer_depth", std::to_string(2 + rng.next_below(5)));  // 2..6
+    const int depth = 2 + static_cast<int>(rng.next_below(5));  // 2..6
+    add("vc_buffer_depth", std::to_string(depth));
     add("pipeline_stages", std::to_string(1 + rng.next_below(4)));  // 1..4
     add("retransmission_depth", std::to_string(3 + rng.next_below(4)));
     add("packet_length", std::to_string(3 + rng.next_below(4)));    // 3..6
@@ -161,20 +161,15 @@ std::vector<std::string> random_config(Rng& rng) {
     static const char* kProt[] = {"none", "fec", "e2e", "hbh", "hbh"};
     add("protection", kProt[rng.next_below(5)]);
     static const char* kRoute[] = {"xy", "adaptive", "escape"};
-    const char* route = kRoute[rng.next_below(3)];
-    // Buffer policies under the oracle: damq composes with everything;
-    // voq is only admissible under deterministic XY (validate() refuses
-    // other routings), so force the pairing rather than redraw.
-    static const char* kBufPol[] = {"private_vc", "private_vc", "damq",
-                                    "voq"};
-    const char* bufpol = kBufPol[rng.next_below(4)];
-    if (std::strcmp(bufpol, "voq") == 0) route = "xy";
-    add("routing", route);
-    if (std::strcmp(bufpol, "private_vc") != 0) {
-      add("buffer_policy", bufpol);
-    }
-    if (std::strcmp(bufpol, "damq") == 0) {
-      add("damq_reserve_slots", std::to_string(1 + rng.next_below(3)));
+    add("routing", kRoute[rng.next_below(3)]);
+    // Buffer policy under the oracle: damq on a third of the draws, with
+    // its reserve drawn over the whole legal range [1, depth] (reserve =
+    // depth is the private layout reached through the damq path).
+    if (rng.next_below(3) == 0) {
+      add("buffer_policy", "damq");
+      const auto reserve =
+          1 + rng.next_below(static_cast<std::uint64_t>(depth));
+      add("damq_reserve_slots", std::to_string(reserve));
     }
     static const char* kPat[] = {"nr", "bc", "tn"};
     add("pattern", kPat[rng.next_below(3)]);
@@ -384,7 +379,7 @@ int fuzz_main(const Options& opt) {
     } else if (opt.selftest && opt.plant == "damq_credit_leak") {
       // This plant's habitat: damq shared buffering under enough load
       // that credit returns actually take the shared path (the leak
-      // skips the shared_held_ decrement, so the sender's pool ledger
+      // skips the shared_held_ decrement, so the sender's shared ledger
       // drifts from the reference's within a few returns).
       ov = {"seed=" + std::to_string(1000 + i),
             "mesh_width=4",
