@@ -24,31 +24,12 @@ std::uint64_t replica_seed(std::uint64_t campaign_seed, SeedPacking packing,
   return Rng::derive_seed(Rng::derive_seed(campaign_seed, p), r);
 }
 
-bool shard_owns(const ShardSpec& shard, std::size_t point, int replica,
-                int max_replicas) {
-  FTNOC_CHECK(shard.count >= 1 && shard.index >= 0 &&
-              shard.index < shard.count);
-  const std::uint64_t global =
-      static_cast<std::uint64_t>(point) *
-          static_cast<std::uint64_t>(max_replicas) +
-      static_cast<std::uint64_t>(replica);
-  return global % static_cast<std::uint64_t>(shard.count) ==
-         static_cast<std::uint64_t>(shard.index);
-}
-
 CampaignEngine::CampaignEngine(CampaignOptions opts)
     : opts_(opts),
       engine_(sweep::SweepOptions{opts.num_threads, /*base_seed=*/0,
-                                  sweep::SeedPolicy::kUseConfigSeed,
-                                  opts.pin_threads}) {
+                                  sweep::SeedPolicy::kUseConfigSeed}) {
   FTNOC_CHECK(opts_.stop.max_replicas >= 1);
   FTNOC_CHECK(opts_.stop.min_replicas >= 1);
-  FTNOC_CHECK(opts_.shard.count >= 1);
-  FTNOC_CHECK(opts_.shard.index >= 0 && opts_.shard.index < opts_.shard.count);
-  // Sharded campaigns run in quota mode: a CI-based stop decision needs
-  // every replica of a point, which no single shard has. The CLI rejects
-  // the combination with a diagnostic before this check can fire.
-  FTNOC_CHECK(!opts_.shard.sharded() || !opts_.stop.adaptive());
 }
 
 std::vector<PointAggregate> CampaignEngine::run(
@@ -57,16 +38,10 @@ std::vector<PointAggregate> CampaignEngine::run(
     const ProgressCallback& on_progress) {
   const std::size_t total = points.size();
   const StopRule& stop = opts_.stop;
-  const ShardSpec& shard = opts_.shard;
   const SeedPacking packing = seed_packing(total, stop.max_replicas);
 
   std::vector<PointAggregate> aggs(total);
   std::vector<char> finished(total, 0);
-  // Replicas scheduled so far per point (the wave cursor). Distinct from
-  // aggs[p].replicas: a shard schedules every wave position but only
-  // simulates (and folds) the pairs it owns, so the cursor — not the
-  // owned-replica count — is what the stop rule's cap reads.
-  std::vector<int> scheduled(total, 0);
   for (std::size_t p = 0; p < total; ++p) {
     FTNOC_CHECK(!points[p].config.validate().has_value());
     aggs[p].point = p;
@@ -92,17 +67,15 @@ std::vector<PointAggregate> CampaignEngine::run(
     std::vector<Task> tasks;
     for (std::size_t p = 0; p < total; ++p) {
       if (finished[p]) continue;
-      const int from = scheduled[p];
+      const int from = aggs[p].replicas;
       const int to = std::min(from + stop.wave_size(), stop.max_replicas);
       for (int r = from; r < to; ++r) {
-        if (!shard_owns(shard, p, r, stop.max_replicas)) continue;
         Task t;
         t.point = p;
         t.replica = r;
         if (resume != nullptr) t.journaled = resume->find(p, r);
         tasks.push_back(t);
       }
-      scheduled[p] = to;
     }
 
     // Simulate the replicas the journal does not already hold, on the
@@ -136,18 +109,16 @@ std::vector<PointAggregate> CampaignEngine::run(
       }
     }
     for (std::size_t p = 0; p < total; ++p) {
-      if (finished[p] || wave[p].replicas == 0) continue;
+      if (finished[p]) continue;
       aggs[p].merge(wave[p]);
       if (on_progress) on_progress(aggs[p], fresh_count[p]);
     }
 
-    // Retire points: CI target met (early) or replica cap reached. The
-    // cap reads the wave cursor, not the owned-replica count — on a shard
-    // the two differ, but every unsharded campaign keeps them equal.
+    // Retire points: CI target met (early) or replica cap reached.
     for (std::size_t p = 0; p < total; ++p) {
       if (finished[p]) continue;
       const bool met = aggs[p].meets(stop);
-      const bool capped = scheduled[p] >= stop.max_replicas;
+      const bool capped = aggs[p].replicas >= stop.max_replicas;
       if (!met && !capped) continue;
       aggs[p].stopped_early = met && !capped;
       finished[p] = 1;

@@ -14,13 +14,9 @@
 //
 // Determinism guarantee: wave composition, stop decisions, journal-line
 // order and aggregate emission order are all pure functions of
-// (points, campaign_seed, StopRule, ShardSpec) — a campaign's outputs are
+// (points, campaign_seed, StopRule) — a campaign's outputs are
 // byte-identical for any thread count, and byte-identical again when
-// resumed from any prefix of its own journal. A sharded campaign
-// (ShardSpec::count > 1) runs the same wave schedule restricted to the
-// pairs it owns, so the union of the shards' journals holds exactly the
-// unsharded run's replica records — merge_journals() (merge.hpp) folds
-// them back into the unsharded byte stream.
+// resumed from any prefix of its own journal.
 
 #include <cstddef>
 #include <cstdint>
@@ -57,47 +53,19 @@ enum class SeedPacking : std::uint8_t {
 /// The packing a campaign of `num_points` points with replica cap
 /// `max_replicas` uses: legacy exactly when both fit the 2^20 stride
 /// budget (every campaign shipped before the wide packing existed did),
-/// wide otherwise. A pure function of the campaign definition, so
-/// shards, resumes and the merge tool always agree on it.
+/// wide otherwise. A pure function of the campaign definition, so a
+/// resumed run always agrees with the run that wrote its journal.
 SeedPacking seed_packing(std::size_t num_points, int max_replicas);
 
 /// The seed replica `replica` of point `point` simulates under.
 std::uint64_t replica_seed(std::uint64_t campaign_seed, SeedPacking packing,
                            std::size_t point, int replica);
 
-/// One shard of a distributed campaign (--shard=i/N): shard i of N owns
-/// the (point, replica) pairs whose global replica index
-/// point * max_replicas + replica is congruent to i mod N. Interleaved
-/// ownership balances both axes (a shard never owns a whole expensive
-/// point), and seeds derive from (campaign_seed, point, replica) alone,
-/// so shards need no coordination — each simulates exactly its own pairs
-/// and journals them in the campaign's deterministic order.
-struct ShardSpec {
-  int index = 0;
-  int count = 1;
-
-  bool sharded() const { return count > 1; }
-};
-
-/// True when `shard` owns (point, replica) under replica cap
-/// `max_replicas`. Every pair is owned by exactly one shard index in
-/// [0, count): the ownership classes partition the global index space.
-bool shard_owns(const ShardSpec& shard, std::size_t point, int replica,
-                int max_replicas);
-
 struct CampaignOptions {
   /// Worker threads; 0 picks std::thread::hardware_concurrency().
   int num_threads = 0;
-  /// Pin worker threads round-robin to CPUs (sweep::SweepOptions::pin_threads).
-  bool pin_threads = false;
   std::uint64_t campaign_seed = 1;
   StopRule stop;
-  /// Which slice of the (point, replica) space this process runs. The
-  /// default {0, 1} is the whole campaign. Sharded campaigns (count > 1)
-  /// must run in quota mode — a non-adaptive StopRule — because the
-  /// wave-based CI stop decision needs every replica of a point, which no
-  /// single shard has (DESIGN.md §4.13); run() aborts otherwise.
-  ShardSpec shard;
 };
 
 class CampaignEngine {

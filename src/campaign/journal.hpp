@@ -54,19 +54,6 @@ class Journal {
     return it == replicas_.end() ? nullptr : &it->second;
   }
 
-  /// Every journaled replica, keyed by (point, replica) in ascending
-  /// order. The merge tool walks this to validate shard coverage.
-  const std::map<std::pair<std::size_t, int>, SimResults>& entries() const {
-    return replicas_;
-  }
-
-  /// Adds one replica record (the merge tool builds the combined journal
-  /// this way). Returns false — and leaves the journal unchanged — if
-  /// (point, replica) is already present: an overlap between shards.
-  bool insert(std::size_t point, int replica, const SimResults& r) {
-    return replicas_.emplace(std::make_pair(point, replica), r).second;
-  }
-
   bool file_existed() const { return existed_; }
   std::size_t replica_count() const { return replicas_.size(); }
   std::size_t valid_lines() const { return valid_lines_; }

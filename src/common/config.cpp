@@ -234,8 +234,6 @@ std::optional<std::string> SimConfig::validate() const {
   return std::nullopt;
 }
 
-namespace {
-
 bool parse_int(const std::string& v, int& out) {
   auto [p, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
   return ec == std::errc() && p == v.data() + v.size();
@@ -251,6 +249,8 @@ bool parse_double(const std::string& v, double& out) {
   out = std::strtod(v.c_str(), &end);
   return end == v.c_str() + v.size() && !v.empty();
 }
+
+namespace {
 
 bool parse_bool(const std::string& v, bool& out) {
   if (v == "1" || v == "true" || v == "on") {
@@ -368,14 +368,6 @@ std::optional<std::string> apply_override(SimConfig& cfg,
     if (!parse_u64(val, cfg.deadlock.probe_backoff)) return bad();
   } else if (key == "probe_timeout") {
     if (!parse_u64(val, cfg.deadlock.probe_timeout)) return bad();
-  } else if (key == "probe_ttl") {
-    int ttl = 0;
-    if (!parse_int(val, ttl) || ttl < 0) return bad();
-    cfg.deadlock.probe_ttl = static_cast<std::uint32_t>(ttl);
-  } else if (key == "fallback_probe_failures") {
-    if (!parse_int(val, cfg.deadlock.fallback_probe_failures)) return bad();
-  } else if (key == "exit_block_window") {
-    if (!parse_u64(val, cfg.deadlock.exit_block_window)) return bad();
   } else if (key == "dead_link") {
     // "node:dir" with dir in {N,E,S,W}.
     const auto colon = val.find(':');

@@ -116,21 +116,6 @@ struct DeadlockConfig {
   /// non-blocked node); the router may probe again. Must comfortably
   /// exceed the largest possible cycle length (a few network diameters).
   Cycle probe_timeout = 128;
-  /// Probes are dropped after this many hops so they cannot circulate
-  /// forever inside a dependency cycle that does not contain their origin.
-  /// 0 = auto (4x the node count).
-  std::uint32_t probe_ttl = 0;
-  /// Fallback self-recovery: a router whose probes expired this many times
-  /// in a row with *zero local progress* in between enters recovery mode
-  /// unilaterally. Handles dense multi-cycle saturation knots where a
-  /// blocked packet's dependency chain ends in a cycle it is not part of
-  /// (its probe can then never return). 0 disables the fallback.
-  int fallback_probe_failures = 4;
-  /// A router stays in recovery while any of its VCs has made no progress
-  /// for more than this many cycles (independent of probe_threshold, so
-  /// aggressive probing cannot livelock the exit); while any router is in
-  /// recovery, the chip-wide injection gate stays asserted.
-  Cycle exit_block_window = 512;
 };
 
 struct SimConfig {
@@ -309,5 +294,12 @@ std::optional<std::string> apply_override(SimConfig& cfg,
 /// Applies a whole argv-style list of overrides; stops at the first error.
 std::optional<std::string> apply_overrides(
     SimConfig& cfg, const std::vector<std::string>& assignments);
+
+/// Strict numeric parsers shared by the override keys and the CLI flags:
+/// true only when all of `v` is one well-formed number. On false, `out`
+/// holds an unspecified value.
+bool parse_int(const std::string& v, int& out);
+bool parse_u64(const std::string& v, std::uint64_t& out);
+bool parse_double(const std::string& v, double& out);
 
 }  // namespace ftnoc

@@ -61,6 +61,24 @@ enum class ProbeAction : std::uint8_t {
   kReturnToOrigin, ///< The probe arrived back at its origin: deadlock!
 };
 
+/// Fixed protocol constants, shared by Router and ReferenceRouter.
+///
+/// Probes are dropped after kProbeTtlPerNode x (node count) hops so they
+/// cannot circulate forever inside a dependency cycle that does not
+/// contain their origin.
+inline constexpr std::uint32_t kProbeTtlPerNode = 4;
+/// Fallback self-recovery: a router whose probes expired this many times
+/// in a row with *zero local progress* in between enters recovery mode
+/// unilaterally. Handles dense multi-cycle saturation knots where a
+/// blocked packet's dependency chain ends in a cycle it is not part of
+/// (its probe can then never return).
+inline constexpr int kFallbackProbeFailures = 4;
+/// A router stays in recovery while any of its VCs has made no progress
+/// for more than this many cycles (independent of probe_threshold, so
+/// aggressive probing cannot livelock the exit); while any router is in
+/// recovery, the chip-wide injection gate stays asserted.
+inline constexpr Cycle kExitBlockWindow = 512;
+
 /// Per-router protocol agent.
 class DeadlockAgent {
  public:

@@ -215,10 +215,8 @@ void InvariantMonitor::on_recovery_entered(Cycle now, NodeId router,
       break;
     }
     case RecoveryTrigger::kFallback:
-      if (cfg_.deadlock.fallback_probe_failures <= 0) {
-        fail(InvariantId::kProbeLifecycle, now, router, -1, -1,
-             "fallback recovery fired but the fallback is disabled");
-      }
+      static_assert(kFallbackProbeFailures > 0,
+                    "fallback recovery needs at least one failed probe");
       break;
   }
 

@@ -71,9 +71,6 @@ ReferenceRouter::ReferenceRouter(NodeId id, const SimConfig& cfg,
       }
     }
   }
-  probe_ttl_ = cfg_.deadlock.probe_ttl
-                   ? cfg_.deadlock.probe_ttl
-                   : static_cast<std::uint32_t>(4 * topo_.num_nodes());
 }
 
 void ReferenceRouter::connect(PortId p, Wire* in, Wire* out) {
@@ -958,7 +955,8 @@ std::optional<std::pair<PortId, VcId>> ReferenceRouter::resolve_chain(
 void ReferenceRouter::handle_probe(PortId /*from*/, const ProbeSignal& probe,
                                    Cycle now) {
   charge(power::EnergyEvent::kProbeHop);
-  if (probe.hops > probe_ttl_) {
+  if (probe.hops >
+      kProbeTtlPerNode * static_cast<std::uint32_t>(topo_.num_nodes())) {
     if (stats_) stats_->on_probe_discarded();
     return;
   }
@@ -1073,8 +1071,7 @@ void ReferenceRouter::phase_deadlock(Cycle now) {
         static_cast<PortId>(opposite(static_cast<Direction>(chain->first))),
         chain->second, now);
     FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_probe_minted(id_, pr.probe_id));
-    if (cfg_.deadlock.fallback_probe_failures > 0 &&
-        agent_.failed_probes() >= cfg_.deadlock.fallback_probe_failures) {
+    if (agent_.failed_probes() >= kFallbackProbeFailures) {
       agent_.enter_recovery();
       if (stats_) {
         stats_->on_fallback_recovery();
@@ -1186,7 +1183,7 @@ void ReferenceRouter::phase_deadlock(Cycle now) {
     if ((in.state == VcState::kActive || in.state == VcState::kVaWait ||
          in.state == VcState::kVaReserved) &&
         !in.buf.empty() &&
-        now - in.last_advance > cfg_.deadlock.exit_block_window) {
+        now - in.last_advance > kExitBlockWindow) {
       blocked_long = true;
       break;
     }

@@ -242,7 +242,6 @@ class ReferenceRouter final : public RouterIface {
   std::vector<OutboxItem> outbox_;
   std::map<std::uint32_t, ProbeRoute> own_probe_route_;
   bool progress_this_cycle_ = false;
-  std::uint32_t probe_ttl_ = 0;
 };
 
 }  // namespace ftnoc

@@ -110,9 +110,6 @@ Router::Router(NodeId id, const SimConfig& cfg, const Topology& topo,
       }
     }
   }
-  probe_ttl_ = cfg_.deadlock.probe_ttl
-                   ? cfg_.deadlock.probe_ttl
-                   : static_cast<std::uint32_t>(4 * topo_.num_nodes());
   f_rt_live_ = faults_ != nullptr && cfg_.faults.rt_error_rate > 0.0;
   f_va_live_ = faults_ != nullptr && cfg_.faults.va_error_rate > 0.0;
   f_sa_live_ = faults_ != nullptr && cfg_.faults.sa_error_rate > 0.0;
@@ -1371,7 +1368,8 @@ std::optional<std::pair<PortId, VcId>> Router::resolve_chain(
 void Router::handle_probe(PortId /*from*/, const ProbeSignal& probe,
                           Cycle now) {
   charge(power::EnergyEvent::kProbeHop);
-  if (probe.hops > probe_ttl_) {
+  if (probe.hops >
+      kProbeTtlPerNode * static_cast<std::uint32_t>(topo_.num_nodes())) {
     // The probe is orbiting a cycle that does not contain its origin.
     if (stats_) stats_->on_probe_discarded();
     return;
@@ -1517,8 +1515,7 @@ void Router::phase_deadlock(Cycle now) {
     // router's blocked packets feed a deadlocked region whose cycle does
     // not pass through here — the probes orbit it and can never return.
     // Join the recovery unilaterally so the region gains slack here too.
-    if (cfg_.deadlock.fallback_probe_failures > 0 &&
-        agent_.failed_probes() >= cfg_.deadlock.fallback_probe_failures) {
+    if (agent_.failed_probes() >= kFallbackProbeFailures) {
       agent_.enter_recovery();
       if (stats_) {
         stats_->on_fallback_recovery();
@@ -1672,7 +1669,7 @@ void Router::phase_deadlock(Cycle now) {
     if ((in.state == VcState::kActive || in.state == VcState::kVaWait ||
          in.state == VcState::kVaReserved) &&
         !in.buf.empty() &&
-        now - in.last_advance > cfg_.deadlock.exit_block_window) {
+        now - in.last_advance > kExitBlockWindow) {
       blocked_long = true;
       break;
     }

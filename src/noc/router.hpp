@@ -411,7 +411,6 @@ class Router final : public RouterIface {
   /// Any input-buffer slot freed this cycle (SA, drain, absorb, eject) —
   /// feeds DeadlockAgent::note_progress for the fallback-recovery trigger.
   bool progress_this_cycle_ = false;
-  std::uint32_t probe_ttl_ = 0;
 
   /// Ports whose *outgoing* wire carried a forward signal this step
   /// (flit/probe/activation) and ports whose *incoming* bundle carried a

@@ -5,35 +5,10 @@
 #include <mutex>
 #include <thread>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "common/check.hpp"
 #include "common/rng.hpp"
 
 namespace ftnoc::sweep {
-namespace {
-
-/// Pins the calling thread to one CPU (round-robin over the online set).
-/// Best-effort: a failed affinity call (restricted cpuset, exotic
-/// platform) is ignored — pinning is a measurement aid, never a
-/// correctness requirement.
-void pin_to_cpu(int worker_index) {
-#ifdef __linux__
-  const unsigned ncpus = std::thread::hardware_concurrency();
-  if (ncpus == 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(worker_index) % ncpus, &set);
-  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)worker_index;
-#endif
-}
-
-}  // namespace
 
 SweepEngine::SweepEngine(SweepOptions opts) : opts_(opts) {
   threads_ = opts_.num_threads;
@@ -48,10 +23,7 @@ void SweepEngine::for_each(std::size_t count,
   if (count == 0) return;
 
   std::atomic<std::size_t> next{0};
-  auto worker = [&](int worker_index) {
-    // Only spawned workers pin (worker_index >= 0): mutating the caller's
-    // thread affinity would outlive the sweep.
-    if (opts_.pin_threads && worker_index >= 0) pin_to_cpu(worker_index);
+  auto worker = [&] {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= count) return;
@@ -62,11 +34,11 @@ void SweepEngine::for_each(std::size_t count,
   const auto pool_size = static_cast<int>(
       std::min<std::size_t>(static_cast<std::size_t>(threads_), count));
   if (pool_size <= 1) {
-    worker(-1);
+    worker();
   } else {
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(pool_size));
-    for (int t = 0; t < pool_size; ++t) pool.emplace_back(worker, t);
+    for (int t = 0; t < pool_size; ++t) pool.emplace_back(worker);
     for (auto& th : pool) th.join();
   }
 }

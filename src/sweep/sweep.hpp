@@ -46,14 +46,6 @@ struct SweepOptions {
   int num_threads = 0;
   std::uint64_t base_seed = 1;
   SeedPolicy seed_policy = SeedPolicy::kDerivePerPoint;
-  /// Pin worker thread t to CPU t mod hardware_concurrency (Linux only;
-  /// silently ignored elsewhere and on single-worker pools, which run on
-  /// the caller's thread). Affinity changes scheduling, never results:
-  /// output bytes are identical either way. Pinning removes the
-  /// cross-core migration noise that otherwise dominates scaling
-  /// measurements on large-fabric sweeps — scaling should be measured,
-  /// not assumed (ftnoc_perf --pin).
-  bool pin_threads = false;
 };
 
 /// One finished point. `config` carries the seed the engine actually used.

@@ -1,7 +1,8 @@
 // Tests for the Monte-Carlo campaign subsystem: byte-identical output
 // across thread counts, crash-resume from (possibly torn) journals,
-// adaptive sequential stopping, and the interval estimators behind the
-// aggregate records.
+// adaptive sequential stopping, the interval estimators behind the
+// aggregate records, and the seed-packing gate that keeps legacy campaigns
+// byte-identical while de-aliasing 32x32-scale grids.
 
 #include <gtest/gtest.h>
 
@@ -10,12 +11,14 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.hpp"
 #include "campaign/estimators.hpp"
 #include "campaign/journal.hpp"
+#include "common/rng.hpp"
 #include "common/stats_util.hpp"
 #include "noc/stats.hpp"
 #include "sweep/jsonl.hpp"
@@ -451,6 +454,76 @@ TEST(CounterTable, ToJsonlEmitsEveryCounterOnlyUnderItsGate) {
   cfg.workload_text = workload.workload_text;
   expect_columns(cfg, {CounterGate::kPermanentFaults,
                        CounterGate::kStormKills, CounterGate::kWorkload});
+}
+
+// ---------------------------------------------------------------------------
+// Seed packing: the legacy linear index wraps mod 2^64 once
+// point * 2^20 crosses it; the wide two-level derivation doesn't, and the
+// gate picks legacy exactly for the campaigns whose bytes are already
+// pinned.
+// ---------------------------------------------------------------------------
+
+TEST(CampaignSeeds, GateKeepsSmallCampaignsOnLegacyPacking) {
+  using campaign::SeedPacking;
+  constexpr std::uint64_t kStride = campaign::kReplicaStride;
+  // Every shipped preset is a handful of points with replica caps far
+  // below 2^20: all legacy, so existing journals and digests stay valid.
+  EXPECT_EQ(campaign::seed_packing(2, 4), SeedPacking::kLegacy);
+  EXPECT_EQ(campaign::seed_packing(15, 1024), SeedPacking::kLegacy);
+  EXPECT_EQ(campaign::seed_packing(kStride, 16), SeedPacking::kLegacy);
+  // Either axis outgrowing the stride flips the campaign to wide.
+  EXPECT_EQ(campaign::seed_packing(kStride + 1, 16), SeedPacking::kWide);
+  EXPECT_EQ(campaign::seed_packing(2, (1 << 20) + 1), SeedPacking::kWide);
+}
+
+TEST(CampaignSeeds, LegacyPackingMatchesHistoricalFormula) {
+  // The legacy path must stay bit-for-bit the PR 2 formula — it is what
+  // every existing journal's seeds were derived with.
+  for (const std::uint64_t seed : {1ull, 7ull, 0xdeadbeefull}) {
+    for (const std::size_t point : {std::size_t{0}, std::size_t{3},
+                                    std::size_t{1023}}) {
+      for (const int replica : {0, 1, 63}) {
+        EXPECT_EQ(
+            campaign::replica_seed(seed, campaign::SeedPacking::kLegacy,
+                                   point, replica),
+            Rng::derive_seed(seed, point * campaign::kReplicaStride +
+                                       static_cast<std::uint64_t>(replica)));
+      }
+    }
+  }
+}
+
+TEST(CampaignSeeds, LegacyPackingAliasesAtScaleWideDoesNot) {
+  using campaign::SeedPacking;
+  const std::uint64_t seed = 1;
+  // point * 2^20 wraps mod 2^64 at point = 2^44: the legacy index of
+  // (2^44, r) collides with (0, r) exactly — silent cross-point seed
+  // aliasing at 32x32-scale campaign sizes. (2^44 points is beyond any
+  // realistic grid, but smaller wraps alias interior points the same
+  // way; the gate routes every such campaign to the wide packing.)
+  const std::size_t wrap = std::size_t{1} << 44;
+  EXPECT_EQ(campaign::replica_seed(seed, SeedPacking::kLegacy, wrap, 3),
+            campaign::replica_seed(seed, SeedPacking::kLegacy, 0, 3));
+  EXPECT_NE(campaign::replica_seed(seed, SeedPacking::kWide, wrap, 3),
+            campaign::replica_seed(seed, SeedPacking::kWide, 0, 3));
+}
+
+TEST(CampaignSeeds, WidePackingIsCollisionFreeAcrossSample) {
+  // A (necessarily statistical) injectivity check: across a sample far
+  // wider than the legacy stride budget allows — points beyond 2^20,
+  // replica indices beyond 2^20 — every wide seed is distinct.
+  std::set<std::uint64_t> seen;
+  std::size_t pairs = 0;
+  for (const std::size_t point :
+       {std::size_t{0}, std::size_t{1}, std::size_t{1} << 20,
+        (std::size_t{1} << 20) + 1, std::size_t{1} << 44}) {
+    for (const int replica : {0, 1, 2, 1 << 20, (1 << 20) + 1}) {
+      seen.insert(campaign::replica_seed(1, campaign::SeedPacking::kWide,
+                                         point, replica));
+      ++pairs;
+    }
+  }
+  EXPECT_EQ(seen.size(), pairs);
 }
 
 }  // namespace

@@ -65,30 +65,6 @@ TEST(SweepEngine, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(serial, parallel);
 }
 
-TEST(SweepEngine, ThreadAffinityNeverChangesOutputBytes) {
-  // pin_threads is a pure scheduling hint (round-robin CPU affinity on
-  // Linux, a no-op elsewhere); the emitted records must be byte-identical
-  // with it on or off, for both the single-worker inline path (which must
-  // never pin the caller's thread) and a real pool.
-  const auto points = tiny_grid();
-
-  auto run_with = [&](int threads, bool pin) {
-    sweep::SweepOptions opts;
-    opts.num_threads = threads;
-    opts.base_seed = 7;
-    opts.pin_threads = pin;
-    std::vector<std::string> lines;
-    for (const auto& pr : sweep::SweepEngine(opts).run(points)) {
-      lines.push_back(sweep::to_jsonl(pr));
-    }
-    return lines;
-  };
-
-  const auto unpinned = run_with(4, false);
-  EXPECT_EQ(run_with(4, true), unpinned);
-  EXPECT_EQ(run_with(1, true), unpinned);
-}
-
 TEST(SweepEngine, StreamsResultsInPointOrder) {
   const auto points = tiny_grid();
   sweep::SweepOptions opts;

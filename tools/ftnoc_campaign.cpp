@@ -49,13 +49,7 @@ constexpr const char* kUsage =
     "                    is <= X cycles\n"
     "  --ci-rel=X        ... is <= X * |mean latency|\n"
     "  --threads=N       worker threads (default 0 = hardware concurrency)\n"
-    "  --pin             pin worker threads round-robin to CPUs (Linux)\n"
     "  --seed=S          campaign seed (default 1)\n"
-    "  --shard=I/N       run only shard I of N (0 <= I < N): the\n"
-    "                    deterministic 1/N slice of the (point, replica)\n"
-    "                    space. Requires a fixed replica quota (no\n"
-    "                    --ci-abs/--ci-rel); merge the N journals with\n"
-    "                    ftnoc_merge\n"
     "  --out=FILE        aggregate JSONL (default stdout)\n"
     "  --journal=FILE    write the per-replica journal to FILE (truncates)\n"
     "  --resume=FILE     resume from FILE's valid prefix and append to it\n"
@@ -67,6 +61,11 @@ bool flag_value(const char* arg, const char* name, std::string& out) {
   if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
   out = arg + n + 1;
   return true;
+}
+
+int bad_value(const char* arg) {
+  std::fprintf(stderr, "malformed flag value: %s\n", arg);
+  return 1;
 }
 
 void list_presets(std::FILE* to) {
@@ -91,33 +90,19 @@ int main(int argc, char** argv) {
     const char* arg = argv[i];
     std::string v;
     if (flag_value(arg, "--threads", v)) {
-      opts.num_threads = std::atoi(v.c_str());
-    } else if (std::strcmp(arg, "--pin") == 0) {
-      opts.pin_threads = true;
+      if (!parse_int(v, opts.num_threads)) return bad_value(arg);
     } else if (flag_value(arg, "--seed", v)) {
-      opts.campaign_seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flag_value(arg, "--shard", v)) {
-      int index = -1;
-      int count = 0;
-      if (std::sscanf(v.c_str(), "%d/%d", &index, &count) != 2 ||
-          count < 1 || index < 0 || index >= count) {
-        std::fprintf(stderr,
-                     "--shard wants I/N with 0 <= I < N, got \"%s\"\n",
-                     v.c_str());
-        return 1;
-      }
-      opts.shard.index = index;
-      opts.shard.count = count;
+      if (!parse_u64(v, opts.campaign_seed)) return bad_value(arg);
     } else if (flag_value(arg, "--replicas", v)) {
-      opts.stop.max_replicas = std::atoi(v.c_str());
+      if (!parse_int(v, opts.stop.max_replicas)) return bad_value(arg);
     } else if (flag_value(arg, "--min-replicas", v)) {
-      opts.stop.min_replicas = std::atoi(v.c_str());
+      if (!parse_int(v, opts.stop.min_replicas)) return bad_value(arg);
     } else if (flag_value(arg, "--wave", v)) {
-      opts.stop.wave = std::atoi(v.c_str());
+      if (!parse_int(v, opts.stop.wave)) return bad_value(arg);
     } else if (flag_value(arg, "--ci-abs", v)) {
-      opts.stop.ci_abs = std::atof(v.c_str());
+      if (!parse_double(v, opts.stop.ci_abs)) return bad_value(arg);
     } else if (flag_value(arg, "--ci-rel", v)) {
-      opts.stop.ci_rel = std::atof(v.c_str());
+      if (!parse_double(v, opts.stop.ci_rel)) return bad_value(arg);
     } else if (flag_value(arg, "--out", v)) {
       out_path = v;
     } else if (flag_value(arg, "--journal", v)) {
@@ -146,14 +131,6 @@ int main(int argc, char** argv) {
   }
   if (opts.stop.min_replicas > opts.stop.max_replicas) {
     opts.stop.min_replicas = opts.stop.max_replicas;
-  }
-  if (opts.shard.sharded() && opts.stop.adaptive()) {
-    std::fprintf(stderr,
-                 "--shard runs in quota mode: adaptive stopping "
-                 "(--ci-abs/--ci-rel) needs every replica of a point, which "
-                 "no single shard has. Drop the CI target and pick "
-                 "--replicas as the fixed per-point quota.\n");
-    return 1;
   }
   if (!resume_path.empty() && !journal_path.empty() &&
       resume_path != journal_path) {
@@ -258,17 +235,11 @@ int main(int argc, char** argv) {
 
   campaign::CampaignEngine engine(opts);
   if (!quiet) {
-    std::string shard_note;
-    if (opts.shard.sharded()) {
-      shard_note = ", shard " + std::to_string(opts.shard.index) + "/" +
-                   std::to_string(opts.shard.count);
-    }
     std::fprintf(stderr,
                  "ftnoc_campaign: %zu points x <=%d replicas on %d "
-                 "thread(s)%s%s%s\n",
+                 "thread(s)%s%s\n",
                  points.size(), opts.stop.max_replicas, engine.num_threads(),
                  opts.stop.adaptive() ? ", adaptive stopping" : "",
-                 shard_note.c_str(),
                  skip_lines != 0 ? ", resuming" : "");
     if (skip_lines != 0) {
       std::fprintf(stderr, "ftnoc_campaign: journal holds %zu line(s), %zu "

@@ -191,7 +191,6 @@ std::vector<std::string> random_config(Rng& rng) {
       add("deadlock_recovery", "1");
       add("probe_threshold", std::to_string(8 + rng.next_below(57)));
       add("probe_backoff", "8");
-      add("exit_block_window", "256");
     }
     // Permanent faults: dead links/routers and runtime escalation walk
     // the fault-aware routing, drain and re-home paths through the
@@ -489,14 +488,15 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : "";
     };
+    bool ok = true;
     if (a == "--runs") {
-      opt.runs = std::atoi(next());
+      ok = ftnoc::parse_int(next(), opt.runs);
     } else if (a == "--cycles") {
-      opt.cycles = static_cast<Cycle>(std::atoll(next()));
+      ok = ftnoc::parse_u64(next(), opt.cycles);
     } else if (a == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      ok = ftnoc::parse_u64(next(), opt.seed);
     } else if (a == "--time-budget") {
-      opt.time_budget_sec = std::atof(next());
+      ok = ftnoc::parse_double(next(), opt.time_budget_sec);
     } else if (a == "--out") {
       opt.out = next();
     } else if (a == "--plant") {
@@ -512,6 +512,10 @@ int main(int argc, char** argv) {
                    "                  [--time-budget SEC] [--out FILE]\n"
                    "                  [--plant NAME] [--selftest]\n"
                    "                  [--replay FILE]\n");
+      return 2;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "malformed value for %s\n", a.c_str());
       return 2;
     }
   }

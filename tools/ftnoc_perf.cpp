@@ -30,7 +30,6 @@ constexpr const char* kUsage =
     "usage: ftnoc_perf [options] [key=value ...]\n"
     "  --preset=NAME  grid to time (default: perf)\n"
     "  --threads=N    worker threads (default 1: stable timing)\n"
-    "  --pin          pin worker threads round-robin to CPUs (Linux)\n"
     "  --seed=S       base seed for per-point derivation (default 1)\n"
     "  --repeat=K     run the grid K times, report the best (default 1)\n"
     "  --out=FILE     write JSONL records to FILE (default stdout)\n"
@@ -42,6 +41,11 @@ bool flag_value(const char* arg, const char* name, std::string& out) {
   if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
   out = arg + n + 1;
   return true;
+}
+
+int bad_value(const char* arg) {
+  std::fprintf(stderr, "malformed flag value: %s\n", arg);
+  return 1;
 }
 
 }  // namespace
@@ -62,13 +66,11 @@ int main(int argc, char** argv) {
     if (flag_value(arg, "--preset", v)) {
       preset = v;
     } else if (flag_value(arg, "--threads", v)) {
-      opts.num_threads = std::atoi(v.c_str());
-    } else if (std::strcmp(arg, "--pin") == 0) {
-      opts.pin_threads = true;
+      if (!parse_int(v, opts.num_threads)) return bad_value(arg);
     } else if (flag_value(arg, "--seed", v)) {
-      opts.base_seed = std::strtoull(v.c_str(), nullptr, 10);
+      if (!parse_u64(v, opts.base_seed)) return bad_value(arg);
     } else if (flag_value(arg, "--repeat", v)) {
-      repeat = std::atoi(v.c_str());
+      if (!parse_int(v, repeat)) return bad_value(arg);
     } else if (flag_value(arg, "--out", v)) {
       out_path = v;
     } else if (std::strcmp(arg, "--help") == 0) {

@@ -35,7 +35,6 @@ namespace {
 constexpr const char* kUsage =
     "usage: ftnoc_sweep [options] key=v1[,v2,...] ...\n"
     "  --threads=N    worker threads (default 0 = hardware concurrency)\n"
-    "  --pin          pin worker threads round-robin to CPUs (Linux)\n"
     "  --seed=S       base seed for per-point seed derivation (default 1)\n"
     "  --fixed-seed   use each config's own seed= instead of deriving\n"
     "  --out=FILE     write JSONL records to FILE (default stdout)\n"
@@ -49,6 +48,11 @@ bool flag_value(const char* arg, const char* name, std::string& out) {
   if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
   out = arg + n + 1;
   return true;
+}
+
+int bad_value(const char* arg) {
+  std::fprintf(stderr, "malformed flag value: %s\n", arg);
+  return 1;
 }
 
 }  // namespace
@@ -67,11 +71,9 @@ int main(int argc, char** argv) {
     const char* arg = argv[i];
     std::string v;
     if (flag_value(arg, "--threads", v)) {
-      opts.num_threads = std::atoi(v.c_str());
-    } else if (std::strcmp(arg, "--pin") == 0) {
-      opts.pin_threads = true;
+      if (!parse_int(v, opts.num_threads)) return bad_value(arg);
     } else if (flag_value(arg, "--seed", v)) {
-      opts.base_seed = std::strtoull(v.c_str(), nullptr, 10);
+      if (!parse_u64(v, opts.base_seed)) return bad_value(arg);
     } else if (std::strcmp(arg, "--fixed-seed") == 0) {
       opts.seed_policy = sweep::SeedPolicy::kUseConfigSeed;
     } else if (flag_value(arg, "--out", v)) {

@@ -4,13 +4,12 @@
 Usage:
     python3 tools/plot_bench.py bench_output.txt [outdir]
     python3 tools/plot_bench.py fig05.jsonl [outdir]
-    python3 tools/plot_bench.py shard0.agg.jsonl shard1.agg.jsonl [outdir]
+    python3 tools/plot_bench.py fig05.agg.jsonl fig06.agg.jsonl [outdir]
 
 Every argument naming an existing file is an input; a trailing argument
 that is not an existing file is the output directory (default
-bench_csv).  Multiple inputs are folded into one figure set — the
-distributed-campaign recipe (per-shard or merged aggregate JSONL files,
-README "Distributed campaigns") lands in the same CSVs as a
+bench_csv).  Multiple inputs are folded into one figure set, so
+several sweep or campaign outputs land in the same CSVs as a
 single-file run.
 
 Two input flavors, auto-detected per line:
