@@ -3,6 +3,8 @@
 #include <charconv>
 #include <cstdlib>
 
+#include "common/topology.hpp"
+
 namespace ftnoc {
 
 const char* to_string(RoutingAlgorithm a) {
@@ -49,78 +51,6 @@ std::optional<TestMutation> parse_test_mutation(const std::string& name) {
   if (name == "strand_waiter") return TestMutation::kStrandWaiter;
   return std::nullopt;
 }
-
-namespace {
-
-// Mirrors Topology::neighbor (noc/topology.cpp) without depending on the
-// noc layer: row 0 is the top of the mesh, north decreases y, the torus
-// wraps. Returns -1 at a mesh edge.
-int mesh_neighbor(const SimConfig& c, int n, Direction d) {
-  int x = n % c.mesh_width;
-  int y = n / c.mesh_width;
-  switch (d) {
-    case Direction::kNorth: y -= 1; break;
-    case Direction::kSouth: y += 1; break;
-    case Direction::kEast: x += 1; break;
-    case Direction::kWest: x -= 1; break;
-    case Direction::kLocal: return -1;
-  }
-  if (x < 0 || x >= c.mesh_width || y < 0 || y >= c.mesh_height) {
-    if (!c.torus) return -1;
-    x = (x + c.mesh_width) % c.mesh_width;
-    y = (y + c.mesh_height) % c.mesh_height;
-  }
-  return y * c.mesh_width + x;
-}
-
-/// Reachability precheck for a hard-faulted config: every live router must
-/// be able to reach every other live router over live links. Returns the
-/// number of live routers reachable from the first one (and the live total
-/// through `live_out`).
-int live_reachable(const SimConfig& c, int& live_out) {
-  const int n = c.num_nodes();
-  std::vector<std::uint8_t> router_dead(n, 0);
-  std::vector<std::uint8_t> port_dead(static_cast<std::size_t>(n) * 4, 0);
-  for (const NodeId r : c.dead_routers) router_dead[r] = 1;
-  auto kill = [&](int node, Direction d) {
-    port_dead[static_cast<std::size_t>(node) * 4 +
-              static_cast<int>(d)] = 1;
-  };
-  for (const auto& [node, dir] : c.dead_links) {
-    kill(node, dir);
-    const int nb = mesh_neighbor(c, node, dir);
-    if (nb >= 0) kill(nb, opposite(dir));
-  }
-  int live = 0;
-  int first = -1;
-  for (int i = 0; i < n; ++i) {
-    if (router_dead[i]) continue;
-    ++live;
-    if (first < 0) first = i;
-  }
-  live_out = live;
-  if (live == 0) return 0;
-  std::vector<std::uint8_t> seen(n, 0);
-  std::vector<int> queue = {first};
-  seen[first] = 1;
-  int reached = 0;
-  while (!queue.empty()) {
-    const int cur = queue.back();
-    queue.pop_back();
-    ++reached;
-    for (int p = 0; p < 4; ++p) {
-      const auto d = static_cast<Direction>(p);
-      if (port_dead[static_cast<std::size_t>(cur) * 4 + p]) continue;
-      const int nb = mesh_neighbor(c, cur, d);
-      if (nb < 0 || router_dead[nb] || seen[nb]) continue;
-      seen[nb] = 1;
-      queue.push_back(nb);
-    }
-  }
-  return reached;
-}
-
-}  // namespace
 
 std::optional<std::string> SimConfig::validate() const {
   auto err = [](std::string msg) { return std::optional<std::string>(msg); };
@@ -197,40 +127,40 @@ std::optional<std::string> SimConfig::validate() const {
   if (routing == RoutingAlgorithm::kAdaptiveEscape && num_vcs < 2) {
     return err("escape routing needs >= 2 VCs (VC 0 is the escape lane)");
   }
+  if (!parse_test_mutation(test_mutation)) {
+    // A mistyped plant would otherwise silently plant nothing.
+    return err("unknown test_mutation \"" + test_mutation + "\"");
+  }
+  if (!has_permanent_faults()) return std::nullopt;
+  // Hard faults are checked against the Topology the network will build,
+  // so a link at a mesh edge (no channel to fail) is refused here rather
+  // than silently ignored at runtime.
+  Topology topo(mesh_width, mesh_height, torus);
   for (const auto& [node, dir] : dead_links) {
     if (node >= num_nodes()) return err("dead_link node out of range");
     if (dir == Direction::kLocal) return err("cannot fail a local link");
-  }
-  for (const NodeId node : dead_routers) {
-    if (node >= num_nodes()) return err("dead_router node out of range");
+    if (!topo.has_neighbor(node, dir)) {
+      return err("dead_link " + std::to_string(node) + ":" + to_string(dir) +
+                 " is at the mesh edge: there is no link to fail");
+    }
+    topo.fail_link(node, dir);
   }
   for (std::size_t i = 0; i < storm_kills.size(); ++i) {
     const auto& k = storm_kills[i];
     if (k.node >= num_nodes()) return err("storm_kill node out of range");
     if (k.dir == Direction::kLocal) return err("cannot storm-kill a local link");
+    if (!topo.has_neighbor(k.node, k.dir)) {
+      return err("storm_kill " + std::to_string(k.node) + ":" +
+                 to_string(k.dir) +
+                 " is at the mesh edge: there is no link to kill");
+    }
     if (i > 0 && k.at < storm_kills[i - 1].at) {
       // Both kernels consume the schedule with a single cursor; an
       // out-of-order entry would silently never fire.
       return err("storm_kill schedule must be sorted by cycle");
     }
   }
-  if (faults.link_escalation_threshold < 0) {
-    return err("link_escalation_threshold must be >= 0");
-  }
-  if (!parse_test_mutation(test_mutation)) {
-    // A mistyped plant would otherwise silently plant nothing.
-    return err("unknown test_mutation \"" + test_mutation + "\"");
-  }
-  if (!dead_links.empty() || !dead_routers.empty()) {
-    int live = 0;
-    const int reached = live_reachable(*this, live);
-    if (live == 0) return err("dead_routers kill every router in the mesh");
-    if (reached != live) {
-      return err("dead links/routers partition the mesh: only " +
-                 std::to_string(reached) + " of " + std::to_string(live) +
-                 " live routers are mutually reachable");
-    }
-  }
+  if (!topo.connected()) return err("dead links partition the mesh");
   return std::nullopt;
 }
 
@@ -383,12 +313,6 @@ std::optional<std::string> apply_override(SimConfig& cfg,
       default: return bad();
     }
     cfg.dead_links.emplace_back(static_cast<NodeId>(node), d);
-  } else if (key == "dead_router") {
-    int node = 0;
-    if (!parse_int(val, node) || node < 0) return bad();
-    cfg.dead_routers.push_back(static_cast<NodeId>(node));
-  } else if (key == "link_escalation_threshold") {
-    if (!parse_int(val, cfg.faults.link_escalation_threshold)) return bad();
   } else if (key == "storm_kill") {
     // "cycle:node:dir" with dir in {N,E,S,W}.
     const auto c1 = val.find(':');

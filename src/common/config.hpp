@@ -95,13 +95,6 @@ struct FaultConfig {
   /// Probability a handshake signal (credit / NACK line) is upset per
   /// transfer. §4.6: TMR on the handshake lines votes these away.
   double handshake_error_rate = 0.0;
-  /// Permanent-fault escalation: after this many *consecutive*
-  /// uncorrectable upsets observed on one input link, the link is declared
-  /// hard-dead — the network drains the in-flight wormholes crossing it,
-  /// re-homes waiting packets and reroutes around it for the rest of the
-  /// run (unless killing it would partition the mesh, in which case the
-  /// link keeps limping). 0 disables escalation.
-  int link_escalation_threshold = 0;
 };
 
 /// Deadlock detection/recovery knobs (paper §3.2).
@@ -169,17 +162,15 @@ struct SimConfig {
   /// the physical channel). The paper models link outages as static state
   /// in the VA's link-state table (§4.2); adaptive routing detours around
   /// them, deterministic routing cannot. Override syntax: "dead_link=5:E"
-  /// (node 5's East link), repeatable.
+  /// (node 5's East link), repeatable. validate() rejects a link at a mesh
+  /// edge (there is no channel to fail) and any set that partitions the
+  /// mesh.
   std::vector<std::pair<NodeId, Direction>> dead_links;
-  /// Hard faults: routers dead from the start of the run. A dead router
-  /// injects no traffic, all four of its links are failed, and packets
-  /// addressed to it are dropped as unreachable at their current router.
-  /// Override syntax: "dead_router=5", repeatable.
-  std::vector<NodeId> dead_routers;
   /// A link kill scheduled mid-run (the fault-storm timeline): at cycle
   /// `at` the network hard-fails the channel leaving `node` through `dir`
-  /// exactly as a runtime escalation would — partition veto, drain on both
-  /// endpoints, route-epoch bump. Vetoed kills are skipped, never retried.
+  /// — partition veto, drain on both endpoints, route-epoch bump. Vetoed
+  /// kills are skipped, never retried; validate() rejects a kill at a mesh
+  /// edge.
   struct LinkKill {
     Cycle at = 0;
     NodeId node = 0;
@@ -271,11 +262,10 @@ struct SimConfig {
   }
 
   /// True when the run can contain hard (permanent) faults: static dead
-  /// links/routers, or runtime link escalation armed. Gates the fault-only
-  /// JSONL columns so fault-free output stays byte-identical.
+  /// links or scheduled storm kills. Gates the fault-only JSONL columns so
+  /// fault-free output stays byte-identical.
   bool has_permanent_faults() const {
-    return !dead_links.empty() || !dead_routers.empty() ||
-           !storm_kills.empty() || faults.link_escalation_threshold > 0;
+    return !dead_links.empty() || !storm_kills.empty();
   }
 
   /// Validates invariants (positive sizes, rates in [0,1], ...).

@@ -258,26 +258,12 @@ Network::Network(const SimConfig& cfg)
   // Hard faults: kill both directions of each configured physical link
   // (static outages, pre-programmed in the VA link-state tables per §4.2),
   // mirrored into the topology so route() switches to fault-aware mode.
+  // validate() has refused links at a mesh edge, so each one has a far end.
   for (const auto& [node, dir] : cfg_.dead_links) {
-    const auto nb = topo_.neighbor(node, dir);
-    if (!nb) continue;  // Already a mesh edge; nothing to fail.
+    const NodeId nb = *topo_.neighbor(node, dir);
     topo_.fail_link(node, dir);
     routers_[node]->fail_link(static_cast<PortId>(dir));
-    routers_[*nb]->fail_link(static_cast<PortId>(opposite(dir)));
-  }
-  // Dead routers: every attached link dies with the node, and the node's
-  // PE is never stepped (it can neither inject nor receive). The router
-  // and PE objects are still constructed so wiring, ids and the RNG fork
-  // order stay identical to the fault-free build.
-  for (const NodeId node : cfg_.dead_routers) {
-    for (int d = 0; d < 4; ++d) {
-      const auto dir = static_cast<Direction>(d);
-      const auto nb = topo_.neighbor(node, dir);
-      if (!nb || !topo_.link_alive(node, dir)) continue;
-      routers_[node]->fail_link(static_cast<PortId>(d));
-      routers_[*nb]->fail_link(static_cast<PortId>(opposite(dir)));
-    }
-    topo_.fail_router(node);
+    routers_[nb]->fail_link(static_cast<PortId>(opposite(dir)));
   }
 
   // Kernel selection (DESIGN.md §4.10). The reference model keeps no wake
@@ -303,7 +289,7 @@ Network::Network(const SimConfig& cfg)
       fast_routers_[i] = static_cast<Router*>(routers_[i].get());
     }
     // Everybody gets one initial step at cycle 0; routers that stay
-    // quiescent simply never re-arm (a dead node's router among them).
+    // quiescent simply never re-arm.
     auto& slot0 = wheel_[0];
     for (NodeId i = 0; i < n; ++i) slot0[i >> 6] |= 1ull << (i & 63);
   }
@@ -447,38 +433,32 @@ double Network::rtx_buffer_fraction() const {
   return slots ? static_cast<double>(occ) / static_cast<double>(slots) : 0.0;
 }
 
-bool Network::try_kill_link(NodeId n, Direction dir, bool storm) {
-  const auto nb = topo_.neighbor(n, dir);
-  if (!nb || !topo_.link_alive(n, dir)) return false;
+void Network::try_kill_link(NodeId n, Direction dir) {
+  if (!topo_.link_alive(n, dir)) return;  // Already dead.
   // Partition veto: the topology already reflects every kill accepted
   // earlier this same cycle (fail_link is applied per acceptance, below),
-  // so a batch of same-cycle requests is vetoed against the accepted set,
+  // so a batch of same-cycle kills is vetoed against the accepted set,
   // not against the pristine pre-batch topology.
-  if (topo_.would_partition(n, dir)) return false;  // Veto: limp on.
+  if (topo_.would_partition(n, dir)) return;  // Veto: limp on.
+  const NodeId nb = *topo_.neighbor(n, dir);
   topo_.fail_link(n, dir);
-  if (storm) {
-    stats_.on_storm_link_killed();
-  } else {
-    stats_.on_link_escalated();
-  }
+  stats_.on_storm_link_killed();
   routers_[n]->begin_link_drain(static_cast<PortId>(dir), now_);
-  routers_[*nb]->begin_link_drain(static_cast<PortId>(opposite(dir)), now_);
+  routers_[nb]->begin_link_drain(static_cast<PortId>(opposite(dir)), now_);
   if (!scan_kernel_) {
     // A granted kill puts both endpoints back on the schedule until their
     // drains complete.
     schedule(n, now_ + 1);
-    schedule(*nb, now_ + 1);
+    schedule(nb, now_ + 1);
   }
-  return true;
 }
 
 void Network::fire_storm_kills() {
-  // Vetoed kills are skipped, never retried — exactly the escalation
-  // path's limp-on behaviour.
+  // Vetoed kills are skipped, never retried: the link limps on.
   while (next_storm_kill_ < cfg_.storm_kills.size() &&
          cfg_.storm_kills[next_storm_kill_].at <= now_) {
     const auto& k = cfg_.storm_kills[next_storm_kill_++];
-    try_kill_link(k.node, k.dir, /*storm=*/true);
+    try_kill_link(k.node, k.dir);
   }
 }
 
@@ -488,14 +468,6 @@ void Network::release_due_trace() {
   while (trace_next_ < trace_.size() &&
          trace_[trace_next_].cycle <= now_) {
     const TraceRecord& r = trace_[trace_next_++];
-    if (!topo_.router_alive(r.src)) {
-      // A hard-dead source can never drive its injection wire; queueing
-      // the packet at its PE would leak it forever (and wedge
-      // run_to_drain). Count it and move on — mirrors how packets *to* a
-      // dead router are dropped as unreachable en route.
-      stats_.on_dead_source_drop();
-      continue;
-    }
     inject_packet(r.src, r.dest, r.length);
   }
 }
@@ -519,7 +491,6 @@ void Network::step() {
   // PEs step every cycle under both kernels (synthetic sources draw RNG
   // every cycle; a sourceless idle PE's step changes nothing).
   for (NodeId i = 0; i < static_cast<NodeId>(pes_.size()); ++i) {
-    if (!topo_.router_alive(i)) continue;  // Dead node: PE is off.
     if (pes_[i]->step(now_, next_packet_id_,
                       recovery_line_ || routers_[i]->in_recovery()) &&
         !scan_kernel_) {
@@ -539,27 +510,9 @@ void Network::step() {
     step_woken_routers();
   }
 
-  // Fault-storm timeline (§4.12): configured kills fire before the
-  // escalation poll so a storm cycle and an organic escalation compose in
-  // a fixed order.
+  // Fault-storm timeline (§4.12): configured kills fire after the
+  // routers step, in schedule order.
   fire_storm_kills();
-  // Runtime escalation (§4.9): promote links whose receivers report a
-  // sustained uncorrectable-error streak to hard-dead — unless the kill
-  // would partition the live mesh, in which case the link limps on (the
-  // streak re-arms and re-requests). Only stepped routers can have raised
-  // a request (the poll clears the set every cycle a router runs), and
-  // stepped_ is ascending, so both kernels and both router
-  // implementations see identical escalation sequences.
-  if (cfg_.faults.link_escalation_threshold > 0) {
-    for (const NodeId i : stepped_) {
-      const std::uint8_t reqs = routers_[i]->take_escalation_requests();
-      if (reqs == 0) continue;
-      for (int d = 0; d < 4; ++d) {
-        if ((reqs & (1u << d)) == 0) continue;
-        try_kill_link(i, static_cast<Direction>(d), /*storm=*/false);
-      }
-    }
-  }
   // Buffer-utilization sampling (dropped before the measurement window).
   // Integer totals are order-independent, so they divide to a full scan's
   // exact doubles.
@@ -787,7 +740,7 @@ void Network::run_invariant_walks() {
   for (auto& r : routers_) r->check_local_invariants(now_);
 
   // No flit ever travels a hard-failed link. Keyed off the *router's* dead
-  // bit, not the topology: a link draining toward escalation is still
+  // bit, not the topology: a link draining after a storm kill is still
   // legitimately carrying its last wormhole, and the router only reports
   // the port dead once its barrel proves the wire clear.
   for (NodeId i = 0; i < topo_.num_nodes(); ++i) {

@@ -16,6 +16,7 @@
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
+#include "common/topology.hpp"
 #include "common/types.hpp"
 #include "core/fault_injector.hpp"
 #include "core/flit.hpp"
@@ -23,7 +24,6 @@
 #include "noc/router.hpp"
 #include "noc/router_iface.hpp"
 #include "noc/stats.hpp"
-#include "noc/topology.hpp"
 #include "noc/trace.hpp"
 #include "noc/traffic.hpp"
 #include "power/energy_model.hpp"
@@ -181,10 +181,7 @@ class Network {
   void on_eject(NodeId dest, const Flit& f, Cycle now);
   void fire_due_events();
   /// Releases every trace record due this cycle into its source PE's
-  /// queue. Records whose source router is hard-dead are counted as
-  /// dead-source drops instead of being queued at a PE that can never
-  /// drain (the packet would otherwise silently wedge the drain
-  /// condition).
+  /// queue.
   void release_due_trace();
   /// Accumulates the per-link forwarded/stalled counters from the settled
   /// post-tick wire state (cfg_.link_stats only, measurement window only).
@@ -218,15 +215,14 @@ class Network {
   void schedule(NodeId n, Cycle due);
   /// Adds a wire to the tick list (dedup'd); it stays until it settles.
   void mark_wire_live(std::uint32_t wid);
-  /// Kills link (`n`, `dir`) unless the kill would partition the live
-  /// mesh: fails it in the topology (bumping the route epoch), counts it
-  /// (escalation or storm), and starts draining both endpoint routers.
+  /// Kills link (`n`, `dir`) unless it is already dead or the kill would
+  /// partition the mesh: fails it in the topology (bumping the route
+  /// epoch), counts it, and starts draining both endpoint routers.
   /// Same-cycle kills compose sequentially — the topology already holds
   /// every previously accepted kill when the next veto is evaluated, so a
-  /// batch of requests that are individually safe but jointly partitioning
+  /// batch of kills that are individually safe but jointly partitioning
   /// is trimmed to a safe prefix (tests/test_fault_model.cpp pins this).
-  /// Returns whether the kill was accepted.
-  bool try_kill_link(NodeId n, Direction dir, bool storm);
+  void try_kill_link(NodeId n, Direction dir);
   /// Fires every cfg_.storm_kills entry due by now_ (single cursor).
   void fire_storm_kills();
   std::uint32_t local_wire_id(NodeId n) const {
@@ -313,9 +309,9 @@ class Network {
   std::array<std::vector<std::uint64_t>, kWheelSize> wheel_;
   /// Timers beyond the wheel horizon, spilled back in as now_ approaches.
   std::map<Cycle, std::vector<NodeId>> far_due_;
-  /// Routers stepped this cycle, ascending — feeds the escalation poll and
-  /// the recovery-line OR (both order- or membership-sensitive). The scan
-  /// kernel fills it once with every node.
+  /// Routers stepped this cycle, ascending — feeds the recovery-line OR
+  /// (membership-sensitive). The scan kernel fills it once with every
+  /// node.
   std::vector<NodeId> stepped_;
   /// Wires with signals in flight: id < link_wires_.size() is a link wire,
   /// else a local (PE) wire. Mask is the dedup bitset for the list.

@@ -97,8 +97,6 @@ void ReferenceRouter::begin_link_drain(PortId p, Cycle now) {
   FTNOC_CHECK(p < num_ports_ && p != kLocalPort);
   if (link_dead_[p] || (draining_ & port_bit(p)) != 0) return;
   draining_ |= port_bit(p);
-  uncorrectable_streak_[p] = 0;
-  escalation_requests_ &= static_cast<std::uint8_t>(~port_bit(p));
   for (int g = 0; g < num_ports_ * num_vcs_; ++g) {
     auto& vc = inputs_[static_cast<std::size_t>(g)];
     if (vc.state != VcState::kVaWait) continue;
@@ -320,14 +318,6 @@ void ReferenceRouter::handle_incoming_flit(PortId p, Flit f, Cycle now) {
             c == FlitCheck::kUncorrectable ||
             (cfg_.ecc_detect_only && c == FlitCheck::kCorrected);
         if (must_retransmit) {
-          if (cfg_.faults.link_escalation_threshold > 0 && !link_dead_[p] &&
-              (draining_ & port_bit(p)) == 0) {
-            if (++uncorrectable_streak_[p] >= static_cast<std::uint32_t>(
-                    cfg_.faults.link_escalation_threshold)) {
-              escalation_requests_ |= port_bit(p);
-              uncorrectable_streak_[p] = 0;
-            }
-          }
           if (stats_) stats_->on_nack_sent();
           pending_nacks_.push_back({p, f.vc, now + 1});
           // The reference model never applies test mutations: a 4-stage
@@ -339,9 +329,6 @@ void ReferenceRouter::handle_incoming_flit(PortId p, Flit f, Cycle now) {
         }
         if (c == FlitCheck::kCorrected) {
           if (stats_) stats_->on_link_single_corrected();
-        }
-        if (cfg_.faults.link_escalation_threshold > 0) {
-          uncorrectable_streak_[p] = 0;
         }
         break;
       }
@@ -1345,7 +1332,6 @@ std::uint64_t ReferenceRouter::state_digest() const {
     }
     h.mix(link_dead_[p]);
     h.mix((draining_ & port_bit(p)) != 0);
-    h.mix(static_cast<std::uint64_t>(uncorrectable_streak_[p]));
     h.mix(static_cast<std::uint64_t>(sa_in_arbs_.at(p).last_grant()));
     h.mix(static_cast<std::uint64_t>(sa_out_arbs_.at(p).last_grant()));
     h.mix(static_cast<std::uint64_t>(replay_arbs_.at(p).last_grant()));

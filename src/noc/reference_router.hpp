@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/topology.hpp"
 #include "common/types.hpp"
 #include "core/allocation_comparator.hpp"
 #include "core/deadlock.hpp"
@@ -44,7 +45,6 @@
 #include "noc/router_iface.hpp"
 #include "noc/routing.hpp"
 #include "noc/stats.hpp"
-#include "noc/topology.hpp"
 #include "power/energy_model.hpp"
 
 namespace ftnoc {
@@ -78,15 +78,7 @@ class ReferenceRouter final : public RouterIface {
   int credit_budget(PortId p, VcId v) const override;
 
   bool link_failed(PortId p) const override { return link_dead_[p]; }
-  std::uint8_t take_escalation_requests() override {
-    const std::uint8_t r = escalation_requests_;
-    escalation_requests_ = 0;
-    return r;
-  }
   void begin_link_drain(PortId p, Cycle now) override;
-  void request_escalation(PortId p) override {
-    escalation_requests_ |= port_bit(p);
-  }
 
  private:
   enum class VcState : std::uint8_t {
@@ -231,8 +223,6 @@ class ReferenceRouter final : public RouterIface {
   std::array<bool, kNumDirections> link_dead_{};
 
   std::uint8_t draining_ = 0;
-  std::array<std::uint32_t, kNumDirections> uncorrectable_streak_{};
-  std::uint8_t escalation_requests_ = 0;
   /// Last Topology::route_epoch() reconciled (mirrors Router; not part of
   /// state_digest for the same observability reasons).
   std::uint32_t route_epoch_seen_ = 0;

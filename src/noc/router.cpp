@@ -147,8 +147,6 @@ void Router::begin_link_drain(PortId p, Cycle now) {
   FTNOC_CHECK(p < num_ports_ && p != kLocalPort);
   if (link_dead_[p] || (draining_ & port_bit(p)) != 0) return;
   draining_ |= port_bit(p);
-  uncorrectable_streak_[p] = 0;
-  escalation_requests_ &= static_cast<std::uint8_t>(~port_bit(p));
   // Re-home heads still waiting for an output VC on the dying port: strip
   // it from their candidate sets; a head left with no candidates goes back
   // to RT, where the (now fault-aware) route detours it. Established
@@ -524,18 +522,6 @@ void Router::handle_incoming_flit(PortId p, Flit& f, Cycle now) {
             c == FlitCheck::kUncorrectable ||
             (cfg_.ecc_detect_only && c == FlitCheck::kCorrected);
         if (must_retransmit) {
-          // Runtime escalation (§4.9): a long-enough streak of detected
-          // uncorrectable errors on one link marks it flaky-to-dead; the
-          // Network polls the request, vetoes partitioning kills, and
-          // starts the drain on both endpoints.
-          if (cfg_.faults.link_escalation_threshold > 0 && !link_dead_[p] &&
-              (draining_ & port_bit(p)) == 0) {
-            if (++uncorrectable_streak_[p] >= static_cast<std::uint32_t>(
-                    cfg_.faults.link_escalation_threshold)) {
-              escalation_requests_ |= port_bit(p);
-              uncorrectable_streak_[p] = 0;
-            }
-          }
           // Detected flit error: drop, NACK one cycle later (the check
           // stage), and drop the in-flight followers (two for the paper's
           // 3-cycle loop, Figure 4; three when the sender has a dedicated
@@ -554,11 +540,6 @@ void Router::handle_incoming_flit(PortId p, Flit& f, Cycle now) {
         }
         if (c == FlitCheck::kCorrected) {
           if (stats_) stats_->on_link_single_corrected();
-        }
-        // A cleanly received flit breaks the uncorrectable streak: only
-        // *consecutive* failures escalate (transient noise does not).
-        if (cfg_.faults.link_escalation_threshold > 0) {
-          uncorrectable_streak_[p] = 0;
         }
         break;
       }
@@ -1262,9 +1243,10 @@ void Router::phase_rt(Cycle now) {
         correct = route_fault_free(topo_, cfg_.routing, id_, dest);
       }
       if (correct == 0) {
-        // No live path to dest (partitioned by escalations, or the dest
-        // router itself is dead): drop the packet rather than wedge the
-        // VC forever — graceful degradation, accounted per packet.
+        // No live path to dest (the fault set partitions the mesh, which
+        // validate() and the storm-kill veto both refuse): drop the packet
+        // rather than wedge the VC forever — graceful degradation,
+        // accounted per packet.
         if (stats_) stats_->on_unreachable_drop();
         vc.state = VcState::kDraining;
         vc.state_since = now;
@@ -1976,7 +1958,6 @@ std::uint64_t Router::state_digest() const {
     }
     h.mix(link_dead_[p]);
     h.mix((draining_ & port_bit(p)) != 0);
-    h.mix(static_cast<std::uint64_t>(uncorrectable_streak_[p]));
     h.mix(static_cast<std::uint64_t>(sa_in_arbs_.at(p).last_grant()));
     h.mix(static_cast<std::uint64_t>(sa_out_arbs_.at(p).last_grant()));
     h.mix(static_cast<std::uint64_t>(replay_arbs_.at(p).last_grant()));

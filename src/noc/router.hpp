@@ -30,6 +30,7 @@
 
 #include "common/config.hpp"
 #include "common/inline_vec.hpp"
+#include "common/topology.hpp"
 #include "common/types.hpp"
 #include "core/allocation_comparator.hpp"
 #include "core/deadlock.hpp"
@@ -44,7 +45,6 @@
 #include "noc/router_iface.hpp"
 #include "noc/routing.hpp"
 #include "noc/stats.hpp"
-#include "noc/topology.hpp"
 #include "power/energy_model.hpp"
 
 namespace ftnoc {
@@ -106,17 +106,9 @@ class Router final : public RouterIface {
   int held_credits(PortId p, VcId v) const override;
   int credit_budget(PortId p, VcId v) const override;
 
-  // --- Permanent-fault escalation (DESIGN.md §4.9) ------------------------
+  // --- Permanent link faults (DESIGN.md §4.9) -----------------------------
   bool link_failed(PortId p) const override { return link_dead_[p]; }
-  std::uint8_t take_escalation_requests() override {
-    const std::uint8_t r = escalation_requests_;
-    escalation_requests_ = 0;
-    return r;
-  }
   void begin_link_drain(PortId p, Cycle now) override;
-  void request_escalation(PortId p) override {
-    escalation_requests_ |= port_bit(p);
-  }
 
   // --- Event-driven scheduling (DESIGN.md §4.10) --------------------------
   /// Wake bookkeeping of the step() that just ran: which wires were
@@ -238,7 +230,7 @@ class Router final : public RouterIface {
   bool port_has_neighbor(PortId p) const;
   /// Neighbour exists and the link is not hard-failed.
   bool port_usable(PortId p) const;
-  /// Usable and not draining toward escalation: the gate for *new*
+  /// Usable and not draining toward hard failure: the gate for *new*
   /// commitments (VA requests, deadlock waiters, RT-fault misdirections).
   /// In-flight wormholes keep using a draining port until their tail.
   bool port_allocatable(PortId p) const {
@@ -377,17 +369,12 @@ class Router final : public RouterIface {
   std::array<bool, kNumDirections> port_busy_{};     // per-cycle ST usage
   std::array<bool, kNumDirections> link_dead_{};     // hard faults (4.2)
 
-  // --- Runtime link escalation (§4.9) -------------------------------------
+  // --- Mid-run link kills (§4.9) -------------------------------------------
   /// Ports draining toward hard-failure: no new allocations; once the
   /// port's output VCs and staged register fall idle it becomes dead.
   std::uint8_t draining_ = 0;
-  /// Consecutive uncorrectable receive errors per input port; a streak of
-  /// cfg_.faults.link_escalation_threshold raises an escalation request.
-  std::array<std::uint32_t, kNumDirections> uncorrectable_streak_{};
-  /// Ports whose streak crossed the threshold since the last Network poll.
-  std::uint8_t escalation_requests_ = 0;
   /// Last Topology::route_epoch() this router reconciled against. When the
-  /// topology's epoch moves (an accepted escalation or storm kill), step()
+  /// topology's epoch moves (an accepted storm kill), step()
   /// re-homes every kVaWait candidate set against the fresh distance tables
   /// before allocating (DESIGN.md §4.12). Deliberately NOT part of
   /// state_digest(): it is unobservable for quiescent routers, and folding

@@ -203,20 +203,12 @@ class RouterIface {
   /// private_vc.
   virtual int credit_budget(PortId p, VcId v) const = 0;
 
-  // --- Permanent-fault escalation (DESIGN.md §4.9) ------------------------
+  // --- Permanent link faults (DESIGN.md §4.9) -----------------------------
   /// True once port `p` has been marked hard-failed (static config or a
-  /// completed runtime escalation). The invariant monitor's dead-link walk
+  /// completed storm-kill drain). The invariant monitor's dead-link walk
   /// keys off this rather than the topology so a draining link is not a
   /// false positive.
   virtual bool link_failed(PortId) const { return false; }
-  /// Ports whose uncorrectable-error streak crossed the escalation
-  /// threshold since the last poll, as a bitmask; clears the pending set.
-  virtual std::uint8_t take_escalation_requests() { return 0; }
-  /// Test seam modelling a BIST/wearout monitor flagging port `p` as
-  /// failing: queues it for the next escalation poll exactly as a crossed
-  /// uncorrectable-error streak would. Lets tests raise several same-cycle
-  /// requests and pin the network's sequential partition-veto semantics.
-  virtual void request_escalation(PortId) {}
   /// Begins draining link port `p`: no new allocations toward it; once the
   /// port falls idle the router marks it hard-failed. Re-homes packets
   /// still waiting on it (they re-route, counted as packets_rerouted).

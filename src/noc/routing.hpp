@@ -12,8 +12,8 @@
 #include <cstdint>
 
 #include "common/config.hpp"
+#include "common/topology.hpp"
 #include "common/types.hpp"
-#include "noc/topology.hpp"
 
 namespace ftnoc {
 

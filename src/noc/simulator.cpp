@@ -40,8 +40,7 @@ SimResults Simulator::run() {
   // instead of counting ejections against total_messages. Meant for pure
   // trace-driven runs (injection_rate = 0); a live synthetic source keeps
   // creating packets and the drain condition then only closes the run at
-  // max_cycles. Dead-source drops never enter packets_created, so they
-  // need no term here.
+  // max_cycles.
   const bool drain_mode = cfg_.run_to_drain && net.trace_loaded();
   auto drained = [&]() {
     return net.trace_drained() &&

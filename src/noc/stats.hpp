@@ -21,8 +21,8 @@ enum class CounterWindow { kMeasured, kWholeRun };
 /// of every result line (and of campaign journal replica lines); the others
 /// appear only for configs that can move them, so older key sets stay
 /// byte-identical: has_permanent_faults(), a non-empty storm_kills
-/// timeline, has_workload().
-enum class CounterGate { kAlways, kPermanentFaults, kStormKills, kWorkload };
+/// timeline.
+enum class CounterGate { kAlways, kPermanentFaults, kStormKills };
 
 // The event-counter table: X(name, window, gate), in JSONL key order. Each
 // entry becomes a StatsCollector accessor and a SimResults field of the
@@ -53,9 +53,7 @@ enum class CounterGate { kAlways, kPermanentFaults, kStormKills, kWorkload };
   X(flits_absorbed, kMeasured, kAlways)                   \
   X(packets_rerouted, kWholeRun, kPermanentFaults)        \
   X(unreachable_drops, kWholeRun, kPermanentFaults)       \
-  X(links_escalated, kWholeRun, kPermanentFaults)         \
-  X(links_storm_killed, kWholeRun, kStormKills)           \
-  X(dead_source_drops, kWholeRun, kWorkload)
+  X(links_storm_killed, kWholeRun, kStormKills)
 
 /// A table entry's index into the collector's counts.
 enum class Counter : std::size_t {
@@ -136,15 +134,9 @@ class StatsCollector {
   void on_packet_rerouted() { count(Counter::packets_rerouted); }
   /// A packet was dropped because no live path to its destination exists.
   void on_unreachable_drop() { count(Counter::unreachable_drops); }
-  /// A flaky link crossed the escalation threshold and was declared dead.
-  void on_link_escalated() { count(Counter::links_escalated); }
   /// A configured fault-storm kill fired (accepted past the partition
-  /// veto) — counted separately from organic escalations.
+  /// veto).
   void on_storm_link_killed() { count(Counter::links_storm_killed); }
-  /// A trace/workload record whose source router is hard-dead was dropped
-  /// at release time (it was never created, so it does not count against
-  /// packets_created_).
-  void on_dead_source_drop() { count(Counter::dead_source_drops); }
 
   // Deadlock events.
   void on_probe_sent() { count(Counter::probes_sent); }

@@ -18,8 +18,8 @@
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
+#include "common/topology.hpp"
 #include "common/types.hpp"
-#include "noc/topology.hpp"
 
 namespace ftnoc {
 

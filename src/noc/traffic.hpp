@@ -8,9 +8,9 @@
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
+#include "common/topology.hpp"
 #include "common/types.hpp"
 #include "core/flit.hpp"
-#include "noc/topology.hpp"
 
 namespace ftnoc {
 

@@ -32,7 +32,6 @@ bool gated_column_on(CounterGate g, const SimConfig& c) {
     case CounterGate::kAlways: return false;
     case CounterGate::kPermanentFaults: return c.has_permanent_faults();
     case CounterGate::kStormKills: return !c.storm_kills.empty();
-    case CounterGate::kWorkload: return c.has_workload();
   }
   return false;
 }
@@ -116,15 +115,7 @@ void append_config_fields(JsonRecord& o, const SimConfig& c) {
       links += ':';
       links += to_string(dir);
     }
-    std::string routers;
-    for (const NodeId node : c.dead_routers) {
-      if (!routers.empty()) routers += ',';
-      routers += std::to_string(node);
-    }
     o.str("dead_links", links);
-    o.str("dead_routers", routers);
-    o.u64("link_escalation_threshold",
-          static_cast<std::uint64_t>(c.faults.link_escalation_threshold));
   }
   // Same gating idea for the buffer-policy columns: default private_vc
   // lines keep the pre-policy key set byte-for-byte (golden digests), and

@@ -275,8 +275,6 @@ std::vector<SweepPoint> fault_storm_points(const SimConfig& base) {
     pt.config.deadlock.enable_recovery = true;
     pt.config.deadlock.probe_threshold = 32;
     pt.config.deadlock.probe_backoff = 17;
-    // Escalation machinery armed so storm kills and organic escalations
-    // share the drain path (no error process here, so only storms fire).
     pt.config.total_messages =
         std::min<std::uint64_t>(pt.config.total_messages, 20'000);
     pt.config.warmup_messages =

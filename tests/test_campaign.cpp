@@ -441,9 +441,10 @@ TEST(CounterTable, ToJsonlEmitsEveryCounterOnlyUnderItsGate) {
   SimConfig cfg = tiny_config();
   expect_columns(cfg, {});
 
+  // A workload opens no counter gate of its own.
   SimConfig workload = cfg;
   workload.workload_text = "all_to_all background start=0 flits=4\n";
-  expect_columns(workload, {CounterGate::kWorkload});
+  expect_columns(workload, {});
 
   // A storm timeline is a permanent fault too, so its gate never opens
   // alone; a static dead link opens only the permanent-fault gate.
@@ -453,7 +454,7 @@ TEST(CounterTable, ToJsonlEmitsEveryCounterOnlyUnderItsGate) {
   cfg.storm_kills.push_back({100, 6, Direction::kSouth});
   cfg.workload_text = workload.workload_text;
   expect_columns(cfg, {CounterGate::kPermanentFaults,
-                       CounterGate::kStormKills, CounterGate::kWorkload});
+                       CounterGate::kStormKills});
 }
 
 // ---------------------------------------------------------------------------

@@ -177,6 +177,38 @@ TEST(Config, RejectsDeletedVoqPolicy) {
   EXPECT_EQ(cfg.buffer_policy, BufferPolicyKind::kDamq);
 }
 
+TEST(Config, RejectsDeadLinkAtMeshEdge) {
+  // Node 0's West port has no neighbour on a 2x2 mesh: there is no link
+  // to fail, and the fault used to vanish silently at runtime.
+  SimConfig cfg;
+  cfg.mesh_width = 2;
+  cfg.mesh_height = 2;
+  ASSERT_EQ(apply_override(cfg, "dead_link=0:W"), std::nullopt);
+  const auto err = cfg.validate();
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("dead_link 0:W"), std::string::npos) << *err;
+  EXPECT_NE(err->find("mesh edge"), std::string::npos) << *err;
+  // The same port wraps around on a torus, so the link exists there.
+  cfg.torus = true;
+  EXPECT_EQ(cfg.validate(), std::nullopt);
+  cfg.torus = false;
+  cfg.dead_links = {{0, Direction::kEast}};
+  EXPECT_EQ(cfg.validate(), std::nullopt);
+}
+
+TEST(Config, RejectsStormKillAtMeshEdge) {
+  SimConfig cfg;
+  cfg.mesh_width = 2;
+  cfg.mesh_height = 2;
+  ASSERT_EQ(apply_override(cfg, "storm_kill=5:0:N"), std::nullopt);
+  const auto err = cfg.validate();
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("storm_kill 0:N"), std::string::npos) << *err;
+  EXPECT_NE(err->find("mesh edge"), std::string::npos) << *err;
+  cfg.storm_kills[0].dir = Direction::kSouth;
+  EXPECT_EQ(cfg.validate(), std::nullopt);
+}
+
 TEST(Config, DamqRelaxesEq1ViaEffectiveDepth) {
   // depth=2, rtx=3, packet_length=5: nominal T+R = 5 fails Eq. (1)
   // (bound 5), but damq's effective per-VC depth K + V*(depth-K) =

@@ -21,11 +21,11 @@
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
+#include "common/topology.hpp"
 #include "core/flit.hpp"
 #include "noc/reference_router.hpp"
 #include "noc/router.hpp"
 #include "noc/stats.hpp"
-#include "noc/topology.hpp"
 
 namespace ftnoc {
 namespace {

@@ -1,8 +1,7 @@
 // Permanent-fault model (DESIGN.md §4.9): fault-aware routing against an
 // independent BFS oracle on random faulted meshes, partition rejection,
-// runtime link escalation, dead routers and graceful degradation, plus the
-// unmeasured-replica and estimator edge-case regressions that shipped with
-// the fault model.
+// the storm-kill partition veto and graceful degradation, plus the
+// unmeasured-replica regression that shipped with the fault model.
 
 #include <gtest/gtest.h>
 
@@ -10,10 +9,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "noc/network.hpp"
+#include "common/topology.hpp"
 #include "noc/routing.hpp"
 #include "noc/simulator.hpp"
-#include "noc/topology.hpp"
 #include "sweep/jsonl.hpp"
 #include "sweep/presets.hpp"
 #include "sweep/sweep.hpp"
@@ -26,7 +24,6 @@ namespace {
 std::vector<int> oracle_distances(const Topology& topo, NodeId dest) {
   const int n = topo.num_nodes();
   std::vector<int> dist(static_cast<std::size_t>(n), -1);
-  if (!topo.router_alive(dest)) return dist;
   std::vector<NodeId> frontier{dest};
   dist[dest] = 0;
   while (!frontier.empty()) {
@@ -51,7 +48,7 @@ TEST(FaultModelProperty, RouteStrictlyDescendsOnRandomFaultedMeshes) {
   for (int trial = 0; trial < 25; ++trial) {
     Topology topo(8, 8, false);
     // Plant up to 4 random dead links, rejecting any draw that would
-    // partition the mesh (mirroring the escalation veto), so every pair
+    // partition the mesh (mirroring the storm-kill veto), so every pair
     // stays connected and the non-empty-mask property must hold.
     const int want = static_cast<int>(rng.next_below(5));
     int placed = 0;
@@ -200,35 +197,36 @@ TEST(Topology, RouteEpochBumpsAndLazyRowsStayExact) {
 }
 
 TEST(FaultEscalation, JointlyPartitioningRequestsTrimToSafePrefix) {
-  // Regression for the batched-veto bug (PR 8): two same-cycle escalation
-  // requests that are each safe alone but jointly isolate a node must be
+  // Regression for the batched-veto bug (PR 8): two same-cycle storm
+  // kills that are each safe alone but jointly isolate a node must be
   // trimmed to a safe prefix, not both granted. On a 2x2 mesh, node 0's
   // East and South links each leave the mesh connected — killing both
   // cuts node 0 off entirely.
   SimConfig cfg;
   cfg.mesh_width = 2;
   cfg.mesh_height = 2;
-  cfg.injection_rate = 0.0;
   cfg.warmup_messages = 0;
-  cfg.total_messages = 1;
-  cfg.faults.link_escalation_threshold = 1;  // Arm the escalation poll.
+  cfg.total_messages = 200;
+  cfg.max_cycles = 100'000;
+  cfg.check_invariants = true;
+  cfg.storm_kills.push_back({5, 0, Direction::kEast});
+  cfg.storm_kills.push_back({5, 0, Direction::kSouth});
   for (const bool force_scan : {true, false}) {
     cfg.force_scan_kernel = force_scan;
-    Network net(cfg);
-    net.stats().begin_measurement(0);
-    net.router_base(0).request_escalation(
-        static_cast<PortId>(Direction::kEast));
-    net.router_base(0).request_escalation(
-        static_cast<PortId>(Direction::kSouth));
-    for (int c = 0; c < 4; ++c) net.step();
-    EXPECT_EQ(net.stats().links_escalated(), 1u)
+    Simulator sim(cfg);
+    const SimResults r = sim.run();
+    EXPECT_EQ(r.links_storm_killed, 1u)
         << "exactly one of the two jointly-partitioning kills may land "
         << "(force_scan=" << force_scan << ")";
-    const bool east_dead = !net.topology().link_alive(0, Direction::kEast);
-    const bool south_dead = !net.topology().link_alive(0, Direction::kSouth);
-    EXPECT_NE(east_dead, south_dead);
-    EXPECT_NE(net.topology().fault_distance(0, 3), Topology::kUnreachable)
+    const Topology& topo = sim.network().topology();
+    EXPECT_FALSE(topo.link_alive(0, Direction::kEast))
+        << "the first kill of the batch is the one accepted";
+    EXPECT_TRUE(topo.link_alive(0, Direction::kSouth));
+    EXPECT_NE(topo.fault_distance(0, 3), Topology::kUnreachable)
         << "the veto let the batch partition the mesh";
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.messages_ejected, 200u);
+    EXPECT_EQ(r.unreachable_drops, 0u);
   }
 }
 
@@ -249,13 +247,20 @@ TEST(FaultModelProperty, ValidateRejectsPartitioningFaultSets) {
   cfg.dead_links.pop_back();
   EXPECT_EQ(cfg.validate(), std::nullopt);
 
-  // A dead router may isolate a live one just as well: kill node 1's
-  // three other neighbours and its column link, leaving 1 alive but cut.
+  // Four dead links around interior node 5 cut it off as an island.
   SimConfig island;
   island.mesh_width = 4;
   island.mesh_height = 4;
-  island.dead_routers = {0, 2, 5};
-  EXPECT_TRUE(island.validate().has_value());
+  for (const Direction d : {Direction::kNorth, Direction::kEast,
+                            Direction::kSouth, Direction::kWest}) {
+    island.dead_links.push_back({5, d});
+  }
+  const auto island_err = island.validate();
+  ASSERT_TRUE(island_err.has_value());
+  EXPECT_NE(island_err->find("partition"), std::string::npos);
+  // Three of the four leave it reachable.
+  island.dead_links.pop_back();
+  EXPECT_EQ(island.validate(), std::nullopt);
 }
 
 TEST(FaultDegradationPreset, GridIsValidAtPaperAndSmokeScales) {
@@ -376,72 +381,6 @@ TEST(HardFaults, ConnectedPairsNeverDropUnreachable) {
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.unreachable_drops, 0u);
   EXPECT_EQ(r.corrupted_delivered, 0u);
-}
-
-TEST(HardFaults, PacketsToDeadRouterDropAsUnreachable) {
-  SimConfig cfg;
-  cfg.mesh_width = 4;
-  cfg.mesh_height = 4;
-  cfg.routing = RoutingAlgorithm::kMinimalAdaptive;
-  cfg.deadlock.enable_recovery = true;
-  cfg.injection_rate = 0.0;
-  cfg.warmup_messages = 0;
-  cfg.total_messages = 10;
-  cfg.max_cycles = 50'000;
-  cfg.check_invariants = true;
-  cfg.dead_routers = {5};
-  Simulator sim(cfg);
-  for (int i = 0; i < 10; ++i) {
-    sim.network().inject_packet(0, 5, 4);   // Dead destination.
-    sim.network().inject_packet(0, 15, 4);  // Live destination.
-  }
-  const SimResults r = sim.run();
-  EXPECT_TRUE(r.completed);  // The 10 live-destination packets eject.
-  EXPECT_EQ(r.messages_ejected, 10u);
-  EXPECT_EQ(r.unreachable_drops, 10u);
-}
-
-TEST(FaultEscalation, RepeatedUncorrectableUpsetsRetireTheLink) {
-  // Every link error is multi-bit (uncorrectable under HBH's SEC), at a
-  // rate high enough that busy links see consecutive-failure streaks:
-  // escalation must retire at least one link, the partition veto must
-  // keep the fabric connected, and every packet must still deliver.
-  SimConfig cfg;
-  cfg.mesh_width = 4;
-  cfg.mesh_height = 4;
-  cfg.routing = RoutingAlgorithm::kMinimalAdaptive;
-  cfg.deadlock.enable_recovery = true;
-  cfg.protection = LinkProtection::kHbh;
-  cfg.injection_rate = 0.15;
-  cfg.warmup_messages = 0;
-  cfg.total_messages = 1'000;
-  cfg.max_cycles = 1'000'000;
-  cfg.check_invariants = true;
-  cfg.faults.link_error_rate = 0.5;
-  cfg.faults.multi_bit_fraction = 1.0;
-  cfg.faults.link_escalation_threshold = 3;
-  const SimResults r = run_simulation(cfg);
-  EXPECT_TRUE(r.completed);
-  EXPECT_GT(r.links_escalated, 0u);
-  EXPECT_EQ(r.unreachable_drops, 0u);
-  EXPECT_EQ(r.corrupted_delivered, 0u);
-}
-
-TEST(FaultEscalation, DisarmedThresholdNeverEscalates) {
-  SimConfig cfg;
-  cfg.mesh_width = 4;
-  cfg.mesh_height = 4;
-  cfg.protection = LinkProtection::kHbh;
-  cfg.injection_rate = 0.15;
-  cfg.warmup_messages = 0;
-  cfg.total_messages = 500;
-  cfg.max_cycles = 1'000'000;
-  cfg.faults.link_error_rate = 0.5;
-  cfg.faults.multi_bit_fraction = 1.0;
-  const SimResults r = run_simulation(cfg);
-  EXPECT_TRUE(r.completed);
-  EXPECT_EQ(r.links_escalated, 0u);
-  EXPECT_EQ(r.packets_rerouted, 0u);
 }
 
 // --- Unmeasured-replica regression (the warm-up bug fix) --------------------

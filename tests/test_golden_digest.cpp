@@ -99,12 +99,12 @@ TEST(GoldenDigest, PerfPresetByteIdentical) {
 }
 
 // The fault_degradation preset is the only family that exercises the
-// permanent-fault machinery (dead links/routers, escalation, drain and
-// re-home, fault-gated JSONL columns); without a pin, a regression there
-// is invisible to the other four digests.
+// static permanent-fault machinery (dead links, fault-aware routing,
+// fault-gated JSONL columns); without a pin, a regression there is
+// invisible to the other four digests.
 TEST(GoldenDigest, FaultDegradationPresetByteIdentical) {
   const std::uint64_t h = preset_digest("fault_degradation");
-  EXPECT_EQ(h, 0x25ea38446e16903bull)
+  EXPECT_EQ(h, 0xb120c92882680d7dull)
       << "fault_degradation JSONL digest moved: 0x" << std::hex << h
       << " — the simulation is no longer byte-identical to the pinned run";
 }
@@ -116,7 +116,7 @@ TEST(GoldenDigest, FaultDegradationPresetByteIdentical) {
 // in any of that machinery.
 TEST(GoldenDigest, FaultStormPresetByteIdentical) {
   const std::uint64_t h = preset_digest("fault_storm");
-  EXPECT_EQ(h, 0xefb6ac3800a9efafull)
+  EXPECT_EQ(h, 0xde51621525d980dfull)
       << "fault_storm JSONL digest moved: 0x" << std::hex << h
       << " — the simulation is no longer byte-identical to the pinned run";
 }
@@ -224,7 +224,7 @@ TEST(GoldenDigest, DamqAtFullReserveMatchesPrivateVc) {
 // most of the fabric is idle most cycles, exactly where the event
 // kernel's wake rules can silently diverge from the scan kernel.
 TEST(GoldenDigest, LargeMeshPresetByteIdenticalBothKernels) {
-  constexpr std::uint64_t kPinned = 0x322374cf17a9ac04ull;
+  constexpr std::uint64_t kPinned = 0x8969035bbec46951ull;
   const std::uint64_t event_h = preset_digest("large_mesh");
   EXPECT_EQ(event_h, kPinned)
       << "large_mesh JSONL digest moved (event kernel): 0x" << std::hex
@@ -253,14 +253,14 @@ TEST(GoldenDigest, BufferAblationPresetByteIdentical) {
 
 // The workload_hotspot preset is the only pinned family that runs the
 // workload/replay machinery end to end: text-workload expansion,
-// timer-driven trace release, run-to-drain termination, dead-source
-// drops and the per-link utilization columns (the one pinned stream
-// where link_stats is ON — proving the accounting itself is
-// deterministic, while the unchanged digests above prove that default
-// runs don't carry the columns). Pinned under BOTH kernels: trace
-// release is pure timer wake-up, the event kernel's hardest case.
+// timer-driven trace release, run-to-drain termination and the per-link
+// utilization columns (the one pinned stream where link_stats is ON —
+// proving the accounting itself is deterministic, while the unchanged
+// digests above prove that default runs don't carry the columns). Pinned
+// under BOTH kernels: trace release is pure timer wake-up, the event
+// kernel's hardest case.
 TEST(GoldenDigest, WorkloadHotspotPresetByteIdenticalBothKernels) {
-  constexpr std::uint64_t kPinned = 0x1b441584b6c33f91ull;
+  constexpr std::uint64_t kPinned = 0x8f3543d83cf2ae66ull;
   const std::uint64_t event_h = preset_digest("workload_hotspot");
   EXPECT_EQ(event_h, kPinned)
       << "workload_hotspot JSONL digest moved (event kernel): 0x" << std::hex

@@ -2,9 +2,8 @@
 """Regression: plot_bench.py on mixed-schema JSONL (fault-gated columns).
 
 One campaign file can legitimately mix records with and without the
-fault-gated counters (packets_rerouted, unreachable_drops,
-links_escalated): only points whose config enables permanent faults emit
-them. The converter must keep every row and write 0 — not an empty cell,
+fault-gated counters (packets_rerouted, unreachable_drops): only points
+whose config enables permanent faults emit them. The converter must keep every row and write 0 — not an empty cell,
 not a crash, not a dropped row — for a column a row does not have.
 """
 import csv
@@ -18,8 +17,8 @@ PLOT_BENCH = os.path.join(REPO, "tools", "plot_bench.py")
 
 MIXED_JSONL = """\
 {"label":"FaultDeg/base/faults=0","avg_latency_cycles":21.5,"messages_ejected":300}
-{"label":"FaultDeg/base/faults=1","avg_latency_cycles":24.0,"messages_ejected":298,"packets_rerouted":12,"unreachable_drops":3,"links_escalated":1}
-{"label":"FaultDeg/base/faults=2","avg_latency_cycles":29.5,"messages_ejected":290,"packets_rerouted":40,"unreachable_drops":9,"links_escalated":2}
+{"label":"FaultDeg/base/faults=1","avg_latency_cycles":24.0,"messages_ejected":298,"packets_rerouted":12,"unreachable_drops":3}
+{"label":"FaultDeg/base/faults=2","avg_latency_cycles":29.5,"messages_ejected":290,"packets_rerouted":40,"unreachable_drops":9}
 """
 
 # Two runs of the same figure under different buffer policies concatenated
@@ -60,14 +59,13 @@ def check_fault_columns(td):
     assert len(rows) == 3, f"expected 3 rows, got {len(rows)}"
     by_x = {r["x"]: r for r in rows}
     # The fault-free row gets explicit zeros for the fault-gated columns.
-    for col in ("packets_rerouted", "unreachable_drops",
-                "links_escalated"):
+    for col in ("packets_rerouted", "unreachable_drops"):
         assert by_x["0"][col] == "0", (
             f"row faults=0 column {col!r}: expected '0', "
             f"got {by_x['0'][col]!r}")
     # Rows that do have the counters keep their values.
     assert by_x["1"]["packets_rerouted"] == "12"
-    assert by_x["2"]["links_escalated"] == "2"
+    assert by_x["2"]["unreachable_drops"] == "9"
     assert by_x["2"]["avg_latency_cycles"] == "29.5"
     # A single-policy file keeps its plain series names and no policy
     # column — pre-policy CSVs must stay byte-identical.

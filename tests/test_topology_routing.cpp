@@ -7,8 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/topology.hpp"
 #include "noc/routing.hpp"
-#include "noc/topology.hpp"
 
 namespace ftnoc {
 namespace {

@@ -126,9 +126,7 @@ RunResult run_pair(const std::vector<std::string>& overrides, Cycle cycles,
 // Fault-topology override keys that define the faulted mesh a finding ran
 // on; the selftest asserts minimization preserves at least one of them.
 bool is_fault_override(const std::string& o) {
-  return o.rfind("dead_link=", 0) == 0 || o.rfind("dead_router=", 0) == 0 ||
-         o.rfind("link_escalation_threshold=", 0) == 0 ||
-         o.rfind("storm_kill=", 0) == 0 ||
+  return o.rfind("dead_link=", 0) == 0 || o.rfind("storm_kill=", 0) == 0 ||
          o.rfind("adaptive_faults=", 0) == 0;
 }
 
@@ -192,10 +190,9 @@ std::vector<std::string> random_config(Rng& rng) {
       add("probe_threshold", std::to_string(8 + rng.next_below(57)));
       add("probe_backoff", "8");
     }
-    // Permanent faults: dead links/routers and runtime escalation walk
-    // the fault-aware routing, drain and re-home paths through the
-    // differential oracle. Partitioning draws are rejected by validate()
-    // below, which re-enters the redraw loop.
+    // Permanent faults: dead links walk the fault-aware routing paths
+    // through the differential oracle. Partitioning and mesh-edge draws
+    // are rejected by validate() below, which re-enters the redraw loop.
     const int nodes = w * h;
     if (rng.bernoulli(0.25)) {
       static const char* kDirs[] = {"N", "E", "S", "W"};
@@ -206,19 +203,11 @@ std::vector<std::string> random_config(Rng& rng) {
                              ":" + kDirs[rng.next_below(4)]);
       }
     }
-    if (rng.bernoulli(0.1)) {
-      add("dead_router",
-          std::to_string(rng.next_below(static_cast<std::uint64_t>(nodes))));
-    }
-    if (rng.bernoulli(0.2)) {
-      add("link_escalation_threshold",
-          std::to_string(1 + rng.next_below(3)));
-    }
     // Fault-storm timelines: links die mid-run, walking the online
     // reconfiguration (route-epoch re-home) and drain paths under the
     // oracle. Cycles ascend (validate() requires it); partition-prone
     // draws are fine — the veto trims them at runtime identically in
-    // both implementations.
+    // both implementations — but mesh-edge draws are redrawn.
     bool any_faults = false;
     if (rng.bernoulli(0.2)) {
       static const char* kDirs[] = {"N", "E", "S", "W"};
@@ -252,7 +241,7 @@ std::vector<std::string> random_config(Rng& rng) {
 // True iff the trial run failed *the same way* as the original finding:
 // same kind (divergence vs invariant violation), same cycle and same
 // message. Accepting any failure is how fault-topology overrides
-// (dead_link / dead_router / link_escalation_threshold) used to vanish
+// (dead_link, storm_kill) used to vanish
 // from minimized repros: dropping the fault override can surface an
 // unrelated failure at a different cycle, the greedy pass keeps the
 // smaller config, and the emitted repro no longer exercises the faulted

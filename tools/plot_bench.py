@@ -176,7 +176,7 @@ def main():
         out = os.path.join(outdir, figure.lower() + ".csv")
         with open(out, "w", newline="") as f:
             # Mixed-schema inputs are normal: fault-gated counters
-            # (packets_rerouted, unreachable_drops, links_escalated, ...)
+            # (packets_rerouted, unreachable_drops, links_storm_killed)
             # only appear on records from faulted configs. A missing
             # numeric cell means "feature off" = 0, not "unknown" — an
             # empty cell would break numeric parsing downstream.
