@@ -16,19 +16,6 @@ DeadlockAgent::DeadlockAgent(NodeId self, Cycle probe_threshold,
   FTNOC_CHECK(probe_timeout >= 1);
 }
 
-bool DeadlockAgent::should_probe(Cycle blocked_cycles, Cycle now) const {
-  if (blocked_cycles <= probe_threshold_) return false;
-  if (recovery_mode_) return false;  // Already recovering.
-  if (outstanding_.has_value() &&
-      now - outstanding_since_ <= probe_timeout_) {
-    return false;  // One live probe at a time.
-  }
-  // No outstanding probe, or it was discarded along a non-deadlocked path
-  // and timed out — a fresh probe may launch (subject to backoff).
-  if (ever_probed_ && now < last_probe_cycle_ + probe_backoff_) return false;
-  return true;
-}
-
 ProbeSignal DeadlockAgent::make_probe(PortId target_port, VcId target_vc,
                                       Cycle now) {
   if (outstanding_.has_value()) {

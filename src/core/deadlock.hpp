@@ -86,8 +86,23 @@ class DeadlockAgent {
                 Cycle probe_timeout = 128);
 
   // --- Rule 1 -----------------------------------------------------------
+  /// The VC-independent half of should_probe(): not recovering, no live
+  /// probe inside its timeout, and past the backoff since the last one.
+  /// Routers test it once per cycle before walking their blocked VCs.
+  bool may_probe(Cycle now) const {
+    if (recovery_mode_) return false;  // Already recovering.
+    if (outstanding_.has_value() &&
+        now - outstanding_since_ <= probe_timeout_) {
+      return false;  // One live probe at a time.
+    }
+    // No outstanding probe, or it was discarded along a non-deadlocked
+    // path and timed out: a fresh probe may launch, subject to backoff.
+    return !(ever_probed_ && now < last_probe_cycle_ + probe_backoff_);
+  }
   /// Whether a VC blocked for `blocked_cycles` should launch a probe now.
-  bool should_probe(Cycle blocked_cycles, Cycle now) const;
+  bool should_probe(Cycle blocked_cycles, Cycle now) const {
+    return blocked_cycles > probe_threshold_ && may_probe(now);
+  }
   /// Mints a new probe originating here; remembers it as outstanding.
   ProbeSignal make_probe(PortId target_port, VcId target_vc, Cycle now);
 

@@ -299,6 +299,17 @@ Network::Network(const SimConfig& cfg)
   if (cfg_.link_stats) {
     link_fwd_.assign(link_wires_.size(), 0);
     link_stall_.assign(link_wires_.size(), 0);
+    link_upstream_.assign(link_wires_.size(), kNoWire);
+    for (NodeId i = 0; i < n; ++i) {
+      for (int d = 0; d < 4; ++d) {
+        const auto dir = static_cast<Direction>(d);
+        if (const auto nb = topo_.neighbor(i, dir)) {
+          link_upstream_[static_cast<std::size_t>(i) * 4 + d] =
+              static_cast<std::uint32_t>(*nb) * 4 +
+              static_cast<std::uint32_t>(opposite(dir));
+        }
+      }
+    }
   }
 
   // Workload ingestion (DESIGN.md §4.14): parse + expand into TraceRecords
@@ -490,9 +501,13 @@ void Network::step() {
   // gridlocks at population == capacity, where Eq. (1) no longer holds.
   // PEs step every cycle under both kernels (synthetic sources draw RNG
   // every cycle; a sourceless idle PE's step changes nothing).
+  // Without deadlock recovery no router can ever be recovering, so the
+  // per-router query is skipped.
+  const bool recovery = cfg_.deadlock.enable_recovery;
   for (NodeId i = 0; i < static_cast<NodeId>(pes_.size()); ++i) {
     if (pes_[i]->step(now_, next_packet_id_,
-                      recovery_line_ || routers_[i]->in_recovery()) &&
+                      recovery_line_ ||
+                          (recovery && routers_[i]->in_recovery())) &&
         !scan_kernel_) {
       // The PE drove the injection wire: the router consumes next cycle.
       schedule(i, now_ + 1);
@@ -567,25 +582,32 @@ void Network::accumulate_link_stats() {
   }
   // An idle link whose receiver still buffers flits from it is stalled
   // (the wormhole is blocked downstream — the congestion signal the
-  // heatmaps plot). Only a router with buffered flits can stall a link,
-  // and the occupancy cache is current for every router after the steps.
-  const int n = topo_.num_nodes();
-  for (NodeId r = 0; r < n; ++r) {
-    if (tx_occ_cache_[r] == 0) continue;
-    for (int d = 0; d < 4; ++d) {
-      if (routers_[r]->input_port_occupancy(static_cast<PortId>(d)) == 0) {
-        continue;
-      }
-      // A port buffers flits only where a neighbour (and its wire) exists.
-      const auto dir = static_cast<Direction>(d);
-      const NodeId up = *topo_.neighbor(r, dir);
-      const std::size_t wid =
-          static_cast<std::size_t>(up) * 4 +
-          static_cast<std::size_t>(opposite(dir));
-      if ((link_wires_[wid]->cur_mask & Wire::kCurFlit) == 0) {
-        ++link_stall_[wid];
+  // heatmaps plot). Only a router with buffered flits can stall a link.
+  // Such a router was stepped this cycle: flits arrive only inside a step,
+  // and a router that ends a step holding one has its in_work_ bit set, so
+  // it re-ticks and is stepped the next cycle too. The stepped set (every
+  // node under the scan kernel) therefore covers every stalled link, and
+  // the occupancy cache is current for each router in it.
+  const auto walk = [&](const auto& router_at) {
+    for (const NodeId r : stepped_) {
+      if (tx_occ_cache_[r] == 0) continue;
+      const auto& rt = *router_at(r);
+      for (int d = 0; d < 4; ++d) {
+        if (rt.input_port_occupancy(static_cast<PortId>(d)) == 0) continue;
+        // A port buffers flits only where a neighbour (and its wire)
+        // exists.
+        const std::uint32_t wid =
+            link_upstream_[static_cast<std::size_t>(r) * 4 + d];
+        if ((link_wires_[wid]->cur_mask & Wire::kCurFlit) == 0) {
+          ++link_stall_[wid];
+        }
       }
     }
+  };
+  if (scan_kernel_) {
+    walk([&](NodeId r) { return routers_[r].get(); });
+  } else {
+    walk([&](NodeId r) { return fast_routers_[r]; });
   }
 }
 

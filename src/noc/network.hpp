@@ -187,7 +187,8 @@ class Network {
   /// post-tick wire state (cfg_.link_stats only, measurement window only).
   /// Reading architectural state that is byte-identical across kernels and
   /// router implementations keeps the counters identical too. Visits only
-  /// the wires ticked this cycle and the routers holding buffered flits.
+  /// the wires ticked this cycle and, of the routers stepped this cycle,
+  /// those holding buffered flits.
   void accumulate_link_stats();
   int hop_distance(NodeId a, NodeId b) const;
   /// End-of-cycle structural walks: per-router local checks, the
@@ -285,6 +286,10 @@ class Network {
   // per directed wire.
   std::vector<std::uint64_t> link_fwd_;
   std::vector<std::uint64_t> link_stall_;
+  /// Per (node, input direction), node * 4 + direction: the id of the
+  /// neighbour's wire that feeds that port, or kNoWire at a mesh edge.
+  static constexpr std::uint32_t kNoWire = ~0u;
+  std::vector<std::uint32_t> link_upstream_;
 
   // Fault-storm timeline (sorted by cycle; validate() enforces): next
   // cfg_.storm_kills entry to fire. A vetoed kill is skipped, not retried.
@@ -310,8 +315,8 @@ class Network {
   /// Timers beyond the wheel horizon, spilled back in as now_ approaches.
   std::map<Cycle, std::vector<NodeId>> far_due_;
   /// Routers stepped this cycle, ascending — feeds the recovery-line OR
-  /// (membership-sensitive). The scan kernel fills it once with every
-  /// node.
+  /// (membership-sensitive) and the link-stall walk. The scan kernel
+  /// fills it once with every node.
   std::vector<NodeId> stepped_;
   /// Wires with signals in flight: id < link_wires_.size() is a link wire,
   /// else a local (PE) wire. Mask is the dedup bitset for the list.

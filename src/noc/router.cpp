@@ -67,6 +67,7 @@ Router::Router(NodeId id, const SimConfig& cfg, const Topology& topo,
     inputs_[g].buf.bind(base, static_cast<std::uint16_t>(ring));
     base += ring;
   }
+  state_mask_[static_cast<std::size_t>(VcState::kRouting)] = ~0u >> (32 - pv);
   outputs_.resize(static_cast<std::size_t>(pv));
   out_rtx_.resize(static_cast<std::size_t>(pv));
   rtx_retire_at_.assign(static_cast<std::size_t>(pv), 0);
@@ -152,14 +153,13 @@ void Router::begin_link_drain(PortId p, Cycle now) {
   // to RT, where the (now fault-aware) route detours it. Established
   // wormholes, replays and registered waiters keep the port until their
   // tails retire — the drain completes only once they have.
-  for (std::uint32_t m = in_work_; m != 0; m &= m - 1) {
+  for (std::uint32_t m = in_state(VcState::kVaWait); m != 0; m &= m - 1) {
     const int g = std::countr_zero(m);
     auto& vc = inputs_[static_cast<std::size_t>(g)];
-    if (vc.state != VcState::kVaWait) continue;
     if (!mask_has(vc.candidates, p)) continue;
     vc.candidates &= static_cast<PortMask>(~port_bit(p));
     if (vc.candidates == 0) {
-      vc.state = VcState::kRouting;
+      set_state(g, VcState::kRouting);
       vc.state_since = now;
       update_input_work(g);
       if (stats_) stats_->on_packet_rerouted();
@@ -187,7 +187,7 @@ void Router::begin_link_drain(PortId p, Cycle now) {
       auto& wvc = inputs_[static_cast<std::size_t>(wg)];
       if (wvc.state == VcState::kVaReserved && wvc.out_port == p &&
           wvc.out_vc == static_cast<VcId>(v)) {
-        wvc.state = VcState::kRouting;
+        set_state(wg, VcState::kRouting);
         wvc.candidates = 0;
         wvc.out_port = kInvalidPort;
         wvc.out_vc = kInvalidVc;
@@ -210,16 +210,16 @@ void Router::rehome_stale_routes(Cycle now) {
   // packet with the usual unreachable accounting. kVaWait implies the
   // in_work_ bit, which both kernels treat as a mandatory re-tick — so
   // scan and event runs observe every epoch at the same cycle.
-  for (std::uint32_t m = in_work_; m != 0; m &= m - 1) {
+  for (std::uint32_t m = in_state(VcState::kVaWait); m != 0; m &= m - 1) {
     const int g = std::countr_zero(m);
     auto& vc = inputs_[static_cast<std::size_t>(g)];
-    if (vc.state != VcState::kVaWait || vc.buf.empty()) continue;
+    if (vc.buf.empty()) continue;
     const PortMask fresh =
         route(topo_, cfg_.routing, id_, vc.buf.front().dest);
     if (fresh == vc.candidates) continue;
     vc.candidates = fresh;
     if (fresh == 0) {
-      vc.state = VcState::kRouting;
+      set_state(g, VcState::kRouting);
       vc.state_since = now;
       update_input_work(g);
     }
@@ -630,8 +630,9 @@ void Router::phase_replay_and_switch(Cycle now) {
              /*consume_credit=*/!credit_held);
   }
 
-  // (b) SA input stage: each input port nominates one VC. Only input VCs
-  // in the work set can be active with buffered flits.
+  // (b) SA input stage: each input port nominates one of its kActive VCs.
+  const std::uint32_t active = in_state(VcState::kActive);
+  if (active == 0) return;
   std::array<int, kNumDirections> nominee;
   nominee.fill(-1);
   // Per-output-port mask of nominating input ports, filled as nominees are
@@ -640,11 +641,11 @@ void Router::phase_replay_and_switch(Cycle now) {
   bool any_nominee = false;
   for (PortId p = 0; p < num_ports_; ++p) {
     std::uint32_t mask = 0;
-    for (std::uint32_t cm = (in_work_ >> (p * num_vcs_)) & vmask; cm != 0;
+    for (std::uint32_t cm = (active >> (p * num_vcs_)) & vmask; cm != 0;
          cm &= cm - 1) {
       const int v = std::countr_zero(cm);
       auto& vc = ivc(p, static_cast<VcId>(v));
-      if (vc.state != VcState::kActive || vc.buf.empty()) continue;
+      if (vc.buf.empty()) continue;
       if (vc.front_arrived >= now) continue;
       if (now < vc.stall_until) continue;
       const PortId o = vc.out_port;
@@ -715,7 +716,7 @@ void Router::phase_replay_and_switch(Cycle now) {
     if (vc.out_port == kLocalPort) {
       eject(f, static_cast<PortId>(p), v, now);
       if (tail) {
-        ovc(kLocalPort, vc.out_vc).allocated = false;
+        set_alloc(gid(kLocalPort, vc.out_vc), false);
         update_output_work(gid(kLocalPort, vc.out_vc));
       }
     } else {
@@ -732,8 +733,7 @@ void Router::phase_replay_and_switch(Cycle now) {
 
 void Router::finalize_transmission(PortId o, VcId v, const Flit& f,
                                    Cycle now) {
-  auto& out = ovc(o, v);
-  if (is_tail(f.type)) out.tail_sent = true;
+  if (is_tail(f.type)) set_tail(gid(o, v), true);
   // Keep the NACK-window copy. A replay (the flit is the front pending
   // entry) always records: the pop-and-reinsert cannot overflow. For fresh
   // transmissions, the barrel may be occupied by a recovery waiter's
@@ -844,7 +844,7 @@ void Router::send_credit(PortId p, VcId v) {
 
 void Router::release_input_after_tail(PortId p, VcId v, Cycle now) {
   auto& vc = ivc(p, v);
-  vc.state = VcState::kRouting;
+  set_state(gid(p, v), VcState::kRouting);
   vc.candidates = 0;
   vc.out_port = kInvalidPort;
   vc.out_vc = kInvalidVc;
@@ -853,22 +853,22 @@ void Router::release_input_after_tail(PortId p, VcId v, Cycle now) {
 }
 
 void Router::maybe_release_outputs(Cycle now) {
-  for (std::uint32_t m = out_work_; m != 0; m &= m - 1) {
+  // Only allocated output VCs whose tail has left can be released.
+  for (std::uint32_t m = alloc_mask_ & tail_mask_; m != 0; m &= m - 1) {
     const int og = std::countr_zero(m);
     auto& out = outputs_[static_cast<std::size_t>(og)];
-    if (!out.allocated || !out.tail_sent) continue;
     // The owner lingers while any of its flits sit in the barrel; an empty
     // barrel (per the summary masks) cannot contain the packet.
     if (((rtx_sent_mask_ | rtx_pending_mask_) >> og) & 1u) {
       const auto& rtx = out_rtx_[static_cast<std::size_t>(og)];
       if (rtx->contains_packet(out.owner_pid)) continue;
     }
-    out.allocated = false;
-    out.tail_sent = false;
+    set_alloc(og, false);
+    set_tail(og, false);
     if (out.has_waiter) {
       // Deferred allocation (deadlock recovery): the queued waiter
       // inherits the output VC; its absorbed flits can now replay out.
-      out.allocated = true;
+      set_alloc(og, true);
       out.owner_gid = out.waiter_gid;
       out.owner_pid = out.waiter_pid;
       out.has_waiter = false;
@@ -880,7 +880,7 @@ void Router::maybe_release_outputs(Cycle now) {
       const VcId v = static_cast<VcId>(og % num_vcs_);
       if (wvc.state == VcState::kVaReserved && wvc.out_port == p &&
           wvc.out_vc == v) {
-        wvc.state = VcState::kActive;
+        set_state(out.owner_gid, VcState::kActive);
         wvc.state_since = now;
       }
     }
@@ -896,9 +896,10 @@ std::optional<std::pair<PortId, VcId>> Router::pick_va_request(InputVc& vc,
                                                                PortId in_port,
                                                                VcId in_vc,
                                                                int rotation) {
-  // Gather the free output VCs on all valid candidate ports, then pick one
-  // by the input VC's rotating preference (the input stage of a separable
-  // allocator).
+  // Build the mask of free, allowed output gids on all valid candidate
+  // ports, then pick one by the input VC's rotating preference (the input
+  // stage of a separable allocator): the (rotation % n)-th set bit, i.e.
+  // the same ascending (port, VC) order as ReferenceRouter's options list.
   //
   // Escape-VC policy (Duato-style avoidance): VC 0 is the escape lane,
   // reachable only through the deadlock-free XY direction; adaptive
@@ -914,27 +915,30 @@ std::optional<std::pair<PortId, VcId>> Router::pick_va_request(InputVc& vc,
         route(topo_, RoutingAlgorithm::kXY, id_, vc.buf.front().dest));
   }
 
-  std::array<std::pair<PortId, VcId>, 32> options;
-  int n = 0;
-  for (PortId o = 0; o < num_ports_; ++o) {
-    if (!mask_has(vc.candidates, o)) continue;
+  const std::uint32_t vmask = (1u << num_vcs_) - 1u;
+  std::uint32_t allowed = 0;
+  for (unsigned cm = vc.candidates; cm != 0; cm &= cm - 1) {
+    const auto o = static_cast<PortId>(std::countr_zero(cm));
     const bool valid = (o == kLocalPort)
                            ? (!vc.buf.empty() && vc.buf.front().dest == id_)
                            : port_allocatable(o);
     if (!valid) continue;
-    for (VcId v = 0; v < num_vcs_; ++v) {
-      if (ovc(o, v).allocated || n >= static_cast<int>(options.size())) {
-        continue;
+    std::uint32_t vcs = vmask;
+    if (escape_mode && o != kLocalPort) {
+      if (escape_bound) {
+        vcs = o == xy_port ? 1u : 0u;
+      } else if (o != xy_port) {
+        vcs &= ~1u;
       }
-      if (escape_mode && o != kLocalPort) {
-        if (escape_bound && (v != 0 || o != xy_port)) continue;
-        if (!escape_bound && v == 0 && o != xy_port) continue;
-      }
-      options[n++] = {o, v};
     }
+    allowed |= vcs << (o * num_vcs_);
   }
-  if (n == 0) return std::nullopt;
-  return options[rotation % n];
+  std::uint32_t free = allowed & ~alloc_mask_;
+  if (free == 0) return std::nullopt;
+  for (int k = rotation % std::popcount(free); k > 0; --k) free &= free - 1;
+  const int og = std::countr_zero(free);
+  return std::make_pair(static_cast<PortId>(og / num_vcs_),
+                        static_cast<VcId>(og % num_vcs_));
 }
 
 void Router::phase_va(Cycle now) {
@@ -946,12 +950,12 @@ void Router::phase_va(Cycle now) {
   // configuration being drained, not new entrants.
   // Per-cycle request state lives in preallocated scratch: va_req_ogs_
   // marks which va_reqs_ entries are valid this cycle, so nothing needs
-  // clearing up front. Only input VCs in the work set can be in kVaWait.
+  // clearing up front.
   va_req_ogs_ = 0;
-  for (std::uint32_t m = in_work_; m != 0; m &= m - 1) {
+  for (std::uint32_t m = in_state(VcState::kVaWait); m != 0; m &= m - 1) {
     const int g = std::countr_zero(m);
     auto& vc = inputs_[static_cast<std::size_t>(g)];
-    if (vc.state != VcState::kVaWait || vc.buf.empty()) continue;
+    if (vc.buf.empty()) continue;
     if (now < vc.stall_until) continue;
     FTNOC_CHECK(is_head(vc.buf.front().type));
 
@@ -987,7 +991,7 @@ void Router::phase_va(Cycle now) {
         if (esc == 0) {
           // No live neighbour reaches dest: re-route, where phase_rt
           // drops the packet with the unreachable accounting.
-          vc.state = VcState::kRouting;
+          set_state(g, VcState::kRouting);
           vc.candidates = 0;
           continue;
         }
@@ -1026,7 +1030,7 @@ void Router::phase_va(Cycle now) {
         // VA catches it from its link-state table (4.2) and the RT redoes
         // the route - a single-cycle penalty.
         if (stats_) stats_->on_rt_error_recovered();
-        vc.state = VcState::kRouting;
+        set_state(g, VcState::kRouting);
         vc.candidates = 0;
         continue;
       }
@@ -1060,15 +1064,15 @@ void Router::phase_va(Cycle now) {
       continue;
     }
 
-    vc.state = VcState::kActive;
+    set_state(g, VcState::kActive);
     vc.out_port = o;
     vc.out_vc = v;
     vc.state_since = now;
     auto& out = ovc(o, v);
-    out.allocated = true;
+    set_alloc(og, true);
     out.owner_gid = static_cast<std::uint16_t>(g);
     out.owner_pid = vc.buf.front().packet_id;
-    out.tail_sent = false;
+    set_tail(og, false);
     update_output_work(og);
   }
 }
@@ -1138,7 +1142,7 @@ void Router::run_ac_on_va(std::size_t g, Cycle now) {
   // Unprotected VA upset: the packet inherits a broken (or duplicate)
   // wormhole and its flits are effectively lost (§4.1 scenarios 1-3).
   if (stats_) stats_->on_unprotected_error();
-  vc.state = VcState::kDraining;
+  set_state(static_cast<int>(g), VcState::kDraining);
 }
 
 // ---------------------------------------------------------------------------
@@ -1186,8 +1190,11 @@ PortMask Router::apply_rt_fault(InputVc& vc, PortMask correct, Cycle now) {
 }
 
 void Router::phase_rt(Cycle now) {
-  // Only input VCs in the work set can be draining or hold a head flit.
-  for (std::uint32_t m = in_work_; m != 0; m &= m - 1) {
+  // Draining VCs, and kRouting VCs in the work set (those hold a flit).
+  const std::uint32_t todo =
+      in_state(VcState::kDraining) |
+      (in_work_ & in_state(VcState::kRouting));
+  for (std::uint32_t m = todo; m != 0; m &= m - 1) {
     const int g = std::countr_zero(m);
     auto& vc = inputs_[static_cast<std::size_t>(g)];
 
@@ -1203,7 +1210,7 @@ void Router::phase_rt(Cycle now) {
                     static_cast<VcId>(g % num_vcs_));
         vc.last_advance = now;
         if (is_tail(f.type)) {
-          vc.state = VcState::kRouting;
+          set_state(g, VcState::kRouting);
           vc.state_since = now;
         }
         update_input_work(g);
@@ -1211,7 +1218,7 @@ void Router::phase_rt(Cycle now) {
       continue;
     }
 
-    if (vc.state != VcState::kRouting || vc.buf.empty()) continue;
+    if (vc.buf.empty()) continue;
     if (vc.front_arrived >= now) continue;
     if (now < vc.stall_until) continue;
     if (!is_head(vc.buf.front().type)) {
@@ -1248,7 +1255,7 @@ void Router::phase_rt(Cycle now) {
         // rather than wedge the VC forever — graceful degradation,
         // accounted per packet.
         if (stats_) stats_->on_unreachable_drop();
-        vc.state = VcState::kDraining;
+        set_state(g, VcState::kDraining);
         vc.state_since = now;
         update_input_work(g);
         continue;
@@ -1262,7 +1269,7 @@ void Router::phase_rt(Cycle now) {
       }
     }
     vc.candidates = apply_rt_fault(vc, correct, now);
-    vc.state = VcState::kVaWait;
+    set_state(g, VcState::kVaWait);
     vc.state_since = now;
   }
 }
@@ -1476,15 +1483,15 @@ void Router::phase_deadlock(Cycle now) {
   // Rule 1: launch a probe for an over-threshold blocked VC. Both
   // established wormholes (credit-blocked) and VA-waiting heads
   // (channel-blocked) can anchor a deadlock; for the latter the chain is
-  // resolved through the local holder of the wanted output VC. Only input
-  // VCs in the work set can hold buffered flits.
-  for (std::uint32_t m = in_work_; m != 0; m &= m - 1) {
+  // resolved through the local holder of the wanted output VC. The
+  // VC-independent half of the probe rule gates the whole walk.
+  const std::uint32_t waiting =
+      in_state(VcState::kActive) | in_state(VcState::kVaWait);
+  for (std::uint32_t m = agent_.may_probe(now) ? waiting : 0; m != 0;
+       m &= m - 1) {
     const int g = std::countr_zero(m);
     auto& vc = inputs_[static_cast<std::size_t>(g)];
     if (vc.buf.empty()) continue;
-    if (vc.state != VcState::kActive && vc.state != VcState::kVaWait) {
-      continue;
-    }
     const Cycle blocked = now - vc.last_advance;
     if (!agent_.should_probe(blocked, now)) continue;
     const auto chain = resolve_chain(vc);
@@ -1537,7 +1544,10 @@ void Router::phase_deadlock(Cycle now) {
   //  * kActive / kVaReserved wormholes out of credits: they park flits in
   //    their own output VC's barrel until downstream space frees.
   absorbed_ = 0;
-  for (std::uint32_t m = in_work_; m != 0; m &= m - 1) {
+  for (std::uint32_t m = in_state(VcState::kActive) |
+                         in_state(VcState::kVaWait) |
+                         in_state(VcState::kVaReserved);
+       m != 0; m &= m - 1) {
     const int g = std::countr_zero(m);
     auto& vc = inputs_[static_cast<std::size_t>(g)];
     if (vc.buf.empty() || vc.front_arrived >= now) continue;
@@ -1577,7 +1587,7 @@ void Router::phase_deadlock(Cycle now) {
                             (unsigned long long)now, id_,
                             (unsigned long long)out.waiter_pid, (int)o,
                             (int)v));
-      vc.state = VcState::kVaReserved;
+      set_state(g, VcState::kVaReserved);
       vc.out_port = o;
       vc.out_vc = v;
       vc.state_since = now;
@@ -1646,12 +1656,12 @@ void Router::phase_deadlock(Cycle now) {
   // router in recovery (its absorption capacity stays available and the
   // chip-wide injection gate stays asserted so the region keeps draining).
   bool blocked_long = false;
-  for (std::uint32_t m = in_work_; m != 0; m &= m - 1) {
+  for (std::uint32_t m = in_state(VcState::kActive) |
+                         in_state(VcState::kVaWait) |
+                         in_state(VcState::kVaReserved);
+       m != 0; m &= m - 1) {
     const auto& in = inputs_[static_cast<std::size_t>(std::countr_zero(m))];
-    if ((in.state == VcState::kActive || in.state == VcState::kVaWait ||
-         in.state == VcState::kVaReserved) &&
-        !in.buf.empty() &&
-        now - in.last_advance > kExitBlockWindow) {
+    if (!in.buf.empty() && now - in.last_advance > kExitBlockWindow) {
       blocked_long = true;
       break;
     }
@@ -1725,6 +1735,9 @@ void Router::check_local_invariants(Cycle now) {
   if (!mon_) return;
   const int pv = num_ports_ * num_vcs_;
   std::array<int, kNumDirections> occ{};
+  std::array<std::uint32_t, kNumVcStates> state_m{};
+  std::uint32_t alloc_m = 0;
+  std::uint32_t tail_m = 0;
   for (int g = 0; g < pv; ++g) {
     const PortId p = static_cast<PortId>(g / num_vcs_);
     const VcId v = static_cast<VcId>(g % num_vcs_);
@@ -1739,7 +1752,10 @@ void Router::check_local_invariants(Cycle now) {
                      std::to_string(static_cast<int>(in.state)) +
                      " buf=" + std::to_string(in.buf.size()) + ")");
     }
+    state_m[static_cast<std::size_t>(in.state)] |= 1u << g;
     const auto& out = outputs_[static_cast<std::size_t>(g)];
+    if (out.allocated) alloc_m |= 1u << g;
+    if (out.tail_sent) tail_m |= 1u << g;
     const auto& rtx = out_rtx_[static_cast<std::size_t>(g)];
     const bool out_busy = out.allocated || out.has_waiter ||
                           (rtx && rtx->occupancy() > 0);
@@ -1751,6 +1767,25 @@ void Router::check_local_invariants(Cycle now) {
                      " waiter=" + std::to_string(out.has_waiter) + " rtx=" +
                      std::to_string(rtx ? rtx->occupancy() : 0) + ")");
     }
+  }
+  // The per-state, allocation and tail-sent masks decide which VCs each
+  // phase visits; a drifted bit silently skips (or revisits) a VC.
+  for (int s = 0; s < kNumVcStates; ++s) {
+    if (state_m[static_cast<std::size_t>(s)] !=
+        state_mask_[static_cast<std::size_t>(s)]) {
+      mon_->fail(InvariantId::kWorkMaskAgreement, now, id_, -1, -1,
+                 "state mask " + std::to_string(s) + " is " +
+                     std::to_string(state_mask_[static_cast<std::size_t>(s)]) +
+                     " but the input VCs in that state are " +
+                     std::to_string(state_m[static_cast<std::size_t>(s)]));
+    }
+  }
+  if (alloc_m != alloc_mask_ || tail_m != tail_mask_) {
+    mon_->fail(InvariantId::kWorkMaskAgreement, now, id_, -1, -1,
+               "output masks are stale (alloc " + std::to_string(alloc_mask_) +
+                   " vs " + std::to_string(alloc_m) + ", tail " +
+                   std::to_string(tail_mask_) + " vs " +
+                   std::to_string(tail_m) + ")");
   }
   for (PortId p = 0; p < num_ports_; ++p) {
     if (occ[p] != in_port_occ_[p]) {

@@ -128,6 +128,7 @@ class Router final : public RouterIface {
                  ///< current owner's tail retires (deferred allocation).
     kDraining, ///< Unprotected-allocation casualty: discard until tail.
   };
+  static constexpr int kNumVcStates = 5;
 
   // SoA layout (DESIGN.md §4.10): the former per-VC structs are split by
   // role into parallel gid-indexed arrays — flit storage in one contiguous
@@ -139,7 +140,7 @@ class Router final : public RouterIface {
   // golden digests pin.
   struct InputVc {
     FlitRing buf;  ///< View into in_flit_slab_.
-    VcState state = VcState::kRouting;
+    VcState state = VcState::kRouting;  ///< Written only by set_state().
     PortMask candidates = 0;
     PortId out_port = kInvalidPort;
     VcId out_vc = kInvalidVc;
@@ -163,8 +164,8 @@ class Router final : public RouterIface {
     int credits = 0;
     std::uint16_t owner_gid = 0;
     std::uint16_t waiter_gid = 0;
-    bool allocated = false;
-    bool tail_sent = false;
+    bool allocated = false;  ///< Written only by set_alloc().
+    bool tail_sent = false;  ///< Written only by set_tail().
     bool has_waiter = false;
   };
 
@@ -225,6 +226,28 @@ class Router final : public RouterIface {
     const bool busy = out.allocated || out.has_waiter ||
                       (rtx && rtx->occupancy() > 0);
     out_work_ = busy ? (out_work_ | (1u << og)) : (out_work_ & ~(1u << og));
+  }
+
+  // State masks: each phase walks only the VCs in the state it acts on
+  // (DESIGN.md §4.10). Every write of InputVc::state, OutputVc::allocated
+  // and OutputVc::tail_sent goes through these mutators, which keep the
+  // masks exact; check_local_invariants() rebuilds and compares them.
+  std::uint32_t in_state(VcState s) const {
+    return state_mask_[static_cast<std::size_t>(s)];
+  }
+  void set_state(int g, VcState s) {
+    InputVc& vc = inputs_[static_cast<std::size_t>(g)];
+    state_mask_[static_cast<std::size_t>(vc.state)] &= ~(1u << g);
+    state_mask_[static_cast<std::size_t>(s)] |= 1u << g;
+    vc.state = s;
+  }
+  void set_alloc(int og, bool on) {
+    outputs_[static_cast<std::size_t>(og)].allocated = on;
+    alloc_mask_ = (alloc_mask_ & ~(1u << og)) | (std::uint32_t{on} << og);
+  }
+  void set_tail(int og, bool on) {
+    outputs_[static_cast<std::size_t>(og)].tail_sent = on;
+    tail_mask_ = (tail_mask_ & ~(1u << og)) | (std::uint32_t{on} << og);
   }
 
   bool port_has_neighbor(PortId p) const;
@@ -409,6 +432,10 @@ class Router final : public RouterIface {
   // --- Hot-path scratch and work masks -----------------------------------
   std::uint32_t in_work_ = 0;   ///< Input VCs with buffered flits or state.
   std::uint32_t out_work_ = 0;  ///< Output VCs allocated/waited/occupied.
+  /// Input gids per VcState (set_state); all kRouting at construction.
+  std::array<std::uint32_t, kNumVcStates> state_mask_{};
+  std::uint32_t alloc_mask_ = 0;  ///< Output gids with `allocated` set.
+  std::uint32_t tail_mask_ = 0;   ///< Output gids with `tail_sent` set.
   std::vector<std::uint32_t> va_reqs_;  // per output gid: requesting inputs
   std::vector<std::pair<PortId, VcId>> va_want_;  // per input gid: request
   std::uint32_t va_req_ogs_ = 0;  ///< Output gids with requests this cycle.

@@ -358,5 +358,74 @@ TEST(EventWakeup, FaultedTopologyLockstep) {
   nets.run(3000);
 }
 
+// The deadlock-recovery path under mid-run kills at 8x8: one hotspot
+// burst toward node 36 plus an all-to-all exchange, replayed to drain
+// while six East links die (the k=6 point of the storm-drain benchmark).
+// Probes, confirmed deadlocks, recovery absorption and escape detours all
+// fire, so every router phase walks its per-state VC masks through every
+// state. The scan kernel, the event kernel and the ReferenceRouter must
+// agree every cycle, with the invariant monitor re-deriving each mask.
+TEST(EventWakeup, StormDrainRecoveryLockstep) {
+  SimConfig cfg;
+  std::vector<std::string> ov = {
+      "mesh_width=8",      "mesh_height=8",       "injection_rate=0",
+      "link_stats=1",      "routing=adaptive",    "adaptive_faults=1",
+      "deadlock_recovery=1", "probe_threshold=32", "probe_backoff=17",
+      "warmup_messages=0", "check_invariants=1"};
+  for (int j = 0; j < 6; ++j) {
+    ov.push_back("storm_kill=" + std::to_string(250 + 250 * j) + ":" +
+                 std::to_string((j % 8) * 8 + 1 + j % 6) + ":E");
+  }
+  ASSERT_FALSE(apply_overrides(cfg, ov).has_value());
+  cfg.workload_text =
+      "packet_flits 4\n"
+      "many_to_one memstream start=0 dest=36 flits=16 count=1 period=2000 "
+      "stagger=7\n"
+      "all_to_all exchange start=300 flits=4 stagger=3\n";
+  ASSERT_FALSE(cfg.validate().has_value());
+  SimConfig ref_cfg = cfg;
+  ref_cfg.use_reference_router = true;
+  KernelPair nets(cfg);
+  Network ref(ref_cfg);
+  ref.stats().begin_measurement(0);
+  // Every router's digest is compared every cycle. The full network
+  // digest also hashes each PE's source queue, thousands of flits at the
+  // exchange's peak, so it is compared every 64 cycles and at the end.
+  const auto routers_digest = [](const Network& net) {
+    std::vector<std::uint64_t> d;
+    for (NodeId n = 0; n < 64; ++n) {
+      d.push_back(net.router_base(n).state_digest());
+    }
+    return d;
+  };
+  for (Cycle c = 1; c <= 3000; ++c) {
+    nets.scan->step();
+    nets.event->step();
+    ref.step();
+    const auto scan_d = routers_digest(*nets.scan);
+    ASSERT_EQ(scan_d, routers_digest(*nets.event))
+        << "event kernel diverged from scan kernel at cycle "
+        << nets.event->now();
+    ASSERT_EQ(scan_d, routers_digest(ref))
+        << "Router diverged from ReferenceRouter at cycle " << ref.now();
+    if (c % 64 == 0 || c == 3000) {
+      const std::uint64_t full = nets.scan->state_digest();
+      ASSERT_EQ(full, nets.event->state_digest()) << "cycle " << c;
+      ASSERT_EQ(full, ref.state_digest()) << "cycle " << c;
+    }
+  }
+  const StatsCollector& st = nets.event->stats();
+  EXPECT_GT(st.probes_sent(), 0u);
+  EXPECT_GT(st.deadlocks_confirmed(), 0u);
+  EXPECT_GT(st.flits_absorbed(), 0u);
+  EXPECT_EQ(st.links_storm_killed(), 6u);
+  EXPECT_EQ(st.messages_ejected(), st.packets_created())
+      << "the replay did not drain";
+  EXPECT_EQ(nets.scan->link_fwd_counts(), nets.event->link_fwd_counts());
+  EXPECT_EQ(nets.scan->link_stall_counts(), nets.event->link_stall_counts());
+  EXPECT_EQ(nets.scan->link_fwd_counts(), ref.link_fwd_counts());
+  EXPECT_EQ(nets.scan->link_stall_counts(), ref.link_stall_counts());
+}
+
 }  // namespace
 }  // namespace ftnoc

@@ -3,7 +3,8 @@
 // configurations and compares the full architectural-state digest every
 // cycle. Any divergence is a bug in one of the two implementations (or in
 // the shared phase contract). The invariant monitor rides along in
-// count-and-continue mode, so structural violations are findings too.
+// count-and-continue mode, so structural violations are findings too, and
+// so are per-link forwarded/stalled counters that differ after the run.
 //
 // On a finding, the harness greedily minimizes the configuration (reset
 // each override to its default, keep the reduction if the run still
@@ -77,6 +78,9 @@ RunResult run_pair(const std::vector<std::string>& overrides, Cycle cycles,
     return res;
   }
   cfg.check_invariants = true;
+  // Per-link counters only observe, so they are always on: the run then
+  // also compares both routers' forwarded and stalled link vectors.
+  cfg.link_stats = true;
   if (auto err = cfg.validate()) {
     res.failed = true;
     res.what = "invalid config: " + *err;
@@ -94,6 +98,9 @@ RunResult run_pair(const std::vector<std::string>& overrides, Cycle cycles,
   Network ref(ref_cfg);
   if (auto* m = opt.monitor()) m->set_abort_on_violation(false);
   if (auto* m = ref.monitor()) m->set_abort_on_violation(false);
+  // Link counters accumulate only inside the measurement window.
+  opt.stats().begin_measurement(0);
+  ref.stats().begin_measurement(0);
 
   for (Cycle c = 0; c < cycles; ++c) {
     opt.step();
@@ -119,6 +126,11 @@ RunResult run_pair(const std::vector<std::string>& overrides, Cycle cycles,
     res.cycle = opt.now();
     res.what = "reference router: " + std::to_string(rm->violations()) +
                " invariant violation(s); first: " + rm->first_violation();
+  } else if (opt.link_fwd_counts() != ref.link_fwd_counts() ||
+             opt.link_stall_counts() != ref.link_stall_counts()) {
+    res.failed = true;
+    res.cycle = opt.now();
+    res.what = "per-link forwarded/stalled counters differ";
   }
   return res;
 }
