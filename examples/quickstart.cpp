@@ -65,5 +65,6 @@ int main(int argc, char** argv) {
   std::printf("\n%s\n", r.completed ? "run completed" : "run TIMED OUT");
   return r.completed ? 0 : 2;
 }
-// (Use scheme_shootout / fault_storm for comparisons, and the bench/
-// binaries to regenerate the paper's tables and figures.)
+// (Use scheme_shootout / fault_storm for comparisons, and
+// `ftnoc_sweep --preset=... --fixed-seed` to regenerate the paper's
+// figures; EXPERIMENTS.md lists every command.)

@@ -1,5 +1,5 @@
 // scheme_shootout: compare the link-protection schemes head to head on one
-// configuration — the interactive companion to the Figure 5 bench.
+// configuration — the interactive companion to the Figure 5 sweep.
 //
 // For each scheme (none / FEC / E2E / HBH) at the chosen error rate, the
 // table shows what a designer actually trades off: latency, energy,

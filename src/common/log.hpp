@@ -27,7 +27,7 @@ enum class LogLevel : int {
 
 namespace detail {
 /// Global log threshold. Not thread-safe by design: the simulator is
-/// single-threaded per Simulator and benches set this once at startup.
+/// single-threaded per Simulator and tools set this once at startup.
 extern LogLevel g_log_level;
 void log_line(LogLevel level, const std::string& msg);
 }  // namespace detail

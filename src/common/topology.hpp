@@ -2,7 +2,7 @@
 // 2-D mesh / torus topology: node numbering, coordinates and neighbour
 // resolution. The paper evaluates an 8x8 MESH (§2.2); the torus option
 // exists because the tornado pattern (borrowed from torus studies) and the
-// ablation benches benefit from it.
+// large-fabric presets benefit from it.
 //
 // The topology also carries the permanent-fault state of the fabric: a
 // per-port dead-link mask (static dead_links plus mid-run storm kills) and

@@ -5,7 +5,7 @@
 // cycles a detected logic upset costs to recover from. These penalties are
 // charged by the simulator when the AC unit (or a downstream checker)
 // catches an upset, and are validated against the paper's stated numbers in
-// the unit tests and the `abl_pipeline_recovery` bench.
+// the unit tests (LogicErrorModel.*).
 
 namespace ftnoc {
 

@@ -524,6 +524,7 @@ void Network::step() {
   } else {
     step_woken_routers();
   }
+  router_steps_ += stepped_.size();
 
   // Fault-storm timeline (§4.12): configured kills fire after the
   // routers step, in schedule order.
@@ -547,6 +548,7 @@ void Network::step() {
     }
   }
 
+  wire_ticks_ += scan_kernel_ ? wires_.size() : live_wires_.size();
   if (scan_kernel_) {
     for (Wire& w : wires_) w.tick();
   } else {

@@ -147,6 +147,12 @@ class Network {
   /// True when every loaded record has been released (or dropped).
   bool trace_drained() const { return trace_next_ >= trace_.size(); }
 
+  /// Whole-run kernel work: router steps and wire ticks summed over every
+  /// cycle. Deterministic, so the golden tests pin the event kernel's
+  /// totals next to their digests.
+  std::uint64_t router_steps() const { return router_steps_; }
+  std::uint64_t wire_ticks() const { return wire_ticks_; }
+
   /// Per-directed-link counters (cfg.link_stats only; empty otherwise).
   /// Index = node * 4 + direction, matching link_wires_.
   const std::vector<std::uint64_t>& link_fwd_counts() const {
@@ -322,6 +328,8 @@ class Network {
   /// else a local (PE) wire. Mask is the dedup bitset for the list.
   std::vector<std::uint32_t> live_wires_;
   std::vector<std::uint64_t> live_wire_mask_;
+  std::uint64_t router_steps_ = 0;
+  std::uint64_t wire_ticks_ = 0;
   /// Running buffer-occupancy totals and each router's last-seen terms
   /// (note_occupancy). Slot totals are constant after construction.
   std::vector<int> tx_occ_cache_;

@@ -77,7 +77,7 @@ bool xy_step_is_legal(const Topology& topo, NodeId current, PortId in_port,
                       NodeId dest);
 
 /// Average minimal hop count between distinct node pairs (analysis helper
-/// used by tests and the traffic-pattern benches).
+/// used by tests).
 double average_min_hops(const Topology& topo);
 
 }  // namespace ftnoc

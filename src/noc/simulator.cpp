@@ -62,6 +62,8 @@ SimResults Simulator::run() {
   r.completed = drain_mode ? drained()
                            : stats.messages_ejected() >= cfg_.total_messages;
   r.cycles = net.now();
+  r.router_steps = net.router_steps();
+  r.wire_ticks = net.wire_ticks();
   if (cfg_.link_stats) {
     const auto& fwd = net.link_fwd_counts();
     const auto& stall = net.link_stall_counts();

@@ -2,7 +2,7 @@
 // Top-level simulation driver: runs a Network until the configured number
 // of messages has been ejected (paper §2.2: inject until 300k messages,
 // including 100k warm-up, are ejected), and condenses the collected metrics
-// into a flat result record that the benches print.
+// into a flat result record (one JSONL line per sweep point).
 
 #include <cstdint>
 #include <memory>
@@ -66,6 +66,11 @@ struct SimResults {
     std::uint64_t stall = 0;
   };
   std::vector<LinkUtil> link_util;
+
+  /// Whole-run kernel work (Network::router_steps / wire_ticks). Not a
+  /// JSONL or journal column: the tier-1 work pins read it directly.
+  std::uint64_t router_steps = 0;
+  std::uint64_t wire_ticks = 0;
 
   std::string summary() const;
 };

@@ -1,8 +1,8 @@
 #pragma once
 // Network-wide metric collection. The simulator warms the network up first
 // (paper §2.2: 100k warm-up messages out of 300k); measurement begins when
-// the warm-up ejection count is reached and all per-run metrics reported by
-// the benches come from the measurement window only.
+// the warm-up ejection count is reached and all per-run metrics reported in
+// the sweep records come from the measurement window only.
 
 #include <array>
 #include <cstddef>

@@ -13,7 +13,7 @@
 //   generic router: 119.55 mW, 0.374862 mm2
 //   AC unit:          2.02 mW, 0.004474 mm2   (Table 1)
 //
-// Everything downstream (Table 1 bench, energy-per-event coefficients)
+// Everything downstream (Table 1 tests, energy-per-event coefficients)
 // consumes this model rather than hard-coded ratios, exactly as the paper
 // "imported the power numbers into the cycle-accurate network simulator".
 

@@ -102,7 +102,7 @@ std::vector<SweepPoint> hbh_pattern_points(const SimConfig& base,
 /// Shared grid behind Figures 8 and 9: buffer utilization vs offered load
 /// for adaptive (AD) and deterministic (DT) routing. Deep-saturation
 /// points are cycle-capped (they can never eject the full budget) and AD
-/// pairs with deadlock recovery, as in the paper and the benches.
+/// pairs with deadlock recovery, as in the paper.
 std::vector<SweepPoint> buf_util_points(const SimConfig& base,
                                         const char* figure) {
   struct Algo {
@@ -343,8 +343,8 @@ std::vector<SweepPoint> buffer_ablation_points(const SimConfig& base) {
 
 namespace {
 
-/// The hot-path variants shared by perf and perf_large: one point per
-/// distinct router fast path.
+/// The perf preset's hot-path variants: one point per distinct router
+/// fast path.
 struct PerfVariant {
   const char* name;
   void (*tweak)(SimConfig&);
@@ -377,44 +377,25 @@ constexpr PerfVariant kPerfVariants[] = {
      }},
 };
 
-std::vector<SweepPoint> perf_grid(const SimConfig& base, const char* figure,
-                                  std::uint64_t total_messages,
-                                  std::uint64_t warmup_messages) {
+}  // namespace
+
+std::vector<SweepPoint> perf_points(const SimConfig& base) {
+  // The scale is pinned here (not taken from the base config) so the
+  // digest and work pins do not depend on the caller's scale; the
+  // mesh/topology knobs still follow `base`.
   std::vector<SweepPoint> points;
   for (const auto& v : kPerfVariants) {
     SweepPoint pt;
-    pt.label = std::string(figure) + "/" + v.name;
+    pt.label = std::string("Perf/") + v.name;
     pt.config = base;
     pt.config.injection_rate = 0.25;
-    pt.config.total_messages = total_messages;
-    pt.config.warmup_messages = warmup_messages;
+    pt.config.total_messages = 2'000;
+    pt.config.warmup_messages = 500;
     pt.config.max_cycles = 300'000;
     v.tweak(pt.config);
     points.push_back(std::move(pt));
   }
   return points;
-}
-
-}  // namespace
-
-std::vector<SweepPoint> perf_points(const SimConfig& base) {
-  // The scale is pinned here (not taken from the base config) so
-  // cycles/sec measurements compare like for like across builds; the
-  // mesh/topology knobs still follow `base`.
-  return perf_grid(base, "Perf", 2'000, 500);
-}
-
-std::vector<SweepPoint> perf_large_points(const SimConfig& base) {
-  // The same hot paths on a pinned 16x16 mesh: 4x the routers of the
-  // default 8x8 `perf` grid stepped per cycle and twice the diameter, so
-  // radix- and scale-dependent regressions move this number even when the
-  // `perf` grid is flat.
-  // The message budget is smaller per node but larger in aggregate —
-  // sized so the whole grid stays a CI-smoke-friendly few seconds.
-  SimConfig big = base;
-  big.mesh_width = 16;
-  big.mesh_height = 16;
-  return perf_grid(big, "PerfL", 4'000, 1'000);
 }
 
 std::vector<SweepPoint> large_mesh_points(const SimConfig& base) {
@@ -546,7 +527,7 @@ const std::vector<std::string>& preset_names() {
       "fig08",      "fig09",  "fig13a",
       "fig13b",     "abl_cthres", "buffer_ablation",
       "fault_degradation",    "fault_degradation_16",
-      "fault_storm",    "large_mesh",    "perf",    "perf_large",
+      "fault_storm",    "large_mesh",    "perf",
       "workload_hotspot"};
   return names;
 }
@@ -576,7 +557,6 @@ std::vector<SweepPoint> preset_points(const std::string& name,
   if (name == "fault_storm") return fault_storm_points(base);
   if (name == "large_mesh") return large_mesh_points(base);
   if (name == "perf") return perf_points(base);
-  if (name == "perf_large") return perf_large_points(base);
   if (name == "workload_hotspot") return workload_hotspot_points(base);
   return {};
 }

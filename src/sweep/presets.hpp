@@ -1,6 +1,7 @@
 #pragma once
-// Canonical paper grids, shared by the bench binaries and the ftnoc_sweep
-// CLI so "the Fig. 5 sweep" means the same list of points everywhere.
+// Canonical paper grids, shared by the ftnoc_sweep and ftnoc_campaign CLIs
+// and the golden tests, so "the Fig. 5 sweep" means the same list of points
+// everywhere.
 //
 // Each builder takes a base config (scale knobs: message counts,
 // max_cycles, mesh) and overlays the figure's defining axes on top.
@@ -39,9 +40,9 @@ std::vector<SweepPoint> fig07_points(const SimConfig& base);
 
 /// Figures 8/9 grid: {AD, DT} routing x injection rate 0.1..1.0. Points
 /// past saturation never eject the full budget; they are capped in cycles
-/// (like the benches) and report steady-state buffer utilizations
-/// (completed=false marks them). Figure 8 reads tx_buffer_utilization,
-/// Figure 9 rtx_buffer_utilization.
+/// and report steady-state buffer utilizations (completed=false marks
+/// them). Figure 8 reads tx_buffer_utilization, Figure 9
+/// rtx_buffer_utilization.
 std::vector<SweepPoint> fig08_points(const SimConfig& base);
 std::vector<SweepPoint> fig09_points(const SimConfig& base);
 
@@ -73,11 +74,11 @@ std::vector<SweepPoint> fault_storm_points(const SimConfig& base);
 /// routing=xy; message counts are reduced to campaign scale.
 std::vector<SweepPoint> buffer_ablation_points(const SimConfig& base);
 
-/// Performance-smoke grid for ftnoc_perf / CI: a handful of short,
-/// deterministic points spanning the simulator's distinct hot paths
-/// (each protection scheme, adaptive routing with deadlock recovery, a
-/// 4-stage pipeline). Scale knobs are pinned by the preset itself so two
-/// builds' cycles/sec numbers compare like for like.
+/// Hot-path grid: a handful of short, deterministic points spanning the
+/// simulator's distinct hot paths (each protection scheme, adaptive
+/// routing with deadlock recovery, a 4-stage pipeline). Scale knobs are
+/// pinned by the preset itself, so its golden digest and work pins do not
+/// depend on the caller's scale.
 std::vector<SweepPoint> perf_points(const SimConfig& base);
 
 /// Production-fabric grid: the simulator's hot paths on a 16x16 mesh and
@@ -92,12 +93,6 @@ std::vector<SweepPoint> large_mesh_points(const SimConfig& base);
 /// cuts before the curve moves) with the same staggered, never-
 /// partitioning kill sites. Scale knobs follow `base`; the mesh is pinned.
 std::vector<SweepPoint> fault_degradation_16_points(const SimConfig& base);
-
-/// The perf grid's hot-path variants re-pinned to a 16x16 mesh with a
-/// budget sized for CI: tracks how router-cycle cost scales with fabric
-/// size (the 4x4 `perf` grid can't see radix- or diameter-dependent
-/// regressions). Gated by the perf ratchet as preset "perf_large".
-std::vector<SweepPoint> perf_large_points(const SimConfig& base);
 
 /// Fault-under-real-load grid (DESIGN.md §4.14): a memory-controller
 /// hotspot workload (many-to-one bursts over a background all-to-all),

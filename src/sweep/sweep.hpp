@@ -37,7 +37,7 @@ enum class SeedPolicy : std::uint8_t {
   /// every point gets an unrelated stream, stable across thread counts.
   kDerivePerPoint,
   /// config.seed is used exactly as given (for reproducing runs whose
-  /// configs already pin their seeds, e.g. the bench grids).
+  /// configs already pin their seeds: ftnoc_sweep --fixed-seed).
   kUseConfigSeed,
 };
 

@@ -1,12 +1,17 @@
-// Golden byte-identity tests: the fig05/fig06 preset sweeps at CI scale,
-// pinned by an FNV-1a digest of the exact JSONL byte stream.
+// Golden byte-identity tests: every pinned preset sweep at CI scale,
+// pinned by an FNV-1a digest of the exact JSONL byte stream and by the
+// event kernel's work (router steps and wire ticks, summed over points).
 //
 // These digests are the determinism contract for hot-path work on the
 // router kernel (DESIGN.md "Active-list cycle kernel"): any change to the
 // simulation — iteration order, RNG draw order, energy-charge order,
 // floating-point accumulation order — shows up here as a digest mismatch,
 // while a pure performance change keeps the bytes bit-for-bit identical.
-// If a deliberate behaviour change moves the digests, re-pin them with:
+// The work pins catch what a digest cannot: a kernel that steps routers or
+// ticks wires it does not need to produces the same bytes but more work.
+// If a deliberate behaviour change moves a digest, or a deliberate kernel
+// change moves a work total, re-pin it with a reason in CHANGES.md
+// (DESIGN.md §4.7). The digest is that of:
 //
 //   build/tools/ftnoc_sweep --preset=fig05 --threads=1 --quiet
 //     total_messages=600 warmup_messages=150 max_cycles=300000
@@ -37,14 +42,22 @@ std::uint64_t fnv1a(const std::string& s, std::uint64_t h) {
   return h;
 }
 
+// What a preset sweep is pinned by: the digest of its JSONL byte stream
+// and the kernel work summed over its points.
+struct PresetRun {
+  std::uint64_t digest = kFnvOffset;
+  std::uint64_t router_steps = 0;
+  std::uint64_t wire_ticks = 0;
+};
+
 // Replicates the ftnoc_sweep invocation in the header comment exactly:
 // default base config + scale overrides, preset axes, default engine
 // seeding (base_seed 1, per-point derivation), one JSONL line + '\n' per
 // point in point order.
-std::uint64_t preset_digest(const std::string& preset, int threads = 2,
-                            bool force_scan_kernel = false,
-                            BufferPolicyKind buffer_policy =
-                                BufferPolicyKind::kPrivateVc) {
+PresetRun run_preset(const std::string& preset, int threads = 2,
+                     bool force_scan_kernel = false,
+                     BufferPolicyKind buffer_policy =
+                         BufferPolicyKind::kPrivateVc) {
   SimConfig base;
   base.total_messages = 600;
   base.warmup_messages = 150;
@@ -59,43 +72,63 @@ std::uint64_t preset_digest(const std::string& preset, int threads = 2,
 
   sweep::SweepOptions opts;
   opts.num_threads = threads;  // Digest is thread-count-invariant by design.
-  std::uint64_t h = kFnvOffset;
+  PresetRun run;
   for (const auto& pr : sweep::SweepEngine(opts).run(points)) {
-    h = fnv1a(sweep::to_jsonl(pr) + "\n", h);
+    run.digest = fnv1a(sweep::to_jsonl(pr) + "\n", run.digest);
+    run.router_steps += pr.results.router_steps;
+    run.wire_ticks += pr.results.wire_ticks;
   }
-  return h;
+  return run;
 }
 
+// Event-kernel work pins, checked next to each digest.
+void expect_work(const std::string& preset, const PresetRun& run,
+                 std::uint64_t router_steps, std::uint64_t wire_ticks) {
+  EXPECT_EQ(run.router_steps, router_steps)
+      << preset << " router steps moved: " << run.router_steps
+      << " — the event kernel steps a different set of routers";
+  EXPECT_EQ(run.wire_ticks, wire_ticks)
+      << preset << " wire ticks moved: " << run.wire_ticks
+      << " — the event kernel ticks a different set of wires";
+}
+
+constexpr std::uint64_t kFig05Digest = 0x8d2e0d339df31f1dull;
+constexpr std::uint64_t kFig05RouterSteps = 137'242;
+constexpr std::uint64_t kFig05WireTicks = 291'917;
+
 TEST(GoldenDigest, Fig05PresetByteIdentical) {
-  const std::uint64_t h = preset_digest("fig05");
-  EXPECT_EQ(h, 0x8d2e0d339df31f1dull)
-      << "fig05 JSONL digest moved: 0x" << std::hex << h
+  const PresetRun run = run_preset("fig05");
+  EXPECT_EQ(run.digest, kFig05Digest)
+      << "fig05 JSONL digest moved: 0x" << std::hex << run.digest
       << " — the simulation is no longer byte-identical to the pinned run";
+  expect_work("fig05", run, kFig05RouterSteps, kFig05WireTicks);
 }
 
 TEST(GoldenDigest, Fig06PresetByteIdentical) {
-  const std::uint64_t h = preset_digest("fig06");
-  EXPECT_EQ(h, 0x601a10743b2187aeull)
-      << "fig06 JSONL digest moved: 0x" << std::hex << h
+  const PresetRun run = run_preset("fig06");
+  EXPECT_EQ(run.digest, 0x601a10743b2187aeull)
+      << "fig06 JSONL digest moved: 0x" << std::hex << run.digest
       << " — the simulation is no longer byte-identical to the pinned run";
+  expect_work("fig06", run, 136'515, 286'603);
 }
 
 TEST(GoldenDigest, Fig07PresetByteIdentical) {
-  const std::uint64_t h = preset_digest("fig07");
-  EXPECT_EQ(h, 0xec4738de9dcd17afull)
-      << "fig07 JSONL digest moved: 0x" << std::hex << h
+  const PresetRun run = run_preset("fig07");
+  EXPECT_EQ(run.digest, 0xec4738de9dcd17afull)
+      << "fig07 JSONL digest moved: 0x" << std::hex << run.digest
       << " — the simulation is no longer byte-identical to the pinned run";
+  expect_work("fig07", run, 136'515, 286'603);
 }
 
-// The perf preset covers the five hot paths ftnoc_perf times (HBH, FEC,
-// E2E, adaptive+recovery, 4-stage); pinning it keeps the perf baselines
-// comparable across builds — a perf run whose digest moved is measuring a
-// different simulation.
+// The perf preset covers five distinct hot paths (HBH, FEC, E2E,
+// adaptive+recovery, 4-stage) at a scale pinned inside the preset, so its
+// work pins track the kernel's cost on each of them.
 TEST(GoldenDigest, PerfPresetByteIdentical) {
-  const std::uint64_t h = preset_digest("perf");
-  EXPECT_EQ(h, 0x97fae896b7bbf52aull)
-      << "perf JSONL digest moved: 0x" << std::hex << h
+  const PresetRun run = run_preset("perf");
+  EXPECT_EQ(run.digest, 0x97fae896b7bbf52aull)
+      << "perf JSONL digest moved: 0x" << std::hex << run.digest
       << " — the simulation is no longer byte-identical to the pinned run";
+  expect_work("perf", run, 145'889, 286'457);
 }
 
 // The fault_degradation preset is the only family that exercises the
@@ -103,10 +136,11 @@ TEST(GoldenDigest, PerfPresetByteIdentical) {
 // fault-gated JSONL columns); without a pin, a regression there is
 // invisible to the other four digests.
 TEST(GoldenDigest, FaultDegradationPresetByteIdentical) {
-  const std::uint64_t h = preset_digest("fault_degradation");
-  EXPECT_EQ(h, 0xb120c92882680d7dull)
-      << "fault_degradation JSONL digest moved: 0x" << std::hex << h
+  const PresetRun run = run_preset("fault_degradation");
+  EXPECT_EQ(run.digest, 0xb120c92882680d7dull)
+      << "fault_degradation JSONL digest moved: 0x" << std::hex << run.digest
       << " — the simulation is no longer byte-identical to the pinned run";
+  expect_work("fault_degradation", run, 51'551, 92'402);
 }
 
 // The fault_storm preset is the only pinned family whose faults land
@@ -115,10 +149,11 @@ TEST(GoldenDigest, FaultDegradationPresetByteIdentical) {
 // static fault_degradation pin above cannot see a byte-level regression
 // in any of that machinery.
 TEST(GoldenDigest, FaultStormPresetByteIdentical) {
-  const std::uint64_t h = preset_digest("fault_storm");
-  EXPECT_EQ(h, 0xde51621525d980dfull)
-      << "fault_storm JSONL digest moved: 0x" << std::hex << h
+  const PresetRun run = run_preset("fault_storm");
+  EXPECT_EQ(run.digest, 0xde51621525d980dfull)
+      << "fault_storm JSONL digest moved: 0x" << std::hex << run.digest
       << " — the simulation is no longer byte-identical to the pinned run";
+  expect_work("fault_storm", run, 51'329, 91'646);
 }
 
 // Kernel/thread invariance: the event-queue kernel (DESIGN.md §4.10) and
@@ -127,7 +162,6 @@ TEST(GoldenDigest, FaultStormPresetByteIdentical) {
 // All four (kernel × threads) combinations are pinned to the SAME value —
 // the fig05 digest above — so a divergence names the offending axis.
 TEST(GoldenDigest, KernelAndThreadCountInvariant) {
-  constexpr std::uint64_t kPinned = 0x8d2e0d339df31f1dull;
   struct Combo {
     int threads;
     bool force_scan;
@@ -140,10 +174,15 @@ TEST(GoldenDigest, KernelAndThreadCountInvariant) {
       // {2, false} is Fig05PresetByteIdentical above.
   };
   for (const auto& c : combos) {
-    const std::uint64_t h = preset_digest("fig05", c.threads, c.force_scan);
-    EXPECT_EQ(h, kPinned)
-        << c.what << " produced digest 0x" << std::hex << h
+    const PresetRun run = run_preset("fig05", c.threads, c.force_scan);
+    EXPECT_EQ(run.digest, kFig05Digest)
+        << c.what << " produced digest 0x" << std::hex << run.digest
         << " — kernels/thread-counts are no longer byte-interchangeable";
+    // The event kernel's work is thread-count-invariant too.
+    if (!c.force_scan) {
+      expect_work(std::string("fig05, ") + c.what, run, kFig05RouterSteps,
+                  kFig05WireTicks);
+    }
   }
 }
 
@@ -154,8 +193,8 @@ TEST(GoldenDigest, KernelAndThreadCountInvariant) {
 // byte-stability of the damq path across builds is what the
 // buffer_ablation pin below is for.
 TEST(GoldenDigest, KernelAndThreadCountInvariantUnderDamq) {
-  const std::uint64_t ref =
-      preset_digest("fig05", 1, false, BufferPolicyKind::kDamq);
+  const PresetRun ref =
+      run_preset("fig05", 1, false, BufferPolicyKind::kDamq);
   struct Combo {
     int threads;
     bool force_scan;
@@ -167,13 +206,16 @@ TEST(GoldenDigest, KernelAndThreadCountInvariantUnderDamq) {
       {2, true, "scan kernel, 2 threads"},
   };
   for (const auto& c : combos) {
-    const std::uint64_t h =
-        preset_digest("fig05", c.threads, c.force_scan,
-                      BufferPolicyKind::kDamq);
-    EXPECT_EQ(h, ref)
-        << c.what << " produced digest 0x" << std::hex << h
+    const PresetRun run = run_preset("fig05", c.threads, c.force_scan,
+                                     BufferPolicyKind::kDamq);
+    EXPECT_EQ(run.digest, ref.digest)
+        << c.what << " produced digest 0x" << std::hex << run.digest
         << " under damq — kernels/thread-counts are no longer "
            "byte-interchangeable";
+    if (!c.force_scan) {
+      expect_work(std::string("fig05 under damq, ") + c.what, run,
+                  ref.router_steps, ref.wire_ticks);
+    }
   }
 }
 
@@ -225,13 +267,14 @@ TEST(GoldenDigest, DamqAtFullReserveMatchesPrivateVc) {
 // kernel's wake rules can silently diverge from the scan kernel.
 TEST(GoldenDigest, LargeMeshPresetByteIdenticalBothKernels) {
   constexpr std::uint64_t kPinned = 0x8969035bbec46951ull;
-  const std::uint64_t event_h = preset_digest("large_mesh");
-  EXPECT_EQ(event_h, kPinned)
+  const PresetRun event = run_preset("large_mesh");
+  EXPECT_EQ(event.digest, kPinned)
       << "large_mesh JSONL digest moved (event kernel): 0x" << std::hex
-      << event_h
+      << event.digest
       << " — the simulation is no longer byte-identical to the pinned run";
+  expect_work("large_mesh", event, 946'539, 1'934'902);
   const std::uint64_t scan_h =
-      preset_digest("large_mesh", 2, /*force_scan_kernel=*/true);
+      run_preset("large_mesh", 2, /*force_scan_kernel=*/true).digest;
   EXPECT_EQ(scan_h, kPinned)
       << "large_mesh JSONL digest moved (scan kernel): 0x" << std::hex
       << scan_h << " — the kernels are no longer byte-interchangeable on "
@@ -245,10 +288,11 @@ TEST(GoldenDigest, LargeMeshPresetByteIdenticalBothKernels) {
 // the value is the digest of the first 20 of the previous 30 lines (the
 // private_vc and damq rows, byte-identical), so only the VOQ rows left.
 TEST(GoldenDigest, BufferAblationPresetByteIdentical) {
-  const std::uint64_t h = preset_digest("buffer_ablation");
-  EXPECT_EQ(h, 0x1bdad0e11753ded4ull)
-      << "buffer_ablation JSONL digest moved: 0x" << std::hex << h
+  const PresetRun run = run_preset("buffer_ablation");
+  EXPECT_EQ(run.digest, 0x1bdad0e11753ded4ull)
+      << "buffer_ablation JSONL digest moved: 0x" << std::hex << run.digest
       << " — the simulation is no longer byte-identical to the pinned run";
+  expect_work("buffer_ablation", run, 147'061, 327'308);
 }
 
 // The workload_hotspot preset is the only pinned family that runs the
@@ -261,13 +305,14 @@ TEST(GoldenDigest, BufferAblationPresetByteIdentical) {
 // kernel's hardest case.
 TEST(GoldenDigest, WorkloadHotspotPresetByteIdenticalBothKernels) {
   constexpr std::uint64_t kPinned = 0x8f3543d83cf2ae66ull;
-  const std::uint64_t event_h = preset_digest("workload_hotspot");
-  EXPECT_EQ(event_h, kPinned)
+  const PresetRun event = run_preset("workload_hotspot");
+  EXPECT_EQ(event.digest, kPinned)
       << "workload_hotspot JSONL digest moved (event kernel): 0x" << std::hex
-      << event_h
+      << event.digest
       << " — the simulation is no longer byte-identical to the pinned run";
+  expect_work("workload_hotspot", event, 191'748, 140'285);
   const std::uint64_t scan_h =
-      preset_digest("workload_hotspot", 2, /*force_scan_kernel=*/true);
+      run_preset("workload_hotspot", 2, /*force_scan_kernel=*/true).digest;
   EXPECT_EQ(scan_h, kPinned)
       << "workload_hotspot JSONL digest moved (scan kernel): 0x" << std::hex
       << scan_h << " — the kernels are no longer byte-interchangeable on "

@@ -74,9 +74,12 @@ TEST(IntegrationDeadlock, RecoveryBreaksTheDeadlock) {
                            << " confirmed=" << r.deadlocks_confirmed
                            << " absorbed=" << r.flits_absorbed;
   EXPECT_EQ(r.corrupted_delivered, 0u);
-  EXPECT_GE(r.deadlocks_confirmed, 1u);
   EXPECT_GE(r.recoveries_entered, 1u);
-  EXPECT_GE(r.flits_absorbed, 1u);
+  // The cycle2x2 figures EXPERIMENTS.md reports for this scenario.
+  EXPECT_EQ(r.cycles, 133u);
+  EXPECT_EQ(r.flits_absorbed, 29u);
+  EXPECT_EQ(r.deadlocks_confirmed, 3u);
+  EXPECT_EQ(r.probes_sent, 8u);
 }
 
 TEST(IntegrationDeadlock, XyRoutingNeverTriggersRecovery) {

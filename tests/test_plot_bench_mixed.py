@@ -3,8 +3,10 @@
 
 One campaign file can legitimately mix records with and without the
 fault-gated counters (packets_rerouted, unreachable_drops): only points
-whose config enables permanent faults emit them. The converter must keep every row and write 0 — not an empty cell,
-not a crash, not a dropped row — for a column a row does not have.
+whose config enables permanent faults emit them. The converter must keep
+every row and write 0 — not an empty cell, not a crash, not a dropped
+row — for a column a row does not have. A line that is not a JSON object
+is refused with its path:line.
 """
 import csv
 import os
@@ -111,11 +113,28 @@ def check_policy_overlay(td):
     assert by_key[("BC[damq]", "0.01")]["damq_reserve_slots"] == "2"
 
 
+def check_malformed_line_fails(td):
+    # A truncated record (a sweep killed mid-write) must not be dropped
+    # silently: the converter exits non-zero and names path:line. A blank
+    # line is not an error.
+    src = os.path.join(td, "torn.jsonl")
+    with open(src, "w") as f:
+        f.write('{"label":"Fig6/BC/err=0.001","avg_latency_cycles":21.5}\n'
+                "\n"
+                '{"label":"Fig6/BC/err=0.01","avg_lat\n')
+    proc = subprocess.run(
+        [sys.executable, PLOT_BENCH, src, os.path.join(td, "torn_csv")],
+        capture_output=True, text=True)
+    assert proc.returncode != 0, "malformed line was accepted"
+    assert f"{src}:3" in proc.stderr, proc.stderr
+
+
 def main():
     with tempfile.TemporaryDirectory() as td:
         check_fault_columns(td)
         check_delivered_fraction(td)
         check_policy_overlay(td)
+        check_malformed_line_fails(td)
     print("plot_bench mixed-schema: OK")
 
 

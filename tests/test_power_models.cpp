@@ -61,13 +61,15 @@ TEST(AreaPowerModel, NoRtxBuffersWhenDepthZero) {
 
 TEST(AreaPowerModel, AcOverheadStaysSmallAcrossConfigs) {
   // The paper's point: the AC is a tiny fraction of the router for any
-  // reasonable configuration.
+  // reasonable configuration. EXPERIMENTS.md documents "<= ~1.7%" over
+  // V in {2, 3, 4, 6}; the measured maxima are 1.6897% (power) and
+  // 1.1935% (area).
   for (int vcs : {2, 3, 4, 6}) {
     RouterParams p;
     p.vcs = vcs;
     const AcOverheadReport r = ac_overhead(p);
-    EXPECT_LT(r.area_overhead_pct, 5.0) << "vcs=" << vcs;
-    EXPECT_LT(r.power_overhead_pct, 5.0) << "vcs=" << vcs;
+    EXPECT_LE(r.area_overhead_pct, 1.7) << "vcs=" << vcs;
+    EXPECT_LE(r.power_overhead_pct, 1.7) << "vcs=" << vcs;
   }
 }
 

@@ -276,9 +276,9 @@ TEST(SweepPresets, NamesLineListsEveryPreset) {
 
 TEST(SweepPresets, LargeFabricGridShapes) {
   // The production-fabric presets pin their mesh dimensions (and, for
-  // large_mesh/perf_large, their scale knobs) inside the preset: a 4x4
-  // tiny base must not leak into the grid, or the golden digest and perf
-  // baseline would silently depend on the caller's scale.
+  // large_mesh, its scale knobs) inside the preset: a 4x4 tiny base must
+  // not leak into the grid, or the golden digest and work pins would
+  // silently depend on the caller's scale.
   const auto large = sweep::large_mesh_points(tiny_config());
   ASSERT_EQ(large.size(), 5u);
   EXPECT_EQ(large[0].label, "LargeMesh/mesh16/HBH");
@@ -304,15 +304,6 @@ TEST(SweepPresets, LargeFabricGridShapes) {
     EXPECT_EQ(pt.config.mesh_height, 16) << pt.label;
   }
   EXPECT_EQ(deg16[8].config.dead_links.size(), 8u);
-
-  const auto perf_large = sweep::perf_large_points(tiny_config());
-  ASSERT_EQ(perf_large.size(), 5u);  // Same hot paths as `perf`.
-  EXPECT_EQ(perf_large.size(), sweep::perf_points(tiny_config()).size());
-  EXPECT_EQ(perf_large[0].label, "PerfL/HBH");
-  for (const auto& pt : perf_large) {
-    EXPECT_EQ(pt.config.validate(), std::nullopt) << pt.label;
-    EXPECT_EQ(pt.config.mesh_width, 16) << pt.label;
-  }
 }
 
 TEST(SweepPresets, BufferAblationGridShape) {

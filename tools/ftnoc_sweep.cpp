@@ -15,8 +15,10 @@
 // With --preset, positional arguments must be single-valued and act as
 // base-config overrides (scale knobs); the preset supplies the axes.
 //
-// Default run scale matches the benches (30k ejected messages, 10k
-// warm-up, 1.5M max cycles per point); override via total_messages= etc.
+// Default run scale: 30k ejected messages, 10k warm-up, 1.5M max cycles
+// per point; override via total_messages= etc. --fixed-seed runs each
+// point on its config's own seed, the documented way to regenerate a
+// figure (EXPERIMENTS.md).
 
 #include <chrono>
 #include <cstdio>
@@ -38,7 +40,7 @@ constexpr const char* kUsage =
     "  --seed=S       base seed for per-point seed derivation (default 1)\n"
     "  --fixed-seed   use each config's own seed= instead of deriving\n"
     "  --out=FILE     write JSONL records to FILE (default stdout)\n"
-    "  --preset=NAME  canonical paper grid: fig05..fig13b, abl_cthres\n"
+    "  --preset=NAME  a canonical grid, one of the presets listed below\n"
     "  --timing       include per-point wall_ms in records\n"
     "  --quiet        suppress the per-point progress on stderr\n"
     "  --help         this text\n";
@@ -86,6 +88,7 @@ int main(int argc, char** argv) {
       quiet = true;
     } else if (std::strcmp(arg, "--help") == 0) {
       std::fputs(kUsage, stdout);
+      std::printf("presets: %s\n", sweep::preset_names_line().c_str());
       return 0;
     } else if (arg[0] == '-') {
       std::fprintf(stderr, "unknown flag: %s\n%s", arg, kUsage);

@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
-"""Convert ftnoc bench or sweep/campaign output into per-figure CSV files.
+"""Convert ftnoc sweep/campaign JSONL into per-figure CSV files.
 
 Usage:
-    python3 tools/plot_bench.py bench_output.txt [outdir]
     python3 tools/plot_bench.py fig05.jsonl [outdir]
     python3 tools/plot_bench.py fig05.agg.jsonl fig06.agg.jsonl [outdir]
 
@@ -12,18 +11,14 @@ bench_csv).  Multiple inputs are folded into one figure set, so
 several sweep or campaign outputs land in the same CSVs as a
 single-file run.
 
-Two input flavors, auto-detected per line:
+Inputs are JSONL records from ftnoc_sweep (one config point per line) or
+ftnoc_campaign (one aggregate record per point, type="point"; per-replica
+journal lines are skipped — plot the aggregates they back).  A non-blank
+line that is not a JSON object is an error: the converter names it
+(path:line) and exits non-zero.
 
-* google-benchmark console rows like
-
-      Fig6/BC/err=0.001/iterations:1  ... latency_cyc=189.517 ... retx_events=28
-
-* JSONL records from ftnoc_sweep (one config point per line) or
-  ftnoc_campaign (one aggregate record per point, type="point"; per-replica
-  journal lines are skipped — plot the aggregates they back).
-
-Either way a row is keyed by its series (BC) and x value (0.001) taken
-from the label, one CSV per figure, ready for any plotting tool.
+A row is keyed by its series (BC) and x value (0.001) taken from the
+label, one CSV per figure, ready for any plotting tool.
 """
 import collections
 import csv
@@ -33,18 +28,6 @@ import re
 import sys
 
 
-ROW = re.compile(r"^(\w+)/(\S+?)/iterations:\d+\s")
-COUNTER = re.compile(r"([A-Za-z_][\w]*)=([-\d.]+[kmu]?)")
-
-SUFFIX = {"k": 1e3, "m": 1e-3, "u": 1e-6}
-
-
-def parse_value(text):
-    if text[-1] in SUFFIX:
-        return float(text[:-1]) * SUFFIX[text[-1]]
-    return float(text)
-
-
 def split_label(figure_and_series):
     """Splits ["BC", "err=0.001"]-style label segments into (series, x)."""
     point = figure_and_series[-1] if len(figure_and_series) > 1 else ""
@@ -52,20 +35,6 @@ def split_label(figure_and_series):
               if len(figure_and_series) > 1 else figure_and_series[0])
     x = point.split("=", 1)[1] if "=" in point else point
     return series, x
-
-
-def ingest_bench(line, figures):
-    m = ROW.match(line)
-    if not m:
-        return
-    series, x = split_label(m.group(2).split("/"))
-    row = {"series": series, "x": x}
-    for key, val in COUNTER.findall(line):
-        try:
-            row[key] = parse_value(val)
-        except ValueError:
-            pass
-    figures[m.group(1)].append(row)
 
 
 LINK = re.compile(r"(\d+):([NESW])=(\d+)/(\d+)")
@@ -94,12 +63,8 @@ def ingest_link_util(rec, figure, series, x, heatmaps):
         })
 
 
-def ingest_jsonl(line, figures, heatmaps):
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError:
-        return
-    if not isinstance(rec, dict) or not isinstance(rec.get("label"), str):
+def ingest_jsonl(rec, figures, heatmaps):
+    if not isinstance(rec.get("label"), str):
         return
     if rec.get("type") == "replica":
         return  # Journal replica lines; the type="point" aggregates follow.
@@ -150,12 +115,17 @@ def main():
     heatmaps = collections.defaultdict(list)
     for path in args:
         with open(path) as f:
-            for line in f:
+            for lineno, line in enumerate(f, 1):
                 line = line.strip()
-                if line.startswith("{"):
-                    ingest_jsonl(line, figures, heatmaps)
-                else:
-                    ingest_bench(line, figures)
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError:
+                    rec = None
+                if not isinstance(rec, dict):
+                    sys.exit(f"{path}:{lineno}: not a JSON object")
+                ingest_jsonl(rec, figures, heatmaps)
 
     for figure, rows in figures.items():
         # Overlay mixed buffer policies: when one figure holds records
