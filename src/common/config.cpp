@@ -35,19 +35,10 @@ const char* to_string(TrafficPattern t) {
   return "?";
 }
 
-const char* to_string(BufferPolicyKind b) {
-  switch (b) {
-    case BufferPolicyKind::kPrivateVc: return "private_vc";
-    case BufferPolicyKind::kDamq: return "damq";
-  }
-  return "?";
-}
-
 std::optional<TestMutation> parse_test_mutation(const std::string& name) {
   if (name.empty()) return TestMutation::kNone;
   if (name == "drop_window") return TestMutation::kDropWindow;
   if (name == "route_into_dead_link") return TestMutation::kRouteIntoDeadLink;
-  if (name == "damq_credit_leak") return TestMutation::kDamqCreditLeak;
   if (name == "strand_waiter") return TestMutation::kStrandWaiter;
   return std::nullopt;
 }
@@ -102,27 +93,18 @@ std::optional<std::string> SimConfig::validate() const {
     // independent of the cycle length. At equality the absorbed flits
     // exactly refill the freed slots and recovery livelocks, so refuse
     // the configuration outright instead of wedging at runtime.
-    //
-    // A single VC can legally hold its reserve plus the port's whole
-    // shared region, so the bound must hold for that effective per-VC
-    // depth vc_capacity() = K + V*(depth - K); it is the nominal depth
-    // under private_vc (DESIGN.md §4.11).
     const long long m = packet_length;
-    const long long t = vc_capacity();
+    const long long t = vc_buffer_depth;
     const long long r = retransmission_depth;
     const long long bound = m * ((t + m - 1) / m);
     if (t + r <= bound) {
       return err(
-          "deadlock recovery violates Eq. (1): effective vc_buffer_depth + "
+          "deadlock recovery violates Eq. (1): vc_buffer_depth + "
           "retransmission_depth (" +
           std::to_string(t + r) + ") must exceed packet_length * "
           "ceil(depth / packet_length) (" + std::to_string(bound) +
           ") or recovery cannot guarantee forward progress");
     }
-  }
-  if (buffer_policy == BufferPolicyKind::kDamq &&
-      (damq_reserve_slots < 1 || damq_reserve_slots > vc_buffer_depth)) {
-    return err("damq_reserve_slots must be in [1, vc_buffer_depth]");
   }
   if (routing == RoutingAlgorithm::kAdaptiveEscape && num_vcs < 2) {
     return err("escape routing needs >= 2 VCs (VC 0 is the escape lane)");
@@ -222,16 +204,6 @@ std::optional<std::string> apply_override(SimConfig& cfg,
     if (!parse_int(val, cfg.pipeline_stages)) return bad();
   } else if (key == "retransmission_depth") {
     if (!parse_int(val, cfg.retransmission_depth)) return bad();
-  } else if (key == "buffer_policy") {
-    if (val == "private_vc" || val == "private") {
-      cfg.buffer_policy = BufferPolicyKind::kPrivateVc;
-    } else if (val == "damq") {
-      cfg.buffer_policy = BufferPolicyKind::kDamq;
-    } else {
-      return bad();
-    }
-  } else if (key == "damq_reserve_slots") {
-    if (!parse_int(val, cfg.damq_reserve_slots)) return bad();
   } else if (key == "injection_rate") {
     if (!parse_double(val, cfg.injection_rate)) return bad();
   } else if (key == "packet_length") {

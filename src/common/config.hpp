@@ -41,20 +41,6 @@ enum class TrafficPattern : std::uint8_t {
   kTornado,         ///< "TN": dest = (x + X/2 - 1) mod X in each dimension.
 };
 
-/// Input-buffer organization of the routers (DESIGN.md §4.11). Both
-/// policies store each (port, VC) in its own ring; they differ only in
-/// the per-VC reserve K of a link input port (SimConfig::input_reserve).
-enum class BufferPolicyKind : std::uint8_t {
-  /// One private `vc_buffer_depth`-flit FIFO per (port, VC) — the paper's
-  /// layout, assumed by Eq. (1) as written. K = vc_buffer_depth.
-  kPrivateVc,
-  /// Dynamically-Allocated Multi-Queue: K = `damq_reserve_slots` slots
-  /// are reserved per VC, and the VCs of one link input port share the
-  /// remaining num_vcs * (vc_buffer_depth - K) slots (after Jamali &
-  /// Khademzadeh, arXiv 0910.1852). K = depth is kPrivateVc exactly.
-  kDamq,
-};
-
 /// Bugs the differential fuzzer can plant in the optimized router (never
 /// the reference) to prove it catches them; SimConfig::test_mutation names
 /// one.
@@ -62,7 +48,6 @@ enum class TestMutation : std::uint8_t {
   kNone,
   kDropWindow,         ///< "drop_window"
   kRouteIntoDeadLink,  ///< "route_into_dead_link"
-  kDamqCreditLeak,     ///< "damq_credit_leak"
   kStrandWaiter,       ///< "strand_waiter"
 };
 
@@ -73,7 +58,6 @@ std::optional<TestMutation> parse_test_mutation(const std::string& name);
 const char* to_string(RoutingAlgorithm a);
 const char* to_string(LinkProtection p);
 const char* to_string(TrafficPattern t);
-const char* to_string(BufferPolicyKind b);
 
 /// Fault process rates. All are per-opportunity Bernoulli probabilities.
 struct FaultConfig {
@@ -122,16 +106,6 @@ struct SimConfig {
   int vc_buffer_depth = 4;    ///< Flits per VC transmission buffer.
   int pipeline_stages = 3;    ///< 1..4 (paper evaluates 3-stage).
   int retransmission_depth = 3;  ///< Barrel-shifter depth (paper: 3).
-  /// Input-buffer organization (DESIGN.md §4.11). Both policies use the
-  /// same total budget of num_vcs * vc_buffer_depth slots per link input
-  /// port; only the per-VC reserve differs. The local injection port
-  /// always keeps private vc_buffer_depth-slot rings.
-  BufferPolicyKind buffer_policy = BufferPolicyKind::kPrivateVc;
-  /// DAMQ only: slots reserved per VC on a link input port (the
-  /// deadlock-freedom floor). Must be in [1, vc_buffer_depth]; the shared
-  /// region is num_vcs * (vc_buffer_depth - damq_reserve_slots) slots,
-  /// and damq_reserve_slots = vc_buffer_depth is exactly private_vc.
-  int damq_reserve_slots = 2;
 
   // --- Traffic ---
   double injection_rate = 0.1;  ///< flits/node/cycle.
@@ -221,8 +195,6 @@ struct SimConfig {
   ///    now+2;
   ///  * "route_into_dead_link" routes with the fault-blind closed form,
   ///    steering headers at failed ports (faulted topologies only);
-  ///  * "damq_credit_leak" skips the shared_held_ release on a DAMQ credit
-  ///    return;
   ///  * "strand_waiter" leaves registered deadlock waiters on a draining
   ///    port instead of re-homing them.
   /// The router maps the name to a TestMutation once, at construction.
@@ -240,21 +212,6 @@ struct SimConfig {
   Cycle max_cycles = 10'000'000;  ///< Hard stop (diverged/saturated runs).
 
   int num_nodes() const { return mesh_width * mesh_height; }
-
-  /// Per-VC reserve K of a link input port: damq_reserve_slots under
-  /// damq, the whole vc_buffer_depth under private_vc.
-  int input_reserve() const {
-    return buffer_policy == BufferPolicyKind::kDamq ? damq_reserve_slots
-                                                    : vc_buffer_depth;
-  }
-  /// Slots the VCs of one link input port share beyond their reserves:
-  /// V * (T - K); zero under private_vc.
-  int input_shared_slots() const {
-    return num_vcs * (vc_buffer_depth - input_reserve());
-  }
-  /// The most flits one link-port input VC can legally hold, K + V*(T-K):
-  /// its ring size, and the effective depth Eq. (1) is checked at.
-  int vc_capacity() const { return input_reserve() + input_shared_slots(); }
 
   /// True when a workload (file or inline text) is configured.
   bool has_workload() const {

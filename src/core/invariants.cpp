@@ -19,8 +19,6 @@ const char* to_string(InvariantId id) {
     case InvariantId::kProbeLifecycle: return "probe-lifecycle";
     case InvariantId::kRecoveryBufferBound: return "recovery-buffer-bound";
     case InvariantId::kDeadLinkTraversal: return "dead-link-traversal";
-    case InvariantId::kSharedPoolConservation:
-      return "shared-pool-conservation";
     case InvariantId::kMisrouteBound: return "misroute-bound";
   }
   return "?";
@@ -223,8 +221,6 @@ void InvariantMonitor::on_recovery_entered(Cycle now, NodeId router,
   // Eq. (1) with the engaging router's actual buffer sizes. The static
   // validate() gate makes this unreachable for uniform configs; checking
   // it here keeps the guarantee honest if per-node sizing ever lands.
-  // tx_size is the effective per-VC depth K + V*(T - K) a VC can legally
-  // absorb into (DESIGN.md §4.11).
   if (!recovery_buffer_bound_ok({tx_size}, {rtx_size}, cfg_.packet_length)) {
     fail(InvariantId::kRecoveryBufferBound, now, router, -1, -1,
          "recovery engaged with T=" + std::to_string(tx_size) + " R=" +

@@ -83,11 +83,6 @@ enum class InvariantId : std::uint8_t {
   kProbeLifecycle,
   kRecoveryBufferBound,
   kDeadLinkTraversal,
-  /// DAMQ shared-region accounting (DESIGN.md §4.11): sender side, the
-  /// per-port shared credit counter plus all per-VC shared_held counters
-  /// must equal the shared region V*(T-K); receiver side, the input VCs'
-  /// occupancy past their reserves must fit in it.
-  kSharedPoolConservation,
   /// Non-minimal escape tier (DESIGN.md §4.12): a single packet must not
   /// accrue more escape detours than 4 * num_nodes. Between detours the
   /// packet routes by strict BFS-distance descent, so its total work is
@@ -156,8 +151,7 @@ class InvariantMonitor {
   void on_probe_forwarded(NodeId relay, NodeId origin, std::uint32_t probe_id);
   void on_probe_confirmed(Cycle now, NodeId origin, std::uint32_t probe_id);
   /// `tx_size`/`rtx_size` are the engaging router's per-VC transmission
-  /// and retransmission buffer depths for the Eq. (1) re-check; tx_size
-  /// is the effective depth SimConfig::vc_capacity.
+  /// and retransmission buffer depths for the Eq. (1) re-check.
   void on_recovery_entered(Cycle now, NodeId router, RecoveryTrigger trigger,
                            NodeId origin, std::uint32_t probe_id,
                            int tx_size, int rtx_size);

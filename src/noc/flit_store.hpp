@@ -6,10 +6,8 @@
 // per VC. FlitRing is the non-owning ring view over one VC's window of
 // that slab; it exposes only the queue operations the phase code uses, so
 // the phases stay layout-agnostic while the storage itself is
-// cache-linear in ascending-gid order. Each window holds the most flits
-// its VC may legally buffer (SimConfig::vc_capacity on link ports); the
-// buffer policy is an admission rule over these rings, not a different
-// storage (DESIGN.md §4.11).
+// cache-linear in ascending-gid order. Each window is its VC's private
+// vc_buffer_depth-flit buffer (DESIGN.md §4.11).
 
 #include <cstddef>
 #include <cstdint>

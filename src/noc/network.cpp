@@ -811,11 +811,8 @@ void Network::run_invariant_walks() {
           if (c.vc == v) ++total;
         }
         total += routers_[*nb]->input_buffer_size(back, v);
-        // The per-VC budget is elastic: K reserved plus however many
-        // shared slots the sender currently holds for this VC.
-        monitor_->check_credit_sum(
-            now_, i, d, v, total,
-            routers_[i]->credit_budget(static_cast<PortId>(d), v));
+        monitor_->check_credit_sum(now_, i, d, v, total,
+                                   cfg_.vc_buffer_depth);
       }
     }
     // The PE -> router injection link: the sender-side counter is the PE

@@ -54,19 +54,15 @@ ReferenceRouter::ReferenceRouter(NodeId id, const SimConfig& cfg,
   drop_until_.assign(static_cast<std::size_t>(pv), 0);
   va_rotation_.assign(static_cast<std::size_t>(pv), 0);
 
-  shared_credits_.assign(static_cast<std::size_t>(num_ports_), 0);
-  shared_held_.assign(static_cast<std::size_t>(pv), 0);
-
   const bool use_rtx =
       cfg_.protection == LinkProtection::kHbh || cfg_.deadlock.enable_recovery;
   for (PortId p = 0; p < num_ports_; ++p) {
-    if (p != kLocalPort) shared_credits_[p] = cfg_.input_shared_slots();
     for (VcId v = 0; v < num_vcs_; ++v) {
       auto& out = ovc(p, v);
       if (p == kLocalPort) {
         out.credits = 1 << 28;
       } else {
-        out.credits = cfg_.input_reserve();
+        out.credits = cfg_.vc_buffer_depth;
         if (use_rtx) out.rtx.emplace(cfg_.retransmission_depth);
       }
     }
@@ -218,18 +214,9 @@ void ReferenceRouter::phase_maintenance(Cycle now) {
           continue;
         }
       }
-      // Repay borrowed shared slots before reserved ones; the budget
-      // K + shared_held stays conserved either way (DESIGN.md §4.11).
-      auto& held = shared_held_[static_cast<std::size_t>(gid(p, c.vc))];
-      if (held > 0) {
-        --held;
-        ++shared_credits_[p];
-        FTNOC_CHECK(shared_credits_[p] <= cfg_.input_shared_slots());
-      } else {
-        auto& out = ovc(p, c.vc);
-        ++out.credits;
-        FTNOC_CHECK(out.credits <= cfg_.input_reserve());
-      }
+      auto& out = ovc(p, c.vc);
+      ++out.credits;
+      FTNOC_CHECK(out.credits <= cfg_.vc_buffer_depth);
     }
     if (auto nack = w->nack.read()) {
       if (faults_ && faults_->upset_handshake()) {
@@ -350,22 +337,10 @@ void ReferenceRouter::handle_incoming_flit(PortId p, Flit f, Cycle now) {
 
 void ReferenceRouter::accept_flit(PortId p, Flit f, Cycle now) {
   auto& vc = ivc(p, f.vc);
-  // Admission, computed from the per-VC deque sizes: a VC below its
-  // reserve always has a slot; past it the port's shared region must have
-  // room. The sender credit protocol guarantees this holds at every
-  // arrival (DESIGN.md §4.11), hence CHECK, not drop. The local port is
-  // private: reserve = depth, no shared region.
-  const int reserve =
-      p == kLocalPort ? cfg_.vc_buffer_depth : cfg_.input_reserve();
-  if (static_cast<int>(vc.buf.size()) >= reserve) {
-    int shared_in_use = 0;
-    for (VcId v = 0; v < num_vcs_; ++v) {
-      shared_in_use +=
-          std::max(0, static_cast<int>(ivc(p, v).buf.size()) - reserve);
-    }
-    FTNOC_CHECK(p != kLocalPort &&
-                shared_in_use < cfg_.input_shared_slots());
-  }
+  // Admission: every VC owns a private vc_buffer_depth-flit buffer. The
+  // sender credit protocol guarantees a free slot at every arrival
+  // (DESIGN.md §4.11), hence CHECK, not drop.
+  FTNOC_CHECK(static_cast<int>(vc.buf.size()) < cfg_.vc_buffer_depth);
   f.arrived_cycle = now;
   FTNOC_INVARIANT_HOOK(if (mon_) {
     if (p == kLocalPort) mon_->on_injected();
@@ -512,14 +487,8 @@ void ReferenceRouter::transmit(PortId o, VcId v, Flit f, Cycle now,
   FTNOC_CHECK(out_wires_[o] != nullptr);
   auto& out = ovc(o, v);
   if (consume_credit) {
-    if (out.credits > 0) {
-      --out.credits;
-    } else {
-      // Reserved credits exhausted: borrow from the port's shared region.
-      FTNOC_CHECK(shared_credits_[o] > 0);
-      --shared_credits_[o];
-      ++shared_held_[static_cast<std::size_t>(gid(o, v))];
-    }
+    FTNOC_CHECK(out.credits > 0);
+    --out.credits;
   }
   f.vc = v;
   ++f.hops;
@@ -1005,7 +974,7 @@ void ReferenceRouter::handle_activation(const ActivationSignal& act,
       if (stats_) stats_->on_recovery_entered();
       FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_recovery_entered(
           now, id_, RecoveryTrigger::kActivationReturned, act.origin,
-          act.probe_id, cfg_.vc_capacity(), cfg_.retransmission_depth));
+          act.probe_id, cfg_.vc_buffer_depth, cfg_.retransmission_depth));
     }
     (void)now;
     return;
@@ -1016,7 +985,7 @@ void ReferenceRouter::handle_activation(const ActivationSignal& act,
     if (stats_) stats_->on_recovery_entered();
     FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_recovery_entered(
         now, id_, RecoveryTrigger::kActivationRelay, act.origin, act.probe_id,
-        cfg_.vc_capacity(), cfg_.retransmission_depth));
+        cfg_.vc_buffer_depth, cfg_.retransmission_depth));
   }
   if (fwd) {
     charge(power::EnergyEvent::kProbeHop);
@@ -1066,7 +1035,7 @@ void ReferenceRouter::phase_deadlock(Cycle now) {
       }
       FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_recovery_entered(
           now, id_, RecoveryTrigger::kFallback, id_, pr.probe_id,
-          cfg_.vc_capacity(), cfg_.retransmission_depth));
+          cfg_.vc_buffer_depth, cfg_.retransmission_depth));
       break;
     }
     FTNOC_TRACE(ref_trace_fmt(
@@ -1269,14 +1238,6 @@ int ReferenceRouter::held_credits(PortId p, VcId v) const {
   return n;
 }
 
-int ReferenceRouter::credit_budget(PortId p, VcId v) const {
-  FTNOC_CHECK(p != kLocalPort);
-  // Per-VC conserved quantity: the reserve plus whatever this VC currently
-  // borrows from the port's shared region (DESIGN.md §4.11).
-  return cfg_.input_reserve() +
-         shared_held_[static_cast<std::size_t>(gid(p, v))];
-}
-
 std::uint64_t ReferenceRouter::state_digest() const {
   digest::Fnv h;
   h.mix(static_cast<std::uint64_t>(id_));
@@ -1299,8 +1260,6 @@ std::uint64_t ReferenceRouter::state_digest() const {
     h.mix(out.owner_pid);
     h.mix(out.tail_sent);
     h.mix(static_cast<std::uint64_t>(out.credits));
-    h.mix(static_cast<std::uint64_t>(
-        shared_held_[static_cast<std::size_t>(g)]));
     h.mix(out.has_waiter);
     h.mix(out.waiter_gid);
     h.mix(out.waiter_pid);
@@ -1323,7 +1282,6 @@ std::uint64_t ReferenceRouter::state_digest() const {
     h.mix(static_cast<std::uint64_t>(va_arbs_.at(g).last_grant()));
   }
   for (PortId p = 0; p < num_ports_; ++p) {
-    h.mix(static_cast<std::uint64_t>(shared_credits_[p]));
     h.mix(staged_[p].has_value());
     if (staged_[p]) {
       h.mix_flit(staged_[p]->wire);

@@ -75,7 +75,6 @@ class ReferenceRouter final : public RouterIface {
   void set_monitor(InvariantMonitor* mon) override { mon_ = mon; }
   long long live_flit_count() const override;
   int held_credits(PortId p, VcId v) const override;
-  int credit_budget(PortId p, VcId v) const override;
 
   bool link_failed(PortId p) const override { return link_dead_[p]; }
   void begin_link_drain(PortId p, Cycle now) override;
@@ -151,11 +150,9 @@ class ReferenceRouter final : public RouterIface {
 
   bool port_has_neighbor(PortId p) const;
   bool port_usable(PortId p) const;
-  /// Whether output VC (`p`, `v`) can source a credit for one more flit:
-  /// a free reserved credit or a free slot in the port's shared region
-  /// (DESIGN.md §4.11; the region is empty under private_vc).
+  /// Whether output VC (`p`, `v`) holds a credit for one more flit.
   bool can_consume_credit(PortId p, VcId v) const {
-    return ovc(p, v).credits > 0 || shared_credits_[p] > 0;
+    return ovc(p, v).credits > 0;
   }
   bool port_allocatable(PortId p) const {
     return port_usable(p) && (draining_ & port_bit(p)) == 0;
@@ -204,11 +201,6 @@ class ReferenceRouter final : public RouterIface {
   std::vector<InputVc> inputs_;
   std::vector<OutputVc> outputs_;
   std::vector<Cycle> drop_until_;
-  // Sender-side shared-credit state (DESIGN.md §4.11). Under private_vc
-  // shared_credits_ stays all-zero and can_consume_credit() degenerates
-  // to credits > 0.
-  std::vector<int> shared_credits_;  ///< Per port: free shared credits.
-  std::vector<int> shared_held_;     ///< Per output gid: borrowed shared.
   ErrorCheckUnit checker_;
   AllocationComparator ac_;
   DeadlockAgent agent_;

@@ -48,24 +48,13 @@ Router::Router(NodeId id, const SimConfig& cfg, const Topology& topo,
       replay_arbs_(kNumDirections, cfg.num_vcs) {
   const int pv = num_ports_ * num_vcs_;
   FTNOC_CHECK(pv <= 32);  // Work masks are 32-bit (5 ports x <= 6 VCs).
-  // A link-port VC's ring holds the most it may legally buffer, its
-  // reserve plus the port's shared region (vc_capacity); the local port's
-  // rings match the PE lane depth. The local port is the last, so link
-  // rings come first in the slab.
-  static_assert(kLocalPort == kNumDirections - 1);
-  reserve_ = cfg_.input_reserve();
-  shared_slots_ = cfg_.input_shared_slots();
-  const auto link_ring = static_cast<std::size_t>(cfg_.vc_capacity());
-  const auto local_ring = static_cast<std::size_t>(cfg_.vc_buffer_depth);
-  const auto link_vcs = static_cast<std::size_t>(kLocalPort * num_vcs_);
-  in_flit_slab_.resize(link_vcs * link_ring +
-                       static_cast<std::size_t>(num_vcs_) * local_ring);
+  // Every input VC owns a private vc_buffer_depth-flit ring in one slab.
+  const auto ring = static_cast<std::size_t>(cfg_.vc_buffer_depth);
+  in_flit_slab_.resize(static_cast<std::size_t>(pv) * ring);
   inputs_.resize(static_cast<std::size_t>(pv));
-  Flit* base = in_flit_slab_.data();
   for (std::size_t g = 0; g < inputs_.size(); ++g) {
-    const std::size_t ring = g < link_vcs ? link_ring : local_ring;
-    inputs_[g].buf.bind(base, static_cast<std::uint16_t>(ring));
-    base += ring;
+    inputs_[g].buf.bind(in_flit_slab_.data() + g * ring,
+                        static_cast<std::uint16_t>(ring));
   }
   state_mask_[static_cast<std::size_t>(VcState::kRouting)] = ~0u >> (32 - pv);
   outputs_.resize(static_cast<std::size_t>(pv));
@@ -76,9 +65,6 @@ Router::Router(NodeId id, const SimConfig& cfg, const Topology& topo,
   va_reqs_.assign(static_cast<std::size_t>(pv), 0);
   va_want_.assign(static_cast<std::size_t>(pv),
                   {kInvalidPort, kInvalidVc});
-
-  shared_credits_.assign(static_cast<std::size_t>(num_ports_), 0);
-  shared_held_.assign(static_cast<std::size_t>(pv), 0);
 
   // Retransmission buffers exist on network output VCs when the link
   // protection scheme is HBH or when deadlock recovery (which reuses them)
@@ -94,7 +80,6 @@ Router::Router(NodeId id, const SimConfig& cfg, const Topology& topo,
                      static_cast<std::size_t>(num_vcs_) * rdepth);
   }
   for (PortId p = 0; p < num_ports_; ++p) {
-    if (p != kLocalPort) shared_credits_[p] = shared_slots_;
     for (VcId v = 0; v < num_vcs_; ++v) {
       auto& out = ovc(p, v);
       if (p == kLocalPort) {
@@ -102,7 +87,7 @@ Router::Router(NodeId id, const SimConfig& cfg, const Topology& topo,
         // credit and no retransmission buffer.
         out.credits = 1 << 28;
       } else {
-        out.credits = reserve_;
+        out.credits = cfg_.vc_buffer_depth;
         if (use_rtx) {
           orx(gid(p, v)).emplace(
               rtx_slab_.data() + static_cast<std::size_t>(gid(p, v)) * rdepth,
@@ -384,22 +369,9 @@ void Router::phase_maintenance(Cycle now) {
           continue;
         }
       }
-      // Repay borrowed shared slots before reserved ones; the budget
-      // K + shared_held stays conserved either way (DESIGN.md §4.11).
-      auto& held = shared_held_[static_cast<std::size_t>(gid(p, c.vc))];
-      if (held > 0) {
-        // Planted mutation (fuzz-harness self-test): leak the borrow —
-        // the shared credit is refunded but the per-VC held counter is
-        // not released, inflating the sender's shared accounting. The
-        // digest comparison and the shared-region conservation walk catch
-        // it the same cycle.
-        if (mutation_ != TestMutation::kDamqCreditLeak) --held;
-        ++shared_credits_[p];
-      } else {
-        auto& out = ovc(p, c.vc);
-        ++out.credits;
-        FTNOC_CHECK(out.credits <= reserve_);
-      }
+      auto& out = ovc(p, c.vc);
+      ++out.credits;
+      FTNOC_CHECK(out.credits <= cfg_.vc_buffer_depth);
     }
     if (auto nack = w->nack.read()) {
       if (f_hs_live_ && faults_->upset_handshake()) {
@@ -565,12 +537,6 @@ void Router::handle_incoming_flit(PortId p, Flit& f, Cycle now) {
 void Router::accept_flit(PortId p, const Flit& f0, Cycle now) {
   Flit f = f0;
   auto& vc = ivc(p, f.vc);
-  // Admission: a VC below its reserve always has a slot; past it the
-  // port's shared region must have room. The sender's credits guarantee
-  // it, hence CHECK, not drop (§4.11). The local port is private
-  // (reserve = depth, FlitRing::push_back CHECKs it).
-  FTNOC_CHECK(p == kLocalPort || static_cast<int>(vc.buf.size()) < reserve_ ||
-              shared_in_use(p) < shared_slots_);
   const VcId v = f.vc;
   f.arrived_cycle = now;
   FTNOC_INVARIANT_HOOK(if (mon_) {
@@ -775,14 +741,8 @@ void Router::transmit(PortId o, VcId v, Flit f, Cycle now,
   FTNOC_CHECK(out_wires_[o] != nullptr);
   auto& out = ovc(o, v);
   if (consume_credit) {
-    if (out.credits > 0) {
-      --out.credits;
-    } else {
-      // Reserved credits exhausted: borrow from the port's shared region.
-      FTNOC_CHECK(shared_credits_[o] > 0);
-      --shared_credits_[o];
-      ++shared_held_[static_cast<std::size_t>(gid(o, v))];
-    }
+    FTNOC_CHECK(out.credits > 0);
+    --out.credits;
   }
   f.vc = v;
   ++f.hops;
@@ -1429,7 +1389,7 @@ void Router::handle_activation(const ActivationSignal& act, Cycle now) {
       if (stats_) stats_->on_recovery_entered();
       FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_recovery_entered(
           now, id_, RecoveryTrigger::kActivationReturned, act.origin,
-          act.probe_id, cfg_.vc_capacity(), cfg_.retransmission_depth));
+          act.probe_id, cfg_.vc_buffer_depth, cfg_.retransmission_depth));
     }
     (void)now;
     return;
@@ -1440,7 +1400,7 @@ void Router::handle_activation(const ActivationSignal& act, Cycle now) {
     if (stats_) stats_->on_recovery_entered();
     FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_recovery_entered(
         now, id_, RecoveryTrigger::kActivationRelay, act.origin, act.probe_id,
-        cfg_.vc_capacity(), cfg_.retransmission_depth));
+        cfg_.vc_buffer_depth, cfg_.retransmission_depth));
   }
   if (fwd) {
     charge(power::EnergyEvent::kProbeHop);
@@ -1512,7 +1472,7 @@ void Router::phase_deadlock(Cycle now) {
       }
       FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_recovery_entered(
           now, id_, RecoveryTrigger::kFallback, id_, pr.probe_id,
-          cfg_.vc_capacity(), cfg_.retransmission_depth));
+          cfg_.vc_buffer_depth, cfg_.retransmission_depth));
       break;
     }
     FTNOC_TRACE(trace_fmt("[%llu] r%u PROBE id=%u via port %d target(%d,%d)",
@@ -1852,29 +1812,6 @@ void Router::check_local_invariants(Cycle now) {
                "staged_count_ is " + std::to_string(staged_count_) + " but " +
                    std::to_string(staged) + " register(s) are occupied");
   }
-  // Shared-region conservation (DESIGN.md §4.11): sender side, every
-  // shared credit is either free or held by exactly one output VC of its
-  // port; receiver side, the VCs' occupancy past their reserves fits the
-  // shared region. Both sides are trivially zero under private_vc.
-  for (PortId p = 0; p < num_ports_; ++p) {
-    if (p == kLocalPort) continue;
-    int held = 0;
-    for (VcId v = 0; v < num_vcs_; ++v) {
-      held += shared_held_[static_cast<std::size_t>(gid(p, v))];
-    }
-    if (shared_credits_[p] + held != shared_slots_) {
-      mon_->fail(InvariantId::kSharedPoolConservation, now, id_, p, -1,
-                 "shared credits " + std::to_string(shared_credits_[p]) +
-                     " + held " + std::to_string(held) +
-                     " != shared region " + std::to_string(shared_slots_));
-    }
-    if (shared_in_use(p) > shared_slots_) {
-      mon_->fail(InvariantId::kSharedPoolConservation, now, id_, p, -1,
-                 "input VCs hold " + std::to_string(shared_in_use(p)) +
-                     " flits past their reserves, shared region is " +
-                     std::to_string(shared_slots_));
-    }
-  }
 #else
   (void)now;
 #endif
@@ -1924,19 +1861,6 @@ int Router::held_credits(PortId p, VcId v) const {
   return n;
 }
 
-int Router::credit_budget(PortId p, VcId v) const {
-  FTNOC_CHECK(p != kLocalPort);
-  return reserve_ + shared_held_[static_cast<std::size_t>(gid(p, v))];
-}
-
-int Router::shared_in_use(PortId p) const {
-  int n = 0;
-  for (VcId v = 0; v < num_vcs_; ++v) {
-    n += std::max(0, static_cast<int>(ivc(p, v).buf.size()) - reserve_);
-  }
-  return n;
-}
-
 std::uint64_t Router::state_digest() const {
   digest::Fnv h;
   h.mix(static_cast<std::uint64_t>(id_));
@@ -1959,8 +1883,6 @@ std::uint64_t Router::state_digest() const {
     h.mix(out.owner_pid);
     h.mix(out.tail_sent);
     h.mix(static_cast<std::uint64_t>(out.credits));
-    h.mix(static_cast<std::uint64_t>(
-        shared_held_[static_cast<std::size_t>(g)]));
     h.mix(out.has_waiter);
     h.mix(out.waiter_gid);
     h.mix(out.waiter_pid);
@@ -1984,7 +1906,6 @@ std::uint64_t Router::state_digest() const {
     h.mix(static_cast<std::uint64_t>(va_arbs_.at(g).last_grant()));
   }
   for (PortId p = 0; p < num_ports_; ++p) {
-    h.mix(static_cast<std::uint64_t>(shared_credits_[p]));
     h.mix(staged_[p].has_value());
     if (staged_[p]) {
       h.mix_flit(staged_[p]->wire);

@@ -104,7 +104,6 @@ class Router final : public RouterIface {
   void check_local_invariants(Cycle now) override;
   long long live_flit_count() const override;
   int held_credits(PortId p, VcId v) const override;
-  int credit_budget(PortId p, VcId v) const override;
 
   // --- Permanent link faults (DESIGN.md §4.9) -----------------------------
   bool link_failed(PortId p) const override { return link_dead_[p]; }
@@ -259,16 +258,10 @@ class Router final : public RouterIface {
   bool port_allocatable(PortId p) const {
     return port_usable(p) && (draining_ & port_bit(p)) == 0;
   }
-  /// Whether output VC (`p`, `v`) can source a credit for one more flit:
-  /// a free reserved credit or a free slot in the port's shared region
-  /// (DESIGN.md §4.11; the region is empty under private_vc).
+  /// Whether output VC (`p`, `v`) holds a credit for one more flit.
   bool can_consume_credit(PortId p, VcId v) const {
-    return ovc(p, v).credits > 0 || shared_credits_[p] > 0;
+    return ovc(p, v).credits > 0;
   }
-  /// Flits input port `p`'s VCs hold past their reserves: the receiver's
-  /// view of the shared region in use. O(V); admission slow path and the
-  /// invariant walk only.
-  int shared_in_use(PortId p) const;
   void accept_flit(PortId p, const Flit& f0, Cycle now);
   /// `f` may be the wire channel's just-read slot, valid until the next
   /// tick; it is mutated in place by link-fault injection.
@@ -355,22 +348,13 @@ class Router final : public RouterIface {
   alignas(8) std::array<std::uint8_t, 8> out_sig_{};
 
   // --- State -----------------------------------------------------------------
-  /// Gid-major contiguous flit storage for every input VC (vc_capacity
-  /// slots per link-port VC, vc_buffer_depth per local VC);
+  /// Gid-major contiguous flit storage for every input VC
+  /// (vc_buffer_depth slots each);
   /// inputs_[g].buf is a FlitRing view into it. Sized once in the
   /// constructor and never reallocated.
   std::vector<Flit> in_flit_slab_;
   std::vector<InputVc> inputs_;    // P*V
   std::vector<OutputVc> outputs_;  // P*V (hot allocation metadata)
-  /// Link-port per-VC reserve K and per-port shared region V*(T-K)
-  /// (SimConfig::input_reserve/input_shared_slots; K = T, no shared
-  /// region, under private_vc).
-  int reserve_ = 0;
-  int shared_slots_ = 0;
-  // Sender-side shared-credit state (DESIGN.md §4.11). All-zero under
-  // private_vc.
-  std::vector<int> shared_credits_;  ///< Per port: free shared credits.
-  std::vector<int> shared_held_;     ///< Per output gid: borrowed shared.
   /// Gid-major slot storage for every link-port barrel (stride
   /// retransmission_depth); out_rtx_[g] views its window. Sized once in
   /// the constructor and never reallocated.

@@ -197,11 +197,6 @@ class RouterIface {
   /// Sender-side credit instances for directed link (`p`, `v`): the free
   /// credit counter plus credits bound to staged or rolled-back flits.
   virtual int held_credits(PortId, VcId) const { return 0; }
-  /// The sender-side credit budget the conservation walk checks link
-  /// output (`p`, `v`) against: the VC's reserve plus its currently
-  /// borrowed shared slots (DESIGN.md §4.11); vc_buffer_depth under
-  /// private_vc.
-  virtual int credit_budget(PortId p, VcId v) const = 0;
 
   // --- Permanent link faults (DESIGN.md §4.9) -----------------------------
   /// True once port `p` has been marked hard-failed (static config or a

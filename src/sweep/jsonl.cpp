@@ -117,14 +117,6 @@ void append_config_fields(JsonRecord& o, const SimConfig& c) {
     }
     o.str("dead_links", links);
   }
-  // Same gating idea for the buffer-policy columns: default private_vc
-  // lines keep the pre-policy key set byte-for-byte (golden digests), and
-  // damq_reserve_slots only means anything under damq.
-  if (c.buffer_policy == BufferPolicyKind::kDamq) {
-    o.str("buffer_policy", to_string(c.buffer_policy));
-    o.u64("damq_reserve_slots",
-          static_cast<std::uint64_t>(c.damq_reserve_slots));
-  }
   // Fault-storm / adaptive-escape columns (PR 8), gated separately from
   // the has_permanent_faults() block above so pre-existing faulted presets
   // (fault_degradation) keep their exact key set and golden digests.

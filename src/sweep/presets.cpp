@@ -294,49 +294,40 @@ std::vector<SweepPoint> fault_storm_points(const SimConfig& base) {
 }
 
 std::vector<SweepPoint> buffer_ablation_points(const SimConfig& base) {
-  // Each policy runs the same two sub-grids: the Fig. 6 operating points
+  // The private-VC buffers on two sub-grids: the Fig. 6 operating points
   // (error-rate decades at injection 0.25, hybrid HBH) stress retransmit
-  // pressure where shared buffering should help; the Fig. 8 load sweep
-  // (DT routing, cycle-capped past saturation) reads the buffer
-  // utilization columns the policies exist to move. Both pin routing=xy,
-  // so the policies are compared on identical paths.
-  static constexpr BufferPolicyKind kPolicies[] = {
-      BufferPolicyKind::kPrivateVc, BufferPolicyKind::kDamq};
+  // pressure; the Fig. 8 load sweep (cycle-capped past saturation) reads
+  // the buffer utilization columns. Both pin routing=xy.
   std::vector<SweepPoint> points;
-  for (const BufferPolicyKind policy : kPolicies) {
-    const std::string pname = to_string(policy);
-    for (const double rate : fig_error_rates()) {
-      SweepPoint pt;
-      pt.label = "BufAbl/" + pname + "/err=" + rate_label(rate);
-      pt.config = base;
-      pt.config.buffer_policy = policy;
-      pt.config.routing = RoutingAlgorithm::kXY;
-      pt.config.injection_rate = 0.25;
-      pt.config.protection = LinkProtection::kHbh;
-      pt.config.faults.link_error_rate = rate;
-      pt.config.total_messages =
-          std::min<std::uint64_t>(pt.config.total_messages, 10'000);
-      pt.config.warmup_messages =
-          std::min<std::uint64_t>(pt.config.warmup_messages, 2'500);
-      points.push_back(std::move(pt));
-    }
-    for (int i = 1; i <= 5; ++i) {
-      const double inj = 0.2 * i;
-      SweepPoint pt;
-      pt.label = "BufAblLoad/" + pname + "/inj=" + rate_label(inj);
-      pt.config = base;
-      pt.config.buffer_policy = policy;
-      pt.config.routing = RoutingAlgorithm::kXY;
-      pt.config.injection_rate = inj;
-      pt.config.protection = LinkProtection::kHbh;
-      pt.config.faults.link_error_rate = 1e-4;
-      pt.config.total_messages =
-          std::min<std::uint64_t>(pt.config.total_messages, 10'000);
-      pt.config.warmup_messages =
-          std::min<std::uint64_t>(pt.config.warmup_messages, 2'500);
-      pt.config.max_cycles = std::min<Cycle>(base.max_cycles, 60'000);
-      points.push_back(std::move(pt));
-    }
+  for (const double rate : fig_error_rates()) {
+    SweepPoint pt;
+    pt.label = "BufAbl/private_vc/err=" + rate_label(rate);
+    pt.config = base;
+    pt.config.routing = RoutingAlgorithm::kXY;
+    pt.config.injection_rate = 0.25;
+    pt.config.protection = LinkProtection::kHbh;
+    pt.config.faults.link_error_rate = rate;
+    pt.config.total_messages =
+        std::min<std::uint64_t>(pt.config.total_messages, 10'000);
+    pt.config.warmup_messages =
+        std::min<std::uint64_t>(pt.config.warmup_messages, 2'500);
+    points.push_back(std::move(pt));
+  }
+  for (int i = 1; i <= 5; ++i) {
+    const double inj = 0.2 * i;
+    SweepPoint pt;
+    pt.label = "BufAblLoad/private_vc/inj=" + rate_label(inj);
+    pt.config = base;
+    pt.config.routing = RoutingAlgorithm::kXY;
+    pt.config.injection_rate = inj;
+    pt.config.protection = LinkProtection::kHbh;
+    pt.config.faults.link_error_rate = 1e-4;
+    pt.config.total_messages =
+        std::min<std::uint64_t>(pt.config.total_messages, 10'000);
+    pt.config.warmup_messages =
+        std::min<std::uint64_t>(pt.config.warmup_messages, 2'500);
+    pt.config.max_cycles = std::min<Cycle>(base.max_cycles, 60'000);
+    points.push_back(std::move(pt));
   }
   return points;
 }

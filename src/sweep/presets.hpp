@@ -67,11 +67,11 @@ std::vector<SweepPoint> fault_degradation_points(const SimConfig& base);
 /// unreachable_drops must end at 0 on every point.
 std::vector<SweepPoint> fault_storm_points(const SimConfig& base);
 
-/// Buffer-policy ablation grid (DESIGN.md §4.11): the two input-buffer
-/// organizations (private_vc / damq) compared on two axes — a Fig. 6-style
-/// error-rate sweep at injection 0.25 under hybrid HBH, and a Fig. 8-style
-/// offered-load sweep under deterministic routing. Both halves pin
-/// routing=xy; message counts are reduced to campaign scale.
+/// Input-buffer grid (DESIGN.md §4.11): the private-VC buffers on two axes
+/// — a Fig. 6-style error-rate sweep at injection 0.25 under hybrid HBH,
+/// and a Fig. 8-style offered-load sweep under deterministic routing.
+/// Both halves pin routing=xy; message counts are reduced to campaign
+/// scale. The labels keep their historical "private_vc" segment.
 std::vector<SweepPoint> buffer_ablation_points(const SimConfig& base);
 
 /// Hot-path grid: a handful of short, deterministic points spanning the

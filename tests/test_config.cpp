@@ -123,25 +123,12 @@ TEST(Config, EnumToString) {
   EXPECT_STREQ(to_string(RoutingAlgorithm::kXY), "xy");
   EXPECT_STREQ(to_string(LinkProtection::kHbh), "hbh");
   EXPECT_STREQ(to_string(TrafficPattern::kTornado), "tn");
-  EXPECT_STREQ(to_string(BufferPolicyKind::kPrivateVc), "private_vc");
-  EXPECT_STREQ(to_string(BufferPolicyKind::kDamq), "damq");
-}
-
-TEST(Config, OverrideParsesBufferPolicy) {
-  SimConfig cfg;
-  EXPECT_EQ(apply_override(cfg, "buffer_policy=damq"), std::nullopt);
-  EXPECT_EQ(cfg.buffer_policy, BufferPolicyKind::kDamq);
-  EXPECT_EQ(apply_override(cfg, "buffer_policy=private"), std::nullopt);
-  EXPECT_EQ(cfg.buffer_policy, BufferPolicyKind::kPrivateVc);
-  EXPECT_EQ(apply_override(cfg, "damq_reserve_slots=3"), std::nullopt);
-  EXPECT_EQ(cfg.damq_reserve_slots, 3);
-  EXPECT_TRUE(apply_override(cfg, "buffer_policy=shared").has_value());
 }
 
 TEST(Config, RejectsUnknownTestMutation) {
   SimConfig cfg;
-  for (const char* plant : {"drop_window", "route_into_dead_link",
-                            "damq_credit_leak", "strand_waiter"}) {
+  for (const char* plant :
+       {"drop_window", "route_into_dead_link", "strand_waiter"}) {
     cfg.test_mutation = plant;
     EXPECT_EQ(cfg.validate(), std::nullopt) << plant;
   }
@@ -150,31 +137,6 @@ TEST(Config, RejectsUnknownTestMutation) {
   const auto err = cfg.validate();
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("test_mutation"), std::string::npos) << *err;
-}
-
-TEST(Config, RejectsDamqReserveOutOfRange) {
-  SimConfig cfg;
-  cfg.buffer_policy = BufferPolicyKind::kDamq;
-  cfg.damq_reserve_slots = 0;
-  EXPECT_TRUE(cfg.validate().has_value());
-  cfg.damq_reserve_slots = cfg.vc_buffer_depth + 1;
-  EXPECT_TRUE(cfg.validate().has_value());
-  cfg.damq_reserve_slots = cfg.vc_buffer_depth;  // reserve==depth is legal.
-  EXPECT_EQ(cfg.validate(), std::nullopt);
-  // Outside damq the knob is inert: an out-of-range value must not fail.
-  cfg.buffer_policy = BufferPolicyKind::kPrivateVc;
-  cfg.damq_reserve_slots = 0;
-  EXPECT_EQ(cfg.validate(), std::nullopt);
-}
-
-TEST(Config, RejectsDeletedVoqPolicy) {
-  // buffer_policy=voq was measured as a loss and deleted (EXPERIMENTS.md
-  // buffer_ablation); the name is now an ordinary bad value.
-  SimConfig cfg;
-  cfg.buffer_policy = BufferPolicyKind::kDamq;
-  EXPECT_EQ(apply_override(cfg, "buffer_policy=voq"),
-            std::optional<std::string>("bad value for buffer_policy: voq"));
-  EXPECT_EQ(cfg.buffer_policy, BufferPolicyKind::kDamq);
 }
 
 TEST(Config, RejectsDeadLinkAtMeshEdge) {
@@ -206,22 +168,6 @@ TEST(Config, RejectsStormKillAtMeshEdge) {
   EXPECT_NE(err->find("storm_kill 0:N"), std::string::npos) << *err;
   EXPECT_NE(err->find("mesh edge"), std::string::npos) << *err;
   cfg.storm_kills[0].dir = Direction::kSouth;
-  EXPECT_EQ(cfg.validate(), std::nullopt);
-}
-
-TEST(Config, DamqRelaxesEq1ViaEffectiveDepth) {
-  // depth=2, rtx=3, packet_length=5: nominal T+R = 5 fails Eq. (1)
-  // (bound 5), but damq's effective per-VC depth K + V*(depth-K) =
-  // 1 + 4*1 = 5 lifts T+R to 8 > 5.
-  SimConfig cfg;
-  cfg.deadlock.enable_recovery = true;
-  cfg.vc_buffer_depth = 2;
-  cfg.retransmission_depth = 3;
-  cfg.packet_length = 5;
-  cfg.num_vcs = 4;
-  ASSERT_TRUE(cfg.validate().has_value());
-  cfg.buffer_policy = BufferPolicyKind::kDamq;
-  cfg.damq_reserve_slots = 1;
   EXPECT_EQ(cfg.validate(), std::nullopt);
 }
 

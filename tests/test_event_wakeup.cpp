@@ -257,16 +257,14 @@ TEST(EventWakeup, WorkloadReplayFaultedLockstep) {
   EXPECT_EQ(nets.scan->link_stall_counts(), nets.event->link_stall_counts());
 }
 
-// A workload replay under DAMQ shared buffering with storm kills mid-run:
-// drains, re-homes, escape detours and recovery absorption all move flits
-// in and out of buffers.
-SimConfig damq_storm_workload() {
+// A workload replay with storm kills mid-run: drains, re-homes, escape
+// detours and recovery absorption all move flits in and out of buffers.
+SimConfig storm_workload() {
   SimConfig cfg = sparse_base();
   cfg.injection_rate = 0.0;  // Pure workload-driven.
   cfg.routing = RoutingAlgorithm::kMinimalAdaptive;
   cfg.adaptive_faults = true;
   cfg.num_vcs = 1;  // Single-VC adaptive: the replay really deadlocks.
-  cfg.buffer_policy = BufferPolicyKind::kDamq;
   cfg.deadlock.enable_recovery = true;
   cfg.deadlock.probe_threshold = 16;
   cfg.deadlock.probe_backoff = 8;
@@ -284,11 +282,10 @@ SimConfig damq_storm_workload() {
 // Per-link counters across router implementations. The optimized Router
 // on the event kernel answers the stall query from per-port running
 // counters; the ReferenceRouter on the scan kernel sums its VC buffers.
-// The DAMQ storm replay must keep the two in lock-step and give identical
-// link vectors; the invariant monitor recounts every port's counter each
-// cycle.
-TEST(EventWakeup, LinkStatsRouterMatchesReferenceUnderDamqStorm) {
-  SimConfig cfg = damq_storm_workload();
+// The storm replay must keep the two in lock-step and give identical link
+// vectors; the invariant monitor recounts every port's counter each cycle.
+TEST(EventWakeup, LinkStatsRouterMatchesReferenceUnderStorm) {
+  SimConfig cfg = storm_workload();
   cfg.link_stats = true;
   cfg.check_invariants = true;  // Recounts each port's occupancy counter.
   SimConfig ref_cfg = cfg;
@@ -320,7 +317,7 @@ TEST(EventWakeup, LinkStatsRouterMatchesReferenceUnderDamqStorm) {
 // kernel and the ReferenceRouter alike.
 TEST(EventWakeup, SampledOccupancyMatchesFullScanEveryCycle) {
   for (const int variant : {0, 1, 2}) {
-    SimConfig cfg = damq_storm_workload();
+    SimConfig cfg = storm_workload();
     cfg.force_scan_kernel = variant == 1;
     cfg.use_reference_router = variant == 2;
     Network net(cfg);

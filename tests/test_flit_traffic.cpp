@@ -109,6 +109,23 @@ TEST(FlitDigest, EveryNonPaddingByteChangesMixFlit) {
   }
 }
 
+// The unrolled Fnv::mix must stay FNV-1a over the value's bytes, low byte
+// first: the reference loop below is the definition.
+TEST(FlitDigest, MixIsByteWiseFnv1a) {
+  Rng rng(7);
+  std::uint64_t ref = 0xcbf29ce484222325ull;
+  digest::Fnv h;
+  for (int i = 0; i < 64; ++i) {
+    const std::uint64_t v = i == 0 ? ~0ull : rng.next_u64();
+    for (int b = 0; b < 8; ++b) {
+      ref ^= (v >> (b * 8)) & 0xffu;
+      ref *= 0x100000001b3ull;
+    }
+    h.mix(v);
+    ASSERT_EQ(h.value(), ref) << "value " << i;
+  }
+}
+
 TEST(TrafficPacket, StructureOfFourFlitPacket) {
   const auto flits = TrafficSource::build_packet(1, 2, 3, 4, 50, nullptr);
   ASSERT_EQ(flits.size(), 4u);

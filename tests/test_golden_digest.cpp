@@ -55,9 +55,7 @@ struct PresetRun {
 // seeding (base_seed 1, per-point derivation), one JSONL line + '\n' per
 // point in point order.
 PresetRun run_preset(const std::string& preset, int threads = 2,
-                     bool force_scan_kernel = false,
-                     BufferPolicyKind buffer_policy =
-                         BufferPolicyKind::kPrivateVc) {
+                     bool force_scan_kernel = false) {
   SimConfig base;
   base.total_messages = 600;
   base.warmup_messages = 150;
@@ -65,7 +63,6 @@ PresetRun run_preset(const std::string& preset, int threads = 2,
   base.mesh_width = 4;
   base.mesh_height = 4;
   base.force_scan_kernel = force_scan_kernel;
-  base.buffer_policy = buffer_policy;
 
   const auto points = sweep::preset_points(preset, base);
   EXPECT_FALSE(points.empty());
@@ -186,76 +183,6 @@ TEST(GoldenDigest, KernelAndThreadCountInvariant) {
   }
 }
 
-// Same invariance under damq: the event-queue kernel's wake rules must
-// cover the shared-credit transitions too (a missed retick would stall or
-// reorder a shared-credit send only in the event kernel, splitting the
-// digests). The combos are compared to each other rather than to a pin —
-// byte-stability of the damq path across builds is what the
-// buffer_ablation pin below is for.
-TEST(GoldenDigest, KernelAndThreadCountInvariantUnderDamq) {
-  const PresetRun ref =
-      run_preset("fig05", 1, false, BufferPolicyKind::kDamq);
-  struct Combo {
-    int threads;
-    bool force_scan;
-    const char* what;
-  };
-  const Combo combos[] = {
-      {1, true, "scan kernel, 1 thread"},
-      {2, false, "event kernel, 2 threads"},
-      {2, true, "scan kernel, 2 threads"},
-  };
-  for (const auto& c : combos) {
-    const PresetRun run = run_preset("fig05", c.threads, c.force_scan,
-                                     BufferPolicyKind::kDamq);
-    EXPECT_EQ(run.digest, ref.digest)
-        << c.what << " produced digest 0x" << std::hex << run.digest
-        << " under damq — kernels/thread-counts are no longer "
-           "byte-interchangeable";
-    if (!c.force_scan) {
-      expect_work(std::string("fig05 under damq, ") + c.what, run,
-                  ref.router_steps, ref.wire_ticks);
-    }
-  }
-}
-
-// damq at reserve = depth has no shared region: it must be the private_vc
-// layout exactly. Every fig05 line must match its private_vc twin byte for
-// byte once the two damq config columns are stripped, under both kernels.
-TEST(GoldenDigest, DamqAtFullReserveMatchesPrivateVc) {
-  for (const bool scan : {false, true}) {
-    SimConfig base;
-    base.total_messages = 600;
-    base.warmup_messages = 150;
-    base.max_cycles = 300'000;
-    base.mesh_width = 4;
-    base.mesh_height = 4;
-    base.force_scan_kernel = scan;
-    SimConfig damq = base;
-    damq.buffer_policy = BufferPolicyKind::kDamq;
-    damq.damq_reserve_slots = damq.vc_buffer_depth;
-    const std::string columns = ",\"buffer_policy\":\"damq\","
-                                "\"damq_reserve_slots\":" +
-                                std::to_string(damq.vc_buffer_depth);
-
-    sweep::SweepOptions opts;
-    opts.num_threads = 2;
-    sweep::SweepEngine engine(opts);
-    const auto priv = engine.run(sweep::preset_points("fig05", base));
-    const auto shared = engine.run(sweep::preset_points("fig05", damq));
-    ASSERT_EQ(priv.size(), shared.size());
-    ASSERT_FALSE(priv.empty());
-    for (std::size_t i = 0; i < priv.size(); ++i) {
-      std::string line = sweep::to_jsonl(shared[i]);
-      const auto at = line.find(columns);
-      ASSERT_NE(at, std::string::npos) << line;
-      line.erase(at, columns.size());
-      EXPECT_EQ(line, sweep::to_jsonl(priv[i]))
-          << (scan ? "scan" : "event") << " kernel, point " << i;
-    }
-  }
-}
-
 // The large_mesh preset is the only pinned family that runs production
 // fabrics: 16x16 mesh and torus (wrap-around channels under tornado
 // traffic) and a 32x32 torus. Its scale knobs and mesh dimensions are
@@ -281,18 +208,17 @@ TEST(GoldenDigest, LargeMeshPresetByteIdenticalBothKernels) {
                    "production fabrics";
 }
 
-// The buffer_ablation preset is the only pinned family that runs damq
-// with a shared region; without it a byte-level regression in the
-// shared-credit path is invisible to the other digests (which all run the
-// default private_vc layout). Re-pinned when the VOQ policy was deleted:
-// the value is the digest of the first 20 of the previous 30 lines (the
-// private_vc and damq rows, byte-identical), so only the VOQ rows left.
+// The buffer_ablation preset pins the private-VC buffers under retransmit
+// pressure and past saturation (cycle-capped load points). Re-pinned when
+// the shared-buffer policy was deleted (EXPERIMENTS.md buffer_ablation):
+// the digest and work totals are those of the first 10 of the previous 20
+// lines (the private_vc rows, byte-identical), so only its rows left.
 TEST(GoldenDigest, BufferAblationPresetByteIdentical) {
   const PresetRun run = run_preset("buffer_ablation");
-  EXPECT_EQ(run.digest, 0x1bdad0e11753ded4ull)
+  EXPECT_EQ(run.digest, 0x33b6a2d182cc7bdeull)
       << "buffer_ablation JSONL digest moved: 0x" << std::hex << run.digest
       << " — the simulation is no longer byte-identical to the pinned run";
-  expect_work("buffer_ablation", run, 147'061, 327'308);
+  expect_work("buffer_ablation", run, 73'304, 163'410);
 }
 
 // The workload_hotspot preset is the only pinned family that runs the

@@ -23,9 +23,6 @@ MIXED_JSONL = """\
 {"label":"FaultDeg/base/faults=2","avg_latency_cycles":29.5,"messages_ejected":290,"packets_rerouted":40,"unreachable_drops":9}
 """
 
-# Two runs of the same figure under different buffer policies concatenated
-# into one file: the private_vc lines omit the policy column (it is gated
-# like the fault counters), the damq lines carry it.
 # A fault_storm degradation curve: the converter derives the
 # delivered_fraction column (messages_ejected / packets_created) so the
 # CSV is directly plottable; rows without packets_created get 0, not a
@@ -35,14 +32,6 @@ STORM_JSONL = """\
 {"label":"FaultStorm/adaptive/k=2","packets_created":1000,"messages_ejected":950,"storm_kills":"250:1:E,500:5:E","links_storm_killed":2,"unreachable_drops":0}
 {"label":"FaultStorm/adaptive/k=4","packets_created":0,"messages_ejected":0}
 """
-
-POLICY_JSONL = """\
-{"label":"Fig6/BC/err=0.001","avg_latency_cycles":21.5}
-{"label":"Fig6/BC/err=0.01","avg_latency_cycles":24.0}
-{"label":"Fig6/BC/err=0.001","avg_latency_cycles":19.0,"buffer_policy":"damq","damq_reserve_slots":2}
-{"label":"Fig6/BC/err=0.01","avg_latency_cycles":20.5,"buffer_policy":"damq","damq_reserve_slots":2}
-"""
-
 
 def convert(td, name, text):
     src = os.path.join(td, name + ".jsonl")
@@ -69,10 +58,7 @@ def check_fault_columns(td):
     assert by_x["1"]["packets_rerouted"] == "12"
     assert by_x["2"]["unreachable_drops"] == "9"
     assert by_x["2"]["avg_latency_cycles"] == "29.5"
-    # A single-policy file keeps its plain series names and no policy
-    # column — pre-policy CSVs must stay byte-identical.
     assert rows[0]["series"] == "base", rows[0]["series"]
-    assert "buffer_policy" not in rows[0], sorted(rows[0])
 
 
 def check_delivered_fraction(td):
@@ -92,25 +78,6 @@ def check_delivered_fraction(td):
     # The storm_kills config string is non-numeric and must not leak into
     # the CSV schema.
     assert "storm_kills" not in rows[0], sorted(rows[0])
-
-
-def check_policy_overlay(td):
-    path = os.path.join(convert(td, "policy", POLICY_JSONL), "fig6.csv")
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-
-    assert len(rows) == 4, f"expected 4 rows, got {len(rows)}"
-    series = sorted({r["series"] for r in rows})
-    # >= 2 policies in one figure: the policy is folded into the series
-    # key so identical labels from different runs stay distinct curves
-    # (the omitted column defaults to private_vc).
-    assert series == ["BC[damq]", "BC[private_vc]"], series
-    by_key = {(r["series"], r["x"]): r for r in rows}
-    assert by_key[("BC[private_vc]", "0.001")]["avg_latency_cycles"] == "21.5"
-    assert by_key[("BC[damq]", "0.001")]["avg_latency_cycles"] == "19.0"
-    # The damq-gated reserve column backfills 0 on private_vc rows.
-    assert by_key[("BC[private_vc]", "0.01")]["damq_reserve_slots"] == "0"
-    assert by_key[("BC[damq]", "0.01")]["damq_reserve_slots"] == "2"
 
 
 def check_malformed_line_fails(td):
@@ -133,7 +100,6 @@ def main():
     with tempfile.TemporaryDirectory() as td:
         check_fault_columns(td)
         check_delivered_fraction(td)
-        check_policy_overlay(td)
         check_malformed_line_fails(td)
     print("plot_bench mixed-schema: OK")
 

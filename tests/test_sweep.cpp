@@ -308,19 +308,16 @@ TEST(SweepPresets, LargeFabricGridShapes) {
 
 TEST(SweepPresets, BufferAblationGridShape) {
   const auto points = sweep::buffer_ablation_points(tiny_config());
-  // 2 policies x (5 error rates + 5 load points).
-  ASSERT_EQ(points.size(), 20u);
+  // 5 error rates + 5 load points.
+  ASSERT_EQ(points.size(), 10u);
   EXPECT_EQ(points[0].label, "BufAbl/private_vc/err=1e-05");
   EXPECT_EQ(points[5].label, "BufAblLoad/private_vc/inj=0.2");
-  EXPECT_EQ(points[10].label, "BufAbl/damq/err=1e-05");
-  EXPECT_EQ(points[15].label, "BufAblLoad/damq/inj=0.2");
+  EXPECT_EQ(points[9].label, "BufAblLoad/private_vc/inj=1");
   for (const auto& pt : points) {
     EXPECT_EQ(pt.config.validate(), std::nullopt) << pt.label;
     EXPECT_EQ(pt.config.routing, RoutingAlgorithm::kXY) << pt.label;
     EXPECT_EQ(pt.config.protection, LinkProtection::kHbh) << pt.label;
   }
-  EXPECT_EQ(points[12].config.buffer_policy, BufferPolicyKind::kDamq);
-  EXPECT_EQ(points[5].config.buffer_policy, BufferPolicyKind::kPrivateVc);
 }
 
 TEST(SweepJsonl, RecordShapeAndEscaping) {

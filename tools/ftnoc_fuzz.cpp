@@ -20,12 +20,9 @@
 // the end-to-end proof that the oracle has teeth. The default plant is
 // "drop_window"; `--selftest --plant route_into_dead_link` instead
 // proves the permanent-fault paths are under the oracle (the optimized
-// router routes fault-blind on a topology with a dead link),
-// `--selftest --plant damq_credit_leak` proves the DAMQ shared-region
-// credit accounting is (the optimized router leaks a shared_held_
-// decrement on credit return), and `--selftest --plant strand_waiter`
-// proves the link-drain waiter re-home path is (the optimized router
-// reverts the PR 8 fix and strands registered deadlock waiters on a
+// router routes fault-blind on a topology with a dead link), and
+// `--selftest --plant strand_waiter` proves the link-drain waiter re-home
+// path is (the optimized router strands registered deadlock waiters on a
 // draining port, wedging the drain).
 
 #include <chrono>
@@ -158,8 +155,7 @@ std::vector<std::string> random_config(Rng& rng) {
     add("mesh_height", std::to_string(h));
     if (rng.bernoulli(0.2)) add("torus", "1");
     add("num_vcs", std::to_string(2 + rng.next_below(3)));       // 2..4
-    const int depth = 2 + static_cast<int>(rng.next_below(5));  // 2..6
-    add("vc_buffer_depth", std::to_string(depth));
+    add("vc_buffer_depth", std::to_string(2 + rng.next_below(5)));  // 2..6
     add("pipeline_stages", std::to_string(1 + rng.next_below(4)));  // 1..4
     add("retransmission_depth", std::to_string(3 + rng.next_below(4)));
     add("packet_length", std::to_string(3 + rng.next_below(4)));    // 3..6
@@ -172,15 +168,6 @@ std::vector<std::string> random_config(Rng& rng) {
     add("protection", kProt[rng.next_below(5)]);
     static const char* kRoute[] = {"xy", "adaptive", "escape"};
     add("routing", kRoute[rng.next_below(3)]);
-    // Buffer policy under the oracle: damq on a third of the draws, with
-    // its reserve drawn over the whole legal range [1, depth] (reserve =
-    // depth is the private layout reached through the damq path).
-    if (rng.next_below(3) == 0) {
-      add("buffer_policy", "damq");
-      const auto reserve =
-          1 + rng.next_below(static_cast<std::uint64_t>(depth));
-      add("damq_reserve_slots", std::to_string(reserve));
-    }
     static const char* kPat[] = {"nr", "bc", "tn"};
     add("pattern", kPat[rng.next_below(3)]);
     if (rng.bernoulli(0.6)) {
@@ -306,23 +293,28 @@ void write_repro(const std::string& path, const std::vector<std::string>& ov,
 
 // Repro format: one key=value per line; '#' comments; the harness-level
 // keys "cycles" and "plant" are consumed here, everything else goes to
-// apply_override.
-bool read_repro(const std::string& path, std::vector<std::string>& ov,
-                Cycle& cycles, std::string& plant) {
+// apply_override. Returns an error message naming the offending line, or
+// nullopt on success.
+std::optional<std::string> read_repro(const std::string& path,
+                                      std::vector<std::string>& ov,
+                                      Cycle& cycles, std::string& plant) {
   std::ifstream f(path);
-  if (!f) return false;
+  if (!f) return "cannot read repro file: " + path;
   std::string line;
-  while (std::getline(f, line)) {
+  for (int lineno = 1; std::getline(f, line); ++lineno) {
     if (line.empty() || line[0] == '#') continue;
     if (line.rfind("cycles=", 0) == 0) {
-      cycles = static_cast<Cycle>(std::stoull(line.substr(7)));
+      if (!ftnoc::parse_u64(line.substr(7), cycles)) {
+        return path + ":" + std::to_string(lineno) +
+               ": malformed cycles value: " + line;
+      }
     } else if (line.rfind("plant=", 0) == 0) {
       plant = line.substr(6);
     } else {
       ov.push_back(line);
     }
   }
-  return true;
+  return std::nullopt;
 }
 
 int fuzz_main(const Options& opt) {
@@ -363,9 +355,11 @@ int fuzz_main(const Options& opt) {
       // A waiter whose flits have not been absorbed must be re-homed off
       // the draining port; the plant reverts that, so the optimized
       // router's has_waiter/out_work state wedges while the reference
-      // re-homes. Every override here is one the minimized repro needs;
-      // the plant shows at run 2 (cycle 601, right after the 9:E kill).
-      ov = {"seed=" + std::to_string(1000 + i),
+      // re-homes. Every override here is one the minimized repro needs.
+      // The seeds start at 1002, where the plant shows at run 0 (cycle
+      // 601, right after the 9:E kill), so the lane pays for one search
+      // run before minimizing.
+      ov = {"seed=" + std::to_string(1002 + i),
             "mesh_width=4",
             "mesh_height=4",
             "num_vcs=2",
@@ -376,23 +370,6 @@ int fuzz_main(const Options& opt) {
             "storm_kill=200:5:E",
             "storm_kill=300:6:S",
             "storm_kill=600:9:E"};
-    } else if (opt.selftest && opt.plant == "damq_credit_leak") {
-      // This plant's habitat: damq shared buffering under enough load
-      // that credit returns actually take the shared path (the leak
-      // skips the shared_held_ decrement, so the sender's shared ledger
-      // drifts from the reference's within a few returns).
-      ov = {"seed=" + std::to_string(1000 + i),
-            "mesh_width=4",
-            "mesh_height=4",
-            "num_vcs=3",
-            "vc_buffer_depth=4",
-            "pipeline_stages=3",
-            "packet_length=4",
-            "injection_rate=0.3",
-            "protection=hbh",
-            "routing=xy",
-            "buffer_policy=damq",
-            "damq_reserve_slots=1"};
     } else if (opt.selftest) {
       // Bias toward the planted bug's habitat: a 4-stage HBH sender with
       // real link errors (the short drop window admits a stale third
@@ -458,8 +435,8 @@ int replay_main(const Options& opt) {
   std::vector<std::string> ov;
   Cycle cycles = 1500;
   std::string plant = opt.plant;
-  if (!read_repro(opt.replay, ov, cycles, plant)) {
-    std::fprintf(stderr, "cannot read repro file: %s\n", opt.replay.c_str());
+  if (auto err = read_repro(opt.replay, ov, cycles, plant)) {
+    std::fprintf(stderr, "%s\n", err->c_str());
     return 2;
   }
   if (!ftnoc::parse_test_mutation(plant)) {

@@ -78,12 +78,8 @@ def ingest_jsonl(rec, figures, heatmaps):
     if isinstance(rec.get("link_util"), str):
         ingest_link_util(rec, figure, series, x, heatmaps)
     row = {"series": series, "x": x}
-    # The buffer_policy column is gated like the fault counters: default
-    # private_vc records omit it. Fill the default in so every row carries
-    # its policy and mixed-policy files can be overlaid.
-    row["buffer_policy"] = rec.get("buffer_policy", "private_vc")
     for key, val in rec.items():
-        if key in ("label", "type", "buffer_policy"):
+        if key in ("label", "type"):
             continue
         if isinstance(val, bool):
             row[key] = int(val)
@@ -128,19 +124,6 @@ def main():
                 ingest_jsonl(rec, figures, heatmaps)
 
     for figure, rows in figures.items():
-        # Overlay mixed buffer policies: when one figure holds records
-        # from >= 2 policies, the same label names different curves, so
-        # the policy is folded into the series key ("BC[damq]"). A
-        # single-policy figure keeps its plain series names and column
-        # set, so existing CSVs stay byte-identical. A series that
-        # already names its policy (the buffer_ablation preset labels
-        # do) is left untagged — "private_vc[private_vc]" helps nobody.
-        policies = {r.get("buffer_policy", "private_vc") for r in rows}
-        tag = len(policies) >= 2
-        for r in rows:
-            pol = r.pop("buffer_policy", "private_vc")
-            if tag and pol not in r["series"]:
-                r["series"] = f"{r['series']}[{pol}]"
         keys = ["series", "x"] + sorted(
             {k for r in rows for k in r} - {"series", "x"})
         out = os.path.join(outdir, figure.lower() + ".csv")
