@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdlib>
 
+#include "common/check.hpp"
 #include "common/topology.hpp"
 
 namespace ftnoc {
@@ -33,6 +34,33 @@ const char* to_string(TrafficPattern t) {
     case TrafficPattern::kTornado: return "tn";
   }
   return "?";
+}
+
+namespace {
+// Eq. (1)'s right-hand side, M * sum_i ceil(T_i / M): M times the most
+// distinct packets transmission buffers of T_i flits can hold.
+long long recovery_buffer_need(const std::vector<int>& tx_sizes,
+                               int flits_per_packet) {
+  FTNOC_CHECK(flits_per_packet >= 1);
+  long long packets = 0;
+  for (const int t : tx_sizes) {
+    FTNOC_CHECK(t >= 1);
+    packets += (t + flits_per_packet - 1) / flits_per_packet;
+  }
+  return static_cast<long long>(flits_per_packet) * packets;
+}
+}  // namespace
+
+bool recovery_buffer_bound_ok(const std::vector<int>& tx_sizes,
+                              const std::vector<int>& rtx_sizes,
+                              int flits_per_packet) {
+  FTNOC_CHECK(tx_sizes.size() == rtx_sizes.size());
+  long long b2 = 0;
+  for (std::size_t i = 0; i < tx_sizes.size(); ++i) {
+    FTNOC_CHECK(rtx_sizes[i] >= 0);
+    b2 += tx_sizes[i] + rtx_sizes[i];
+  }
+  return b2 > recovery_buffer_need(tx_sizes, flits_per_packet);
 }
 
 std::optional<TestMutation> parse_test_mutation(const std::string& name) {
@@ -86,25 +114,19 @@ std::optional<std::string> SimConfig::validate() const {
   if (deadlock.enable_recovery && deadlock.probe_threshold == 0) {
     return err("probe_threshold must be > 0");
   }
-  if (deadlock.enable_recovery) {
-    // Eq. (1), uniform per-node buffers: recovery is guaranteed iff
-    //   sum_i (T_i + R_i) > M * sum_i ceil(T_i / M)
-    // which with identical nodes reduces to (T + R) > M * ceil(T / M),
-    // independent of the cycle length. At equality the absorbed flits
-    // exactly refill the freed slots and recovery livelocks, so refuse
-    // the configuration outright instead of wedging at runtime.
-    const long long m = packet_length;
-    const long long t = vc_buffer_depth;
-    const long long r = retransmission_depth;
-    const long long bound = m * ((t + m - 1) / m);
-    if (t + r <= bound) {
-      return err(
-          "deadlock recovery violates Eq. (1): vc_buffer_depth + "
-          "retransmission_depth (" +
-          std::to_string(t + r) + ") must exceed packet_length * "
-          "ceil(depth / packet_length) (" + std::to_string(bound) +
-          ") or recovery cannot guarantee forward progress");
-    }
+  if (deadlock.enable_recovery &&
+      !recovery_buffer_bound_ok({vc_buffer_depth}, {retransmission_depth},
+                                packet_length)) {
+    // With identical nodes Eq. (1) reduces to (T + R) > M * ceil(T / M),
+    // independent of the cycle length. Refuse the livelocking
+    // configuration outright instead of wedging at runtime.
+    return err(
+        "deadlock recovery violates Eq. (1): vc_buffer_depth + "
+        "retransmission_depth (" +
+        std::to_string(vc_buffer_depth + retransmission_depth) +
+        ") must exceed packet_length * ceil(depth / packet_length) (" +
+        std::to_string(recovery_buffer_need({vc_buffer_depth}, packet_length)) +
+        ") or recovery cannot guarantee forward progress");
   }
   if (routing == RoutingAlgorithm::kAdaptiveEscape && num_vcs < 2) {
     return err("escape routing needs >= 2 VCs (VC 0 is the escape lane)");
@@ -321,14 +343,6 @@ std::optional<std::string> apply_override(SimConfig& cfg,
     if (!parse_bool(val, cfg.use_reference_router)) return bad();
   } else if (key == "test_mutation") {
     cfg.test_mutation = val;
-  } else if (key == "kernel") {
-    if (val == "scan") {
-      cfg.force_scan_kernel = true;
-    } else if (val == "event") {
-      cfg.force_scan_kernel = false;
-    } else {
-      return bad();
-    }
   } else if (key == "seed") {
     if (!parse_u64(val, cfg.seed)) return bad();
   } else if (key == "warmup_messages") {

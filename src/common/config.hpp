@@ -180,13 +180,14 @@ struct SimConfig {
   DeadlockConfig deadlock;
 
   // --- Verification / debug (not part of the sweep JSONL output) ---
-  /// Attach the cycle-level InvariantMonitor (DESIGN.md §4.8). Requires a
-  /// build with FTNOC_ENABLE_INVARIANTS (the default); a violation logs a
-  /// structured diagnostic and aborts.
+  /// Attach the cycle-level InvariantMonitor (DESIGN.md §4.8); a
+  /// violation logs a structured diagnostic and aborts.
   bool check_invariants = false;
   /// Build the network out of ReferenceRouter instances (the deliberately
   /// simple, allocation-happy model) instead of the optimized Router. Used
   /// by the differential fuzz harness; behaviour must be bit-identical.
+  /// Reference networks step every router every cycle (the scan kernel);
+  /// optimized ones run the event wheel (DESIGN.md §4.10).
   bool use_reference_router = false;
   /// Name of a deliberately planted bug, applied to the *optimized* router
   /// only ("" = none; validate() rejects unknown names). The fuzz harness
@@ -199,11 +200,6 @@ struct SimConfig {
   ///    port instead of re-homing them.
   /// The router maps the name to a TestMutation once, at construction.
   std::string test_mutation;
-  /// Force the per-cycle full router scan instead of the event-queue
-  /// kernel (DESIGN.md §4.10). The two are byte-identical by contract;
-  /// the override exists for determinism tests and A/B perf comparison.
-  /// Reference-router networks always scan regardless of this flag.
-  bool force_scan_kernel = false;
 
   // --- Run control ---
   std::uint64_t seed = 1;
@@ -229,6 +225,15 @@ struct SimConfig {
   /// Returns an error description, or nullopt if the config is valid.
   std::optional<std::string> validate() const;
 };
+
+/// Eq. (1): with n nodes in the deadlock, M flits per packet, transmission
+/// buffer sizes T_i and retransmission buffer sizes R_i, recovery is
+/// guaranteed iff  sum_i (T_i + R_i) > M * sum_i ceil(T_i / M). At equality
+/// the absorbed flits exactly refill the freed slots and recovery
+/// livelocks.
+bool recovery_buffer_bound_ok(const std::vector<int>& tx_sizes,
+                              const std::vector<int>& rtx_sizes,
+                              int flits_per_packet);
 
 /// Parses `key=value` overrides (e.g. from argv) into `cfg`.
 /// Recognized keys mirror the field names, e.g. "mesh_width=4",

@@ -1,5 +1,6 @@
 #include "common/log.hpp"
 
+#include <cstdarg>
 #include <cstdlib>
 
 namespace ftnoc {
@@ -35,6 +36,15 @@ void log_line(LogLevel level, const std::string& msg) {
 
 void set_log_level(LogLevel level) {
   detail::g_log_level = level;
+}
+
+std::string trace_fmt(const char* fmt, ...) {
+  char buf[192];
+  va_list ap;
+  va_start(ap, fmt);
+  std::vsnprintf(buf, sizeof(buf), fmt, ap);
+  va_end(ap);
+  return std::string(buf);
 }
 
 }  // namespace ftnoc

@@ -41,6 +41,12 @@ inline bool log_enabled(LogLevel level) {
   return static_cast<int>(level) <= static_cast<int>(detail::g_log_level);
 }
 
+/// printf-style formatting for a trace message. Call it only inside an
+/// FTNOC_TRACE guard, so the formatting work vanishes when tracing is off.
+/// Messages longer than 191 characters are truncated.
+std::string trace_fmt(const char* fmt, ...)
+    __attribute__((format(printf, 1, 2)));
+
 }  // namespace ftnoc
 
 /// Statements above this level are removed at compile time.

@@ -131,21 +131,4 @@ void DeadlockAgent::exit_recovery() {
   outstanding_.reset();
 }
 
-bool recovery_buffer_bound_ok(const std::vector<int>& tx_sizes,
-                              const std::vector<int>& rtx_sizes,
-                              int flits_per_packet) {
-  FTNOC_CHECK(tx_sizes.size() == rtx_sizes.size());
-  FTNOC_CHECK(flits_per_packet >= 1);
-  long long b2 = 0;
-  long long rhs = 0;
-  for (std::size_t i = 0; i < tx_sizes.size(); ++i) {
-    FTNOC_CHECK(tx_sizes[i] >= 1 && rtx_sizes[i] >= 0);
-    b2 += tx_sizes[i] + rtx_sizes[i];
-    const long long n_i =
-        (tx_sizes[i] + flits_per_packet - 1) / flits_per_packet;
-    rhs += n_i;
-  }
-  return b2 > static_cast<long long>(flits_per_packet) * rhs;
-}
-
 }  // namespace ftnoc

@@ -26,7 +26,8 @@
 // Eq. (1) gives the buffer lower bound for guaranteed recovery:
 //   B2 = sum_i (T_i + R_i)  >  M * N
 // with M flits/packet, N the max number of distinct packets a transmission
-// buffer can hold times nodes... see `recovery_buffer_bound_ok`.
+// buffer can hold times nodes... see `recovery_buffer_bound_ok` in
+// common/config.hpp.
 
 #include <cstdint>
 #include <optional>
@@ -192,12 +193,5 @@ class DeadlockAgent {
   std::uint64_t deadlocks_confirmed_ = 0;
   std::uint64_t recoveries_entered_ = 0;
 };
-
-/// Eq. (1): with n nodes in the deadlock, M flits per packet, transmission
-/// buffer sizes T_i and retransmission buffer sizes R_i, recovery is
-/// guaranteed iff  sum_i (T_i + R_i) > M * sum_i ceil(T_i / M).
-bool recovery_buffer_bound_ok(const std::vector<int>& tx_sizes,
-                              const std::vector<int>& rtx_sizes,
-                              int flits_per_packet);
 
 }  // namespace ftnoc

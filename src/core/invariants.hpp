@@ -51,26 +51,6 @@
 #include "common/types.hpp"
 #include "core/flit.hpp"
 
-// Compile-time master switch. Default on; configure with
-// -DFTNOC_INVARIANTS=OFF to compile every monitor hook out of the router
-// hot path entirely.
-#ifndef FTNOC_ENABLE_INVARIANTS
-#define FTNOC_ENABLE_INVARIANTS 1
-#endif
-
-// Wraps a monitor hook statement so that -DFTNOC_INVARIANTS=OFF removes it
-// from the instruction stream entirely (not even a null-pointer test).
-#if FTNOC_ENABLE_INVARIANTS
-#define FTNOC_INVARIANT_HOOK(stmt) \
-  do {                             \
-    stmt;                          \
-  } while (0)
-#else
-#define FTNOC_INVARIANT_HOOK(stmt) \
-  do {                             \
-  } while (0)
-#endif
-
 namespace ftnoc {
 
 enum class InvariantId : std::uint8_t {

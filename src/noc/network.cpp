@@ -208,14 +208,8 @@ Network::Network(const SimConfig& cfg)
   }
 
   if (cfg_.check_invariants) {
-#if FTNOC_ENABLE_INVARIANTS
     monitor_ = std::make_unique<InvariantMonitor>(cfg_);
     for (auto& r : routers_) r->set_monitor(monitor_.get());
-#else
-    FTNOC_WARN(
-        "check_invariants requested but the monitor hooks were compiled "
-        "out (-DFTNOC_INVARIANTS=OFF); running unchecked");
-#endif
   }
 
   // Wires. wires_[node*4 + d] is the directed wire leaving `node` through
@@ -266,9 +260,10 @@ Network::Network(const SimConfig& cfg)
     routers_[nb]->fail_link(static_cast<PortId>(opposite(dir)));
   }
 
-  // Kernel selection (DESIGN.md §4.10). The reference model keeps no wake
-  // bookkeeping, so reference networks always run the full scan.
-  scan_kernel_ = cfg_.use_reference_router || cfg_.force_scan_kernel;
+  // Kernel selection (DESIGN.md §4.10) follows the router type. The
+  // reference model keeps no wake bookkeeping, so reference networks run
+  // the full scan; optimized networks always run the event wheel.
+  scan_kernel_ = cfg_.use_reference_router;
   tx_occ_cache_.assign(static_cast<std::size_t>(n), 0);
   rtx_occ_cache_.assign(static_cast<std::size_t>(n), 0);
   for (const auto& r : routers_) {
@@ -289,7 +284,7 @@ Network::Network(const SimConfig& cfg)
       fast_routers_[i] = static_cast<Router*>(routers_[i].get());
     }
     // Everybody gets one initial step at cycle 0; routers that stay
-    // quiescent simply never re-arm.
+    // idle simply never re-arm.
     auto& slot0 = wheel_[0];
     for (NodeId i = 0; i < n; ++i) slot0[i >> 6] |= 1ull << (i & 63);
   }
@@ -484,8 +479,9 @@ void Network::release_due_trace() {
 }
 
 // One cycle. Both kernels run this body; they differ only in which routers
-// are stepped (scan: every node through RouterIface; event: the wheel's due
-// set through the devirtualized Router) and which wires are ticked (scan:
+// are stepped (scan, on reference networks: every node through RouterIface;
+// event, on optimized networks: the wheel's due set through the
+// devirtualized Router) and which wires are ticked (scan:
 // all of them; event: the live list). Everything else is shared, in this
 // order, because the shared fault-injector RNG, stats and energy meter make
 // the within-cycle order observable.
@@ -555,11 +551,9 @@ void Network::step() {
     tick_live_wires();
   }
   if (cfg_.link_stats) accumulate_link_stats();
-#if FTNOC_ENABLE_INVARIANTS
   // After the wire ticks everything in flight is visible in a channel's
   // current value, so the structural walks see a settled snapshot.
   if (monitor_) run_invariant_walks();
-#endif
   ++now_;
 }
 
@@ -628,15 +622,16 @@ void Network::mark_wire_live(std::uint32_t wid) {
   live_wires_.push_back(wid);
 }
 
-// The event kernel's router schedule. Byte-identical to the scan by
-// construction:
+// The event kernel's router schedule. Byte-identical to the reference
+// network's full scan by construction:
 //  * a router is stepped at cycle t iff a signal written at t-1 is readable
 //    on one of its wires this cycle (the writer's wake masks), its own
-//    retained state demands it (retick — the internal half of the
-//    quiescent() predicate), or its one exact timer (own-probe GC) is due;
-//  * every step the scan kernel would *not* fast-path away falls in that
-//    set, and extra steps hit the quiescent fast path, which is a pinned
-//    no-op (no RNG draws, charges, stats or arbiter movement);
+//    retained state demands it (retick — take_wake_info()'s definition of
+//    internal work), or its one exact timer (own-probe GC) is due;
+//  * a router outside that set has no wire input and no internal work, so
+//    its step would be a no-op; the extra steps inside it (cycle 0, a stale
+//    GC timer) run phases that are no-ops too (no RNG draws, charges,
+//    stats or arbiter movement);
 //  * wires hold a signal for exactly one cycle, so only wires with
 //    something in flight need ticking — an untouched wire's tick is a
 //    no-op by construction.

@@ -308,15 +308,15 @@ class Network {
 
   // --- Kernel state ---------------------------------------------------------
   /// True when this network runs the per-cycle full scan (reference
-  /// routers, or the `kernel=scan` override).
+  /// routers; optimized routers always run the event wheel).
   bool scan_kernel_ = false;
   /// Devirtualized view of routers_ for the event kernel's hot loop
   /// (only populated for optimized-router networks).
   std::vector<Router*> fast_routers_;
   static constexpr std::size_t kWheelSize = 256;  // Power of two.
   /// Bucket wheel: slot (cycle & 255) holds a node bitmask of routers due
-  /// that cycle. Spurious entries are harmless (a quiescent step is a
-  /// pinned no-op), so duplicate schedules need no dedup.
+  /// that cycle. Spurious entries are harmless (an idle router's step is a
+  /// no-op), so duplicate schedules need no dedup.
   std::array<std::vector<std::uint64_t>, kWheelSize> wheel_;
   /// Timers beyond the wheel horizon, spilled back in as now_ approaches.
   std::map<Cycle, std::vector<NodeId>> far_due_;

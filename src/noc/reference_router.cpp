@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdarg>
-#include <cstdio>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -18,15 +16,6 @@
 namespace ftnoc {
 namespace {
 constexpr PortId kLocalPort = static_cast<PortId>(Direction::kLocal);
-
-std::string ref_trace_fmt(const char* fmt, ...) {
-  char buf[192];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  return std::string(buf);
-}
 }
 
 ReferenceRouter::ReferenceRouter(NodeId id, const SimConfig& cfg,
@@ -168,8 +157,8 @@ void ReferenceRouter::step(Cycle now) {
   }
   // Online reconfiguration (§4.12), mirrored from the optimized kernel.
   rehome_stale_routes(now);
-  // No quiescent fast path: on an idle router every phase is a no-op, and
-  // the differential comparison against the optimized kernel checks that.
+  // On an idle router every phase is a no-op; the differential comparison
+  // against the event-scheduled optimized kernel checks that.
   std::fill(port_busy_.begin(), port_busy_.end(), false);
   phase_maintenance(now);
   phase_receive(now);
@@ -231,7 +220,7 @@ void ReferenceRouter::phase_maintenance(Cycle now) {
         auto& out = ovc(p, nack->vc);
         FTNOC_CHECK(out.rtx.has_value());
         const int n = out.rtx->on_nack();
-        FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_restored(n));
+        if (mon_) mon_->on_restored(n);
         if (staged_[p] && staged_[p]->vc == nack->vc) {
           const Flit& s = staged_[p]->stored;
           // Scan the whole pending region, not just the front: the
@@ -296,7 +285,7 @@ void ReferenceRouter::handle_incoming_flit(PortId p, Flit f, Cycle now) {
       case LinkProtection::kHbh: {
         if (now <= drop_until_[gid(p, f.vc)]) {
           if (stats_) stats_->on_flit_dropped();
-          FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_dropped());
+          if (mon_) mon_->on_dropped();
           return;
         }
         charge(power::EnergyEvent::kEccCheck);
@@ -311,7 +300,7 @@ void ReferenceRouter::handle_incoming_flit(PortId p, Flit f, Cycle now) {
           // sender always gets the full 3-cycle drop window.
           drop_until_[gid(p, f.vc)] =
               now + (cfg_.pipeline_stages == 4 ? 3 : 2);
-          FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_dropped());
+          if (mon_) mon_->on_dropped();
           return;
         }
         if (c == FlitCheck::kCorrected) {
@@ -342,10 +331,10 @@ void ReferenceRouter::accept_flit(PortId p, Flit f, Cycle now) {
   // (DESIGN.md §4.11), hence CHECK, not drop.
   FTNOC_CHECK(static_cast<int>(vc.buf.size()) < cfg_.vc_buffer_depth);
   f.arrived_cycle = now;
-  FTNOC_INVARIANT_HOOK(if (mon_) {
+  if (mon_) {
     if (p == kLocalPort) mon_->on_injected();
     mon_->on_flit_accepted(now, id_, p, f);
-  });
+  }
   vc.buf.push_back(std::move(f));
   charge(power::EnergyEvent::kBufferWrite);
 }
@@ -513,7 +502,7 @@ void ReferenceRouter::eject(const Flit& f, PortId in_port, VcId in_vc,
                             Cycle now) {
   (void)in_port;
   (void)in_vc;
-  FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_ejected());
+  if (mon_) mon_->on_ejected();
   if (eject_) eject_(f, now);
 }
 
@@ -633,9 +622,9 @@ void ReferenceRouter::phase_va(Cycle now) {
         if (usable == 0) continue;
         vc.candidates = usable;
         if (stats_) stats_->on_hard_fault_reroute();
-        FTNOC_INVARIANT_HOOK(if (mon_) {
+        if (mon_) {
           mon_->on_misroute(now, id_, vc.buf.front().packet_id);
-        });
+        }
       } else if (dead_candidate &&
                  cfg_.routing != RoutingAlgorithm::kXY) {
         PortMask live = 0;
@@ -789,7 +778,7 @@ void ReferenceRouter::phase_rt(Cycle now) {
       if (!vc.buf.empty() && vc.buf.front().arrived_cycle < now) {
         const Flit f = vc.buf.front();
         vc.buf.pop_front();
-        FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_dropped());
+        if (mon_) mon_->on_dropped();
         charge(power::EnergyEvent::kBufferRead);
         send_credit(static_cast<PortId>(g / num_vcs_),
                     static_cast<VcId>(g % num_vcs_));
@@ -807,7 +796,7 @@ void ReferenceRouter::phase_rt(Cycle now) {
     if (now < vc.stall_until) continue;
     if (!is_head(vc.buf.front().type)) {
       vc.buf.pop_front();
-      FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_dropped());
+      if (mon_) mon_->on_dropped();
       send_credit(static_cast<PortId>(g / num_vcs_),
                   static_cast<VcId>(g % num_vcs_));
       if (stats_) {
@@ -917,12 +906,11 @@ void ReferenceRouter::handle_probe(PortId /*from*/, const ProbeSignal& probe,
     return;
   }
   if (probe.origin == id_) {
-    FTNOC_TRACE(ref_trace_fmt("[%llu] r%u probe id=%u RETURNED",
+    FTNOC_TRACE(trace_fmt("[%llu] r%u probe id=%u RETURNED",
                               (unsigned long long)now, id_, probe.probe_id));
     if (agent_.on_probe_returned(probe)) {
       if (stats_) stats_->on_deadlock_confirmed();
-      FTNOC_INVARIANT_HOOK(
-          if (mon_) mon_->on_probe_confirmed(now, id_, probe.probe_id));
+      if (mon_) mon_->on_probe_confirmed(now, id_, probe.probe_id);
       const auto it = own_probe_route_.find(probe.probe_id);
       FTNOC_CHECK(it != own_probe_route_.end());
       queue_control(it->second.port, ActivationSignal{id_, probe.probe_id});
@@ -941,7 +929,7 @@ void ReferenceRouter::handle_probe(PortId /*from*/, const ProbeSignal& probe,
   }
 
   const ProbeAction action = agent_.on_probe(probe, fwd.has_value());
-  FTNOC_TRACE(ref_trace_fmt(
+  FTNOC_TRACE(trace_fmt(
       "[%llu] r%u probe(o=%u,id=%u) tgt(%d,%d) act=%d fwd=%d tstate=%d "
       "tcand=%02x tblocked=%d rec=%d",
       (unsigned long long)now, id_, probe.origin, probe.probe_id,
@@ -957,8 +945,7 @@ void ReferenceRouter::handle_probe(PortId /*from*/, const ProbeSignal& probe,
     next.in_vc = fwd->second;
     agent_.remember_forwarded_probe(probe, fwd->first, next.in_port,
                                     next.in_vc);
-    FTNOC_INVARIANT_HOOK(
-        if (mon_) mon_->on_probe_forwarded(id_, probe.origin, probe.probe_id));
+    if (mon_) mon_->on_probe_forwarded(id_, probe.origin, probe.probe_id);
     queue_control(fwd->first, next);
   } else {
     if (stats_) stats_->on_probe_discarded();
@@ -972,20 +959,23 @@ void ReferenceRouter::handle_activation(const ActivationSignal& act,
     agent_.on_activation_returned(act);
     if (!was && agent_.in_recovery()) {
       if (stats_) stats_->on_recovery_entered();
-      FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_recovery_entered(
-          now, id_, RecoveryTrigger::kActivationReturned, act.origin,
-          act.probe_id, cfg_.vc_buffer_depth, cfg_.retransmission_depth));
+      if (mon_) {
+        mon_->on_recovery_entered(
+            now, id_, RecoveryTrigger::kActivationReturned, act.origin,
+            act.probe_id, cfg_.vc_buffer_depth, cfg_.retransmission_depth);
+      }
     }
-    (void)now;
     return;
   }
   const bool was = agent_.in_recovery();
   const auto fwd = agent_.on_activation(act);
   if (!was && agent_.in_recovery()) {
     if (stats_) stats_->on_recovery_entered();
-    FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_recovery_entered(
-        now, id_, RecoveryTrigger::kActivationRelay, act.origin, act.probe_id,
-        cfg_.vc_buffer_depth, cfg_.retransmission_depth));
+    if (mon_) {
+      mon_->on_recovery_entered(
+          now, id_, RecoveryTrigger::kActivationRelay, act.origin, act.probe_id,
+          cfg_.vc_buffer_depth, cfg_.retransmission_depth);
+    }
   }
   if (fwd) {
     charge(power::EnergyEvent::kProbeHop);
@@ -1026,19 +1016,21 @@ void ReferenceRouter::phase_deadlock(Cycle now) {
     const ProbeSignal pr = agent_.make_probe(
         static_cast<PortId>(opposite(static_cast<Direction>(chain->first))),
         chain->second, now);
-    FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_probe_minted(id_, pr.probe_id));
+    if (mon_) mon_->on_probe_minted(id_, pr.probe_id);
     if (agent_.failed_probes() >= kFallbackProbeFailures) {
       agent_.enter_recovery();
       if (stats_) {
         stats_->on_fallback_recovery();
         stats_->on_recovery_entered();
       }
-      FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_recovery_entered(
-          now, id_, RecoveryTrigger::kFallback, id_, pr.probe_id,
-          cfg_.vc_buffer_depth, cfg_.retransmission_depth));
+      if (mon_) {
+        mon_->on_recovery_entered(
+            now, id_, RecoveryTrigger::kFallback, id_, pr.probe_id,
+            cfg_.vc_buffer_depth, cfg_.retransmission_depth);
+      }
       break;
     }
-    FTNOC_TRACE(ref_trace_fmt(
+    FTNOC_TRACE(trace_fmt(
         "[%llu] r%u PROBE id=%u via port %d target(%d,%d)",
         (unsigned long long)now, id_, pr.probe_id, (int)chain->first,
         (int)pr.in_port, (int)pr.in_vc));
@@ -1083,7 +1075,7 @@ void ReferenceRouter::phase_deadlock(Cycle now) {
       out.has_waiter = true;
       out.waiter_gid = static_cast<std::uint16_t>(g);
       out.waiter_pid = vc.buf.front().packet_id;
-      FTNOC_TRACE(ref_trace_fmt(
+      FTNOC_TRACE(trace_fmt(
           "[%llu] r%u register waiter pkt%llu on %d_%d",
           (unsigned long long)now, id_, (unsigned long long)out.waiter_pid,
           (int)o, (int)v));
@@ -1146,7 +1138,7 @@ void ReferenceRouter::phase_deadlock(Cycle now) {
   }
   if (!pending && !blocked_long) {
     agent_.exit_recovery();
-    FTNOC_TRACE(ref_trace_fmt("[%llu] r%u exit recovery",
+    FTNOC_TRACE(trace_fmt("[%llu] r%u exit recovery",
                               (unsigned long long)now, id_));
     if (stats_) stats_->on_recovery_exited();
   }
@@ -1326,53 +1318,6 @@ std::uint64_t ReferenceRouter::state_digest() const {
   h.mix(static_cast<std::uint64_t>(agent_.failed_probes()));
   h.mix(progress_this_cycle_);
   return h.value();
-}
-
-std::string ReferenceRouter::debug_dump(Cycle now) const {
-  std::string s = "reference router " + std::to_string(id_) +
-                  (agent_.in_recovery() ? " [RECOVERY]" : "") + "\n";
-  static const char* st[] = {"ROUTE", "VAWAIT", "ACTIVE", "RESERV", "DRAIN"};
-  for (PortId p = 0; p < num_ports_; ++p) {
-    for (VcId v = 0; v < num_vcs_; ++v) {
-      const auto& in = ivc(p, v);
-      if (in.buf.empty() && in.state == VcState::kRouting) continue;
-      s += "  in " + std::string(to_string(static_cast<Direction>(p))) + "_" +
-           std::to_string(v) + " " + st[static_cast<int>(in.state)] +
-           " buf=" + std::to_string(in.buf.size());
-      if (!in.buf.empty()) {
-        s += " front=pkt" + std::to_string(in.buf.front().packet_id) + "." +
-             std::to_string(in.buf.front().seq);
-      }
-      s += " out=" +
-           (in.out_port == kInvalidPort
-                ? std::string("-")
-                : std::string(to_string(static_cast<Direction>(in.out_port))) +
-                      "_" + std::to_string(in.out_vc));
-      s += " idle=" + std::to_string(now - in.last_advance) + "\n";
-    }
-  }
-  for (PortId p = 0; p < num_ports_; ++p) {
-    for (VcId v = 0; v < num_vcs_; ++v) {
-      const auto& out = ovc(p, v);
-      const bool quiet = !out.allocated && !out.has_waiter &&
-                         (!out.rtx || out.rtx->occupancy() == 0);
-      if (quiet) continue;
-      s += "  out " + std::string(to_string(static_cast<Direction>(p))) +
-           "_" + std::to_string(v);
-      if (out.allocated) {
-        s += " owner=pkt" + std::to_string(out.owner_pid) +
-             (out.tail_sent ? "(tail_sent)" : "");
-      }
-      if (out.has_waiter) s += " waiter=pkt" + std::to_string(out.waiter_pid);
-      s += " credits=" + std::to_string(out.credits);
-      if (out.rtx) {
-        s += " rtx(sent=" + std::to_string(out.rtx->sent_count()) +
-             ",pend=" + std::to_string(out.rtx->pending_count()) + ")";
-      }
-      s += "\n";
-    }
-  }
-  return s;
 }
 
 }  // namespace ftnoc

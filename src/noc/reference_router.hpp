@@ -8,11 +8,12 @@
 // optimized cycle kernel introduced:
 //   * no in_work_/out_work_ bitmasks — every phase is a full ascending scan
 //     over all (port, VC) pairs with the eligibility predicates inlined;
-//   * no occupancy running counters, no staged_count_, no slot caches —
+//   * no occupancy running counters, no staged_count_ —
 //     occupancies are recounted on demand;
-//   * no quiescent idle fast path — phases always run (on a truly idle
-//     router they are provable no-ops, which is exactly the property the
-//     differential comparison verifies);
+//   * no wake bookkeeping — a reference network steps every router every
+//     cycle (the scan kernel), and on a truly idle router the phases are
+//     provable no-ops, which is exactly the property the differential
+//     comparison against the event-scheduled optimized kernel verifies;
 //   * plain std::deque/std::vector/std::map instead of slab rings and
 //     InlineVec, and barrels that own their slots instead of a router slab.
 //
@@ -27,7 +28,6 @@
 #include <deque>
 #include <map>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -69,7 +69,6 @@ class ReferenceRouter final : public RouterIface {
   bool in_recovery() const override { return agent_.in_recovery(); }
   int input_buffer_size(PortId p, VcId v) const override;
   int input_port_occupancy(PortId p) const override;
-  std::string debug_dump(Cycle now) const override;
   std::uint64_t state_digest() const override;
 
   void set_monitor(InvariantMonitor* mon) override { mon_ = mon; }

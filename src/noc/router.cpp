@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdarg>
-#include <cstdio>
-#include <cstring>
 #include <limits>
 
 #include "common/check.hpp"
@@ -12,21 +9,9 @@
 #include "core/logic_error_model.hpp"
 #include "noc/digest.hpp"
 
-
 namespace ftnoc {
 namespace {
 constexpr PortId kLocalPort = static_cast<PortId>(Direction::kLocal);
-
-// Formats a deadlock-protocol trace line. Only ever called inside the
-// FTNOC_TRACE guard, so the formatting work vanishes when tracing is off.
-std::string trace_fmt(const char* fmt, ...) {
-  char buf[192];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  return std::string(buf);
-}
 }
 
 Router::Router(NodeId id, const SimConfig& cfg, const Topology& topo,
@@ -112,7 +97,6 @@ void Router::connect(PortId p, Wire* in, Wire* out) {
   out_wires_[p] = out;
   if (in != nullptr) in->fwd_sig = &in_sig_[p];
   if (out != nullptr) out->back_sig = &out_sig_[p];
-  tx_slots_cache_ = rtx_slots_cache_ = -1;
 }
 
 bool Router::port_has_neighbor(PortId p) const {
@@ -215,35 +199,16 @@ void Router::charge(power::EnergyEvent e, std::uint64_t times) {
   if (meter_) meter_->charge(e, times);
 }
 
-bool Router::quiescent() const {
-  // Internal state: no buffered or stateful VCs, no staged flit, no queued
-  // control signals or NACKs, no pending progress note, not recovering.
-  if (in_work_ != 0 || out_work_ != 0 || staged_count_ != 0) return false;
-  // A draining port needs the drain-completion check at the top of step()
-  // to run until it goes hard-dead.
-  if (draining_ != 0) return false;
-  if (!pending_nacks_.empty() || !outbox_.empty()) return false;
-  if (progress_this_cycle_ || agent_.in_recovery()) return false;
-  if (!own_probe_route_.empty()) return false;
-  // External state: nothing arriving on any wire this cycle. The wires'
-  // tick-time summary bytes land in the router-local signal arrays, so
-  // this is two word loads (kCurFwd = 0x19, kCurBack = 0x06 per byte).
-  std::uint64_t iw;
-  std::uint64_t ow;
-  std::memcpy(&iw, in_sig_.data(), sizeof(iw));
-  std::memcpy(&ow, out_sig_.data(), sizeof(ow));
-  return ((iw & 0x1919191919191919ULL) | (ow & 0x0606060606060606ULL)) == 0;
-}
-
 WakeInfo Router::take_wake_info() {
   WakeInfo w;
   w.wrote_fwd = wrote_fwd_;
   w.wrote_back = wrote_back_;
   wrote_fwd_ = 0;
   wrote_back_ = 0;
-  // Internal-state half of the quiescent() predicate: any of these means
-  // next cycle's step() is (or may be) a state-changing one even with no
-  // wire traffic. Wire arrivals are covered by the writer's wake masks.
+  // The one definition of "has internal work": any of these means next
+  // cycle's step() is (or may be) a state-changing one even with no wire
+  // traffic. Wire arrivals are covered by the writer's wake masks; a
+  // router with neither runs phases that change nothing.
   w.retick = in_work_ != 0 || out_work_ != 0 || staged_count_ != 0 ||
              draining_ != 0 || !pending_nacks_.empty() ||
              !outbox_.empty() || progress_this_cycle_ ||
@@ -268,9 +233,7 @@ void Router::step(Cycle now) {
   // Drain-to-kill completion (§4.9): a draining port goes hard-dead once
   // every output VC on it is idle (no owner, no waiter, empty barrel — the
   // barrel's sent region covers the NACK window, so an empty barrel proves
-  // the wire is clear) and nothing is staged toward it. Runs before the
-  // quiescent fast path: an otherwise-idle router must still finish its
-  // drains.
+  // the wire is clear) and nothing is staged toward it.
   if (draining_ != 0) {
     const std::uint32_t vmask = (1u << num_vcs_) - 1u;
     for (std::uint32_t dm = draining_; dm != 0; dm &= dm - 1) {
@@ -283,14 +246,8 @@ void Router::step(Cycle now) {
   }
   // Online reconfiguration (§4.12): reconcile in-flight route decisions
   // with the topology's current epoch before any phase allocates on them.
-  // No-op (one compare) while the epoch is unchanged. Runs before the
-  // quiescent fast path, which is safe: a quiescent router has no kVaWait
-  // VCs, so skipping the walk there changes nothing.
+  // No-op (one compare) while the epoch is unchanged.
   rehome_stale_routes(now);
-  // Idle fast path: a quiescent router's phases are all provable no-ops —
-  // no charges, no stats, no RNG draws, no arbiter advances — so skipping
-  // them is behaviour-preserving (the golden byte-identity tests pin this).
-  if (quiescent()) return;
   std::fill(port_busy_.begin(), port_busy_.end(), false);
   phase_maintenance(now);
   phase_receive(now);
@@ -390,7 +347,7 @@ void Router::phase_maintenance(Cycle now) {
         const int n = rtx->on_nack();
         // Each rolled-back flit re-materializes a live instance whose wire
         // copy the receiver dropped (or will drop inside its window).
-        FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_restored(n));
+        if (mon_) mon_->on_restored(n);
         // 4-stage: a flit of this VC sitting in the switch-traversal
         // register is squashed — it is in flight inside our own pipe and
         // must be replayed after the rolled-back flits, not transmitted
@@ -485,7 +442,7 @@ void Router::handle_incoming_flit(PortId p, Flit& f, Cycle now) {
           // Retransmission in progress: this is one of the in-flight flits
           // behind the errored one (Figure 4, "DROP").
           if (stats_) stats_->on_flit_dropped();
-          FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_dropped());
+          if (mon_) mon_->on_dropped();
           return;
         }
         charge(power::EnergyEvent::kEccCheck);
@@ -507,7 +464,7 @@ void Router::handle_incoming_flit(PortId p, Flit& f, Cycle now) {
           const bool long_window = cfg_.pipeline_stages == 4 &&
                                    mutation_ != TestMutation::kDropWindow;
           drop_until_[gid(p, f.vc)] = now + (long_window ? 3 : 2);
-          FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_dropped());
+          if (mon_) mon_->on_dropped();
           return;
         }
         if (c == FlitCheck::kCorrected) {
@@ -539,12 +496,12 @@ void Router::accept_flit(PortId p, const Flit& f0, Cycle now) {
   auto& vc = ivc(p, f.vc);
   const VcId v = f.vc;
   f.arrived_cycle = now;
-  FTNOC_INVARIANT_HOOK(if (mon_) {
+  if (mon_) {
     // Injection is counted where a flit enters the conservation ledger's
     // domain: acceptance from the local PE.
     if (p == kLocalPort) mon_->on_injected();
     mon_->on_flit_accepted(now, id_, p, f);
-  });
+  }
   vc.buf.push_back(std::move(f));
   if (vc.buf.size() == 1) vc.front_arrived = now;
   ++in_port_occ_[p];
@@ -790,7 +747,7 @@ void Router::transmit(PortId o, VcId v, Flit f, Cycle now,
 void Router::eject(const Flit& f, PortId in_port, VcId in_vc, Cycle now) {
   (void)in_port;
   (void)in_vc;
-  FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_ejected());
+  if (mon_) mon_->on_ejected();
   if (eject_) eject_(f, now);
 }
 
@@ -964,9 +921,9 @@ void Router::phase_va(Cycle now) {
         if (usable == 0) continue;  // Escape ports all draining; retry.
         vc.candidates = usable;
         if (stats_) stats_->on_hard_fault_reroute();
-        FTNOC_INVARIANT_HOOK(if (mon_) {
+        if (mon_) {
           mon_->on_misroute(now, id_, vc.buf.front().packet_id);
-        });
+        }
         // Fall through: request an output VC on the detour this cycle.
       } else if (dead_candidate &&
                  cfg_.routing != RoutingAlgorithm::kXY) {
@@ -1164,7 +1121,7 @@ void Router::phase_rt(Cycle now) {
         vc.buf.pop_front();
         vc.sync_front_arrived();
         --in_port_occ_[g / num_vcs_];
-        FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_dropped());
+        if (mon_) mon_->on_dropped();
         charge(power::EnergyEvent::kBufferRead);
         send_credit(static_cast<PortId>(g / num_vcs_),
                     static_cast<VcId>(g % num_vcs_));
@@ -1188,7 +1145,7 @@ void Router::phase_rt(Cycle now) {
       vc.buf.pop_front();
       vc.sync_front_arrived();
       --in_port_occ_[g / num_vcs_];
-      FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_dropped());
+      if (mon_) mon_->on_dropped();
       send_credit(static_cast<PortId>(g / num_vcs_),
                   static_cast<VcId>(g % num_vcs_));
       if (stats_) {
@@ -1333,8 +1290,7 @@ void Router::handle_probe(PortId /*from*/, const ProbeSignal& probe,
       // never touches the agent's outstanding probe, and a confirmed
       // return implies this id was outstanding.
       if (stats_) stats_->on_deadlock_confirmed();
-      FTNOC_INVARIANT_HOOK(
-          if (mon_) mon_->on_probe_confirmed(now, id_, probe.probe_id));
+      if (mon_) mon_->on_probe_confirmed(now, id_, probe.probe_id);
       const auto it = own_probe_route_.find(probe.probe_id);
       FTNOC_CHECK(it != own_probe_route_.end());
       queue_control(it->second.port, ActivationSignal{id_, probe.probe_id});
@@ -1373,8 +1329,7 @@ void Router::handle_probe(PortId /*from*/, const ProbeSignal& probe,
     next.in_vc = fwd->second;
     agent_.remember_forwarded_probe(probe, fwd->first, next.in_port,
                                     next.in_vc);
-    FTNOC_INVARIANT_HOOK(
-        if (mon_) mon_->on_probe_forwarded(id_, probe.origin, probe.probe_id));
+    if (mon_) mon_->on_probe_forwarded(id_, probe.origin, probe.probe_id);
     queue_control(fwd->first, next);
   } else {
     if (stats_) stats_->on_probe_discarded();
@@ -1387,20 +1342,23 @@ void Router::handle_activation(const ActivationSignal& act, Cycle now) {
     agent_.on_activation_returned(act);
     if (!was && agent_.in_recovery()) {
       if (stats_) stats_->on_recovery_entered();
-      FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_recovery_entered(
-          now, id_, RecoveryTrigger::kActivationReturned, act.origin,
-          act.probe_id, cfg_.vc_buffer_depth, cfg_.retransmission_depth));
+      if (mon_) {
+        mon_->on_recovery_entered(
+            now, id_, RecoveryTrigger::kActivationReturned, act.origin,
+            act.probe_id, cfg_.vc_buffer_depth, cfg_.retransmission_depth);
+      }
     }
-    (void)now;
     return;
   }
   const bool was = agent_.in_recovery();
   const auto fwd = agent_.on_activation(act);
   if (!was && agent_.in_recovery()) {
     if (stats_) stats_->on_recovery_entered();
-    FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_recovery_entered(
-        now, id_, RecoveryTrigger::kActivationRelay, act.origin, act.probe_id,
-        cfg_.vc_buffer_depth, cfg_.retransmission_depth));
+    if (mon_) {
+      mon_->on_recovery_entered(
+          now, id_, RecoveryTrigger::kActivationRelay, act.origin, act.probe_id,
+          cfg_.vc_buffer_depth, cfg_.retransmission_depth);
+    }
   }
   if (fwd) {
     charge(power::EnergyEvent::kProbeHop);
@@ -1416,7 +1374,7 @@ void Router::enter_recovery(Cycle) {
 
 void Router::phase_deadlock(Cycle now) {
   // Progress must be noted (and the flag cleared) even with recovery
-  // disabled: a stale flag would otherwise defeat the idle fast path.
+  // disabled: a stale flag would otherwise keep the router re-ticking.
   if (progress_this_cycle_) {
     agent_.note_progress();
     progress_this_cycle_ = false;
@@ -1459,7 +1417,7 @@ void Router::phase_deadlock(Cycle now) {
     const ProbeSignal pr = agent_.make_probe(
         static_cast<PortId>(opposite(static_cast<Direction>(chain->first))),
         chain->second, now);
-    FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_probe_minted(id_, pr.probe_id));
+    if (mon_) mon_->on_probe_minted(id_, pr.probe_id);
     // Fallback: repeated probe expiry with zero local progress means this
     // router's blocked packets feed a deadlocked region whose cycle does
     // not pass through here — the probes orbit it and can never return.
@@ -1470,9 +1428,11 @@ void Router::phase_deadlock(Cycle now) {
         stats_->on_fallback_recovery();
         stats_->on_recovery_entered();
       }
-      FTNOC_INVARIANT_HOOK(if (mon_) mon_->on_recovery_entered(
-          now, id_, RecoveryTrigger::kFallback, id_, pr.probe_id,
-          cfg_.vc_buffer_depth, cfg_.retransmission_depth));
+      if (mon_) {
+        mon_->on_recovery_entered(
+            now, id_, RecoveryTrigger::kFallback, id_, pr.probe_id,
+            cfg_.vc_buffer_depth, cfg_.retransmission_depth);
+      }
       break;
     }
     FTNOC_TRACE(trace_fmt("[%llu] r%u PROBE id=%u via port %d target(%d,%d)",
@@ -1651,31 +1611,25 @@ int Router::tx_buffer_occupancy() const {
 }
 
 int Router::tx_buffer_slots() const {
-  if (tx_slots_cache_ < 0) {
-    int ports = 0;
-    for (PortId p = 0; p < num_ports_; ++p) {
-      if (in_wires_[p] != nullptr) ++ports;
-    }
-    tx_slots_cache_ = ports * num_vcs_ * cfg_.vc_buffer_depth;
+  int ports = 0;
+  for (PortId p = 0; p < num_ports_; ++p) {
+    if (in_wires_[p] != nullptr) ++ports;
   }
-  return tx_slots_cache_;
+  return ports * num_vcs_ * cfg_.vc_buffer_depth;
 }
 
 int Router::rtx_buffer_occupancy() const { return rtx_occ_; }
 
 int Router::rtx_buffer_slots() const {
-  if (rtx_slots_cache_ < 0) {
-    int n = 0;
-    for (PortId p = 0; p < num_ports_; ++p) {
-      if (out_wires_[p] == nullptr) continue;
-      for (VcId v = 0; v < num_vcs_; ++v) {
-        const auto& rtx = orx(gid(p, v));
-        if (rtx) n += rtx->depth();
-      }
+  int n = 0;
+  for (PortId p = 0; p < num_ports_; ++p) {
+    if (out_wires_[p] == nullptr) continue;
+    for (VcId v = 0; v < num_vcs_; ++v) {
+      const auto& rtx = orx(gid(p, v));
+      if (rtx) n += rtx->depth();
     }
-    rtx_slots_cache_ = n;
   }
-  return rtx_slots_cache_;
+  return n;
 }
 
 int Router::input_buffer_size(PortId p, VcId v) const {
@@ -1691,7 +1645,6 @@ bool Router::input_vc_active(PortId p, VcId v) const {
 // ---------------------------------------------------------------------------
 
 void Router::check_local_invariants(Cycle now) {
-#if FTNOC_ENABLE_INVARIANTS
   if (!mon_) return;
   const int pv = num_ports_ * num_vcs_;
   std::array<int, kNumDirections> occ{};
@@ -1812,9 +1765,6 @@ void Router::check_local_invariants(Cycle now) {
                "staged_count_ is " + std::to_string(staged_count_) + " but " +
                    std::to_string(staged) + " register(s) are occupied");
   }
-#else
-  (void)now;
-#endif
 }
 
 long long Router::live_flit_count() const {
@@ -1953,54 +1903,6 @@ std::uint64_t Router::state_digest() const {
   h.mix(static_cast<std::uint64_t>(agent_.failed_probes()));
   h.mix(progress_this_cycle_);
   return h.value();
-}
-
-std::string Router::debug_dump(Cycle now) const {
-  std::string s = "router " + std::to_string(id_) +
-                  (agent_.in_recovery() ? " [RECOVERY]" : "") + "\n";
-  static const char* st[] = {"ROUTE", "VAWAIT", "ACTIVE", "RESERV", "DRAIN"};
-  for (PortId p = 0; p < num_ports_; ++p) {
-    for (VcId v = 0; v < num_vcs_; ++v) {
-      const auto& in = ivc(p, v);
-      if (in.buf.empty() && in.state == VcState::kRouting) continue;
-      s += "  in " + std::string(to_string(static_cast<Direction>(p))) + "_" +
-           std::to_string(v) + " " + st[static_cast<int>(in.state)] +
-           " buf=" + std::to_string(in.buf.size());
-      if (!in.buf.empty()) {
-        s += " front=pkt" + std::to_string(in.buf.front().packet_id) + "." +
-             std::to_string(in.buf.front().seq);
-      }
-      s += " out=" +
-           (in.out_port == kInvalidPort
-                ? std::string("-")
-                : std::string(to_string(static_cast<Direction>(in.out_port))) +
-                      "_" + std::to_string(in.out_vc));
-      s += " idle=" + std::to_string(now - in.last_advance) + "\n";
-    }
-  }
-  for (PortId p = 0; p < num_ports_; ++p) {
-    for (VcId v = 0; v < num_vcs_; ++v) {
-      const auto& out = ovc(p, v);
-      const auto& rtx = orx(gid(p, v));
-      const bool quiet = !out.allocated && !out.has_waiter &&
-                         (!rtx || rtx->occupancy() == 0);
-      if (quiet) continue;
-      s += "  out " + std::string(to_string(static_cast<Direction>(p))) +
-           "_" + std::to_string(v);
-      if (out.allocated) {
-        s += " owner=pkt" + std::to_string(out.owner_pid) +
-             (out.tail_sent ? "(tail_sent)" : "");
-      }
-      if (out.has_waiter) s += " waiter=pkt" + std::to_string(out.waiter_pid);
-      s += " credits=" + std::to_string(out.credits);
-      if (rtx) {
-        s += " rtx(sent=" + std::to_string(rtx->sent_count()) +
-             ",pend=" + std::to_string(rtx->pending_count()) + ")";
-      }
-      s += "\n";
-    }
-  }
-  return s;
 }
 
 }  // namespace ftnoc

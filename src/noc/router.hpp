@@ -49,6 +49,21 @@
 
 namespace ftnoc {
 
+/// What the event-driven Network needs to know after a router step: which
+/// output ports the router drove forward signals on (flit/probe/
+/// activation — wakes the downstream consumer), which input-side bundles
+/// it drove backward signals on (credit/NACK — wakes the upstream
+/// producer; bit kLocalPort wakes the PE), whether the router wants an
+/// unconditional self-tick next cycle, and an optional exact timer for
+/// the one delayed action that needs no per-cycle work in between
+/// (own-probe GC). `timer == 0` means no timer.
+struct WakeInfo {
+  std::uint8_t wrote_fwd = 0;
+  std::uint8_t wrote_back = 0;
+  bool retick = false;
+  Cycle timer = 0;
+};
+
 class Router final : public RouterIface {
  public:
   Router(NodeId id, const SimConfig& cfg, const Topology& topo,
@@ -81,8 +96,6 @@ class Router final : public RouterIface {
   const DeadlockAgent& deadlock_agent() const { return agent_; }
   /// Live entries in the own-probe route map (bounded-memory test).
   std::size_t probe_route_entries() const { return own_probe_route_.size(); }
-  /// Whether the next step() would be a no-op (idle fast path, tests).
-  bool quiescent() const;
 
   /// Occupancy of one input VC buffer (tests).
   int input_buffer_size(PortId p, VcId v) const override;
@@ -91,8 +104,6 @@ class Router final : public RouterIface {
   }
   /// Whether an input VC currently holds an active wormhole (tests).
   bool input_vc_active(PortId p, VcId v) const;
-  /// Human-readable state snapshot (debugging and trace examples).
-  std::string debug_dump(Cycle now) const override;
 
   /// Architectural-state hash for lock-step differential comparison.
   std::uint64_t state_digest() const override;
@@ -114,7 +125,7 @@ class Router final : public RouterIface {
   /// driven, whether any retained state demands a self-tick next cycle,
   /// and the exact own-probe GC deadline when that is the *only* thing
   /// left. Consuming resets the wrote masks for the next step.
-  WakeInfo take_wake_info() override;
+  WakeInfo take_wake_info();
 
  private:
   // --- Per-VC state -------------------------------------------------------
@@ -343,9 +354,8 @@ class Router final : public RouterIface {
   /// Consumer-side wire signal summaries (Wire::kCur* bits), written by
   /// Wire::tick through registered slots: in_sig_[p] mirrors
   /// in_wires_[p]->cur_mask, out_sig_[p] mirrors out_wires_[p]->cur_mask.
-  /// Both padded to 8 so the quiescent check reads each as one word.
-  alignas(8) std::array<std::uint8_t, 8> in_sig_{};
-  alignas(8) std::array<std::uint8_t, 8> out_sig_{};
+  std::array<std::uint8_t, kNumDirections> in_sig_{};
+  std::array<std::uint8_t, kNumDirections> out_sig_{};
 
   // --- State -----------------------------------------------------------------
   /// Gid-major contiguous flit storage for every input VC
@@ -384,7 +394,7 @@ class Router final : public RouterIface {
   /// topology's epoch moves (an accepted storm kill), step()
   /// re-homes every kVaWait candidate set against the fresh distance tables
   /// before allocating (DESIGN.md §4.12). Deliberately NOT part of
-  /// state_digest(): it is unobservable for quiescent routers, and folding
+  /// state_digest(): it is unobservable for idle routers, and folding
   /// it in would make scan and event kernels diverge on who noticed first.
   std::uint32_t route_epoch_seen_ = 0;
 
@@ -431,8 +441,6 @@ class Router final : public RouterIface {
   /// (sampling). Updated at every barrel mutation; a NACK rollback moves
   /// entries sent->pending without changing the sum.
   int rtx_occ_ = 0;
-  mutable int tx_slots_cache_ = -1;
-  mutable int rtx_slots_cache_ = -1;
 
   // --- Retransmission-barrel summary caches -------------------------------
   // The barrels sit behind a std::optional and a slab pointer; the

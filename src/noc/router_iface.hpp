@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "common/types.hpp"
 #include "core/deadlock.hpp"
@@ -125,21 +124,6 @@ struct Wire {
 /// Callback delivering an ejected flit to the local processing element.
 using EjectFn = std::function<void(const Flit&, Cycle)>;
 
-/// What the event-driven Network needs to know after a router step: which
-/// output ports the router drove forward signals on (flit/probe/
-/// activation — wakes the downstream consumer), which input-side bundles
-/// it drove backward signals on (credit/NACK — wakes the upstream
-/// producer; bit kLocalPort wakes the PE), whether the router wants an
-/// unconditional self-tick next cycle, and an optional exact timer for
-/// the one delayed action that needs no per-cycle work in between
-/// (own-probe GC). `timer == 0` means no timer.
-struct WakeInfo {
-  std::uint8_t wrote_fwd = 0;
-  std::uint8_t wrote_back = 0;
-  bool retick = false;
-  Cycle timer = 0;
-};
-
 class RouterIface {
  public:
   virtual ~RouterIface() = default;
@@ -172,8 +156,6 @@ class RouterIface {
   /// Flits buffered across all VCs of input port `p`. The per-link stall
   /// accounting reads one per idle link per measured cycle.
   virtual int input_port_occupancy(PortId p) const = 0;
-  /// Human-readable state snapshot (debugging and trace examples).
-  virtual std::string debug_dump(Cycle now) const = 0;
 
   /// Order-insensitive-free (FNV-1a, fixed traversal order) hash of every
   /// piece of architectural state that determines future behaviour: VC
@@ -208,12 +190,6 @@ class RouterIface {
   /// port falls idle the router marks it hard-failed. Re-homes packets
   /// still waiting on it (they re-route, counted as packets_rerouted).
   virtual void begin_link_drain(PortId, Cycle) {}
-
-  // --- Event-driven scheduling (DESIGN.md §4.10) --------------------------
-  /// Consumes the wake bookkeeping of the step() that just ran. The
-  /// default (reference model) reports nothing — reference networks always
-  /// run the full per-cycle scan, so they never consult this.
-  virtual WakeInfo take_wake_info() { return {}; }
 };
 
 }  // namespace ftnoc

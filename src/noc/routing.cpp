@@ -135,16 +135,6 @@ PortMask route_fault_free(const Topology& topo, RoutingAlgorithm algo,
   return 0;
 }
 
-bool xy_step_is_legal(const Topology& topo, NodeId current, PortId in_port,
-                      NodeId dest) {
-  const auto d = static_cast<Direction>(in_port);
-  if (d == Direction::kLocal) return true;  // Injection is always legal.
-  const auto sender = topo.neighbor(current, d);
-  if (!sender) return false;  // A flit cannot arrive over a missing link.
-  return first_port(xy_port(topo, *sender, dest)) ==
-         static_cast<PortId>(opposite(d));
-}
-
 double average_min_hops(const Topology& topo) {
   const int n = topo.num_nodes();
   double total = 0.0;

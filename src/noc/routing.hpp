@@ -68,14 +68,6 @@ PortMask route_fault_free(const Topology& topo, RoutingAlgorithm algo,
 PortMask fault_escape_ports(const Topology& topo, NodeId current,
                             NodeId dest);
 
-/// True if a flit that arrived at `current` via input port `in_port`
-/// (i.e. was sent by the neighbour in direction opposite(in_port)) is
-/// consistent with dimension-ordered XY routing from that neighbour. The
-/// receiving router uses this to detect RT-logic misdirections under
-/// deterministic routing (§4.2).
-bool xy_step_is_legal(const Topology& topo, NodeId current, PortId in_port,
-                      NodeId dest);
-
 /// Average minimal hop count between distinct node pairs (analysis helper
 /// used by tests).
 double average_min_hops(const Topology& topo);

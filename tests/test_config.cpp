@@ -99,8 +99,17 @@ TEST(Config, OverrideParsesBooleans) {
 }
 
 TEST(Config, OverrideRejectsUnknownKey) {
-  SimConfig cfg;
-  EXPECT_TRUE(apply_override(cfg, "bogus=1").has_value());
+  // A typo, and every key whose option has been deleted: a stale script
+  // must fail loudly instead of silently running the default.
+  for (const char* a :
+       {"bogus=1", "kernel=scan", "kernel=event", "buffer_policy=damq",
+        "damq_reserve_slots=2", "dead_router=3"}) {
+    SimConfig cfg;
+    const auto err = apply_override(cfg, a);
+    ASSERT_TRUE(err.has_value()) << a;
+    EXPECT_NE(err->find("unknown config key"), std::string::npos)
+        << a << ": " << *err;
+  }
 }
 
 TEST(Config, OverrideRejectsMalformedValue) {

@@ -3,6 +3,8 @@
 
 #include "core/deadlock.hpp"
 
+#include "common/config.hpp"
+
 #include <gtest/gtest.h>
 
 namespace ftnoc {

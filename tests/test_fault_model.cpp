@@ -211,13 +211,15 @@ TEST(FaultEscalation, JointlyPartitioningRequestsTrimToSafePrefix) {
   cfg.check_invariants = true;
   cfg.storm_kills.push_back({5, 0, Direction::kEast});
   cfg.storm_kills.push_back({5, 0, Direction::kSouth});
-  for (const bool force_scan : {true, false}) {
-    cfg.force_scan_kernel = force_scan;
+  // Under both kernels: the ReferenceRouter network scans, the optimized
+  // one runs the event wheel.
+  for (const bool reference : {true, false}) {
+    cfg.use_reference_router = reference;
     Simulator sim(cfg);
     const SimResults r = sim.run();
     EXPECT_EQ(r.links_storm_killed, 1u)
         << "exactly one of the two jointly-partitioning kills may land "
-        << "(force_scan=" << force_scan << ")";
+        << "(reference=" << reference << ")";
     const Topology& topo = sim.network().topology();
     EXPECT_FALSE(topo.link_alive(0, Direction::kEast))
         << "the first kill of the batch is the one accepted";

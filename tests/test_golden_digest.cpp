@@ -53,16 +53,17 @@ struct PresetRun {
 // Replicates the ftnoc_sweep invocation in the header comment exactly:
 // default base config + scale overrides, preset axes, default engine
 // seeding (base_seed 1, per-point derivation), one JSONL line + '\n' per
-// point in point order.
+// point in point order. `reference_router` builds every network from
+// ReferenceRouter, which runs the full-scan kernel.
 PresetRun run_preset(const std::string& preset, int threads = 2,
-                     bool force_scan_kernel = false) {
+                     bool reference_router = false) {
   SimConfig base;
   base.total_messages = 600;
   base.warmup_messages = 150;
   base.max_cycles = 300'000;
   base.mesh_width = 4;
   base.mesh_height = 4;
-  base.force_scan_kernel = force_scan_kernel;
+  base.use_reference_router = reference_router;
 
   const auto points = sweep::preset_points(preset, base);
   EXPECT_FALSE(points.empty());
@@ -153,30 +154,31 @@ TEST(GoldenDigest, FaultStormPresetByteIdentical) {
   expect_work("fault_storm", run, 51'329, 91'646);
 }
 
-// Kernel/thread invariance: the event-queue kernel (DESIGN.md §4.10) and
-// the reference full-scan kernel must produce the same bytes, and the
-// sweep digest must not depend on how many worker threads ran the points.
+// Kernel/thread invariance: the optimized Router on the event-queue kernel
+// (DESIGN.md §4.10) and the ReferenceRouter on the full-scan kernel must
+// produce the same bytes, and the sweep digest must not depend on how many
+// worker threads ran the points.
 // All four (kernel × threads) combinations are pinned to the SAME value —
 // the fig05 digest above — so a divergence names the offending axis.
 TEST(GoldenDigest, KernelAndThreadCountInvariant) {
   struct Combo {
     int threads;
-    bool force_scan;
+    bool reference;
     const char* what;
   };
   const Combo combos[] = {
       {1, false, "event kernel, 1 thread"},
-      {1, true, "scan kernel, 1 thread"},
-      {2, true, "scan kernel, 2 threads"},
+      {1, true, "reference scan kernel, 1 thread"},
+      {2, true, "reference scan kernel, 2 threads"},
       // {2, false} is Fig05PresetByteIdentical above.
   };
   for (const auto& c : combos) {
-    const PresetRun run = run_preset("fig05", c.threads, c.force_scan);
+    const PresetRun run = run_preset("fig05", c.threads, c.reference);
     EXPECT_EQ(run.digest, kFig05Digest)
         << c.what << " produced digest 0x" << std::hex << run.digest
         << " — kernels/thread-counts are no longer byte-interchangeable";
     // The event kernel's work is thread-count-invariant too.
-    if (!c.force_scan) {
+    if (!c.reference) {
       expect_work(std::string("fig05, ") + c.what, run, kFig05RouterSteps,
                   kFig05WireTicks);
     }
@@ -189,9 +191,10 @@ TEST(GoldenDigest, KernelAndThreadCountInvariant) {
 // pinned inside the preset, so the 4x4 base overrides below don't touch
 // it — the digest covers byte streams no other pin can see (torus
 // routing, diameter-30 paths, 1024-router construction). Pinned under
-// BOTH kernels to the same value: at 256+ routers under moderate load
-// most of the fabric is idle most cycles, exactly where the event
-// kernel's wake rules can silently diverge from the scan kernel.
+// BOTH kernels to the same value (the ReferenceRouter runs the scan): at
+// 256+ routers under moderate load most of the fabric is idle most
+// cycles, exactly where the event kernel's wake rules can silently
+// diverge from the scan kernel.
 TEST(GoldenDigest, LargeMeshPresetByteIdenticalBothKernels) {
   constexpr std::uint64_t kPinned = 0x8969035bbec46951ull;
   const PresetRun event = run_preset("large_mesh");
@@ -201,7 +204,7 @@ TEST(GoldenDigest, LargeMeshPresetByteIdenticalBothKernels) {
       << " — the simulation is no longer byte-identical to the pinned run";
   expect_work("large_mesh", event, 946'539, 1'934'902);
   const std::uint64_t scan_h =
-      run_preset("large_mesh", 2, /*force_scan_kernel=*/true).digest;
+      run_preset("large_mesh", 2, /*reference_router=*/true).digest;
   EXPECT_EQ(scan_h, kPinned)
       << "large_mesh JSONL digest moved (scan kernel): 0x" << std::hex
       << scan_h << " — the kernels are no longer byte-interchangeable on "
@@ -227,8 +230,8 @@ TEST(GoldenDigest, BufferAblationPresetByteIdentical) {
 // utilization columns (the one pinned stream where link_stats is ON —
 // proving the accounting itself is deterministic, while the unchanged
 // digests above prove that default runs don't carry the columns). Pinned
-// under BOTH kernels: trace release is pure timer wake-up, the event
-// kernel's hardest case.
+// under BOTH kernels (the ReferenceRouter runs the scan): trace release is
+// pure timer wake-up, the event kernel's hardest case.
 TEST(GoldenDigest, WorkloadHotspotPresetByteIdenticalBothKernels) {
   constexpr std::uint64_t kPinned = 0x8f3543d83cf2ae66ull;
   const PresetRun event = run_preset("workload_hotspot");
@@ -238,7 +241,7 @@ TEST(GoldenDigest, WorkloadHotspotPresetByteIdenticalBothKernels) {
       << " — the simulation is no longer byte-identical to the pinned run";
   expect_work("workload_hotspot", event, 191'748, 140'285);
   const std::uint64_t scan_h =
-      run_preset("workload_hotspot", 2, /*force_scan_kernel=*/true).digest;
+      run_preset("workload_hotspot", 2, /*reference_router=*/true).digest;
   EXPECT_EQ(scan_h, kPinned)
       << "workload_hotspot JSONL digest moved (scan kernel): 0x" << std::hex
       << scan_h << " — the kernels are no longer byte-interchangeable on "

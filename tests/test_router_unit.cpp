@@ -330,10 +330,12 @@ TEST_F(RouterHarness, FourStageHbhDropWindowCoversThirdFollower) {
 }
 
 TEST(RouterIdle, QuiescentCycleChangesNothingAndChargesNothing) {
-  // The idle fast path: a quiescent router's step() must be a provable
-  // no-op — no energy charges, no arbiter movement, no state change —
-  // which is what lets the kernel skip idle routers wholesale without
-  // breaking byte-identity.
+  // take_wake_info() is the one definition of "has internal work": a
+  // router without it and without wire input reports no retick, no timer
+  // and no writes, so the event kernel never steps it. The steps it may
+  // still get (cycle 0, a stale own-probe GC timer) must be provable
+  // no-ops — no energy charges, no arbiter movement, no state change —
+  // or the event kernel would diverge from the reference scan.
   SimConfig cfg;
   cfg.mesh_width = 2;
   cfg.mesh_height = 1;
@@ -348,14 +350,22 @@ TEST(RouterIdle, QuiescentCycleChangesNothingAndChargesNothing) {
   r.connect(kL, &local_in, nullptr);
   std::vector<std::pair<Flit, Cycle>> ejected;
   r.set_eject_fn([&](const Flit& f, Cycle now) { ejected.push_back({f, now}); });
-
-  EXPECT_TRUE(r.quiescent());
-  for (Cycle c = 1; c <= 1'000; ++c) {
+  const auto cycle = [&](Cycle c) {
     r.step(c);
     east_in.tick();
     east_out.tick();
     local_in.tick();
-    EXPECT_TRUE(r.quiescent()) << "cycle " << c;
+    return r.take_wake_info();
+  };
+
+  const std::uint64_t idle_digest = r.state_digest();
+  for (Cycle c = 1; c <= 1'000; ++c) {
+    const WakeInfo w = cycle(c);
+    ASSERT_FALSE(w.retick) << "cycle " << c;
+    ASSERT_EQ(w.timer, 0u) << "cycle " << c;
+    ASSERT_EQ(w.wrote_fwd, 0) << "cycle " << c;
+    ASSERT_EQ(w.wrote_back, 0) << "cycle " << c;
+    ASSERT_EQ(r.state_digest(), idle_digest) << "cycle " << c;
   }
   EXPECT_EQ(meter.total_pj(), 0.0);
   EXPECT_EQ(r.tx_buffer_occupancy(), 0);
@@ -363,21 +373,17 @@ TEST(RouterIdle, QuiescentCycleChangesNothingAndChargesNothing) {
   EXPECT_EQ(r.probe_route_entries(), 0u);
   EXPECT_TRUE(ejected.empty());
 
-  // A flit on a wire breaks quiescence, and the router actually works.
+  // A flit arriving on a wire gives the router work, and it actually works.
   Flit f = make_flit(FlitType::kHeadTail, 1, 1, 0, 0, 1'000, 0xBEEF);
   f.vc = 0;
   east_in.write(f);
   east_in.tick();
-  EXPECT_FALSE(r.quiescent());
-  for (Cycle c = 1'001; c <= 1'020; ++c) {
-    r.step(c);
-    east_in.tick();
-    east_out.tick();
-    local_in.tick();
-  }
+  EXPECT_TRUE(cycle(1'001).retick);
+  WakeInfo w;
+  for (Cycle c = 1'002; c <= 1'020; ++c) w = cycle(c);
   ASSERT_EQ(ejected.size(), 1u);
   EXPECT_GT(meter.total_pj(), 0.0);
-  EXPECT_TRUE(r.quiescent());  // Drained back to idle.
+  EXPECT_FALSE(w.retick);  // Drained back to idle.
 }
 
 }  // namespace

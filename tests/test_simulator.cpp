@@ -76,23 +76,6 @@ TEST(Simulator, SummaryMentionsKeyMetrics) {
   EXPECT_NE(s.find("completed"), std::string::npos);
 }
 
-TEST(Simulator, RouterDebugDumpShowsActiveState) {
-  SimConfig cfg = quick();
-  cfg.injection_rate = 0.0;
-  cfg.warmup_messages = 0;
-  cfg.total_messages = 1;
-  Simulator sim(cfg);
-  sim.network().inject_packet(0, 15, 4);
-  // Step a few cycles so a wormhole is mid-flight, then dump.
-  for (int i = 0; i < 8; ++i) sim.network().step();
-  std::string all;
-  for (NodeId n = 0; n < 16; ++n) {
-    all += sim.network().router(n).debug_dump(sim.network().now());
-  }
-  EXPECT_NE(all.find("pkt"), std::string::npos);
-  EXPECT_NE(all.find("ACTIVE"), std::string::npos);
-}
-
 TEST(EnergyReport, ListsOnlyChargedEvents) {
   power::EnergyMeter m;
   m.charge(power::EnergyEvent::kLinkTraversal, 10);

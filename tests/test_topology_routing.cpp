@@ -184,21 +184,6 @@ TEST(Routing, AdaptiveCandidatesAreAlwaysProductive) {
   }
 }
 
-TEST(Routing, XyStepLegality) {
-  Topology t(8, 8, false);
-  // Flit heading to (3,3)=27 arriving at (1,0)=1 via its West port came
-  // from (0,0) going East: legal (x not yet matched).
-  EXPECT_TRUE(xy_step_is_legal(t, 1, static_cast<PortId>(Direction::kWest),
-                               27));
-  // A flit for node 27 arriving at (0,1)=8 via its North port means node
-  // (0,0) sent it South — illegal, XY goes East first.
-  EXPECT_FALSE(xy_step_is_legal(t, 8, static_cast<PortId>(Direction::kNorth),
-                                27));
-  // Injection from the local port is always legal.
-  EXPECT_TRUE(xy_step_is_legal(t, 8, static_cast<PortId>(Direction::kLocal),
-                               27));
-}
-
 TEST(Routing, AverageMinHops8x8) {
   Topology t(8, 8, false);
   // Closed form for a k x k mesh over distinct pairs:

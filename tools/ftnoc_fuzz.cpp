@@ -455,11 +455,6 @@ int replay_main(const Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-#if !FTNOC_ENABLE_INVARIANTS
-  std::fprintf(stderr,
-               "ftnoc_fuzz: built with FTNOC_INVARIANTS=OFF; digest "
-               "comparison still runs but invariant findings are dark\n");
-#endif
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
