@@ -93,14 +93,16 @@ std::optional<std::string> SimConfig::validate() const {
     // The dedicated ST stage adds one in-flight cycle to the NACK loop.
     return err("retransmission_depth must be >= 4 for a 4-stage router");
   }
-  if (injection_rate < 0.0 || injection_rate > static_cast<double>(num_vcs)) {
+  // Written so that NaN fails too: every comparison with NaN is false.
+  if (!(injection_rate >= 0.0 &&
+        injection_rate <= static_cast<double>(num_vcs))) {
     return err("injection_rate out of range");
   }
   if (packet_length < 1) return err("packet_length must be >= 1");
   if (!workload_file.empty() && !workload_text.empty()) {
     return err("workload_file and workload_text are mutually exclusive");
   }
-  auto rate_ok = [](double r) { return r >= 0.0 && r <= 1.0; };
+  auto rate_ok = [](double r) { return r >= 0.0 && r <= 1.0; };  // NaN: no.
   if (!rate_ok(faults.link_error_rate) || !rate_ok(faults.multi_bit_fraction) ||
       !rate_ok(faults.rt_error_rate) || !rate_ok(faults.va_error_rate) ||
       !rate_ok(faults.sa_error_rate) || !rate_ok(faults.rtx_error_rate) ||

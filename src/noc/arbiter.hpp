@@ -53,19 +53,13 @@ class RoundRobinArbiter {
 };
 
 /// A bank of independent round-robin arbiters (one per output resource).
+/// The optimized Router keeps its banks as spans of its storage block.
 class ArbiterBank {
  public:
   ArbiterBank(int num_arbiters, int num_requesters);
 
   RoundRobinArbiter& at(int i) { return arbiters_.at(i); }
   const RoundRobinArbiter& at(int i) const { return arbiters_.at(i); }
-  /// Unchecked access for the per-cycle hot loops.
-  RoundRobinArbiter& operator[](int i) {
-    return arbiters_[static_cast<std::size_t>(i)];
-  }
-  const RoundRobinArbiter& operator[](int i) const {
-    return arbiters_[static_cast<std::size_t>(i)];
-  }
   int size() const { return static_cast<int>(arbiters_.size()); }
 
  private:

@@ -27,7 +27,27 @@ void mix_wire(digest::Fnv& h, const Wire& w) {
   h.mix(w.activation.peek() != nullptr);
   if (w.activation.peek()) h.mix_activation(*w.activation.peek());
 }
+
+// Base of the PE's positional pending-queue fold and its inverse mod 2^64.
+// Every odd base is invertible; each Newton step doubles the correct low
+// bits, from the 3 that any odd b gets right as its own inverse.
+constexpr std::uint64_t kFoldBase = 0x9e3779b97f4a7c15ull;
+constexpr std::uint64_t inverse_mod_2_64(std::uint64_t b) {
+  std::uint64_t x = b;
+  for (int i = 0; i < 5; ++i) x *= 2 - b * x;
+  return x;
 }
+constexpr std::uint64_t kFoldBaseInv = inverse_mod_2_64(kFoldBase);
+static_assert(kFoldBase * kFoldBaseInv == 1);
+
+// A queued or held packet's digest term (every flit carries its packet id).
+std::uint64_t packet_hash(const std::vector<Flit>& flits) {
+  digest::Fnv h;
+  h.mix(flits.size());
+  for (const Flit& f : flits) h.mix_flit(f);
+  return h.value();
+}
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // ProcessingElement
@@ -47,19 +67,45 @@ ProcessingElement::ProcessingElement(NodeId self, const SimConfig& cfg,
 
 void ProcessingElement::enqueue_packet(std::vector<Flit> flits, bool front) {
   FTNOC_CHECK(!flits.empty());
+  Packet pkt{std::move(flits)};
+  if (digest_on_) {
+    pkt.hash = packet_hash(pkt.flits);
+    pending_fold_ = front ? pending_fold_ * kFoldBase + pkt.hash
+                          : pending_fold_ + pkt.hash * pending_pow_;
+    pending_pow_ *= kFoldBase;
+  }
   if (front) {
-    pending_.push_front(std::move(flits));
+    pending_.push_front(std::move(pkt));
   } else {
-    pending_.push_back(std::move(flits));
+    pending_.push_back(std::move(pkt));
   }
 }
 
+std::vector<Flit> ProcessingElement::pop_pending() {
+  Packet& pkt = pending_.front();
+  if (digest_on_) {
+    pending_fold_ = (pending_fold_ - pkt.hash) * kFoldBaseInv;
+    pending_pow_ *= kFoldBaseInv;
+  }
+  std::vector<Flit> flits = std::move(pkt.flits);
+  pending_.pop_front();
+  return flits;
+}
+
 void ProcessingElement::hold_for_e2e(const std::vector<Flit>& flits) {
-  e2e_buffer_.emplace(flits.front().packet_id, flits);
+  const PacketId pid = flits.front().packet_id;
+  const auto [it, fresh] = e2e_buffer_.try_emplace(pid, Packet{flits});
+  if (fresh && digest_on_) {
+    it->second.hash = packet_hash(flits);
+    held_sum_ += it->second.hash;
+  }
 }
 
 void ProcessingElement::e2e_ack(PacketId pid) {
-  e2e_buffer_.erase(pid);
+  const auto it = e2e_buffer_.find(pid);
+  if (it == e2e_buffer_.end()) return;
+  held_sum_ -= it->second.hash;  // 0 while the digest caches are off.
+  e2e_buffer_.erase(it);
 }
 
 void ProcessingElement::e2e_nack(PacketId pid) {
@@ -68,7 +114,7 @@ void ProcessingElement::e2e_nack(PacketId pid) {
   // Retransmit a clean copy: re-encode every codeword from the ground-truth
   // payload and inject ahead of new traffic. The original birth cycle is
   // preserved so the measured latency includes the full recovery.
-  std::vector<Flit> copy = it->second;
+  std::vector<Flit> copy = it->second.flits;
   for (auto& f : copy) f.codeword = ecc::encode(f.payload);
   if (stats_) stats_->on_e2e_retransmit();
   enqueue_packet(std::move(copy), /*front=*/true);
@@ -91,7 +137,7 @@ bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
     if (auto pkt = source_->maybe_generate(now, next_packet_id)) {
       if (stats_) stats_->on_packet_created();
       if (cfg_.protection == LinkProtection::kE2e) hold_for_e2e(*pkt);
-      pending_.push_back(std::move(*pkt));
+      enqueue_packet(std::move(*pkt));
     }
   }
 
@@ -102,9 +148,8 @@ bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
     if (pending_.empty()) break;
     auto& lane = lanes_[v];
     if (lane.remaining() != 0) continue;
-    lane.flits = std::move(pending_.front());
+    lane.flits = pop_pending();
     lane.next = 0;
-    pending_.pop_front();
     lane_flits_ += static_cast<int>(lane.flits.size());
     for (auto& f : lane.flits) f.vc = static_cast<VcId>(v);
   }
@@ -133,7 +178,13 @@ bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
       f.inject_cycle = stamp;
       const auto held = e2e_buffer_.find(f.packet_id);
       if (held != e2e_buffer_.end()) {
-        for (auto& h : held->second) h.inject_cycle = stamp;
+        Packet& copy = held->second;
+        for (auto& h : copy.flits) h.inject_cycle = stamp;
+        if (digest_on_) {
+          held_sum_ -= copy.hash;
+          copy.hash = packet_hash(copy.flits);
+          held_sum_ += copy.hash;
+        }
       }
     }
     wire_->write(f);
@@ -149,6 +200,21 @@ bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
 }
 
 std::uint64_t ProcessingElement::state_digest() const {
+  if (!digest_on_) {
+    // First digest: hash every queued and held packet once; the enqueue,
+    // dequeue and stamp sites keep the caches from here on.
+    for (std::size_t k = 0; k < pending_.size(); ++k) {
+      const Packet& pkt = pending_[k];
+      pkt.hash = packet_hash(pkt.flits);
+      pending_fold_ += pkt.hash * pending_pow_;
+      pending_pow_ *= kFoldBase;
+    }
+    for (const auto& [pid, pkt] : e2e_buffer_) {
+      pkt.hash = packet_hash(pkt.flits);
+      held_sum_ += pkt.hash;
+    }
+    digest_on_ = true;
+  }
   digest::Fnv h;
   h.mix(static_cast<std::uint64_t>(self_));
   h.mix(static_cast<std::uint64_t>(send_rotation_));
@@ -162,21 +228,9 @@ std::uint64_t ProcessingElement::state_digest() const {
     }
   }
   h.mix(pending_.size());
-  for (const auto& pkt : pending_) {
-    h.mix(pkt.size());
-    for (const Flit& f : pkt) h.mix_flit(f);
-  }
-  // e2e_buffer_ is unordered; fold entry hashes order-independently.
+  h.mix(pending_fold_);
   h.mix(e2e_buffer_.size());
-  std::uint64_t sum = 0;
-  for (const auto& [pid, flits] : e2e_buffer_) {
-    digest::Fnv e;
-    e.mix(pid);
-    e.mix(flits.size());
-    for (const Flit& f : flits) e.mix_flit(f);
-    sum += e.value();
-  }
-  h.mix(sum);
+  h.mix(held_sum_);
   return h.value();
 }
 
@@ -245,8 +299,8 @@ Network::Network(const SimConfig& cfg)
 
   pes_.reserve(static_cast<std::size_t>(n));
   for (NodeId i = 0; i < n; ++i) {
-    pes_.push_back(std::make_unique<ProcessingElement>(
-        i, cfg_, topo_, local_wire(i), &stats_, root_rng_.fork()));
+    pes_.emplace_back(i, cfg_, topo_, local_wire(i), &stats_,
+                      root_rng_.fork());
   }
 
   // Hard faults: kill both directions of each configured physical link
@@ -275,8 +329,8 @@ Network::Network(const SimConfig& cfg)
     stepped_.resize(static_cast<std::size_t>(n));
     for (NodeId i = 0; i < n; ++i) stepped_[i] = i;
   } else {
-    const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
-    for (auto& slot : wheel_) slot.assign(words, 0);
+    wheel_words_ = (static_cast<std::size_t>(n) + 63) / 64;
+    wheel_.assign(kWheelSize * wheel_words_, 0);
     live_wire_mask_.assign((wires_.size() + 63) / 64, 0);
     // Devirtualized router view for the hot pop/wake loop.
     fast_routers_.resize(static_cast<std::size_t>(n));
@@ -285,7 +339,7 @@ Network::Network(const SimConfig& cfg)
     }
     // Everybody gets one initial step at cycle 0; routers that stay
     // idle simply never re-arm.
-    auto& slot0 = wheel_[0];
+    std::uint64_t* const slot0 = wheel_slot(0);
     for (NodeId i = 0; i < n; ++i) slot0[i >> 6] |= 1ull << (i & 63);
   }
 
@@ -391,9 +445,9 @@ void Network::fire_due_events() {
     const EdgeEvent ev = edge_events_.begin()->second;
     edge_events_.erase(edge_events_.begin());
     if (ev.is_nack) {
-      pes_[ev.target]->e2e_nack(ev.pid);
+      pes_[ev.target].e2e_nack(ev.pid);
     } else {
-      pes_[ev.target]->e2e_ack(ev.pid);
+      pes_[ev.target].e2e_ack(ev.pid);
     }
   }
 }
@@ -403,8 +457,8 @@ PacketId Network::inject_packet(NodeId src, NodeId dest, int length) {
   auto flits =
       TrafficSource::build_packet(pid, src, dest, length, now_, nullptr);
   stats_.on_packet_created();
-  if (cfg_.protection == LinkProtection::kE2e) pes_[src]->hold_for_e2e(flits);
-  pes_[src]->enqueue_packet(std::move(flits));
+  if (cfg_.protection == LinkProtection::kE2e) pes_[src].hold_for_e2e(flits);
+  pes_[src].enqueue_packet(std::move(flits));
   return pid;
 }
 
@@ -501,9 +555,9 @@ void Network::step() {
   // per-router query is skipped.
   const bool recovery = cfg_.deadlock.enable_recovery;
   for (NodeId i = 0; i < static_cast<NodeId>(pes_.size()); ++i) {
-    if (pes_[i]->step(now_, next_packet_id_,
-                      recovery_line_ ||
-                          (recovery && routers_[i]->in_recovery())) &&
+    if (pes_[i].step(now_, next_packet_id_,
+                     recovery_line_ ||
+                         (recovery && routers_[i]->in_recovery())) &&
         !scan_kernel_) {
       // The PE drove the injection wire: the router consumes next cycle.
       schedule(i, now_ + 1);
@@ -612,8 +666,7 @@ void Network::schedule(NodeId n, Cycle due) {
     far_due_[due].push_back(n);
     return;
   }
-  auto& slot = wheel_[due & (kWheelSize - 1)];
-  slot[n >> 6] |= 1ull << (n & 63);
+  wheel_slot(due)[n >> 6] |= 1ull << (n & 63);
 }
 
 void Network::mark_wire_live(std::uint32_t wid) {
@@ -640,15 +693,15 @@ void Network::step_woken_routers() {
   while (!far_due_.empty() &&
          far_due_.begin()->first < now_ + kWheelSize) {
     const auto it = far_due_.begin();
-    auto& slot = wheel_[it->first & (kWheelSize - 1)];
+    std::uint64_t* const slot = wheel_slot(it->first);
     for (const NodeId n : it->second) slot[n >> 6] |= 1ull << (n & 63);
     far_due_.erase(it);
   }
 
   // Pop this cycle's bucket; step the due routers in ascending node order.
   stepped_.clear();
-  auto& slot = wheel_[now_ & (kWheelSize - 1)];
-  for (std::size_t w = 0; w < slot.size(); ++w) {
+  std::uint64_t* const slot = wheel_slot(now_);
+  for (std::size_t w = 0; w < wheel_words_; ++w) {
     std::uint64_t bits = slot[w];
     slot[w] = 0;
     while (bits != 0) {
@@ -732,7 +785,7 @@ std::uint64_t Network::state_digest() const {
     if (w) mix_wire(h, *w);
   }
   for (std::size_t i = 0; i < pes_.size(); ++i) mix_wire(h, *local_wire(i));
-  for (const auto& pe : pes_) h.mix(pe->state_digest());
+  for (const auto& pe : pes_) h.mix(pe.state_digest());
   h.mix(edge_events_.size());
   for (const auto& [cyc, ev] : edge_events_) {
     h.mix(static_cast<std::uint64_t>(cyc));
@@ -814,7 +867,7 @@ void Network::run_invariant_walks() {
     // lane's credit balance.
     const Wire* w = local_wire(i);
     for (VcId v = 0; v < cfg_.num_vcs; ++v) {
-      int total = pes_[i]->lane_credits(v);
+      int total = pes_[i].lane_credits(v);
       if (w->flit.peek() && w->flit.peek()->vc == v) ++total;
       for (const Credit& c : w->credit.peek()) {
         if (c.vc == v) ++total;

@@ -4,9 +4,7 @@
 // meter, and the end-to-end (E2E) retransmission machinery that lives at
 // the network edge.
 
-#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -15,6 +13,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/ring_deque.hpp"
 #include "common/rng.hpp"
 #include "common/topology.hpp"
 #include "common/types.hpp"
@@ -65,7 +64,11 @@ class ProcessingElement {
   /// Free injection credits of one local-VC lane (credit-conservation walk).
   int lane_credits(VcId v) const { return lanes_.at(v).credits; }
 
-  /// Architectural-state hash (lock-step differential comparison).
+  /// Architectural-state hash (lock-step differential comparison). Costs
+  /// O(lanes x packet length), however long the queues grow: the first
+  /// call hashes every queued and held packet once and turns on the digest
+  /// caches below, which every later enqueue, dequeue and stamp keeps
+  /// current. A run that never digests never pays for them.
   std::uint64_t state_digest() const;
 
  private:
@@ -78,16 +81,35 @@ class ProcessingElement {
     std::size_t remaining() const { return flits.size() - next; }
   };
 
+  /// A whole packet and, while the digest caches are on, its hash.
+  struct Packet {
+    std::vector<Flit> flits;
+    mutable std::uint64_t hash = 0;
+  };
+
+  /// Moves the front pending packet out of the queue.
+  std::vector<Flit> pop_pending();
+
   NodeId self_;
   const SimConfig& cfg_;
   Wire* wire_;
   StatsCollector* stats_;
   std::optional<TrafficSource> source_;
-  std::deque<std::vector<Flit>> pending_;
+  RingDeque<Packet> pending_;
   std::vector<Lane> lanes_;
   int send_rotation_ = 0;
   int lane_flits_ = 0;  ///< Flits held across lanes_; 0 skips the send scan.
-  std::unordered_map<PacketId, std::vector<Flit>> e2e_buffer_;
+  std::unordered_map<PacketId, Packet> e2e_buffer_;
+
+  // --- Digest caches (state_digest) ----------------------------------------
+  mutable bool digest_on_ = false;
+  /// Positional fold of the pending packets' hashes, sum of hash_k * B^k
+  /// over queue positions k (mod 2^64), and B^pending_.size(); a push at
+  /// either end or a pop at the front updates both in O(1).
+  mutable std::uint64_t pending_fold_ = 0;
+  mutable std::uint64_t pending_pow_ = 1;
+  /// Sum of the held packets' hashes (e2e_buffer_ is unordered).
+  mutable std::uint64_t held_sum_ = 0;
 };
 
 /// Observer invoked for every delivered (clean) message:
@@ -123,7 +145,7 @@ class Network {
   /// Implementation-agnostic view (fuzz harness, generic instrumentation).
   RouterIface& router_base(NodeId n) { return *routers_.at(n); }
   const RouterIface& router_base(NodeId n) const { return *routers_.at(n); }
-  ProcessingElement& pe(NodeId n) { return *pes_.at(n); }
+  ProcessingElement& pe(NodeId n) { return pes_.at(n); }
 
   /// Null unless the config asked for invariant checking (and the hooks
   /// were compiled in).
@@ -261,7 +283,8 @@ class Network {
   PacketId next_packet_id_ = 1;
 
   std::vector<std::unique_ptr<RouterIface>> routers_;
-  std::vector<std::unique_ptr<ProcessingElement>> pes_;
+  /// By value, reserved once: routers and wires never point at a PE.
+  std::vector<ProcessingElement> pes_;
   std::unique_ptr<InvariantMonitor> monitor_;
   // Every wire, by value, indexed by wire id: the directed inter-router
   // wires (node * 4 + direction; the slots at mesh edges stay idle), then
@@ -314,10 +337,15 @@ class Network {
   /// (only populated for optimized-router networks).
   std::vector<Router*> fast_routers_;
   static constexpr std::size_t kWheelSize = 256;  // Power of two.
-  /// Bucket wheel: slot (cycle & 255) holds a node bitmask of routers due
-  /// that cycle. Spurious entries are harmless (an idle router's step is a
-  /// no-op), so duplicate schedules need no dedup.
-  std::array<std::vector<std::uint64_t>, kWheelSize> wheel_;
+  /// Bucket wheel, one flat block: slot (cycle & 255) is the node bitmask
+  /// of routers due that cycle, wheel_words_ words starting at
+  /// slot * wheel_words_. Spurious entries are harmless (an idle router's
+  /// step is a no-op), so duplicate schedules need no dedup.
+  std::vector<std::uint64_t> wheel_;
+  std::size_t wheel_words_ = 0;
+  std::uint64_t* wheel_slot(Cycle c) {
+    return wheel_.data() + (c & (kWheelSize - 1)) * wheel_words_;
+  }
   /// Timers beyond the wheel horizon, spilled back in as now_ approaches.
   std::map<Cycle, std::vector<NodeId>> far_due_;
   /// Routers stepped this cycle, ascending — feeds the recovery-line OR

@@ -26,44 +26,24 @@ Router::Router(NodeId id, const SimConfig& cfg, const Topology& topo,
       stats_(stats),
       ac_(kNumDirections, cfg.num_vcs),
       agent_(id, cfg.deadlock.probe_threshold, cfg.deadlock.probe_backoff,
-             cfg.deadlock.probe_timeout),
-      va_arbs_(kNumDirections * cfg.num_vcs, kNumDirections * cfg.num_vcs),
-      sa_in_arbs_(kNumDirections, cfg.num_vcs),
-      sa_out_arbs_(kNumDirections, kNumDirections),
-      replay_arbs_(kNumDirections, cfg.num_vcs) {
+             cfg.deadlock.probe_timeout) {
   const int pv = num_ports_ * num_vcs_;
   FTNOC_CHECK(pv <= 32);  // Work masks are 32-bit (5 ports x <= 6 VCs).
+  const std::size_t bytes = carve_storage(nullptr);
+  storage_ = std::make_unique_for_overwrite<std::byte[]>(bytes);
+  carve_storage(storage_.get());
   // Every input VC owns a private vc_buffer_depth-flit ring in one slab.
   const auto ring = static_cast<std::size_t>(cfg_.vc_buffer_depth);
-  in_flit_slab_.resize(static_cast<std::size_t>(pv) * ring);
-  inputs_.resize(static_cast<std::size_t>(pv));
   for (std::size_t g = 0; g < inputs_.size(); ++g) {
     inputs_[g].buf.bind(in_flit_slab_.data() + g * ring,
                         static_cast<std::uint16_t>(ring));
   }
   state_mask_[static_cast<std::size_t>(VcState::kRouting)] = ~0u >> (32 - pv);
-  outputs_.resize(static_cast<std::size_t>(pv));
-  out_rtx_.resize(static_cast<std::size_t>(pv));
-  rtx_retire_at_.assign(static_cast<std::size_t>(pv), 0);
-  drop_until_.assign(static_cast<std::size_t>(pv), 0);
-  va_rotation_.assign(static_cast<std::size_t>(pv), 0);
-  va_reqs_.assign(static_cast<std::size_t>(pv), 0);
-  va_want_.assign(static_cast<std::size_t>(pv),
-                  {kInvalidPort, kInvalidVc});
 
-  // Retransmission buffers exist on network output VCs when the link
-  // protection scheme is HBH or when deadlock recovery (which reuses them)
-  // is enabled — mirroring the paper's observation that forgoing deadlock
-  // recovery support needs only the 3-deep link-error buffers.
-  const bool use_rtx =
-      cfg_.protection == LinkProtection::kHbh || cfg_.deadlock.enable_recovery;
-  // Barrel storage: one slab of retransmission_depth slots per link-port
-  // output VC (the local port has no barrel), sized once, never grown.
+  // Barrels view retransmission_depth slots each of the barrel slab; the
+  // local port has none, and rtx_slab_ is empty when no barrel exists.
   const auto rdepth = static_cast<std::size_t>(cfg_.retransmission_depth);
-  if (use_rtx) {
-    rtx_slab_.resize(static_cast<std::size_t>(kNumDirections - 1) *
-                     static_cast<std::size_t>(num_vcs_) * rdepth);
-  }
+  const bool use_rtx = !rtx_slab_.empty();
   for (PortId p = 0; p < num_ports_; ++p) {
     for (VcId v = 0; v < num_vcs_; ++v) {
       auto& out = ovc(p, v);
@@ -89,6 +69,49 @@ Router::Router(NodeId id, const SimConfig& cfg, const Topology& topo,
   const auto plant = parse_test_mutation(cfg_.test_mutation);
   FTNOC_CHECK(plant.has_value());
   mutation_ = *plant;
+}
+
+Router::~Router() { std::destroy(out_rtx_.begin(), out_rtx_.end()); }
+
+std::size_t Router::carve_storage(std::byte* block) {
+  const auto pv = static_cast<std::size_t>(num_ports_ * num_vcs_);
+  std::size_t used = 0;
+  // Next suitably aligned run of `n` Ts, value-initialized from `args`.
+  const auto carve = [&]<class T>(std::span<T>& out, std::size_t n,
+                                  const auto&... args) {
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    used = (used + alignof(T) - 1) / alignof(T) * alignof(T);
+    if (block != nullptr) {
+      T* const first = reinterpret_cast<T*>(block + used);
+      for (std::size_t i = 0; i < n; ++i) ::new (first + i) T(args...);
+      out = std::span<T>(first, n);
+    }
+    used += n * sizeof(T);
+  };
+  // Retransmission buffers exist on network output VCs when the link
+  // protection scheme is HBH or when deadlock recovery (which reuses them)
+  // is enabled — mirroring the paper's observation that forgoing deadlock
+  // recovery support needs only the 3-deep link-error buffers.
+  const bool use_rtx =
+      cfg_.protection == LinkProtection::kHbh || cfg_.deadlock.enable_recovery;
+  carve(in_flit_slab_, pv * static_cast<std::size_t>(cfg_.vc_buffer_depth));
+  carve(rtx_slab_, use_rtx ? (pv - static_cast<std::size_t>(num_vcs_)) *
+                                 static_cast<std::size_t>(
+                                     cfg_.retransmission_depth)
+                           : 0);
+  carve(inputs_, pv);
+  carve(outputs_, pv);
+  carve(out_rtx_, pv);
+  carve(rtx_retire_at_, pv);
+  carve(drop_until_, pv);
+  carve(va_rotation_, pv);
+  carve(va_reqs_, pv);
+  carve(va_want_, pv, kInvalidPort, kInvalidVc);
+  carve(va_arbs_, pv, static_cast<int>(pv));
+  carve(sa_in_arbs_, static_cast<std::size_t>(num_ports_), num_vcs_);
+  carve(sa_out_arbs_, static_cast<std::size_t>(num_ports_), num_ports_);
+  carve(replay_arbs_, static_cast<std::size_t>(num_ports_), num_vcs_);
+  return used;
 }
 
 void Router::connect(PortId p, Wire* in, Wire* out) {
@@ -1853,7 +1876,7 @@ std::uint64_t Router::state_digest() const {
     h.mix(static_cast<std::uint64_t>(drop_until_[static_cast<std::size_t>(g)]));
     h.mix(static_cast<std::uint64_t>(
         va_rotation_[static_cast<std::size_t>(g)]));
-    h.mix(static_cast<std::uint64_t>(va_arbs_.at(g).last_grant()));
+    h.mix(static_cast<std::uint64_t>(va_arbs_[g].last_grant()));
   }
   for (PortId p = 0; p < num_ports_; ++p) {
     h.mix(staged_[p].has_value());
@@ -1864,9 +1887,9 @@ std::uint64_t Router::state_digest() const {
     }
     h.mix(link_dead_[p]);
     h.mix((draining_ & port_bit(p)) != 0);
-    h.mix(static_cast<std::uint64_t>(sa_in_arbs_.at(p).last_grant()));
-    h.mix(static_cast<std::uint64_t>(sa_out_arbs_.at(p).last_grant()));
-    h.mix(static_cast<std::uint64_t>(replay_arbs_.at(p).last_grant()));
+    h.mix(static_cast<std::uint64_t>(sa_in_arbs_[p].last_grant()));
+    h.mix(static_cast<std::uint64_t>(sa_out_arbs_[p].last_grant()));
+    h.mix(static_cast<std::uint64_t>(replay_arbs_[p].last_grant()));
   }
   h.mix(pending_nacks_.size());
   for (std::size_t i = 0; i < pending_nacks_.size(); ++i) {

@@ -24,9 +24,10 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
-#include <vector>
 
 #include "common/config.hpp"
 #include "common/inline_vec.hpp"
@@ -69,6 +70,7 @@ class Router final : public RouterIface {
   Router(NodeId id, const SimConfig& cfg, const Topology& topo,
          FaultInjector* faults, power::EnergyMeter* meter,
          StatsCollector* stats);
+  ~Router() override;
 
   /// Wires port `p`: `in` carries the neighbour's (or PE's) signals toward
   /// this router, `out` carries this router's signals away. Either may be
@@ -147,7 +149,9 @@ class Router final : public RouterIface {
   // `outputs_` (small POD, hot), and the big retransmission barrels in
   // `out_rtx_` (cold — touched only through the out_work_ mask). The scan
   // loops walk these arrays in ascending-gid order, which is what the
-  // golden digests pin.
+  // golden digests pin. Every array sized from P*V, T or R — those and the
+  // arbiter banks — is a span into one heap block, `storage_`, carved
+  // once in the constructor and never reallocated.
   struct InputVc {
     FlitRing buf;  ///< View into in_flit_slab_.
     VcState state = VcState::kRouting;  ///< Written only by set_state().
@@ -212,6 +216,10 @@ class Router final : public RouterIface {
   OutputVc& ovc(PortId p, VcId v) { return outputs_[gid(p, v)]; }
   const OutputVc& ovc(PortId p, VcId v) const { return outputs_[gid(p, v)]; }
   int gid(PortId p, VcId v) const { return p * num_vcs_ + v; }
+  /// Sizes (first pass, `block` null) or carves and constructs (second
+  /// pass) every span of storage_ in one fixed order; returns the bytes
+  /// used.
+  std::size_t carve_storage(std::byte* block);
   /// Retransmission barrel of output gid `og` (engaged on link ports only).
   std::optional<RetransmissionBuffer>& orx(int og) { return out_rtx_[og]; }
   const std::optional<RetransmissionBuffer>& orx(int og) const {
@@ -358,30 +366,31 @@ class Router final : public RouterIface {
   std::array<std::uint8_t, kNumDirections> out_sig_{};
 
   // --- State -----------------------------------------------------------------
+  /// The one block every span below points into (carve_storage).
+  std::unique_ptr<std::byte[]> storage_;
   /// Gid-major contiguous flit storage for every input VC
-  /// (vc_buffer_depth slots each);
-  /// inputs_[g].buf is a FlitRing view into it. Sized once in the
-  /// constructor and never reallocated.
-  std::vector<Flit> in_flit_slab_;
-  std::vector<InputVc> inputs_;    // P*V
-  std::vector<OutputVc> outputs_;  // P*V (hot allocation metadata)
+  /// (vc_buffer_depth slots each); inputs_[g].buf is a FlitRing view
+  /// into it.
+  std::span<Flit> in_flit_slab_;
+  std::span<InputVc> inputs_;    // P*V
+  std::span<OutputVc> outputs_;  // P*V (hot allocation metadata)
   /// Gid-major slot storage for every link-port barrel (stride
-  /// retransmission_depth); out_rtx_[g] views its window. Sized once in
-  /// the constructor and never reallocated.
-  std::vector<RetransmissionBuffer::Slot> rtx_slab_;
+  /// retransmission_depth); out_rtx_[g] views its window. Empty when no
+  /// barrel is engaged.
+  std::span<RetransmissionBuffer::Slot> rtx_slab_;
   /// P*V retransmission barrels, split out of OutputVc so the hot scans
   /// walk small PODs; engaged on link-port gids only.
-  std::vector<std::optional<RetransmissionBuffer>> out_rtx_;
-  std::vector<Cycle> drop_until_;  // P*V: HBH drop window per input VC.
+  std::span<std::optional<RetransmissionBuffer>> out_rtx_;
+  std::span<Cycle> drop_until_;  // P*V: HBH drop window per input VC.
   ErrorCheckUnit checker_;
   AllocationComparator ac_;
   DeadlockAgent agent_;
 
-  ArbiterBank va_arbs_;     // one per output VC, over P*V input gids
-  ArbiterBank sa_in_arbs_;  // one per input port, over V VCs
-  ArbiterBank sa_out_arbs_; // one per output port, over P input ports
-  ArbiterBank replay_arbs_; // one per output port, over V VCs
-  std::vector<int> va_rotation_;  // per input gid: rotating VC preference
+  std::span<RoundRobinArbiter> va_arbs_;     // per output VC, over P*V gids
+  std::span<RoundRobinArbiter> sa_in_arbs_;  // per input port, over V VCs
+  std::span<RoundRobinArbiter> sa_out_arbs_; // per output port, over P ports
+  std::span<RoundRobinArbiter> replay_arbs_; // per output port, over V VCs
+  std::span<int> va_rotation_;  // per input gid: rotating VC preference
 
   std::array<bool, kNumDirections> port_busy_{};     // per-cycle ST usage
   std::array<bool, kNumDirections> link_dead_{};     // hard faults (4.2)
@@ -430,8 +439,8 @@ class Router final : public RouterIface {
   std::array<std::uint32_t, kNumVcStates> state_mask_{};
   std::uint32_t alloc_mask_ = 0;  ///< Output gids with `allocated` set.
   std::uint32_t tail_mask_ = 0;   ///< Output gids with `tail_sent` set.
-  std::vector<std::uint32_t> va_reqs_;  // per output gid: requesting inputs
-  std::vector<std::pair<PortId, VcId>> va_want_;  // per input gid: request
+  std::span<std::uint32_t> va_reqs_;  // per output gid: requesting inputs
+  std::span<std::pair<PortId, VcId>> va_want_;  // per input gid: request
   std::uint32_t va_req_ogs_ = 0;  ///< Output gids with requests this cycle.
   std::uint32_t absorbed_ = 0;    ///< Output gids absorbed-into this cycle.
   /// Running input-buffer occupancy per input port, bumped at every push
@@ -452,7 +461,7 @@ class Router final : public RouterIface {
   /// Per output gid: next_retire_at() mirror (valid while the sent bit is
   /// set). rtx_min_retire_ is a lower-bound watermark over the set bits —
   /// it may be stale-low (cheap extra scan), never stale-high.
-  std::vector<Cycle> rtx_retire_at_;
+  std::span<Cycle> rtx_retire_at_;
   Cycle rtx_min_retire_ = 0;
   void refresh_rtx_cache(int og) {
     const auto& rtx = out_rtx_[static_cast<std::size_t>(og)];

@@ -65,12 +65,36 @@ Workload parse_workload(std::istream& in, int num_nodes, std::string* error) {
   };
   // Total packets the workload will expand to — bounds memory up front.
   std::size_t total_packets = 0;
+  // Counts a directive's `pairs` (src, dest) emissions of `count` transfers
+  // each against the packet bound before any of them is stored, then makes
+  // room for them in one step. Capacity at least doubles, so a file of many
+  // small directives still reallocates only O(log n) times.
+  auto admit = [&](std::size_t pairs, const Fields& f, int flits) {
+    // Every transfer is at least one packet; checking the transfer count
+    // first keeps the product below from overflowing.
+    const auto transfers = pairs * static_cast<std::size_t>(f.count);
+    if (transfers <= kMaxExpandedRecords) {
+      total_packets +=
+          transfers * ((static_cast<std::size_t>(flits) + wl.packet_flits - 1) /
+                       wl.packet_flits);
+    }
+    if (transfers > kMaxExpandedRecords ||
+        total_packets > kMaxExpandedRecords) {
+      fail("workload expands to more than " +
+           std::to_string(kMaxExpandedRecords) + " packets");
+      return false;
+    }
+    const std::size_t need = wl.transfers.size() + transfers;
+    if (need > wl.transfers.capacity()) {
+      const std::size_t cap = std::max(need, 2 * wl.transfers.capacity());
+      wl.transfers.reserve(cap);
+      wl.transfer_packet_flits.reserve(cap);
+    }
+    return true;
+  };
   // Emits one (possibly repeated) transfer, checking burst-cycle overflow.
   auto emit = [&](const std::string& name, const Fields& f, NodeId src,
                   NodeId dest, int flits, Cycle extra_offset) {
-    total_packets += static_cast<std::size_t>(f.count) *
-                     ((static_cast<std::size_t>(flits) + wl.packet_flits - 1) /
-                      wl.packet_flits);
     for (long long i = 0; i < f.count; ++i) {
       const unsigned long long off =
           static_cast<unsigned long long>(i) * f.period;
@@ -213,6 +237,7 @@ Workload parse_workload(std::istream& in, int num_nodes, std::string* error) {
         fail("src == dest");
         break;
       }
+      if (!admit(1, f, flits)) break;
       emit(name, f, static_cast<NodeId>(f.src), static_cast<NodeId>(f.dest),
            flits, 0);
     } else if (verb == "many_to_one") {
@@ -229,6 +254,7 @@ Workload parse_workload(std::istream& in, int num_nodes, std::string* error) {
         break;
       }
       if (!check_node(f.dest, "dest")) break;
+      if (!admit(static_cast<std::size_t>(num_nodes) - 1, f, flits)) break;
       int sender_idx = 0;
       for (int s = 0; s < num_nodes && !failed; ++s) {
         if (s == f.dest) continue;
@@ -249,6 +275,8 @@ Workload parse_workload(std::istream& in, int num_nodes, std::string* error) {
         fail("all_to_all needs at least 2 nodes");
         break;
       }
+      const auto n = static_cast<std::size_t>(num_nodes);
+      if (!admit(n * (n - 1), f, flits)) break;
       for (int s = 0; s < num_nodes && !failed; ++s) {
         for (int d = 0; d < num_nodes && !failed; ++d) {
           if (s == d) continue;
@@ -257,10 +285,6 @@ Workload parse_workload(std::istream& in, int num_nodes, std::string* error) {
         }
       }
     }
-    if (total_packets > kMaxExpandedRecords) {
-      fail("workload expands to more than " +
-           std::to_string(kMaxExpandedRecords) + " packets");
-    }
   }
   if (failed) return {};
   if (error) error->clear();
@@ -268,12 +292,21 @@ Workload parse_workload(std::istream& in, int num_nodes, std::string* error) {
 }
 
 std::vector<TraceRecord> expand_workload(const Workload& wl) {
+  const auto segment = [&](std::size_t i) {
+    return i < wl.transfer_packet_flits.size() ? wl.transfer_packet_flits[i]
+                                               : wl.packet_flits;
+  };
+  std::size_t packets = 0;
+  for (std::size_t i = 0; i < wl.transfers.size(); ++i) {
+    const int seg = segment(i);
+    packets +=
+        static_cast<std::size_t>((wl.transfers[i].flits + seg - 1) / seg);
+  }
   std::vector<TraceRecord> records;
+  records.reserve(packets);
   for (std::size_t i = 0; i < wl.transfers.size(); ++i) {
     const WorkloadTransfer& t = wl.transfers[i];
-    const int seg = i < wl.transfer_packet_flits.size()
-                        ? wl.transfer_packet_flits[i]
-                        : wl.packet_flits;
+    const int seg = segment(i);
     int remaining = t.flits;
     while (remaining > 0) {
       TraceRecord r;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace ftnoc {
 namespace {
 
@@ -35,9 +38,29 @@ TEST(Config, RejectsBadPipelineDepth) {
 }
 
 TEST(Config, RejectsOutOfRangeRates) {
-  SimConfig cfg;
-  cfg.faults.link_error_rate = 1.5;
-  EXPECT_TRUE(cfg.validate().has_value());
+  // Each rate key, past either end of its range and non-finite. NaN
+  // compares false both ways, so it must fail on its own, not slip past a
+  // pair of range tests (a NaN rate would otherwise reach the JSONL
+  // output as a bare `nan`, which is not JSON).
+  const std::vector<std::string> keys = {
+      "injection_rate",  "link_error_rate", "multi_bit_fraction",
+      "rt_error_rate",   "va_error_rate",   "sa_error_rate",
+      "rtx_error_rate",  "handshake_error_rate"};
+  for (const std::string& key : keys) {
+    const std::string too_big = key == "injection_rate" ? "3.5" : "1.5";
+    for (const std::string& value :
+         {too_big, std::string("-0.1"), std::string("nan"),
+          std::string("inf"), std::string("-inf")}) {
+      SimConfig cfg;
+      const auto parse_err = apply_overrides(cfg, {key + "=" + value});
+      ASSERT_FALSE(parse_err.has_value()) << key << "=" << value;
+      EXPECT_TRUE(cfg.validate().has_value()) << key << "=" << value;
+    }
+    SimConfig cfg;  // The largest legal value passes.
+    const std::string top = key == "injection_rate" ? "3" : "1";
+    ASSERT_FALSE(apply_overrides(cfg, {key + "=" + top}).has_value());
+    EXPECT_EQ(cfg.validate(), std::nullopt) << key << "=" << top;
+  }
 }
 
 TEST(Config, RejectsWarmupNotBelowTotal) {

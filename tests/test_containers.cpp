@@ -2,6 +2,7 @@
 // std:: oracle under randomized operation sequences:
 //  * InlineVec vs std::vector — the spill (size N -> N+1) and unspill
 //    (back to <= N via erase_at) boundaries, insert_at at both ends;
+//  * RingDeque vs std::deque — growth while the ring's head has wrapped;
 //  * RetransmissionBuffer vs a std::deque re-implementation of the barrel
 //    semantics — including the depth-4 case a 4-stage router requires and
 //    a depth-6 ring, whose head wraps through more slots.
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/inline_vec.hpp"
+#include "common/ring_deque.hpp"
 #include "common/rng.hpp"
 #include "core/flit.hpp"
 #include "core/retransmission_buffer.hpp"
@@ -104,6 +106,40 @@ TEST(InlineVec, RandomOpsMatchVectorOracle) {
       ASSERT_EQ(v[i], oracle[i]) << "step " << step << " index " << i;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// RingDeque vs std::deque.
+// ---------------------------------------------------------------------------
+
+TEST(RingDeque, RandomOpsMatchDequeOracle) {
+  RingDeque<std::vector<int>> q;
+  std::deque<std::vector<int>> oracle;
+  Rng rng(0xDEC0DE);
+  int next = 0;
+  for (int step = 0; step < 5000; ++step) {
+    // Pushes outweigh pops, so the ring grows (8, 16, ...) while pops
+    // and front pushes keep its head away from slot 0.
+    const double r = rng.next_double();
+    if (oracle.empty() || r < 0.35) {
+      q.push_back({next, next});
+      oracle.push_back({next, next});
+      ++next;
+    } else if (r < 0.55) {
+      q.push_front({next});
+      oracle.push_front({next});
+      ++next;
+    } else {
+      ASSERT_EQ(q.front(), oracle.front()) << "step " << step;
+      q.pop_front();
+      oracle.pop_front();
+    }
+    ASSERT_EQ(q.size(), oracle.size()) << "step " << step;
+    for (std::size_t i = 0; i < oracle.size(); ++i) {
+      ASSERT_EQ(q[i], oracle[i]) << "step " << step << " index " << i;
+    }
+  }
+  EXPECT_GT(oracle.size(), 100u);
 }
 
 // ---------------------------------------------------------------------------

@@ -132,6 +132,39 @@ TEST(NetworkE2e, NackRequeuesCleanCopyAtFront) {
   // (Verified end-to-end by FaultIntegrationE2e.RetransmitsUntilClean.)
 }
 
+TEST(NetworkE2e, PeDigestCachesMatchAFirstDigest) {
+  // From its first call on, ProcessingElement::state_digest keeps cached
+  // per-packet hashes current instead of rehashing every queued flit. A
+  // network digested every cycle must agree with a twin digested only at
+  // the end, whose first call hashes every queue from scratch. Saturated
+  // E2E traffic over corrupting links grows the source queues, requeues
+  // NACKed packets at the front and stamps held copies on injection.
+  SimConfig cfg;
+  cfg.mesh_width = 4;
+  cfg.mesh_height = 4;
+  cfg.protection = LinkProtection::kE2e;
+  cfg.injection_rate = 0.6;
+  cfg.faults.link_error_rate = 0.02;
+  Network every(cfg);
+  Network once(cfg);
+  every.stats().begin_measurement(0);  // Counts the E2E retransmissions.
+  for (int c = 0; c < 600; ++c) {
+    every.step();
+    once.step();
+    (void)every.state_digest();
+  }
+  std::size_t pending = 0;
+  std::size_t held = 0;
+  for (NodeId n = 0; n < 16; ++n) {
+    pending += every.pe(n).pending_packets();
+    held += every.pe(n).e2e_buffer_occupancy();
+  }
+  EXPECT_GT(pending, 16u);
+  EXPECT_GT(held, 16u);
+  EXPECT_GT(every.stats().e2e_retransmits(), 0u);
+  EXPECT_EQ(every.state_digest(), once.state_digest());
+}
+
 TEST(Network, RejectsInvalidConfig) {
   SimConfig cfg = tiny();
   cfg.num_vcs = 0;
