@@ -24,14 +24,14 @@ const char* find_value(const std::string& line, const char* key) {
   return line.c_str() + pos + needle.size();
 }
 
-bool get_u64(const std::string& line, const char* key, std::uint64_t& out) {
+bool get(const std::string& line, const char* key, std::uint64_t& out) {
   const char* v = find_value(line, key);
   if (v == nullptr || !(*v >= '0' && *v <= '9')) return false;
   out = std::strtoull(v, nullptr, 10);
   return true;
 }
 
-bool get_real(const std::string& line, const char* key, double& out) {
+bool get(const std::string& line, const char* key, double& out) {
   const char* v = find_value(line, key);
   if (v == nullptr) return false;
   char* end = nullptr;
@@ -39,7 +39,7 @@ bool get_real(const std::string& line, const char* key, double& out) {
   return end != v;
 }
 
-bool get_bool(const std::string& line, const char* key, bool& out) {
+bool get(const std::string& line, const char* key, bool& out) {
   const char* v = find_value(line, key);
   if (v == nullptr) return false;
   if (std::strncmp(v, "true", 4) == 0) {
@@ -66,28 +66,12 @@ bool get_type(const std::string& line, std::string& out) {
 /// sweep::append_result_fields). Any missing field fails the line.
 bool parse_results(const std::string& line, SimResults& r) {
   bool ok = true;
-  ok = ok && get_bool(line, "completed", r.completed);
-  ok = ok && get_u64(line, "cycles", r.cycles);
-  ok = ok && get_real(line, "avg_latency_cycles", r.avg_latency_cycles);
-  ok = ok &&
-       get_real(line, "avg_total_latency_cycles", r.avg_total_latency_cycles);
-  ok = ok && get_real(line, "p50_latency_cycles", r.p50_latency_cycles);
-  ok = ok && get_real(line, "p99_latency_cycles", r.p99_latency_cycles);
-  ok = ok && get_real(line, "max_latency_cycles", r.max_latency_cycles);
-  ok = ok && get_u64(line, "measured_messages", r.measured_messages);
-  ok = ok && get_real(line, "throughput_flits_node_cycle",
-                      r.throughput_flits_node_cycle);
-  ok = ok && get_u64(line, "packets_created", r.packets_created);
-  ok = ok && get_u64(line, "messages_ejected", r.messages_ejected);
-  ok = ok && get_real(line, "energy_per_message_nj", r.energy_per_message_nj);
-  ok = ok && get_real(line, "total_energy_uj", r.total_energy_uj);
-  ok = ok && get_real(line, "tx_buffer_utilization", r.tx_buffer_utilization);
-  ok = ok &&
-       get_real(line, "rtx_buffer_utilization", r.rtx_buffer_utilization);
-  ok = ok && get_u64(line, "link_errors_corrected", r.link_errors_corrected);
+#define FTNOC_X(name) ok = ok && get(line, #name, r.name);
+  FTNOC_RESULT_FIELDS(FTNOC_X)
+#undef FTNOC_X
 #define FTNOC_X(name, window, gate)            \
   if (CounterGate::gate == CounterGate::kAlways) \
-    ok = ok && get_u64(line, #name, r.name);
+    ok = ok && get(line, #name, r.name);
   FTNOC_COUNTERS(FTNOC_X)
 #undef FTNOC_X
   return ok;
@@ -96,18 +80,9 @@ bool parse_results(const std::string& line, SimResults& r) {
 }  // namespace
 
 std::uint64_t config_hash(const SimConfig& cfg) {
-  SimConfig canonical = cfg;
-  canonical.seed = 0;  // Replicas of one point differ only in seed.
   sweep::JsonRecord rec;
-  sweep::append_config_fields(rec, canonical);
-  const std::string s = rec.close();
-
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a 64.
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+  sweep::append_config_fields(rec, cfg, /*hashing=*/true);
+  return sweep::fnv1a(rec.close());
 }
 
 std::string replica_line(std::uint64_t campaign_seed, std::size_t point,
@@ -145,8 +120,8 @@ Journal Journal::load(const std::string& path, std::uint64_t campaign_seed,
     std::uint64_t seed = 0;
     std::uint64_t point = 0;
     bool valid = get_type(record, type) &&
-                 get_u64(record, "campaign_seed", seed) &&
-                 get_u64(record, "point", point);
+                 get(record, "campaign_seed", seed) &&
+                 get(record, "point", point);
     if (valid && (seed != campaign_seed || point >= point_hashes.size())) {
       j.mismatch_ = "journal line " + std::to_string(j.valid_lines_ + 1) +
                     " belongs to a different campaign (seed or point range)";
@@ -156,8 +131,8 @@ Journal Journal::load(const std::string& path, std::uint64_t campaign_seed,
       std::uint64_t replica = 0;
       std::uint64_t hash = 0;
       SimResults r;
-      valid = get_u64(record, "replica", replica) &&
-              get_u64(record, "config_hash", hash) &&
+      valid = get(record, "replica", replica) &&
+              get(record, "config_hash", hash) &&
               parse_results(record, r);
       if (valid && hash != point_hashes[point]) {
         j.mismatch_ = "journal line " + std::to_string(j.valid_lines_ + 1) +

@@ -24,9 +24,10 @@
 namespace ftnoc::campaign {
 
 /// Stable fingerprint of the config that defines a point (seed excluded —
-/// replicas of one point differ only in seed). FNV-1a over the canonical
-/// JSONL config serialization, so it changes exactly when a knob that is
-/// part of the point's identity changes.
+/// replicas of one point differ only in seed). FNV-1a over the JSONL
+/// config columns plus the kHashOnly keys off their defaults
+/// (FTNOC_CONFIG_KEYS), so it changes exactly when a key that changes a
+/// run changes.
 std::uint64_t config_hash(const SimConfig& cfg);
 
 /// One replica journal line (type="replica"): the key fields followed by

@@ -2,41 +2,109 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <type_traits>
 
 #include "common/check.hpp"
 #include "common/topology.hpp"
 
 namespace ftnoc {
-
-const char* to_string(RoutingAlgorithm a) {
-  switch (a) {
-    case RoutingAlgorithm::kXY: return "xy";
-    case RoutingAlgorithm::kMinimalAdaptive: return "adaptive";
-    case RoutingAlgorithm::kAdaptiveEscape: return "escape";
-  }
-  return "?";
-}
-
-const char* to_string(LinkProtection p) {
-  switch (p) {
-    case LinkProtection::kNone: return "none";
-    case LinkProtection::kFec: return "fec";
-    case LinkProtection::kE2e: return "e2e";
-    case LinkProtection::kHbh: return "hbh";
-  }
-  return "?";
-}
-
-const char* to_string(TrafficPattern t) {
-  switch (t) {
-    case TrafficPattern::kUniformRandom: return "nr";
-    case TrafficPattern::kBitComplement: return "bc";
-    case TrafficPattern::kTornado: return "tn";
-  }
-  return "?";
-}
-
 namespace {
+
+// Each named value kind's names by value: the canonical row (to_string
+// prints it), then any rows of aliases the override parser also accepts.
+constexpr const char* kRoutingNames[][3] = {{"xy", "adaptive", "escape"},
+                                            {"dt", "ad", "duato"}};
+constexpr const char* kProtectionNames[][4] = {{"none", "fec", "e2e", "hbh"}};
+constexpr const char* kPatternNames[][3] = {{"nr", "bc", "tn"},
+                                            {"uniform", "bitcomp", "tornado"}};
+constexpr const char* kBoolNames[][2] = {
+    {"0", "1"}, {"false", "true"}, {"off", "on"}};
+
+const auto& names_of(RoutingAlgorithm) { return kRoutingNames; }
+const auto& names_of(LinkProtection) { return kProtectionNames; }
+const auto& names_of(TrafficPattern) { return kPatternNames; }
+const auto& names_of(bool) { return kBoolNames; }
+
+template <class E>
+const char* enum_name(E e) {
+  const auto& canonical = names_of(e)[0];
+  const auto i = static_cast<std::size_t>(e);
+  return i < std::size(canonical) ? canonical[i] : "?";
+}
+
+// One parser per value kind; FTNOC_CONFIG_KEYS picks it by member type.
+bool parse_value(const std::string& v, int& out) { return parse_int(v, out); }
+bool parse_value(const std::string& v, std::uint64_t& out) {
+  return parse_u64(v, out);
+}
+bool parse_value(const std::string& v, double& out) {
+  return parse_double(v, out);
+}
+bool parse_value(const std::string& v, std::string& out) {
+  out = v;
+  return true;
+}
+
+// The named kinds (bool and the enums) read their names_of() table.
+template <class T>
+  requires std::is_enum_v<T> || std::is_same_v<T, bool>
+bool parse_value(const std::string& v, T& out) {
+  for (const auto& row : names_of(out)) {
+    for (std::size_t i = 0; i < std::size(row); ++i) {
+      if (v == row[i]) {
+        out = static_cast<T>(i);
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+// "node:D" with D in {N,E,S,W} (either case): the link part of the
+// dead_link and storm_kill values.
+bool parse_link(const std::string& v, NodeId& node, Direction& dir) {
+  const auto colon = v.find(':');
+  if (colon == std::string::npos || colon + 2 != v.size()) return false;
+  int n = 0;
+  if (!parse_int(v.substr(0, colon), n) || n < 0 || n > kInvalidNode) {
+    return false;
+  }
+  node = static_cast<NodeId>(n);
+  switch (v[colon + 1]) {
+    case 'N': case 'n': dir = Direction::kNorth; return true;
+    case 'E': case 'e': dir = Direction::kEast; return true;
+    case 'S': case 's': dir = Direction::kSouth; return true;
+    case 'W': case 'w': dir = Direction::kWest; return true;
+    default: return false;
+  }
+}
+
+// The COMPOSITE keys' parsers.
+bool override_dead_link(const std::string& v, SimConfig& cfg) {
+  std::pair<NodeId, Direction> link;
+  if (!parse_link(v, link.first, link.second)) return false;
+  cfg.dead_links.push_back(link);
+  return true;
+}
+
+bool override_storm_kill(const std::string& v, SimConfig& cfg) {
+  // "cycle:node:D".
+  const auto colon = v.find(':');
+  SimConfig::LinkKill k;
+  if (colon == std::string::npos || !parse_u64(v.substr(0, colon), k.at) ||
+      !parse_link(v.substr(colon + 1), k.node, k.dir)) {
+    return false;
+  }
+  cfg.storm_kills.push_back(k);
+  return true;
+}
+
+bool override_workload(const std::string& v, SimConfig& cfg) {
+  if (v.empty()) return false;
+  cfg.workload_file = v;
+  return true;
+}
+
 // Eq. (1)'s right-hand side, M * sum_i ceil(T_i / M): M times the most
 // distinct packets transmission buffers of T_i flits can hold.
 long long recovery_buffer_need(const std::vector<int>& tx_sizes,
@@ -50,6 +118,10 @@ long long recovery_buffer_need(const std::vector<int>& tx_sizes,
   return static_cast<long long>(flits_per_packet) * packets;
 }
 }  // namespace
+
+const char* to_string(RoutingAlgorithm a) { return enum_name(a); }
+const char* to_string(LinkProtection p) { return enum_name(p); }
+const char* to_string(TrafficPattern t) { return enum_name(t); }
 
 bool recovery_buffer_bound_ok(const std::vector<int>& tx_sizes,
                               const std::vector<int>& rtx_sizes,
@@ -186,22 +258,6 @@ bool parse_double(const std::string& v, double& out) {
   return end == v.c_str() + v.size() && !v.empty();
 }
 
-namespace {
-
-bool parse_bool(const std::string& v, bool& out) {
-  if (v == "1" || v == "true" || v == "on") {
-    out = true;
-    return true;
-  }
-  if (v == "0" || v == "false" || v == "off") {
-    out = false;
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 std::optional<std::string> apply_override(SimConfig& cfg,
                                           const std::string& assignment) {
   const auto eq = assignment.find('=');
@@ -210,153 +266,18 @@ std::optional<std::string> apply_override(SimConfig& cfg,
   }
   const std::string key = assignment.substr(0, eq);
   const std::string val = assignment.substr(eq + 1);
-  auto bad = [&]() -> std::optional<std::string> {
+  auto result = [&](bool ok) -> std::optional<std::string> {
+    if (ok) return std::nullopt;
     return "bad value for " + key + ": " + val;
   };
-
-  if (key == "mesh_width") {
-    if (!parse_int(val, cfg.mesh_width)) return bad();
-  } else if (key == "mesh_height") {
-    if (!parse_int(val, cfg.mesh_height)) return bad();
-  } else if (key == "torus") {
-    if (!parse_bool(val, cfg.torus)) return bad();
-  } else if (key == "num_vcs") {
-    if (!parse_int(val, cfg.num_vcs)) return bad();
-  } else if (key == "vc_buffer_depth") {
-    if (!parse_int(val, cfg.vc_buffer_depth)) return bad();
-  } else if (key == "pipeline_stages") {
-    if (!parse_int(val, cfg.pipeline_stages)) return bad();
-  } else if (key == "retransmission_depth") {
-    if (!parse_int(val, cfg.retransmission_depth)) return bad();
-  } else if (key == "injection_rate") {
-    if (!parse_double(val, cfg.injection_rate)) return bad();
-  } else if (key == "packet_length") {
-    if (!parse_int(val, cfg.packet_length)) return bad();
-  } else if (key == "pattern") {
-    if (val == "nr" || val == "uniform") {
-      cfg.pattern = TrafficPattern::kUniformRandom;
-    } else if (val == "bc" || val == "bitcomp") {
-      cfg.pattern = TrafficPattern::kBitComplement;
-    } else if (val == "tn" || val == "tornado") {
-      cfg.pattern = TrafficPattern::kTornado;
-    } else {
-      return bad();
-    }
-  } else if (key == "routing") {
-    if (val == "xy" || val == "dt") {
-      cfg.routing = RoutingAlgorithm::kXY;
-    } else if (val == "adaptive" || val == "ad") {
-      cfg.routing = RoutingAlgorithm::kMinimalAdaptive;
-    } else if (val == "escape" || val == "duato") {
-      cfg.routing = RoutingAlgorithm::kAdaptiveEscape;
-    } else {
-      return bad();
-    }
-  } else if (key == "protection") {
-    if (val == "none") {
-      cfg.protection = LinkProtection::kNone;
-    } else if (val == "fec") {
-      cfg.protection = LinkProtection::kFec;
-    } else if (val == "e2e") {
-      cfg.protection = LinkProtection::kE2e;
-    } else if (val == "hbh") {
-      cfg.protection = LinkProtection::kHbh;
-    } else {
-      return bad();
-    }
-  } else if (key == "enable_ac") {
-    if (!parse_bool(val, cfg.enable_ac)) return bad();
-  } else if (key == "ecc_detect_only") {
-    if (!parse_bool(val, cfg.ecc_detect_only)) return bad();
-  } else if (key == "link_error_rate") {
-    if (!parse_double(val, cfg.faults.link_error_rate)) return bad();
-  } else if (key == "multi_bit_fraction") {
-    if (!parse_double(val, cfg.faults.multi_bit_fraction)) return bad();
-  } else if (key == "rt_error_rate") {
-    if (!parse_double(val, cfg.faults.rt_error_rate)) return bad();
-  } else if (key == "va_error_rate") {
-    if (!parse_double(val, cfg.faults.va_error_rate)) return bad();
-  } else if (key == "sa_error_rate") {
-    if (!parse_double(val, cfg.faults.sa_error_rate)) return bad();
-  } else if (key == "rtx_error_rate") {
-    if (!parse_double(val, cfg.faults.rtx_error_rate)) return bad();
-  } else if (key == "handshake_error_rate") {
-    if (!parse_double(val, cfg.faults.handshake_error_rate)) return bad();
-  } else if (key == "duplicate_rtx_buffers") {
-    if (!parse_bool(val, cfg.duplicate_rtx_buffers)) return bad();
-  } else if (key == "tmr_handshaking") {
-    if (!parse_bool(val, cfg.tmr_handshaking)) return bad();
-  } else if (key == "deadlock_recovery") {
-    if (!parse_bool(val, cfg.deadlock.enable_recovery)) return bad();
-  } else if (key == "probe_threshold") {
-    if (!parse_u64(val, cfg.deadlock.probe_threshold)) return bad();
-  } else if (key == "probe_backoff") {
-    if (!parse_u64(val, cfg.deadlock.probe_backoff)) return bad();
-  } else if (key == "probe_timeout") {
-    if (!parse_u64(val, cfg.deadlock.probe_timeout)) return bad();
-  } else if (key == "dead_link") {
-    // "node:dir" with dir in {N,E,S,W}.
-    const auto colon = val.find(':');
-    if (colon == std::string::npos || colon + 2 != val.size()) return bad();
-    int node = 0;
-    if (!parse_int(val.substr(0, colon), node) || node < 0) return bad();
-    Direction d;
-    switch (val[colon + 1]) {
-      case 'N': case 'n': d = Direction::kNorth; break;
-      case 'E': case 'e': d = Direction::kEast; break;
-      case 'S': case 's': d = Direction::kSouth; break;
-      case 'W': case 'w': d = Direction::kWest; break;
-      default: return bad();
-    }
-    cfg.dead_links.emplace_back(static_cast<NodeId>(node), d);
-  } else if (key == "storm_kill") {
-    // "cycle:node:dir" with dir in {N,E,S,W}.
-    const auto c1 = val.find(':');
-    const auto c2 = c1 == std::string::npos ? std::string::npos
-                                            : val.find(':', c1 + 1);
-    if (c2 == std::string::npos || c2 + 2 != val.size()) return bad();
-    SimConfig::LinkKill k;
-    if (!parse_u64(val.substr(0, c1), k.at)) return bad();
-    int node = 0;
-    if (!parse_int(val.substr(c1 + 1, c2 - c1 - 1), node) || node < 0) {
-      return bad();
-    }
-    k.node = static_cast<NodeId>(node);
-    switch (val[c2 + 1]) {
-      case 'N': case 'n': k.dir = Direction::kNorth; break;
-      case 'E': case 'e': k.dir = Direction::kEast; break;
-      case 'S': case 's': k.dir = Direction::kSouth; break;
-      case 'W': case 'w': k.dir = Direction::kWest; break;
-      default: return bad();
-    }
-    cfg.storm_kills.push_back(k);
-  } else if (key == "workload") {
-    if (val.empty()) return bad();
-    cfg.workload_file = val;
-  } else if (key == "link_stats") {
-    if (!parse_bool(val, cfg.link_stats)) return bad();
-  } else if (key == "run_to_drain") {
-    if (!parse_bool(val, cfg.run_to_drain)) return bad();
-  } else if (key == "adaptive_faults") {
-    if (!parse_bool(val, cfg.adaptive_faults)) return bad();
-  } else if (key == "check_invariants") {
-    if (!parse_bool(val, cfg.check_invariants)) return bad();
-  } else if (key == "reference_router") {
-    if (!parse_bool(val, cfg.use_reference_router)) return bad();
-  } else if (key == "test_mutation") {
-    cfg.test_mutation = val;
-  } else if (key == "seed") {
-    if (!parse_u64(val, cfg.seed)) return bad();
-  } else if (key == "warmup_messages") {
-    if (!parse_u64(val, cfg.warmup_messages)) return bad();
-  } else if (key == "total_messages") {
-    if (!parse_u64(val, cfg.total_messages)) return bad();
-  } else if (key == "max_cycles") {
-    if (!parse_u64(val, cfg.max_cycles)) return bad();
-  } else {
-    return "unknown config key: " + key;
-  }
-  return std::nullopt;
+#define FTNOC_X(name, member, rule) \
+  if (key == #name) return result(parse_value(val, cfg.member));
+#define FTNOC_COMPOSITE(name) \
+  if (key == #name) return result(override_##name(val, cfg));
+  FTNOC_CONFIG_KEYS(FTNOC_X, FTNOC_COMPOSITE)
+#undef FTNOC_COMPOSITE
+#undef FTNOC_X
+  return "unknown config key: " + key;
 }
 
 std::optional<std::string> apply_overrides(

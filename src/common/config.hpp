@@ -235,11 +235,69 @@ bool recovery_buffer_bound_ok(const std::vector<int>& tx_sizes,
                               const std::vector<int>& rtx_sizes,
                               int flits_per_packet);
 
-/// Parses `key=value` overrides (e.g. from argv) into `cfg`.
-/// Recognized keys mirror the field names, e.g. "mesh_width=4",
-/// "protection=hbh", "pattern=bc", "routing=adaptive",
-/// "link_error_rate=0.001". Returns an error message on unknown key or
-/// malformed value.
+/// Whether a FTNOC_CONFIG_KEYS row is a sweep JSONL column and part of the
+/// campaign config hash (which hashes the config columns).
+enum class ConfigColumn : std::uint8_t {
+  kAlways,    ///< Always a column.
+  kIfSet,     ///< A column only off its default (the default-false flags),
+              ///< so outputs from before the key existed keep their bytes.
+  kHashOnly,  ///< Never a column; hashed only off its default.
+  kNone,      ///< Neither: the seed and the verification switches.
+};
+
+/// Every override key, in JSONL column order. X(key, member, rule): `key`
+/// is the key=value name and the column name, `member` its SimConfig
+/// field, whose type is the value kind (int, uint64, double, bool, enum,
+/// text), `rule` a ConfigColumn. COMPOSITE(key) marks a key with its own
+/// parser and column (dead_link, storm_kill, workload). apply_override and
+/// sweep::append_config_fields walk this table, so a new key is one row
+/// plus its member.
+#define FTNOC_CONFIG_KEYS(X, COMPOSITE)                           \
+  X(mesh_width, mesh_width, kAlways)                              \
+  X(mesh_height, mesh_height, kAlways)                            \
+  X(torus, torus, kAlways)                                        \
+  X(num_vcs, num_vcs, kAlways)                                    \
+  X(vc_buffer_depth, vc_buffer_depth, kAlways)                    \
+  X(pipeline_stages, pipeline_stages, kAlways)                    \
+  X(retransmission_depth, retransmission_depth, kAlways)          \
+  X(injection_rate, injection_rate, kAlways)                      \
+  X(packet_length, packet_length, kAlways)                        \
+  X(pattern, pattern, kAlways)                                    \
+  X(routing, routing, kAlways)                                    \
+  X(protection, protection, kAlways)                              \
+  X(ecc_detect_only, ecc_detect_only, kAlways)                    \
+  X(enable_ac, enable_ac, kAlways)                                \
+  X(duplicate_rtx_buffers, duplicate_rtx_buffers, kAlways)        \
+  X(tmr_handshaking, tmr_handshaking, kAlways)                    \
+  X(link_error_rate, faults.link_error_rate, kAlways)             \
+  X(multi_bit_fraction, faults.multi_bit_fraction, kAlways)       \
+  X(rt_error_rate, faults.rt_error_rate, kAlways)                 \
+  X(va_error_rate, faults.va_error_rate, kAlways)                 \
+  X(sa_error_rate, faults.sa_error_rate, kAlways)                 \
+  X(rtx_error_rate, faults.rtx_error_rate, kAlways)               \
+  X(handshake_error_rate, faults.handshake_error_rate, kAlways)   \
+  X(deadlock_recovery, deadlock.enable_recovery, kAlways)         \
+  X(probe_threshold, deadlock.probe_threshold, kAlways)           \
+  X(warmup_messages, warmup_messages, kAlways)                    \
+  X(total_messages, total_messages, kAlways)                      \
+  X(max_cycles, max_cycles, kAlways)                              \
+  COMPOSITE(dead_link)                                            \
+  COMPOSITE(storm_kill)                                           \
+  X(adaptive_faults, adaptive_faults, kIfSet)                     \
+  COMPOSITE(workload)                                             \
+  X(run_to_drain, run_to_drain, kIfSet)                           \
+  X(link_stats, link_stats, kIfSet)                               \
+  X(probe_backoff, deadlock.probe_backoff, kHashOnly)             \
+  X(probe_timeout, deadlock.probe_timeout, kHashOnly)             \
+  X(check_invariants, check_invariants, kNone)                    \
+  X(reference_router, use_reference_router, kNone)                \
+  X(test_mutation, test_mutation, kNone)                          \
+  X(seed, seed, kNone)
+
+/// Parses one `key=value` override (e.g. from argv) into `cfg`; the keys
+/// are FTNOC_CONFIG_KEYS. Enum values take their to_string names or an
+/// alias ("dt", "ad", "duato", "uniform", ...); booleans 1/0, true/false,
+/// on/off. Returns an error message on unknown key or malformed value.
 std::optional<std::string> apply_override(SimConfig& cfg,
                                           const std::string& assignment);
 

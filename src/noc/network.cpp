@@ -436,7 +436,8 @@ void Network::on_eject(NodeId dest, const Flit& f, Cycle now) {
   }
 
   if (packet_bad) stats_.on_unprotected_error();
-  stats_.on_message_ejected(now, f.birth_cycle, f.inject_cycle, packet_bad);
+  stats_.on_message_ejected(now, f.birth_cycle, f.inject_cycle, packet_bad,
+                            f.seq + 1u);
   if (delivery_listener_) delivery_listener_(dest, f, now);
 }
 

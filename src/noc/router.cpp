@@ -236,16 +236,16 @@ WakeInfo Router::take_wake_info() {
              draining_ != 0 || !pending_nacks_.empty() ||
              !outbox_.empty() || progress_this_cycle_ ||
              agent_.in_recovery();
-  if (!w.retick && !own_probe_route_.empty()) {
+  if (!w.retick && own_probe_route_) {
     // The only delayed action an otherwise-idle router performs is the
     // own-probe bookkeeping GC in phase_deadlock, which first fires at
     // sent_at + probe_timeout + 1. The agent's outstanding probe is spared
     // by the GC, and it can only stop being outstanding during a stepped
     // cycle (probe return or a fresh probe) — after which this re-arms.
     const auto& live = agent_.outstanding_probe();
-    for (const auto& [pid, r] : own_probe_route_) {
-      if (live.has_value() && *live == pid) continue;
-      const Cycle due = r.sent_at + agent_.probe_timeout() + 1;
+    if (live != own_probe_route_->probe_id) {
+      const Cycle due =
+          own_probe_route_->sent_at + agent_.probe_timeout() + 1;
       if (w.timer == 0 || due < w.timer) w.timer = due;
     }
   }
@@ -1314,14 +1314,16 @@ void Router::handle_probe(PortId /*from*/, const ProbeSignal& probe,
       // return implies this id was outstanding.
       if (stats_) stats_->on_deadlock_confirmed();
       if (mon_) mon_->on_probe_confirmed(now, id_, probe.probe_id);
-      const auto it = own_probe_route_.find(probe.probe_id);
-      FTNOC_CHECK(it != own_probe_route_.end());
-      queue_control(it->second.port, ActivationSignal{id_, probe.probe_id});
-      own_probe_route_.erase(it);
-    } else {
-      // Stale or duplicate return: the bookkeeping (if any survived GC)
+      FTNOC_CHECK(own_probe_route_ &&
+                  own_probe_route_->probe_id == probe.probe_id);
+      queue_control(own_probe_route_->port,
+                    ActivationSignal{id_, probe.probe_id});
+      own_probe_route_.reset();
+    } else if (own_probe_route_ &&
+               own_probe_route_->probe_id == probe.probe_id) {
+      // Stale or duplicate return: the bookkeeping (if it survived GC)
       // is dead weight now.
-      own_probe_route_.erase(probe.probe_id);
+      own_probe_route_.reset();
     }
     return;
   }
@@ -1389,12 +1391,6 @@ void Router::handle_activation(const ActivationSignal& act, Cycle now) {
   }
 }
 
-void Router::enter_recovery(Cycle) {
-  const bool was = agent_.in_recovery();
-  agent_.enter_recovery();
-  if (!was && stats_) stats_->on_recovery_entered();
-}
-
 void Router::phase_deadlock(Cycle now) {
   // Progress must be noted (and the flag cleared) even with recovery
   // disabled: a stale flag would otherwise keep the router re-ticking.
@@ -1408,17 +1404,10 @@ void Router::phase_deadlock(Cycle now) {
   // agent's outstanding probe: a late return can still be confirmed and
   // must find its forward port. Everything else is unreachable (a return
   // for a non-outstanding id is always discarded).
-  if (!own_probe_route_.empty()) {
-    const auto& live = agent_.outstanding_probe();
-    for (auto it = own_probe_route_.begin();
-         it != own_probe_route_.end();) {
-      const bool spared = live.has_value() && *live == it->first;
-      if (!spared && now - it->second.sent_at > agent_.probe_timeout()) {
-        it = own_probe_route_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+  if (own_probe_route_ &&
+      agent_.outstanding_probe() != own_probe_route_->probe_id &&
+      now - own_probe_route_->sent_at > agent_.probe_timeout()) {
+    own_probe_route_.reset();
   }
 
   // Rule 1: launch a probe for an over-threshold blocked VC. Both
@@ -1464,9 +1453,8 @@ void Router::phase_deadlock(Cycle now) {
                           (int)pr.in_vc));
     // A freshly minted probe supersedes all older bookkeeping: the agent
     // allows one live probe at a time, so prior entries can never be
-    // confirmed again (bounds the map at one entry).
-    own_probe_route_.clear();
-    own_probe_route_[pr.probe_id] = ProbeRoute{chain->first, now};
+    // confirmed again.
+    own_probe_route_ = ProbeRoute{pr.probe_id, chain->first, now};
     queue_control(chain->first, pr);
     if (stats_) stats_->on_probe_sent();
     charge(power::EnergyEvent::kProbeHop);
@@ -1908,16 +1896,16 @@ std::uint64_t Router::state_digest() const {
       h.mix_activation(item.activation);
     }
   }
-  // own_probe_route_ holds at most one entry (a fresh probe clears it),
-  // but hash it order-independently of the map's bucket layout anyway.
-  h.mix(own_probe_route_.size());
+  // The same bytes as ReferenceRouter's route map: its size, then the sum
+  // of the entry hashes (here at most one).
+  h.mix(probe_route_entries());
   std::uint64_t route_sum = 0;
-  for (const auto& [pid, r] : own_probe_route_) {
+  if (own_probe_route_) {
     digest::Fnv e;
-    e.mix(pid);
-    e.mix(static_cast<std::uint64_t>(r.port));
-    e.mix(static_cast<std::uint64_t>(r.sent_at));
-    route_sum += e.value();
+    e.mix(own_probe_route_->probe_id);
+    e.mix(static_cast<std::uint64_t>(own_probe_route_->port));
+    e.mix(static_cast<std::uint64_t>(own_probe_route_->sent_at));
+    route_sum = e.value();
   }
   h.mix(route_sum);
   h.mix(agent_.in_recovery());

@@ -27,7 +27,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 
 #include "common/config.hpp"
 #include "common/inline_vec.hpp"
@@ -96,8 +95,8 @@ class Router final : public RouterIface {
   int rtx_buffer_slots() const override;
   bool in_recovery() const override { return agent_.in_recovery(); }
   const DeadlockAgent& deadlock_agent() const { return agent_; }
-  /// Live entries in the own-probe route map (bounded-memory test).
-  std::size_t probe_route_entries() const { return own_probe_route_.size(); }
+  /// Live own-probe route entries, 0 or 1 (bounded-memory test).
+  std::size_t probe_route_entries() const { return own_probe_route_ ? 1 : 0; }
 
   /// Occupancy of one input VC buffer (tests).
   int input_buffer_size(PortId p, VcId v) const override;
@@ -198,6 +197,7 @@ class Router final : public RouterIface {
 
   /// Forward port (and mint time, for GC) of a probe this router launched.
   struct ProbeRoute {
+    std::uint32_t probe_id = 0;
     PortId port = kInvalidPort;
     Cycle sent_at = 0;
   };
@@ -314,7 +314,6 @@ class Router final : public RouterIface {
   /// Next link of a blocked dependency chain through an input VC.
   std::optional<std::pair<PortId, VcId>> resolve_chain(const InputVc& vc) const;
   void run_ac_on_va(std::size_t new_entry, Cycle now);
-  void enter_recovery(Cycle now);
   void queue_control(PortId port, const ProbeSignal& p);
   void queue_control(PortId port, const ActivationSignal& a);
   void flush_outbox();
@@ -420,7 +419,8 @@ class Router final : public RouterIface {
   int staged_count_ = 0;  ///< Occupied entries of staged_ (fast skip).
   InlineVec<PendingNack, 8> pending_nacks_;
   InlineVec<OutboxItem, 8> outbox_;
-  std::unordered_map<std::uint32_t, ProbeRoute> own_probe_route_;
+  /// Route of this router's latest probe; a fresh probe replaces it.
+  std::optional<ProbeRoute> own_probe_route_;
   /// Any input-buffer slot freed this cycle (SA, drain, absorb, eject) —
   /// feeds DeadlockAgent::note_progress for the fallback-recovery trigger.
   bool progress_this_cycle_ = false;

@@ -107,8 +107,7 @@ SimResults Simulator::run() {
       net.now() > stats.measure_start() ? net.now() - stats.measure_start()
                                         : 1;
   r.throughput_flits_node_cycle =
-      static_cast<double>(r.measured_messages) *
-      static_cast<double>(cfg_.packet_length) /
+      static_cast<double>(stats.measured_flits()) /
       (static_cast<double>(measured_cycles) *
        static_cast<double>(cfg_.num_nodes()));
 

@@ -14,6 +14,18 @@
 
 namespace ftnoc {
 
+/// SimResults' scalar metrics in JSONL column order (the FTNOC_COUNTERS
+/// columns follow): sweep::append_result_fields writes them and the
+/// campaign journal reads them back.
+#define FTNOC_RESULT_FIELDS(X)                                      \
+  X(completed) X(cycles) X(avg_latency_cycles)                      \
+  X(avg_total_latency_cycles) X(p50_latency_cycles)                 \
+  X(p99_latency_cycles) X(max_latency_cycles) X(measured_messages)  \
+  X(throughput_flits_node_cycle) X(packets_created)                 \
+  X(messages_ejected) X(energy_per_message_nj) X(total_energy_uj)   \
+  X(tx_buffer_utilization) X(rtx_buffer_utilization)                \
+  X(link_errors_corrected)
+
 struct SimResults {
   bool completed = false;  ///< False if max_cycles hit before enough ejections.
   Cycle cycles = 0;

@@ -87,12 +87,14 @@ class StatsCollector {
   void on_flit_injected() { ++flits_injected_; }
   /// `birth` = packet generation time (includes source queueing);
   /// `inject` = first header injection into the network (the paper's
-  /// message-latency reference point; 0 if unknown).
+  /// message-latency reference point; 0 if unknown); `flits` = the
+  /// message's length (workload packets carry their own).
   void on_message_ejected(Cycle now, Cycle birth, Cycle inject,
-                          bool corrupted) {
+                          bool corrupted, std::uint64_t flits) {
     ++messages_ejected_;
     if (!measuring_) return;
     ++measured_messages_;
+    measured_flits_ += flits;
     const double lat = static_cast<double>(now - (inject ? inject : birth));
     latency_.add(lat);
     latency_hist_.add(lat);
@@ -160,6 +162,7 @@ class StatsCollector {
   std::uint64_t flits_injected() const { return flits_injected_; }
   std::uint64_t messages_ejected() const { return messages_ejected_; }
   std::uint64_t measured_messages() const { return measured_messages_; }
+  std::uint64_t measured_flits() const { return measured_flits_; }
   const RunningStat& latency() const { return latency_; }
   const RunningStat& total_latency() const { return total_latency_; }
   /// Message-latency distribution (1-cycle buckets, for tail quantiles).
@@ -188,6 +191,7 @@ class StatsCollector {
   std::uint64_t flits_injected_ = 0;
   std::uint64_t messages_ejected_ = 0;
   std::uint64_t measured_messages_ = 0;
+  std::uint64_t measured_flits_ = 0;
   RunningStat latency_;
   RunningStat total_latency_;
   Histogram latency_hist_;

@@ -1,11 +1,11 @@
 #include "noc/workload.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "common/config.hpp"
 
 namespace ftnoc {
 namespace {
@@ -19,26 +19,16 @@ struct Fields {
   bool has_start = false, has_src = false, has_dest = false;
   bool has_flits = false, has_bytes = false;
   bool has_count = false, has_period = false, has_stagger = false;
-  unsigned long long start = 0, bytes = 0, period = 1, stagger = 0;
+  std::uint64_t start = 0, bytes = 0, period = 1, stagger = 0;
   long long src = -1, dest = -1, flits = 0, count = 1;
 };
 
-bool parse_u64_field(const std::string& tok, unsigned long long* out) {
-  if (tok.empty() || tok.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (errno != 0 || end != tok.c_str() + tok.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_i64_field(const std::string& tok, long long* out) {
-  unsigned long long v = 0;
-  if (!parse_u64_field(tok, &v) || v > 0x7FFFFFFFFFFFFFFFull) return false;
-  *out = static_cast<long long>(v);
-  return true;
+/// Signed fields: parse_u64's strict digits, capped below 2^63.
+bool parse_i64(const std::string& tok, long long& out) {
+  std::uint64_t v = 0;
+  const bool ok = parse_u64(tok, v) && v < (std::uint64_t{1} << 63);
+  out = static_cast<long long>(v);
+  return ok;
 }
 
 }  // namespace
@@ -120,8 +110,8 @@ Workload parse_workload(std::istream& in, int num_nodes, std::string* error) {
     if (!(ls >> verb)) continue;  // Blank / comment-only line.
     if (verb == "packet_flits") {
       std::string tok, extra;
-      unsigned long long v = 0;
-      if (!(ls >> tok) || !parse_u64_field(tok, &v)) {
+      std::uint64_t v = 0;
+      if (!(ls >> tok) || !parse_u64(tok, v)) {
         fail("packet_flits expects an integer");
         continue;
       }
@@ -158,28 +148,28 @@ Workload parse_workload(std::istream& in, int num_nodes, std::string* error) {
       const std::string val = tok.substr(eq + 1);
       bool ok = true;
       if (key == "start") {
-        ok = parse_u64_field(val, &f.start);
+        ok = parse_u64(val, f.start);
         f.has_start = true;
       } else if (key == "src") {
-        ok = parse_i64_field(val, &f.src);
+        ok = parse_i64(val, f.src);
         f.has_src = true;
       } else if (key == "dest") {
-        ok = parse_i64_field(val, &f.dest);
+        ok = parse_i64(val, f.dest);
         f.has_dest = true;
       } else if (key == "flits") {
-        ok = parse_i64_field(val, &f.flits);
+        ok = parse_i64(val, f.flits);
         f.has_flits = true;
       } else if (key == "bytes") {
-        ok = parse_u64_field(val, &f.bytes);
+        ok = parse_u64(val, f.bytes);
         f.has_bytes = true;
       } else if (key == "count") {
-        ok = parse_i64_field(val, &f.count);
+        ok = parse_i64(val, f.count);
         f.has_count = true;
       } else if (key == "period") {
-        ok = parse_u64_field(val, &f.period);
+        ok = parse_u64(val, f.period);
         f.has_period = true;
       } else if (key == "stagger") {
-        ok = parse_u64_field(val, &f.stagger);
+        ok = parse_u64(val, f.stagger);
         f.has_stagger = true;
       } else {
         fail("unknown key '" + key + "'");
@@ -206,7 +196,7 @@ Workload parse_workload(std::istream& in, int num_nodes, std::string* error) {
       flits = static_cast<int>(f.flits);
     } else {
       if (f.bytes < 1 ||
-          f.bytes > static_cast<unsigned long long>(1 << 20) * kBytesPerFlit) {
+          f.bytes > std::uint64_t{1 << 20} * kBytesPerFlit) {
         fail("bytes out of range");
         break;
       }

@@ -1,5 +1,10 @@
 #include "sweep/grid.hpp"
 
+#include <cstdio>
+#include <cstring>
+
+#include "sweep/presets.hpp"
+
 namespace ftnoc::sweep {
 
 std::optional<std::string> parse_axis(const std::string& spec, GridAxis& out) {
@@ -61,6 +66,48 @@ std::optional<std::string> expand_grid(const SimConfig& base,
       cursor[a] = 0;
     }
   }
+}
+
+std::optional<std::string> cli_points(const std::string& preset,
+                                      const std::vector<std::string>& args,
+                                      std::vector<SweepPoint>& out) {
+  SimConfig base;
+  base.total_messages = 30'000;
+  base.warmup_messages = 10'000;
+  base.max_cycles = 1'500'000;
+  if (preset.empty()) {
+    std::vector<GridAxis> axes(args.size());
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      if (auto err = parse_axis(args[i], axes[i])) return "grid error: " + *err;
+    }
+    if (auto err = expand_grid(base, axes, out)) return "grid error: " + *err;
+    return std::nullopt;
+  }
+  // The preset supplies the axes.
+  if (auto err = apply_overrides(base, args)) return "config error: " + *err;
+  out = preset_points(preset, base);
+  if (out.empty()) {
+    return "unknown preset: " + preset +
+           "\nvalid presets: " + preset_names_line();
+  }
+  for (const auto& pt : out) {
+    if (auto err = pt.config.validate()) {
+      return "invalid point " + pt.label + ": " + *err;
+    }
+  }
+  return std::nullopt;
+}
+
+bool flag_value(const char* arg, const char* name, std::string& out) {
+  const std::size_t n = std::strlen(name);
+  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
+  out = arg + n + 1;
+  return true;
+}
+
+int bad_value(const char* arg) {
+  std::fprintf(stderr, "malformed flag value: %s\n", arg);
+  return 1;
 }
 
 }  // namespace ftnoc::sweep

@@ -36,4 +36,21 @@ std::optional<std::string> expand_grid(const SimConfig& base,
                                        const std::vector<GridAxis>& axes,
                                        std::vector<SweepPoint>& out);
 
+// --- Command line (ftnoc_sweep, ftnoc_campaign) -----------------------------
+
+/// A tool run's points at the tools' scale (30k ejected messages, 10k
+/// warm-up, 1.5M max cycles per point): `preset`'s grid with `args` as
+/// single-valued base overrides or, with no preset, the product of the
+/// `args` axes. Every point is validated. Returns the error message, or
+/// nullopt on success.
+std::optional<std::string> cli_points(const std::string& preset,
+                                      const std::vector<std::string>& args,
+                                      std::vector<SweepPoint>& out);
+
+/// True when `arg` is `name=VALUE`; VALUE goes to `out`.
+bool flag_value(const char* arg, const char* name, std::string& out);
+
+/// Reports a malformed flag value on stderr; returns exit status 1.
+int bad_value(const char* arg);
+
 }  // namespace ftnoc::sweep

@@ -32,9 +32,14 @@ class JsonRecord {
   std::string out_;
 };
 
-/// Appends every config knob that defines a point (everything except the
-/// seed and identity fields) in the canonical key order.
-void append_config_fields(JsonRecord& rec, const SimConfig& c);
+/// FNV-1a 64 of `s` (campaign config hashes, inline workload names).
+std::uint64_t fnv1a(std::string_view s);
+
+/// Appends the FTNOC_CONFIG_KEYS columns of `c` in table order, as each
+/// row's ConfigColumn rule says. `hashing` adds the kHashOnly keys that
+/// are off their defaults (the campaign config hash).
+void append_config_fields(JsonRecord& rec, const SimConfig& c,
+                          bool hashing = false);
 
 /// Appends every SimResults metric in the canonical key order.
 void append_result_fields(JsonRecord& rec, const SimResults& r);

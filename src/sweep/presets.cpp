@@ -512,14 +512,19 @@ std::vector<SweepPoint> workload_hotspot_points(const SimConfig& base) {
   return points;
 }
 
+// Every preset in display order: FTNOC_PRESET(name) is name_points().
+#define FTNOC_PRESETS(FTNOC_PRESET)                                        \
+  FTNOC_PRESET(fig05) FTNOC_PRESET(fig06) FTNOC_PRESET(fig07)             \
+  FTNOC_PRESET(fig08) FTNOC_PRESET(fig09) FTNOC_PRESET(fig13a)            \
+  FTNOC_PRESET(fig13b) FTNOC_PRESET(abl_cthres)                           \
+  FTNOC_PRESET(buffer_ablation) FTNOC_PRESET(fault_degradation)           \
+  FTNOC_PRESET(fault_degradation_16) FTNOC_PRESET(fault_storm)            \
+  FTNOC_PRESET(large_mesh) FTNOC_PRESET(perf) FTNOC_PRESET(workload_hotspot)
+
 const std::vector<std::string>& preset_names() {
-  static const std::vector<std::string> names = {
-      "fig05",      "fig06",  "fig07",
-      "fig08",      "fig09",  "fig13a",
-      "fig13b",     "abl_cthres", "buffer_ablation",
-      "fault_degradation",    "fault_degradation_16",
-      "fault_storm",    "large_mesh",    "perf",
-      "workload_hotspot"};
+#define FTNOC_NAME(preset) #preset,
+  static const std::vector<std::string> names = {FTNOC_PRESETS(FTNOC_NAME)};
+#undef FTNOC_NAME
   return names;
 }
 
@@ -534,21 +539,10 @@ std::string preset_names_line() {
 
 std::vector<SweepPoint> preset_points(const std::string& name,
                                       const SimConfig& base) {
-  if (name == "fig05") return fig05_points(base);
-  if (name == "fig06") return fig06_points(base);
-  if (name == "fig07") return fig07_points(base);
-  if (name == "fig08") return fig08_points(base);
-  if (name == "fig09") return fig09_points(base);
-  if (name == "fig13a") return fig13a_points(base);
-  if (name == "fig13b") return fig13b_points(base);
-  if (name == "abl_cthres") return abl_cthres_points(base);
-  if (name == "buffer_ablation") return buffer_ablation_points(base);
-  if (name == "fault_degradation") return fault_degradation_points(base);
-  if (name == "fault_degradation_16") return fault_degradation_16_points(base);
-  if (name == "fault_storm") return fault_storm_points(base);
-  if (name == "large_mesh") return large_mesh_points(base);
-  if (name == "perf") return perf_points(base);
-  if (name == "workload_hotspot") return workload_hotspot_points(base);
+#define FTNOC_POINTS(preset) \
+  if (name == #preset) return preset##_points(base);
+  FTNOC_PRESETS(FTNOC_POINTS)
+#undef FTNOC_POINTS
   return {};
 }
 

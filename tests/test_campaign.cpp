@@ -20,6 +20,7 @@
 #include "campaign/journal.hpp"
 #include "common/rng.hpp"
 #include "common/stats_util.hpp"
+#include "config_key_values.hpp"
 #include "noc/stats.hpp"
 #include "sweep/jsonl.hpp"
 #include "sweep/sweep.hpp"
@@ -339,17 +340,41 @@ TEST(CampaignEstimators, MeanCiHalfwidth) {
 }
 
 TEST(CampaignJournal, ConfigHashIgnoresSeedOnly) {
-  SimConfig a = tiny_config();
+  const SimConfig a = tiny_config();
+  const std::uint64_t h = campaign::config_hash(a);
+  // Changing a key that changes a run changes the hash; the seed (replicas
+  // differ only in seed) and the verification switches do not.
+#define FTNOC_X(key, member, rule)                               \
+  {                                                              \
+    SimConfig b = a;                                             \
+    b.member = test::other_value(a.member);                      \
+    if (ConfigColumn::rule == ConfigColumn::kNone) {             \
+      EXPECT_EQ(campaign::config_hash(b), h) << #key;            \
+    } else {                                                     \
+      EXPECT_NE(campaign::config_hash(b), h) << #key;            \
+    }                                                            \
+  }
+#define FTNOC_COMPOSITE(key)
+  FTNOC_CONFIG_KEYS(FTNOC_X, FTNOC_COMPOSITE)
+#undef FTNOC_COMPOSITE
+#undef FTNOC_X
   SimConfig b = a;
-  b.seed = a.seed + 123;  // Replicas differ only in seed: same point.
-  EXPECT_EQ(campaign::config_hash(a), campaign::config_hash(b));
+  b.dead_links.emplace_back(5, Direction::kEast);
+  EXPECT_NE(campaign::config_hash(b), h);
+  b = a;
+  b.storm_kills.push_back({100, 6, Direction::kSouth});
+  EXPECT_NE(campaign::config_hash(b), h);
+  b = a;
+  b.workload_text = "transfer t start=0 src=0 dest=1 flits=4\n";
+  EXPECT_NE(campaign::config_hash(b), h);
 
-  SimConfig c = a;
-  c.faults.link_error_rate = 2e-3;
-  EXPECT_NE(campaign::config_hash(a), campaign::config_hash(c));
-  SimConfig d = a;
-  d.total_messages += 1;
-  EXPECT_NE(campaign::config_hash(a), campaign::config_hash(d));
+  // Keys at their defaults hash as they did before the kHashOnly keys
+  // joined the hash, so existing journals still resume.
+  EXPECT_EQ(h, 1232885569702640658ull);
+  b.dead_links.emplace_back(5, Direction::kEast);
+  b.storm_kills.push_back({100, 6, Direction::kSouth});
+  b.adaptive_faults = b.run_to_drain = b.link_stats = true;
+  EXPECT_EQ(campaign::config_hash(b), 9090363419172181359ull);
 }
 
 TEST(CampaignJournal, ReplicaLineRoundTripsResults) {

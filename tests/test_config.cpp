@@ -140,6 +140,18 @@ TEST(Config, OverrideRejectsMalformedValue) {
   EXPECT_TRUE(apply_override(cfg, "mesh_width=abc").has_value());
   EXPECT_TRUE(apply_override(cfg, "pattern=xyz").has_value());
   EXPECT_TRUE(apply_override(cfg, "no_equals_sign").has_value());
+  // A link's node must fit a NodeId: 65541 would wrap to node 5.
+  EXPECT_TRUE(apply_override(cfg, "dead_link=65541:E").has_value());
+  EXPECT_TRUE(apply_override(cfg, "storm_kill=10:65541:E").has_value());
+  EXPECT_TRUE(apply_override(cfg, "storm_kill=10:5:X").has_value());
+  EXPECT_TRUE(apply_override(cfg, "storm_kill=5:E").has_value());
+  EXPECT_TRUE(cfg.dead_links.empty());
+  EXPECT_TRUE(cfg.storm_kills.empty());
+  ASSERT_EQ(apply_override(cfg, "storm_kill=10:5:w"), std::nullopt);
+  ASSERT_EQ(cfg.storm_kills.size(), 1u);
+  EXPECT_EQ(cfg.storm_kills[0].at, 10u);
+  EXPECT_EQ(cfg.storm_kills[0].node, 5);
+  EXPECT_EQ(cfg.storm_kills[0].dir, Direction::kWest);
 }
 
 TEST(Config, ApplyOverridesStopsAtFirstError) {

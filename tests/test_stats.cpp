@@ -163,7 +163,7 @@ TEST(CounterSet, IncrementAndReset) {
 TEST(StatsCollector, WarmupGatesEverything) {
   StatsCollector s;
   // Before measurement: events counted only in lifetime totals.
-  s.on_message_ejected(100, 10, 20, false);
+  s.on_message_ejected(100, 10, 20, false, 4);
   s.on_link_single_corrected();
   s.on_probe_sent();
   EXPECT_EQ(s.messages_ejected(), 1u);
@@ -172,7 +172,7 @@ TEST(StatsCollector, WarmupGatesEverything) {
   EXPECT_EQ(s.probes_sent(), 0u);
 
   s.begin_measurement(200);
-  s.on_message_ejected(260, 200, 230, false);
+  s.on_message_ejected(260, 200, 230, false, 4);
   s.on_link_single_corrected();
   EXPECT_EQ(s.measured_messages(), 1u);
   EXPECT_EQ(s.link_single_corrected(), 1u);
@@ -184,16 +184,16 @@ TEST(StatsCollector, WarmupGatesEverything) {
 TEST(StatsCollector, MissingInjectStampFallsBackToBirth) {
   StatsCollector s;
   s.begin_measurement(0);
-  s.on_message_ejected(50, 10, 0, false);
+  s.on_message_ejected(50, 10, 0, false, 4);
   EXPECT_DOUBLE_EQ(s.latency().mean(), 40.0);
 }
 
 TEST(StatsCollector, CorruptedOnlyCountedWhenMeasuring) {
   StatsCollector s;
-  s.on_message_ejected(1, 0, 0, true);
+  s.on_message_ejected(1, 0, 0, true, 4);
   EXPECT_EQ(s.corrupted_delivered(), 0u);
   s.begin_measurement(2);
-  s.on_message_ejected(3, 0, 0, true);
+  s.on_message_ejected(3, 0, 0, true, 4);
   EXPECT_EQ(s.corrupted_delivered(), 1u);
 }
 

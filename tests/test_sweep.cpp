@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "config_key_values.hpp"
 #include "sweep/grid.hpp"
 #include "sweep/jsonl.hpp"
 #include "sweep/presets.hpp"
@@ -342,6 +343,69 @@ TEST(SweepJsonl, RecordShapeAndEscaping) {
   EXPECT_EQ(line.find("wall_ms"), std::string::npos);
   EXPECT_NE(sweep::to_jsonl(pr, /*include_timing=*/true).find("wall_ms"),
             std::string::npos);
+}
+
+// Every FTNOC_CONFIG_KEYS row parses through apply_override into its
+// member, and a column row shows the value it was given in to_jsonl; a
+// row with no column stays out of the config columns.
+TEST(ConfigKeys, EveryKeyRoundTripsIntoItsColumn) {
+  const SimConfig defaults;
+  auto has_field = [](const std::string& line, const std::string& field) {
+    return line.find(field + ",") != std::string::npos ||
+           line.find(field + "}") != std::string::npos;
+  };
+#define FTNOC_X(key, member, rule)                                          \
+  {                                                                         \
+    const auto value = test::other_value(defaults.member);                  \
+    sweep::PointResult pr;                                                  \
+    ASSERT_EQ(apply_override(pr.config, std::string(#key "=") +             \
+                                            test::override_text(value)),    \
+              std::nullopt)                                                 \
+        << #key;                                                            \
+    EXPECT_EQ(pr.config.member, value) << #key;                             \
+    sweep::JsonRecord rec;                                                  \
+    sweep::append_config_fields(rec, pr.config);                            \
+    const std::string columns = rec.close();                                \
+    const std::string line = sweep::to_jsonl(pr);                           \
+    if (ConfigColumn::rule == ConfigColumn::kAlways ||                      \
+        ConfigColumn::rule == ConfigColumn::kIfSet) {                       \
+      EXPECT_TRUE(has_field(line, "\"" #key "\":" + test::json_text(value))) \
+          << line;                                                          \
+    } else {                                                                \
+      EXPECT_EQ(columns.find("\"" #key "\":"), std::string::npos) << #key;  \
+    }                                                                       \
+  }
+#define FTNOC_COMPOSITE(key)
+  FTNOC_CONFIG_KEYS(FTNOC_X, FTNOC_COMPOSITE)
+#undef FTNOC_COMPOSITE
+#undef FTNOC_X
+
+  // A flag column is absent while the flag holds its default.
+  sweep::PointResult pr;
+  const std::string line = sweep::to_jsonl(pr);
+  for (const char* key : {"adaptive_faults", "run_to_drain", "link_stats"}) {
+    EXPECT_EQ(line.find(std::string("\"") + key + "\":"), std::string::npos)
+        << key;
+  }
+}
+
+TEST(ConfigKeys, EnumAliasesParseToTheCanonicalName) {
+  const struct {
+    const char* assignment;
+    const char* canonical;
+  } cases[] = {{"routing=dt", "xy"},        {"routing=ad", "adaptive"},
+               {"routing=duato", "escape"}, {"pattern=uniform", "nr"},
+               {"pattern=bitcomp", "bc"},   {"pattern=tornado", "tn"}};
+  for (const auto& c : cases) {
+    sweep::PointResult pr;
+    ASSERT_EQ(apply_override(pr.config, c.assignment), std::nullopt);
+    const std::string key =
+        std::string(c.assignment).substr(0, std::string(c.assignment).find('='));
+    EXPECT_NE(sweep::to_jsonl(pr).find("\"" + key + "\":\"" + c.canonical +
+                                       "\""),
+              std::string::npos)
+        << c.assignment;
+  }
 }
 
 }  // namespace

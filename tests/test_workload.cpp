@@ -136,6 +136,16 @@ TEST(WorkloadParse, RejectsMalformedInput) {
       {"transfer t start=0 src=0 dest=1 flits=4 count=0\n", "count must be in"},
       {"transfer t start=0 src=0 dest=1 flits=4 wat=1\n", "unknown key"},
       {"transfer t start=x src=0 dest=1 flits=4\n", "bad value for start"},
+      // Values are plain decimal digits: no sign, no blank, no overflow,
+      // and the signed fields stop below 2^63.
+      {"transfer t start=+5 src=0 dest=1 flits=4\n", "bad value for start"},
+      {"transfer t start= 5 src=0 dest=1 flits=4\n", "bad value for start"},
+      {"transfer t start=0 src=-1 dest=1 flits=4\n", "bad value for src"},
+      {"transfer t start=18446744073709551616 src=0 dest=1 flits=4\n",
+       "bad value for start"},
+      {"transfer t start=0 src=0 dest=1 flits=9223372036854775808\n",
+       "bad value for flits"},
+      {"packet_flits +4\n", "packet_flits expects an integer"},
       {"many_to_one t start=0 src=2 dest=1 flits=4\n", "does not take src="},
       {"all_to_all t start=0 flits=4 count=2\n", "does not take count="},
       {"packet_flits 0\n", "packet_flits must be in"},
@@ -212,6 +222,30 @@ TEST(WorkloadReplay, LinkUtilSeesExactlyTheTraversedLinks) {
   EXPECT_EQ(fwd[0 * 4 + east], 8u);
   EXPECT_EQ(fwd[1 * 4 + east], 8u);
   EXPECT_EQ(fwd[2 * 4 + east], 8u);
+}
+
+TEST(WorkloadReplay, ThroughputCountsEachPacketsOwnFlits) {
+  // Workload packets carry their own lengths (5, 5 and a 3-flit remainder;
+  // 2 and 2), not the packet_length knob: 17 flits in 5 messages.
+  SimConfig cfg;
+  cfg.mesh_width = 4;
+  cfg.mesh_height = 4;
+  cfg.packet_length = 4;
+  cfg.injection_rate = 0.0;
+  cfg.warmup_messages = 0;
+  cfg.total_messages = 1;
+  cfg.max_cycles = 10'000;
+  cfg.run_to_drain = true;
+  cfg.workload_text =
+      "packet_flits 5\n"
+      "transfer a start=0 src=0 dest=3 flits=13\n"
+      "packet_flits 2\n"
+      "transfer b start=0 src=12 dest=15 flits=4\n";
+  const SimResults r = run_simulation(cfg);
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(r.measured_messages, 5u);
+  EXPECT_DOUBLE_EQ(r.throughput_flits_node_cycle,
+                   17.0 / (static_cast<double>(r.cycles) * 16.0));
 }
 
 TEST(WorkloadReplay, LinkStatsOffLeavesResultsEmpty) {

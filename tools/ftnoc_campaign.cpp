@@ -56,18 +56,6 @@ constexpr const char* kUsage =
     "  --quiet           suppress per-wave progress on stderr\n"
     "  --help            this text\n";
 
-bool flag_value(const char* arg, const char* name, std::string& out) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  out = arg + n + 1;
-  return true;
-}
-
-int bad_value(const char* arg) {
-  std::fprintf(stderr, "malformed flag value: %s\n", arg);
-  return 1;
-}
-
 void list_presets(std::FILE* to) {
   std::fprintf(to, "valid presets: %s\n",
                ftnoc::sweep::preset_names_line().c_str());
@@ -77,6 +65,8 @@ void list_presets(std::FILE* to) {
 
 int main(int argc, char** argv) {
   using namespace ftnoc;
+  using sweep::bad_value;
+  using sweep::flag_value;
 
   campaign::CampaignOptions opts;
   std::string out_path;
@@ -141,49 +131,14 @@ int main(int argc, char** argv) {
   }
   if (!resume_path.empty()) journal_path = resume_path;
 
-  SimConfig base;
-  base.total_messages = 30'000;
-  base.warmup_messages = 10'000;
-  base.max_cycles = 1'500'000;
-
+  if (preset == "help") {
+    list_presets(stdout);
+    return 0;
+  }
   std::vector<sweep::SweepPoint> points;
-  if (!preset.empty()) {
-    if (preset == "help") {
-      list_presets(stdout);
-      return 0;
-    }
-    // Positional args become base overrides; the preset supplies the axes.
-    if (auto err = apply_overrides(base, axis_specs)) {
-      std::fprintf(stderr, "config error: %s\n", err->c_str());
-      return 1;
-    }
-    points = sweep::preset_points(preset, base);
-    if (points.empty()) {
-      std::fprintf(stderr, "unknown preset: %s\n", preset.c_str());
-      list_presets(stderr);
-      return 1;
-    }
-    for (const auto& pt : points) {
-      if (auto err = pt.config.validate()) {
-        std::fprintf(stderr, "invalid point %s: %s\n", pt.label.c_str(),
-                     err->c_str());
-        return 1;
-      }
-    }
-  } else {
-    std::vector<sweep::GridAxis> axes;
-    for (const auto& spec : axis_specs) {
-      sweep::GridAxis axis;
-      if (auto err = sweep::parse_axis(spec, axis)) {
-        std::fprintf(stderr, "grid error: %s\n", err->c_str());
-        return 1;
-      }
-      axes.push_back(std::move(axis));
-    }
-    if (auto err = sweep::expand_grid(base, axes, points)) {
-      std::fprintf(stderr, "grid error: %s\n", err->c_str());
-      return 1;
-    }
+  if (auto err = sweep::cli_points(preset, axis_specs, points)) {
+    std::fprintf(stderr, "%s\n", err->c_str());
+    return 1;
   }
 
   // Resume: load the journal's valid prefix, truncate any torn tail, and

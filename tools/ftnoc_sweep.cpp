@@ -45,22 +45,12 @@ constexpr const char* kUsage =
     "  --quiet        suppress the per-point progress on stderr\n"
     "  --help         this text\n";
 
-bool flag_value(const char* arg, const char* name, std::string& out) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  out = arg + n + 1;
-  return true;
-}
-
-int bad_value(const char* arg) {
-  std::fprintf(stderr, "malformed flag value: %s\n", arg);
-  return 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace ftnoc;
+  using sweep::bad_value;
+  using sweep::flag_value;
 
   sweep::SweepOptions opts;
   std::string out_path;
@@ -98,45 +88,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  SimConfig base;
-  base.total_messages = 30'000;
-  base.warmup_messages = 10'000;
-  base.max_cycles = 1'500'000;
-
   std::vector<sweep::SweepPoint> points;
-  if (!preset.empty()) {
-    // Positional args become base overrides; the preset supplies the axes.
-    if (auto err = apply_overrides(base, axis_specs)) {
-      std::fprintf(stderr, "config error: %s\n", err->c_str());
-      return 1;
-    }
-    points = sweep::preset_points(preset, base);
-    if (points.empty()) {
-      std::fprintf(stderr, "unknown preset: %s\nvalid presets: %s\n",
-                   preset.c_str(), sweep::preset_names_line().c_str());
-      return 1;
-    }
-    for (const auto& pt : points) {
-      if (auto err = pt.config.validate()) {
-        std::fprintf(stderr, "invalid point %s: %s\n", pt.label.c_str(),
-                     err->c_str());
-        return 1;
-      }
-    }
-  } else {
-    std::vector<sweep::GridAxis> axes;
-    for (const auto& spec : axis_specs) {
-      sweep::GridAxis axis;
-      if (auto err = sweep::parse_axis(spec, axis)) {
-        std::fprintf(stderr, "grid error: %s\n", err->c_str());
-        return 1;
-      }
-      axes.push_back(std::move(axis));
-    }
-    if (auto err = sweep::expand_grid(base, axes, points)) {
-      std::fprintf(stderr, "grid error: %s\n", err->c_str());
-      return 1;
-    }
+  if (auto err = sweep::cli_points(preset, axis_specs, points)) {
+    std::fprintf(stderr, "%s\n", err->c_str());
+    return 1;
   }
 
   std::FILE* out = stdout;
