@@ -88,10 +88,6 @@ struct PointAggregate {
                                    : 0;
     return wilson_interval(lost, packets_created);
   }
-  /// Deadlock-recovery success: recovery episodes that drained and exited.
-  RateInterval recovery_success() const {
-    return wilson_interval(recoveries_exited, recoveries_entered);
-  }
   /// Fraction of replicas that completed (ejected their full budget).
   RateInterval completion() const {
     return wilson_interval(static_cast<std::uint64_t>(completed_replicas),

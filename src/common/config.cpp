@@ -152,7 +152,10 @@ std::optional<std::string> SimConfig::validate() const {
   // The separable allocators use 32-wide round-robin arbiters over P*V
   // global VC ids; with P = 5 ports that bounds V at 6.
   if (num_vcs < 1 || num_vcs > 6) return err("num_vcs must be in [1,6]");
-  if (vc_buffer_depth < 1) return err("vc_buffer_depth must be >= 1");
+  // The optimized router indexes each input ring with 16-bit counters.
+  if (vc_buffer_depth < 1 || vc_buffer_depth > 0xFFFF) {
+    return err("vc_buffer_depth must be in [1,65535]");
+  }
   if (pipeline_stages < 1 || pipeline_stages > 4) {
     return err("pipeline_stages must be in [1,4]");
   }

@@ -221,6 +221,14 @@ struct SimConfig {
     return !dead_links.empty() || !storm_kills.empty();
   }
 
+  /// True when every network output VC carries a retransmission barrel:
+  /// under HBH link protection, or when deadlock recovery (which reuses
+  /// the barrels) is enabled — the paper's observation that forgoing
+  /// recovery support needs only the 3-deep link-error buffers.
+  bool has_rtx_barrels() const {
+    return protection == LinkProtection::kHbh || deadlock.enable_recovery;
+  }
+
   /// Validates invariants (positive sizes, rates in [0,1], ...).
   /// Returns an error description, or nullopt if the config is valid.
   std::optional<std::string> validate() const;

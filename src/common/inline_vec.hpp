@@ -6,15 +6,16 @@
 // never touch the heap. Growing past N spills the whole contents into a
 // backing std::vector which is then kept for the container's remaining
 // lifetime (its capacity is never released), so even a transient spike
-// causes at most one allocation ever, not one per cycle.
+// causes at most one allocation ever, not one per cycle. The inline slots
+// are raw until pushed (RawSlots), so an empty InlineVec costs nothing to
+// build.
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/raw_slots.hpp"
 
 namespace ftnoc {
 
@@ -39,7 +40,7 @@ class InlineVec {
       spill();
       heap_.push_back(v);
     } else {
-      inline_[size_] = v;
+      inline_.put(size_, v);
     }
     ++size_;
   }
@@ -79,14 +80,12 @@ class InlineVec {
   void spill() {
     heap_.clear();
     heap_.reserve(2 * N);
-    for (std::size_t i = 0; i < size_; ++i) {
-      heap_.push_back(std::move(inline_[i]));
-    }
+    heap_.insert(heap_.end(), inline_.data(), inline_.data() + size_);
     spilled_ = true;
   }
 
   void unspill() {
-    for (std::size_t i = 0; i < size_; ++i) inline_[i] = std::move(heap_[i]);
+    for (std::size_t i = 0; i < size_; ++i) inline_.put(i, heap_[i]);
     heap_.clear();  // Capacity retained for the next spike.
     spilled_ = false;
   }
@@ -96,7 +95,7 @@ class InlineVec {
 
   std::size_t size_ = 0;
   bool spilled_ = false;
-  std::array<T, N> inline_{};
+  RawSlots<T, N> inline_;
   std::vector<T> heap_;
 };
 

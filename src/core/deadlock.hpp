@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hpp"
@@ -48,12 +49,16 @@ struct ProbeSignal {
   /// circulate forever inside a cycle that excludes its origin.
   std::uint32_t hops = 0;
 };
+static_assert(std::is_trivially_copyable_v<ProbeSignal> &&
+              std::is_trivially_destructible_v<ProbeSignal>);
 
 /// Activation travelling the same cycle after the probe returned.
 struct ActivationSignal {
   NodeId origin = kInvalidNode;
   std::uint32_t probe_id = 0;
 };
+static_assert(std::is_trivially_copyable_v<ActivationSignal> &&
+              std::is_trivially_destructible_v<ActivationSignal>);
 
 /// What a node should do with an incoming probe (Rule 2).
 enum class ProbeAction : std::uint8_t {

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "common/types.hpp"
 #include "ecc/hamming.hpp"
@@ -73,6 +74,10 @@ struct Flit {
   std::string describe() const;
 };
 static_assert(sizeof(Flit) == 64, "Flit must stay one 64-byte cache line");
+// Buffer slots hold flits in raw storage that is written, never
+// constructed or destroyed, in place (DESIGN.md §4.11).
+static_assert(std::is_trivially_copyable_v<Flit> &&
+              std::is_trivially_destructible_v<Flit>);
 
 /// Builds a flit with its codeword freshly encoded from `payload`.
 Flit make_flit(FlitType type, PacketId pid, NodeId src, NodeId dest,

@@ -112,16 +112,13 @@ class InvariantMonitor {
   void check_flit_conservation(Cycle now, long long live);
 
   // --- Credit conservation ------------------------------------------------
-  /// Whether the configuration admits no credit-loss process, making the
-  /// per-link credit sum an exact equality rather than an upper bound.
-  bool strict_credits() const { return strict_credits_; }
   /// `total` is the full accounting for one directed link and VC as seen
-  /// by the Network walk; must be == depth (strict) or <= depth (lossy).
+  /// by the Network walk; must be == depth when the configuration admits
+  /// no credit-loss process (strict_credits_), else <= depth.
   void check_credit_sum(Cycle now, NodeId sender, int port, int vc,
                         int total, int depth);
 
   // --- Receive-sequence monotonicity --------------------------------------
-  bool sequence_check_enabled() const { return seq_check_; }
   /// Called for every flit a router accepts into an input buffer (after
   /// the link-protection policy; dropped flits never reach this).
   void on_flit_accepted(Cycle now, NodeId router, int port, const Flit& f);

@@ -1,5 +1,7 @@
 #include "core/retransmission_buffer.hpp"
 
+#include <new>
+
 #include "common/check.hpp"
 
 namespace ftnoc {
@@ -18,10 +20,11 @@ RetransmissionBuffer::RetransmissionBuffer(Slot* slots, int depth,
   }
 }
 
-void RetransmissionBuffer::insert_at(int i, const Slot& s) {
+void RetransmissionBuffer::insert_at(int i, const Flit& f, Cycle sent_at,
+                                     bool credit_held) {
   FTNOC_CHECK(free_slots() > 0);
-  for (int k = occupancy(); k > i; --k) at(k) = at(k - 1);
-  at(i) = s;
+  for (int k = occupancy(); k > i; --k) ::new (&at(k)) Slot(at(k - 1));
+  ::new (&at(i)) Slot{f, sent_at, credit_held};
 }
 
 void RetransmissionBuffer::erase_at(int i) {
@@ -56,8 +59,9 @@ void RetransmissionBuffer::record_transmission(const Flit& f, Cycle now) {
     --sent_;
   }
   // A fresh send goes behind the sent region, ahead of any pending flits
-  // (a deadlock-recovery waiter's, queued behind this owner).
-  insert_at(sent_, {f, now, false});
+  // (a deadlock-recovery waiter's, queued behind this owner). With none
+  // pending, that is the one write of the free slot at(sent_).
+  insert_at(sent_, f, now, false);
   ++sent_;
 }
 
@@ -97,12 +101,12 @@ Flit RetransmissionBuffer::pop_pending() {
 }
 
 void RetransmissionBuffer::absorb(const Flit& f) {
-  insert_at(occupancy(), {f, 0, /*credit_held=*/false});
+  insert_at(occupancy(), f, 0, /*credit_held=*/false);
   ++pending_;
 }
 
 void RetransmissionBuffer::push_pending_back(const Flit& f) {
-  insert_at(occupancy(), {f, 0, /*credit_held=*/true});
+  insert_at(occupancy(), f, 0, /*credit_held=*/true);
   ++pending_;
 }
 
@@ -110,7 +114,7 @@ void RetransmissionBuffer::absorb_as_owner(const Flit& f,
                                            PacketId owner_pid) {
   int i = sent_;
   while (i < occupancy() && at(i).flit.packet_id == owner_pid) ++i;
-  insert_at(i, {f, 0, /*credit_held=*/false});
+  insert_at(i, f, 0, /*credit_held=*/false);
   ++pending_;
 }
 

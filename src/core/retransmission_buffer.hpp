@@ -26,10 +26,12 @@
 // flit) just moves the boundary; retirement advances the head; a NACK
 // moves the boundary back to the head. Only absorb_as_owner, pop_pending
 // and a fresh send behind a waiter's pending flits shift entries, and
-// never more than depth-1 of them.
+// never more than depth-1 of them. Over a router's barrel slab the slots
+// are raw until a flit is recorded or absorbed into them.
 
 #include <cstddef>
 #include <memory>
+#include <type_traits>
 
 #include "common/types.hpp"
 #include "core/flit.hpp"
@@ -161,9 +163,10 @@ class RetransmissionBuffer {
     const int j = head_ + i;
     return slots_[j < depth_ ? j : j - depth_];
   }
-  /// Inserts `s` at ring position `i`, shifting positions [i, occupancy)
-  /// one toward the tail. Requires a free slot.
-  void insert_at(int i, const Slot& s);
+  /// Writes a slot holding `f` at ring position `i`, shifting positions
+  /// [i, occupancy) one toward the tail first (none when `i` is the
+  /// tail). Requires a free slot; `f` must not live in this barrel.
+  void insert_at(int i, const Flit& f, Cycle sent_at, bool credit_held);
   /// Removes ring position `i`, shifting the later positions one toward
   /// the head.
   void erase_at(int i);
@@ -176,5 +179,7 @@ class RetransmissionBuffer {
   int sent_ = 0;     ///< Ring positions [0, sent_) — oldest first.
   int pending_ = 0;  ///< Positions [sent_, sent_ + pending_) — next first.
 };
+static_assert(std::is_trivially_copyable_v<RetransmissionBuffer::Slot> &&
+              std::is_trivially_destructible_v<RetransmissionBuffer::Slot>);
 
 }  // namespace ftnoc

@@ -10,7 +10,8 @@
 // Each channel keeps two slots and a phase bit: slot `phase_` is this
 // cycle's (readable) value, the other slot is next cycle's (written)
 // value. A tick flips the phase and drops whatever the old current slot
-// held, so no value is moved or copied at the clock edge.
+// held, so no value is moved or copied at the clock edge. Slots are raw
+// until written (RawSlots): building a channel writes no slot.
 
 #include <array>
 #include <cstddef>
@@ -18,6 +19,7 @@
 #include <span>
 
 #include "common/check.hpp"
+#include "common/raw_slots.hpp"
 
 namespace ftnoc {
 
@@ -26,10 +28,15 @@ class Channel {
  public:
   /// Writes the value to appear on the wire next cycle. At most one write
   /// per cycle (the wire has no buffering).
-  void write(const T& v) {
+  void write(const T& v) { write_slot(v); }
+
+  /// write() that returns the written slot, so the producer can finish
+  /// the value in place instead of staging a copy. The reference is valid
+  /// until the tick after next.
+  T& write_slot(const T& v) {
     FTNOC_CHECK(can_write());
-    slot_[next()] = v;
     full_ |= bit(next());
+    return slot_.put(next(), v);
   }
 
   bool can_write() const { return (full_ & bit(next())) == 0; }
@@ -67,7 +74,7 @@ class Channel {
     return static_cast<std::uint8_t>(1u << slot);
   }
 
-  std::array<T, 2> slot_{};
+  RawSlots<T, 2> slot_;
   std::uint8_t phase_ = 0;
   std::uint8_t full_ = 0;  ///< Bit s: slot_[s] holds a value.
 };
@@ -83,7 +90,7 @@ class MultiChannel {
   void write(const T& v) {
     Slot& s = slot_[phase_ ^ 1u];
     FTNOC_CHECK(s.n < N);
-    s.v[s.n++] = v;
+    s.v.put(s.n++, v);
   }
 
   bool empty() const { return slot_[phase_].n == 0; }
@@ -113,10 +120,10 @@ class MultiChannel {
 
  private:
   struct Slot {
-    std::array<T, N> v{};
+    RawSlots<T, N> v;
     std::uint8_t n = 0;
   };
-  std::array<Slot, 2> slot_{};
+  std::array<Slot, 2> slot_;
   std::uint8_t phase_ = 0;
 };
 

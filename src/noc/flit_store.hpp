@@ -2,16 +2,18 @@
 // Structure-of-arrays flit storage for the router's input VCs.
 //
 // The optimized router keeps every input-VC buffer in one contiguous
-// gid-major slab (`std::vector<Flit>`) instead of a heap-allocated queue
-// per VC. FlitRing is the non-owning ring view over one VC's window of
-// that slab; it exposes only the queue operations the phase code uses, so
-// the phases stay layout-agnostic while the storage itself is
-// cache-linear in ascending-gid order. Each window is its VC's private
+// gid-major slab (a span of the router's storage block) instead of a
+// heap-allocated queue per VC. FlitRing is the non-owning ring view over
+// one VC's window of that slab; it exposes only the queue operations the
+// phase code uses, so the phases stay layout-agnostic while the storage
+// itself is cache-linear in ascending-gid order. The slab is raw until
+// written: a slot's flit begins its lifetime at push_back, and
+// construction writes none. Each window is its VC's private
 // vc_buffer_depth-flit buffer (DESIGN.md §4.11).
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
+#include <memory>
 
 #include "common/check.hpp"
 #include "core/flit.hpp"
@@ -52,12 +54,18 @@ class FlitRing {
     return base_[wrap(head_ + i)];
   }
 
-  void push_back(Flit v) {
+  /// Copies `v` into the next free slot and returns it, so the caller can
+  /// stamp per-hop fields in place.
+  Flit& push_back(const Flit& v) {
     FTNOC_CHECK(size_ < cap_);
-    base_[wrap(head_ + size_)] = std::move(v);
+    Flit* slot = base_ + wrap(head_ + size_);
     ++size_;
+    return *std::construct_at(slot, v);
   }
 
+  /// Drops the front flit. Its slot is not written again until the
+  /// ring's next push, so a reference taken from front() before the pop
+  /// stays valid until then.
   void pop_front() {
     FTNOC_DCHECK(size_ > 0);
     head_ = static_cast<std::uint16_t>(wrap(head_ + 1));

@@ -1,5 +1,6 @@
 #include "noc/network.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
@@ -188,7 +189,6 @@ bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
       }
     }
     wire_->write(f);
-    if (stats_) stats_->on_flit_injected();
     if (lane.remaining() == 0) {
       lane.flits = {};  // Packet fully sent: release it.
       lane.next = 0;
@@ -320,10 +320,17 @@ Network::Network(const SimConfig& cfg)
   scan_kernel_ = cfg_.use_reference_router;
   tx_occ_cache_.assign(static_cast<std::size_t>(n), 0);
   rtx_occ_cache_.assign(static_cast<std::size_t>(n), 0);
-  for (const auto& r : routers_) {
-    tx_slots_total_ += r->tx_buffer_slots();
-    rtx_slots_total_ += r->rtx_buffer_slots();
-  }
+  // Buffer-sampling denominators: every router buffers vc_buffer_depth
+  // flits per VC on its local port and on each port a link wire feeds;
+  // each link's sender holds a retransmission_depth barrel per VC. Equal
+  // to summing the routers' tx/rtx_buffer_slots().
+  const auto links = static_cast<long long>(
+      std::count_if(link_wires_.begin(), link_wires_.end(),
+                    [](const Wire* w) { return w != nullptr; }));
+  tx_slots_total_ = (n + links) * cfg_.num_vcs * cfg_.vc_buffer_depth;
+  rtx_slots_total_ = cfg_.has_rtx_barrels()
+                         ? links * cfg_.num_vcs * cfg_.retransmission_depth
+                         : 0;
   if (scan_kernel_) {
     // The scan steps every router every cycle.
     stepped_.resize(static_cast<std::size_t>(n));

@@ -32,7 +32,8 @@ Router::Router(NodeId id, const SimConfig& cfg, const Topology& topo,
   const std::size_t bytes = carve_storage(nullptr);
   storage_ = std::make_unique_for_overwrite<std::byte[]>(bytes);
   carve_storage(storage_.get());
-  // Every input VC owns a private vc_buffer_depth-flit ring in one slab.
+  // Every input VC owns a private vc_buffer_depth-flit ring in one slab
+  // (validate() caps the depth at the ring's 16-bit index range).
   const auto ring = static_cast<std::size_t>(cfg_.vc_buffer_depth);
   for (std::size_t g = 0; g < inputs_.size(); ++g) {
     inputs_[g].buf.bind(in_flit_slab_.data() + g * ring,
@@ -76,26 +77,29 @@ Router::~Router() { std::destroy(out_rtx_.begin(), out_rtx_.end()); }
 std::size_t Router::carve_storage(std::byte* block) {
   const auto pv = static_cast<std::size_t>(num_ports_ * num_vcs_);
   std::size_t used = 0;
-  // Next suitably aligned run of `n` Ts, value-initialized from `args`.
-  const auto carve = [&]<class T>(std::span<T>& out, std::size_t n,
-                                  const auto&... args) {
+  // Next suitably aligned run of `n` Ts, left raw.
+  const auto carve_raw = [&]<class T>(std::span<T>& out, std::size_t n) {
     static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
     used = (used + alignof(T) - 1) / alignof(T) * alignof(T);
     if (block != nullptr) {
-      T* const first = reinterpret_cast<T*>(block + used);
-      for (std::size_t i = 0; i < n; ++i) ::new (first + i) T(args...);
-      out = std::span<T>(first, n);
+      out = std::span<T>(reinterpret_cast<T*>(block + used), n);
     }
     used += n * sizeof(T);
   };
-  // Retransmission buffers exist on network output VCs when the link
-  // protection scheme is HBH or when deadlock recovery (which reuses them)
-  // is enabled — mirroring the paper's observation that forgoing deadlock
-  // recovery support needs only the 3-deep link-error buffers.
-  const bool use_rtx =
-      cfg_.protection == LinkProtection::kHbh || cfg_.deadlock.enable_recovery;
-  carve(in_flit_slab_, pv * static_cast<std::size_t>(cfg_.vc_buffer_depth));
-  carve(rtx_slab_, use_rtx ? (pv - static_cast<std::size_t>(num_vcs_)) *
+  // Next run of `n` Ts, value-initialized from `args`.
+  const auto carve = [&]<class T>(std::span<T>& out, std::size_t n,
+                                  const auto&... args) {
+    carve_raw(out, n);
+    if (block != nullptr) {
+      for (T& t : out) ::new (&t) T(args...);
+    }
+  };
+  // The flit slabs are most of the block (6,720 bytes at V = 3, T = 4,
+  // R = 3), and no slot is read before a flit is written into it.
+  carve_raw(in_flit_slab_,
+            pv * static_cast<std::size_t>(cfg_.vc_buffer_depth));
+  carve_raw(rtx_slab_, cfg_.has_rtx_barrels()
+                           ? (pv - static_cast<std::size_t>(num_vcs_)) *
                                  static_cast<std::size_t>(
                                      cfg_.retransmission_depth)
                            : 0);
@@ -514,18 +518,18 @@ void Router::handle_incoming_flit(PortId p, Flit& f, Cycle now) {
   accept_flit(p, f, now);
 }
 
-void Router::accept_flit(PortId p, const Flit& f0, Cycle now) {
-  Flit f = f0;
-  auto& vc = ivc(p, f.vc);
+void Router::accept_flit(PortId p, const Flit& f, Cycle now) {
   const VcId v = f.vc;
-  f.arrived_cycle = now;
+  auto& vc = ivc(p, v);
+  // The flit's one copy into this router: its input-ring slot.
+  Flit& slot = vc.buf.push_back(f);
+  slot.arrived_cycle = now;
   if (mon_) {
     // Injection is counted where a flit enters the conservation ledger's
     // domain: acceptance from the local PE.
     if (p == kLocalPort) mon_->on_injected();
-    mon_->on_flit_accepted(now, id_, p, f);
+    mon_->on_flit_accepted(now, id_, p, slot);
   }
-  vc.buf.push_back(std::move(f));
   if (vc.buf.size() == 1) vc.front_arrived = now;
   ++in_port_occ_[p];
   update_input_work(gid(p, v));
@@ -569,11 +573,9 @@ void Router::phase_replay_and_switch(Cycle now) {
     if (mask == 0) continue;
     const int v = replay_arbs_[o].arbitrate(mask);
     const auto& rtx = orx(gid(o, static_cast<VcId>(v)));
-    const bool credit_held = rtx->front_pending_credit_held();
-    Flit f = rtx->front_pending();
     charge(power::EnergyEvent::kRetransmission);
-    transmit(o, static_cast<VcId>(v), std::move(f), now,
-             /*consume_credit=*/!credit_held);
+    transmit(o, static_cast<VcId>(v), rtx->front_pending(), now,
+             /*consume_credit=*/!rtx->front_pending_credit_held());
   }
 
   // (b) SA input stage: each input port nominates one of its kActive VCs.
@@ -649,7 +651,9 @@ void Router::phase_replay_and_switch(Cycle now) {
       corrupt_in_flight = true;
     }
 
-    Flit f = vc.buf.front();
+    // The popped slot stays intact until this ring's next push, which no
+    // code below makes: read the flit where it sits.
+    const Flit& f = vc.buf.front();
     vc.buf.pop_front();
     vc.sync_front_arrived();
     --in_port_occ_[p];
@@ -666,7 +670,7 @@ void Router::phase_replay_and_switch(Cycle now) {
         update_output_work(gid(kLocalPort, vc.out_vc));
       }
     } else {
-      transmit(vc.out_port, vc.out_vc, std::move(f), now,
+      transmit(vc.out_port, vc.out_vc, f, now,
                /*consume_credit=*/true, corrupt_in_flight);
     }
     if (tail) {
@@ -696,26 +700,32 @@ void Router::finalize_transmission(PortId o, VcId v, const Flit& f,
   // recovers it; without one the corrupt copy persists, and if the
   // original transmission is NACKed the replay resends the same broken
   // word forever — the endless retransmission loop.
-  Flit stored = f;
+  bool wreck_stored = false;
   if (f_rtx_live_ && faults_->upset_rtx_copy()) {
     if (cfg_.duplicate_rtx_buffers) {
       if (stats_) stats_->on_rtx_error_corrected();
       charge(power::EnergyEvent::kRtxBufferWrite);  // Duplicate access.
     } else {
-      // Latent fault: harmless unless this copy is ever replayed.
-      stored.codeword.flip(static_cast<int>(faults_->random_below(36)));
-      stored.codeword.flip(36 + static_cast<int>(faults_->random_below(36)));
+      wreck_stored = true;
     }
   }
   const int before = rtx->occupancy();
-  rtx->record_transmission(stored, now);
+  if (wreck_stored) {
+    // Latent fault: harmless unless this copy is ever replayed.
+    Flit stored = f;
+    stored.codeword.flip(static_cast<int>(faults_->random_below(36)));
+    stored.codeword.flip(36 + static_cast<int>(faults_->random_below(36)));
+    rtx->record_transmission(stored, now);
+  } else {
+    rtx->record_transmission(f, now);
+  }
   rtx_occ_ += rtx->occupancy() - before;
   refresh_rtx_cache(gid(o, v));
   update_output_work(gid(o, v));
   charge(power::EnergyEvent::kRtxBufferWrite);
 }
 
-void Router::transmit(PortId o, VcId v, Flit f, Cycle now,
+void Router::transmit(PortId o, VcId v, const Flit& f, Cycle now,
                       bool consume_credit, bool corrupt_on_wire) {
   FTNOC_CHECK(o != kLocalPort);
   FTNOC_CHECK(out_wires_[o] != nullptr);
@@ -724,8 +734,6 @@ void Router::transmit(PortId o, VcId v, Flit f, Cycle now,
     FTNOC_CHECK(out.credits > 0);
     --out.credits;
   }
-  f.vc = v;
-  ++f.hops;
   charge(power::EnergyEvent::kLinkTraversal);
   // In-crossbar upset (unprotected SA error): the wire copy is wrecked
   // but the barrel copy stays clean, so a NACKed replay recovers the
@@ -742,27 +750,28 @@ void Router::transmit(PortId o, VcId v, Flit f, Cycle now,
     // The dedicated ST stage: barrel recording happens at flush time so
     // the NACK-loop ages line up with the wire.
     FTNOC_CHECK(!staged_[o].has_value());
-    Flit wire = f;
+    StagedFlit& s = staged_[o].emplace(StagedFlit{f, f, v});
+    s.stored.vc = v;
+    ++s.stored.hops;
+    s.wire = s.stored;
     if (corrupt_on_wire) {
-      wire.codeword.flip(flip1);
-      wire.codeword.flip(flip2);
+      s.wire.codeword.flip(flip1);
+      s.wire.codeword.flip(flip2);
     }
-    staged_[o] = StagedFlit{std::move(wire), std::move(f), v};
     ++staged_count_;
   } else {
-    finalize_transmission(o, v, f, now);
-    FTNOC_CHECK(out_wires_[o]->flit.can_write());
-    if (corrupt_on_wire) {
-      Flit wire = f;
-      wire.codeword.flip(flip1);
-      wire.codeword.flip(flip2);
-      out_wires_[o]->write(wire);
-    } else {
-      // Common case: the clean flit goes straight onto the wire — no
-      // intermediate copy.
-      out_wires_[o]->write(f);
-    }
+    // The flit's one copy on this hop's way out: the wire slot, stamped
+    // in place. The barrel copy is taken from it before an in-crossbar
+    // upset wrecks the wire copy.
+    Flit& w = out_wires_[o]->write_slot(f);
+    w.vc = v;
+    ++w.hops;
     wrote_fwd_ |= port_bit(o);
+    finalize_transmission(o, v, w, now);
+    if (corrupt_on_wire) {
+      w.codeword.flip(flip1);
+      w.codeword.flip(flip2);
+    }
   }
   port_busy_[o] = true;
 }

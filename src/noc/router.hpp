@@ -27,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <type_traits>
 
 #include "common/config.hpp"
 #include "common/inline_vec.hpp"
@@ -94,7 +95,6 @@ class Router final : public RouterIface {
   int rtx_buffer_occupancy() const override;
   int rtx_buffer_slots() const override;
   bool in_recovery() const override { return agent_.in_recovery(); }
-  const DeadlockAgent& deadlock_agent() const { return agent_; }
   /// Live own-probe route entries, 0 or 1 (bounded-memory test).
   std::size_t probe_route_entries() const { return own_probe_route_ ? 1 : 0; }
 
@@ -182,11 +182,14 @@ class Router final : public RouterIface {
     bool has_waiter = false;
   };
 
+  // PendingNack and OutboxItem live in InlineVecs' raw slots.
   struct PendingNack {
     PortId port;
     VcId vc;
     Cycle send_at;
   };
+  static_assert(std::is_trivially_copyable_v<PendingNack> &&
+                std::is_trivially_destructible_v<PendingNack>);
 
   struct OutboxItem {
     PortId port;
@@ -194,6 +197,8 @@ class Router final : public RouterIface {
     ProbeSignal probe;
     ActivationSignal activation;
   };
+  static_assert(std::is_trivially_copyable_v<OutboxItem> &&
+                std::is_trivially_destructible_v<OutboxItem>);
 
   /// Forward port (and mint time, for GC) of a probe this router launched.
   struct ProbeRoute {
@@ -216,9 +221,10 @@ class Router final : public RouterIface {
   OutputVc& ovc(PortId p, VcId v) { return outputs_[gid(p, v)]; }
   const OutputVc& ovc(PortId p, VcId v) const { return outputs_[gid(p, v)]; }
   int gid(PortId p, VcId v) const { return p * num_vcs_ + v; }
-  /// Sizes (first pass, `block` null) or carves and constructs (second
-  /// pass) every span of storage_ in one fixed order; returns the bytes
-  /// used.
+  /// Sizes (first pass, `block` null) or carves (second pass) every span
+  /// of storage_ in one fixed order; returns the bytes used. The second
+  /// pass constructs every span but the two flit slabs, which stay raw
+  /// until a flit is written into a slot.
   std::size_t carve_storage(std::byte* block);
   /// Retransmission barrel of output gid `og` (engaged on link ports only).
   std::optional<RetransmissionBuffer>& orx(int og) { return out_rtx_[og]; }
@@ -293,7 +299,9 @@ class Router final : public RouterIface {
   /// an in-crossbar upset: the barrel copy is taken before the crossbar,
   /// so only the transmitted copy is wrecked (otherwise a replay would
   /// resend the same corrupt word forever — the §4.5 hazard).
-  void transmit(PortId out_port, VcId out_vc, Flit f, Cycle now,
+  /// For 1-3-stage routers the flit is copied once, into the wire slot,
+  /// and the barrel copy is taken from there.
+  void transmit(PortId out_port, VcId out_vc, const Flit& f, Cycle now,
                 bool consume_credit, bool corrupt_on_wire = false);
   /// Final bookkeeping at the moment a flit actually leaves on the wires:
   /// tail tracking and the retransmission-barrel copy (with the §4.5
@@ -369,13 +377,13 @@ class Router final : public RouterIface {
   std::unique_ptr<std::byte[]> storage_;
   /// Gid-major contiguous flit storage for every input VC
   /// (vc_buffer_depth slots each); inputs_[g].buf is a FlitRing view
-  /// into it.
+  /// into it. Raw until written.
   std::span<Flit> in_flit_slab_;
   std::span<InputVc> inputs_;    // P*V
   std::span<OutputVc> outputs_;  // P*V (hot allocation metadata)
   /// Gid-major slot storage for every link-port barrel (stride
   /// retransmission_depth); out_rtx_[g] views its window. Empty when no
-  /// barrel is engaged.
+  /// barrel is engaged; raw until written.
   std::span<RetransmissionBuffer::Slot> rtx_slab_;
   /// P*V retransmission barrels, split out of OutputVc so the hot scans
   /// walk small PODs; engaged on link-port gids only.

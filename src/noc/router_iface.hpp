@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 
 #include "common/types.hpp"
 #include "core/deadlock.hpp"
@@ -26,11 +27,15 @@ class InvariantMonitor;
 struct Credit {
   VcId vc = kInvalidVc;
 };
+static_assert(std::is_trivially_copyable_v<Credit> &&
+              std::is_trivially_destructible_v<Credit>);
 
 /// Link-level negative acknowledgement for a VC (HBH retransmission).
 struct NackMsg {
   VcId vc = kInvalidVc;
 };
+static_assert(std::is_trivially_copyable_v<NackMsg> &&
+              std::is_trivially_destructible_v<NackMsg>);
 
 /// All wires of one *directed* link A->B. Forward signals (flit, probe,
 /// activation) travel A->B; credit and NACK travel B->A on the same bundle.
@@ -39,6 +44,10 @@ struct NackMsg {
 /// directly: each write also records its channel in next_mask, so the
 /// clock edge touches only channels that hold or will hold a value.
 struct Wire {
+  /// User-provided, so the Network's vector::resize does not zero-fill
+  /// the channels' raw slots before running the member initializers.
+  Wire() noexcept {}
+
   /// Which channels have a readable value this cycle (kCur* bits), set at
   /// tick time. The per-cycle consumer polls touch this one byte instead
   /// of five channels spread over several cache lines. Consuming a value
@@ -71,9 +80,11 @@ struct Wire {
   Channel<ProbeSignal> probe;
   Channel<ActivationSignal> activation;
 
-  void write(const Flit& f) {
-    flit.write(f);
+  void write(const Flit& f) { write_slot(f); }
+  /// Writes a flit and returns its wire slot (Channel::write_slot).
+  Flit& write_slot(const Flit& f) {
     next_mask |= kCurFlit;
+    return flit.write_slot(f);
   }
   void write(Credit c) {
     credit.write(c);

@@ -84,7 +84,6 @@ class StatsCollector {
 
   // --- Traffic lifecycle -------------------------------------------------
   void on_packet_created() { ++packets_created_; }
-  void on_flit_injected() { ++flits_injected_; }
   /// `birth` = packet generation time (includes source queueing);
   /// `inject` = first header injection into the network (the paper's
   /// message-latency reference point; 0 if unknown); `flits` = the
@@ -159,7 +158,6 @@ class StatsCollector {
 
   // --- Accessors ------------------------------------------------------------
   std::uint64_t packets_created() const { return packets_created_; }
-  std::uint64_t flits_injected() const { return flits_injected_; }
   std::uint64_t messages_ejected() const { return messages_ejected_; }
   std::uint64_t measured_messages() const { return measured_messages_; }
   std::uint64_t measured_flits() const { return measured_flits_; }
@@ -188,7 +186,6 @@ class StatsCollector {
   Cycle measure_start_ = 0;
 
   std::uint64_t packets_created_ = 0;
-  std::uint64_t flits_injected_ = 0;
   std::uint64_t messages_ejected_ = 0;
   std::uint64_t measured_messages_ = 0;
   std::uint64_t measured_flits_ = 0;

@@ -37,6 +37,21 @@ TEST(Config, RejectsBadPipelineDepth) {
   EXPECT_TRUE(cfg.validate().has_value());
 }
 
+TEST(Config, RejectsOutOfRangeVcBufferDepth) {
+  // The upper end is the input ring's 16-bit index range: 65536 would
+  // wrap to a 0-slot ring and 65537 to a 1-slot one.
+  for (const int depth : {0, -1, 65536, 65537}) {
+    SimConfig cfg;
+    cfg.vc_buffer_depth = depth;
+    EXPECT_TRUE(cfg.validate().has_value()) << depth;
+  }
+  for (const int depth : {1, 65535}) {
+    SimConfig cfg;
+    cfg.vc_buffer_depth = depth;
+    EXPECT_EQ(cfg.validate(), std::nullopt) << depth;
+  }
+}
+
 TEST(Config, RejectsOutOfRangeRates) {
   // Each rate key, past either end of its range and non-finite. NaN
   // compares false both ways, so it must fail on its own, not slip past a

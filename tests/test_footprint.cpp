@@ -13,12 +13,19 @@
 // is built. A campaign builds one network per replica, so a per-node
 // allocation is paid replicas x nodes times (DESIGN.md section 4.10,
 // "Construction").
+//
+// NetworkIgnoresHeapContents guards the buffers that construction leaves
+// raw (DESIGN.md section 4.11): it fills every fresh block with 0x00 in one
+// run and 0xFF in another, and the two runs must agree on every cycle's
+// state digest and on the JSONL line. A slot read before its first write
+// shows up as a difference.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <string>
@@ -26,6 +33,9 @@
 
 #include "common/config.hpp"
 #include "noc/network.hpp"
+#include "noc/simulator.hpp"
+#include "sweep/jsonl.hpp"
+#include "sweep/sweep.hpp"
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -43,15 +53,23 @@
 namespace {
 std::atomic<bool> g_count_news{false};
 std::atomic<long> g_news{0};
+/// Byte every fresh block is filled with, or -1 to leave it as malloc
+/// returns it.
+std::atomic<int> g_fill{-1};
 }  // namespace
 
-// Counting replacement of the global allocation function; the array and
-// nothrow forms forward here. Sanitizer builds keep their own allocator.
+// Counting, optionally filling replacement of the global allocation
+// function; the array and nothrow forms forward here. Sanitizer builds
+// keep their own allocator.
 void* operator new(std::size_t bytes) {
   if (g_count_news.load(std::memory_order_relaxed)) {
     g_news.fetch_add(1, std::memory_order_relaxed);
   }
-  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) {
+    const int fill = g_fill.load(std::memory_order_relaxed);
+    if (fill >= 0) std::memset(p, fill, bytes);
+    return p;
+  }
   throw std::bad_alloc();
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -132,6 +150,100 @@ TEST(Footprint, AllocationsPerNetwork) {
   EXPECT_LE(large - small, kPerNode * (64 - 16)) << "per-node blocks grew";
   EXPECT_LE(small, kFixed + kPerNode * 16) << "4x4: " << small;
   EXPECT_LE(large, kFixed + kPerNode * 64) << "8x8: " << large;
+#endif
+}
+
+#if !defined(FTNOC_ALLOCATOR_INTERPOSED)
+// Fills every block allocated in its scope with `byte`.
+class HeapFill {
+ public:
+  explicit HeapFill(int byte) { g_fill.store(byte); }
+  ~HeapFill() { g_fill.store(-1); }
+  HeapFill(const HeapFill&) = delete;
+  HeapFill& operator=(const HeapFill&) = delete;
+};
+
+// The configurations whose buffers are raw until written: each protection
+// scheme's barrel and wire traffic, the 4-stage staged register with
+// stored-copy upsets, recovery absorption under mid-run kills, and a
+// workload replay.
+std::vector<std::pair<std::string, SimConfig>> poison_configs() {
+  const std::vector<std::pair<std::string, std::vector<std::string>>> rows = {
+      {"hbh_3stage", {"protection=hbh", "link_error_rate=1e-3"}},
+      {"hbh_4stage_rtx",
+       {"protection=hbh", "pipeline_stages=4", "retransmission_depth=4",
+        "link_error_rate=1e-3", "rtx_error_rate=1e-2"}},
+      {"e2e", {"protection=e2e", "link_error_rate=1e-1"}},
+      {"fec", {"protection=fec", "link_error_rate=1e-3"}},
+      {"adaptive_recovery_storm",
+       {"routing=adaptive", "adaptive_faults=1", "num_vcs=1",
+        "deadlock_recovery=1", "probe_threshold=16", "probe_backoff=8",
+        "injection_rate=0.3", "storm_kill=200:5:E", "storm_kill=500:9:E",
+        "storm_kill=800:6:N"}},
+      {"workload", {"injection_rate=0", "run_to_drain=1"}},
+  };
+  std::vector<std::pair<std::string, SimConfig>> out;
+  for (const auto& [name, overrides] : rows) {
+    SimConfig cfg;
+    std::vector<std::string> ov = {"mesh_width=4", "mesh_height=4",
+                                   "injection_rate=0.1", "total_messages=300",
+                                   "warmup_messages=50", "max_cycles=20000"};
+    ov.insert(ov.end(), overrides.begin(), overrides.end());
+    const auto err = apply_overrides(cfg, ov);
+    EXPECT_FALSE(err.has_value()) << name << ": " << *err;
+    if (name == "workload") {
+      cfg.workload_text =
+          "packet_flits 4\n"
+          "many_to_one sink start=0 dest=0 flits=8 count=3 period=200 "
+          "stagger=5\n"
+          "all_to_all background start=0 flits=4 stagger=3\n";
+    }
+    EXPECT_EQ(cfg.validate(), std::nullopt) << name;
+    out.emplace_back(name, cfg);
+  }
+  return out;
+}
+
+std::string jsonl_line(const SimConfig& cfg, int fill) {
+  const HeapFill poison(fill);
+  sweep::PointResult pr;
+  pr.config = cfg;
+  pr.results = Simulator(cfg).run();
+  return sweep::to_jsonl(pr);
+}
+#endif
+
+TEST(Footprint, NetworkIgnoresHeapContents) {
+#if defined(FTNOC_ALLOCATOR_INTERPOSED)
+  GTEST_SKIP() << "sanitizer builds replace operator new";
+#else
+  constexpr Cycle kCycles = 1500;
+  for (const auto& [name, cfg] : poison_configs()) {
+    std::unique_ptr<Network> zeros;
+    std::unique_ptr<Network> ones;
+    {
+      const HeapFill poison(0x00);
+      zeros = std::make_unique<Network>(cfg);
+    }
+    {
+      const HeapFill poison(0xFF);
+      ones = std::make_unique<Network>(cfg);
+    }
+    for (Cycle c = 0; c < kCycles; ++c) {
+      {
+        const HeapFill poison(0x00);
+        zeros->step();
+      }
+      {
+        const HeapFill poison(0xFF);
+        ones->step();
+      }
+      ASSERT_EQ(zeros->state_digest(), ones->state_digest())
+          << name << ": the heap's fill byte reached the state at cycle "
+          << zeros->now();
+    }
+    EXPECT_EQ(jsonl_line(cfg, 0x00), jsonl_line(cfg, 0xFF)) << name;
+  }
 #endif
 }
 
