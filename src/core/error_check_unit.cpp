@@ -3,14 +3,14 @@
 namespace ftnoc {
 
 FlitCheck ErrorCheckUnit::check(Flit& f) {
-  const ecc::DecodeResult r = ecc::decode(f.codeword);
+  const ecc::DecodeResult r = ecc::decode(f.codeword());
   switch (r.status) {
     case ecc::DecodeStatus::kClean:
       ++clean_;
       return FlitCheck::kClean;
     case ecc::DecodeStatus::kCorrected:
       ++corrected_;
-      f.codeword = ecc::encode(r.data);
+      f.set_codeword(ecc::encode(r.data));
       return FlitCheck::kCorrected;
     case ecc::DecodeStatus::kUncorrectable:
       ++uncorrectable_;

@@ -12,12 +12,12 @@ LinkFault FaultInjector::maybe_corrupt_link(Flit& f) {
     const int b1 = static_cast<int>(rng_.next_below(ecc::kCodewordBits));
     int b2 = static_cast<int>(rng_.next_below(ecc::kCodewordBits - 1));
     if (b2 >= b1) ++b2;
-    f.codeword.flip(b1);
-    f.codeword.flip(b2);
+    f.flip_code_bit(b1);
+    f.flip_code_bit(b2);
     ++link_multi_;
     return LinkFault::kMultiBit;
   }
-  f.codeword.flip(static_cast<int>(rng_.next_below(ecc::kCodewordBits)));
+  f.flip_code_bit(static_cast<int>(rng_.next_below(ecc::kCodewordBits)));
   ++link_single_;
   return LinkFault::kSingleBit;
 }

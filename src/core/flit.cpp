@@ -20,16 +20,14 @@ std::string Flit::describe() const {
 }
 
 Flit make_flit(FlitType type, PacketId pid, NodeId src, NodeId dest,
-               std::uint8_t seq, Cycle birth, std::uint64_t payload) {
+               std::uint8_t seq, std::uint64_t payload) {
   Flit f;
   f.type = type;
   f.packet_id = pid;
   f.src = src;
   f.dest = dest;
   f.seq = seq;
-  f.birth_cycle = birth;
-  f.payload = payload;
-  f.codeword = ecc::encode(payload);
+  f.set_codeword(ecc::encode(payload));
   return f;
 }
 

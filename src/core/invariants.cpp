@@ -20,6 +20,7 @@ const char* to_string(InvariantId id) {
     case InvariantId::kRecoveryBufferBound: return "recovery-buffer-bound";
     case InvariantId::kDeadLinkTraversal: return "dead-link-traversal";
     case InvariantId::kMisrouteBound: return "misroute-bound";
+    case InvariantId::kPacketRecord: return "packet-record";
   }
   return "?";
 }

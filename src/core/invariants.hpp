@@ -40,7 +40,8 @@
 //  * Eq. (1) — re-evaluated with the engaging router's actual buffer
 //    sizes whenever recovery engages;
 //  * dead-link traversal — once a router reports a port hard-dead (§4.9),
-//    the outgoing link wire never again carries a flit.
+//    the outgoing link wire never again carries a flit;
+//  * packet records — every ejected flit finds its packet's live record.
 
 #include <cstdint>
 #include <string>
@@ -69,6 +70,10 @@ enum class InvariantId : std::uint8_t {
   /// bounded by (detours + 1) * diameter; a packet exceeding the bound is
   /// livelocking on the misroute path.
   kMisrouteBound,
+  /// Every ejected flit finds its packet's live record in the network's
+  /// PacketTable (DESIGN.md §4.11): records open at creation and close
+  /// at delivery, so a miss is a duplicate or a never-created packet.
+  kPacketRecord,
 };
 
 const char* to_string(InvariantId id);

@@ -32,20 +32,20 @@ class Fnv {
     h_ = (h ^ (v >> 56)) * kPrime;
   }
 
+  /// Four words per flit: the two 8-byte fields, then the narrow fields
+  /// packed into disjoint bit ranges of two more words, so a change to
+  /// any field byte changes the mixed bytes.
   void mix_flit(const Flit& f) {
-    mix(static_cast<std::uint64_t>(f.type));
     mix(f.packet_id);
-    mix(static_cast<std::uint64_t>(f.src));
-    mix(static_cast<std::uint64_t>(f.dest));
-    mix(f.seq);
-    mix(static_cast<std::uint64_t>(f.birth_cycle));
-    mix(static_cast<std::uint64_t>(f.inject_cycle));
-    mix(f.payload);
-    mix(f.codeword.lo);
-    mix(f.codeword.hi);
-    mix(static_cast<std::uint64_t>(f.vc));
-    mix(static_cast<std::uint64_t>(f.arrived_cycle));
-    mix(f.hops);
+    mix(f.code_lo);
+    mix(static_cast<std::uint64_t>(f.src) |
+        static_cast<std::uint64_t>(f.dest) << 16 |
+        static_cast<std::uint64_t>(f.arrived_stamp) << 32);
+    mix(static_cast<std::uint64_t>(f.code_hi) |
+        static_cast<std::uint64_t>(f.type) << 8 |
+        static_cast<std::uint64_t>(f.seq) << 16 |
+        static_cast<std::uint64_t>(f.vc) << 24 |
+        static_cast<std::uint64_t>(f.hops) << 32);
   }
 
   void mix_probe(const ProbeSignal& p) {

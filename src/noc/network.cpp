@@ -56,8 +56,13 @@ std::uint64_t packet_hash(const std::vector<Flit>& flits) {
 
 ProcessingElement::ProcessingElement(NodeId self, const SimConfig& cfg,
                                      const Topology& topo, Wire* to_router,
-                                     StatsCollector* stats, Rng rng)
-    : self_(self), cfg_(cfg), wire_(to_router), stats_(stats) {
+                                     StatsCollector* stats,
+                                     PacketTable* packets, Rng rng)
+    : self_(self),
+      cfg_(cfg),
+      wire_(to_router),
+      stats_(stats),
+      packets_(packets) {
   if (cfg.injection_rate > 0.0) {
     source_.emplace(topo, self, cfg.pattern, cfg.injection_rate,
                     cfg.packet_length, rng);
@@ -113,10 +118,15 @@ void ProcessingElement::e2e_nack(PacketId pid) {
   const auto it = e2e_buffer_.find(pid);
   if (it == e2e_buffer_.end()) return;  // Already acknowledged (stale NACK).
   // Retransmit a clean copy: re-encode every codeword from the ground-truth
-  // payload and inject ahead of new traffic. The original birth cycle is
-  // preserved so the measured latency includes the full recovery.
+  // payload and inject ahead of new traffic. The packet's record, birth
+  // and injection cycles included, stays open until a clean delivery, so
+  // the measured latency includes the full recovery.
+  const PacketTable::Record* rec = packets_->find(pid);
+  FTNOC_CHECK(rec != nullptr);
   std::vector<Flit> copy = it->second.flits;
-  for (auto& f : copy) f.codeword = ecc::encode(f.payload);
+  for (auto& f : copy) {
+    f.set_codeword(ecc::encode(packets_->payload(*rec, f.seq)));
+  }
   if (stats_) stats_->on_e2e_retransmit();
   enqueue_packet(std::move(copy), /*front=*/true);
 }
@@ -135,7 +145,8 @@ bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
 
   // Generate new traffic.
   if (source_) {
-    if (auto pkt = source_->maybe_generate(now, next_packet_id)) {
+    if (auto pkt = source_->maybe_generate(next_packet_id)) {
+      packets_->open(*pkt, now);
       if (stats_) stats_->on_packet_created();
       if (cfg_.protection == LinkProtection::kE2e) hold_for_e2e(*pkt);
       enqueue_packet(std::move(*pkt));
@@ -167,25 +178,16 @@ bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
     Flit& f = lane.flits[lane.next++];
     --lane_flits_;
     --lane.credits;
-    // Stamp the network-injection time on the whole packet the moment its
-    // header enters the network (the wire delivers it next cycle, hence
+    // Stamp the network-injection time on the packet's record the moment
+    // its header enters the network (the wire delivers it next cycle, hence
     // now + 1 — which also keeps 0 available as the "not injected yet"
     // sentinel). An E2E retransmission keeps the first attempt's stamp.
-    if (is_head(f.type) && f.inject_cycle == 0) {
-      const Cycle stamp = now + 1;
-      for (std::size_t k = lane.next; k < lane.flits.size(); ++k) {
-        lane.flits[k].inject_cycle = stamp;
-      }
-      f.inject_cycle = stamp;
-      const auto held = e2e_buffer_.find(f.packet_id);
-      if (held != e2e_buffer_.end()) {
-        Packet& copy = held->second;
-        for (auto& h : copy.flits) h.inject_cycle = stamp;
-        if (digest_on_) {
-          held_sum_ -= copy.hash;
-          copy.hash = packet_hash(copy.flits);
-          held_sum_ += copy.hash;
-        }
+    if (is_head(f.type)) {
+      PacketTable::Record* rec = packets_->find(f.packet_id);
+      FTNOC_DCHECK(rec != nullptr);
+      if (rec->inject == 0) {
+        packets_->update(*rec,
+                         [&](PacketTable::Record& r) { r.inject = now + 1; });
       }
     }
     wire_->write(f);
@@ -202,7 +204,7 @@ bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
 std::uint64_t ProcessingElement::state_digest() const {
   if (!digest_on_) {
     // First digest: hash every queued and held packet once; the enqueue,
-    // dequeue and stamp sites keep the caches from here on.
+    // dequeue and ack sites keep the caches from here on.
     for (std::size_t k = 0; k < pending_.size(); ++k) {
       const Packet& pkt = pending_[k];
       pkt.hash = packet_hash(pkt.flits);
@@ -248,7 +250,6 @@ Network::Network(const SimConfig& cfg)
     FTNOC_CHECK(false && "invalid SimConfig");
   }
   const int n = topo_.num_nodes();
-  eject_state_.resize(static_cast<std::size_t>(n));
 
   routers_.reserve(static_cast<std::size_t>(n));
   for (NodeId i = 0; i < n; ++i) {
@@ -299,7 +300,7 @@ Network::Network(const SimConfig& cfg)
 
   pes_.reserve(static_cast<std::size_t>(n));
   for (NodeId i = 0; i < n; ++i) {
-    pes_.emplace_back(i, cfg_, topo_, local_wire(i), &stats_,
+    pes_.emplace_back(i, cfg_, topo_, local_wire(i), &stats_, &packets_,
                       root_rng_.fork());
   }
 
@@ -400,20 +401,31 @@ int Network::hop_distance(NodeId a, NodeId b) const {
 }
 
 void Network::on_eject(NodeId dest, const Flit& f, Cycle now) {
-  auto& state = eject_state_[dest];
-  EjectRecord& rec = state[f.packet_id];
-  ++rec.flits;
+  PacketTable::Record* const rec = packets_.find(f.packet_id);
+  if (rec == nullptr) {
+    // A record lives from the packet's creation to its delivery, so a flit
+    // without one is a duplicate of a delivered packet or was never
+    // created: a kernel fault, never a modelled one.
+    FTNOC_CHECK(monitor_ != nullptr && "ejected flit has no packet record");
+    monitor_->fail(InvariantId::kPacketRecord, now, dest, kLocalPort, f.vc,
+                   "ejected flit " + f.describe() + " has no live record");
+    return;
+  }
 
   // Payload oracle: decode what is actually on the wires and compare with
   // the ground truth the source encoded.
   if (cfg_.protection == LinkProtection::kE2e) {
     meter_.charge(power::EnergyEvent::kEccCheck);
   }
-  const ecc::DecodeResult r = ecc::decode(f.codeword);
+  const ecc::DecodeResult r = ecc::decode(f.codeword());
   const bool flit_bad =
-      r.status == ecc::DecodeStatus::kUncorrectable || r.data != f.payload ||
+      r.status == ecc::DecodeStatus::kUncorrectable ||
+      r.data != packets_.payload(*rec, f.seq) ||
       (cfg_.ecc_detect_only && r.status != ecc::DecodeStatus::kClean);
-  if (flit_bad) rec.bad = true;
+  packets_.update(*rec, [&](PacketTable::Record& p) {
+    ++p.seen;
+    p.bad = p.bad || flit_bad;
+  });
   if (r.status == ecc::DecodeStatus::kCorrected &&
       cfg_.protection == LinkProtection::kE2e) {
     stats_.on_link_single_corrected();
@@ -426,14 +438,17 @@ void Network::on_eject(NodeId dest, const Flit& f, Cycle now) {
   // The intended length is the tail's sequence number + 1, not the global
   // packet_length knob: trace/workload packets carry their own lengths.
   const bool packet_bad =
-      rec.bad || rec.flits != static_cast<int>(f.seq) + 1;
-  state.erase(f.packet_id);
+      rec->bad || rec->seen != static_cast<std::uint32_t>(f.seq) + 1;
 
   if (cfg_.protection == LinkProtection::kE2e) {
     const Cycle delay = static_cast<Cycle>(hop_distance(dest, f.src)) + 1;
     if (packet_bad) {
       // Request a retransmission from the source; the message is not
-      // delivered yet.
+      // delivered yet, and the retransmission's flits count afresh.
+      packets_.update(*rec, [](PacketTable::Record& p) {
+        p.seen = 0;
+        p.bad = false;
+      });
       edge_events_.emplace(now + delay,
                            EdgeEvent{f.src, f.packet_id, /*is_nack=*/true});
       return;
@@ -443,9 +458,10 @@ void Network::on_eject(NodeId dest, const Flit& f, Cycle now) {
   }
 
   if (packet_bad) stats_.on_unprotected_error();
-  stats_.on_message_ejected(now, f.birth_cycle, f.inject_cycle, packet_bad,
+  stats_.on_message_ejected(now, rec->birth, rec->inject, packet_bad,
                             f.seq + 1u);
   if (delivery_listener_) delivery_listener_(dest, f, now);
+  packets_.erase(f.packet_id);
 }
 
 void Network::fire_due_events() {
@@ -462,8 +478,8 @@ void Network::fire_due_events() {
 
 PacketId Network::inject_packet(NodeId src, NodeId dest, int length) {
   const PacketId pid = next_packet_id_++;
-  auto flits =
-      TrafficSource::build_packet(pid, src, dest, length, now_, nullptr);
+  auto flits = TrafficSource::build_packet(pid, src, dest, length, nullptr);
+  packets_.open(flits, now_);
   stats_.on_packet_created();
   if (cfg_.protection == LinkProtection::kE2e) pes_[src].hold_for_e2e(flits);
   pes_[src].enqueue_packet(std::move(flits));
@@ -801,18 +817,8 @@ std::uint64_t Network::state_digest() const {
     h.mix(ev.pid);
     h.mix(ev.is_nack);
   }
-  for (const auto& m : eject_state_) {
-    h.mix(m.size());
-    std::uint64_t sum = 0;
-    for (const auto& [pid, rec] : m) {
-      digest::Fnv e;
-      e.mix(pid);
-      e.mix(rec.bad);
-      e.mix(static_cast<std::uint64_t>(rec.flits));
-      sum += e.value();
-    }
-    h.mix(sum);
-  }
+  h.mix(packets_.size());
+  h.mix(packets_.digest());
   return h.value();
 }
 

@@ -20,6 +20,7 @@
 #include "core/fault_injector.hpp"
 #include "core/flit.hpp"
 #include "core/invariants.hpp"
+#include "noc/packet_table.hpp"
 #include "noc/router.hpp"
 #include "noc/router_iface.hpp"
 #include "noc/stats.hpp"
@@ -35,7 +36,8 @@ namespace ftnoc {
 class ProcessingElement {
  public:
   ProcessingElement(NodeId self, const SimConfig& cfg, const Topology& topo,
-                    Wire* to_router, StatsCollector* stats, Rng rng);
+                    Wire* to_router, StatsCollector* stats,
+                    PacketTable* packets, Rng rng);
 
   /// One cycle: read credits, maybe generate a packet, move packets into
   /// free local-VC lanes, send at most one flit. `router_in_recovery`
@@ -47,7 +49,7 @@ class ProcessingElement {
   /// marks the wire live.
   bool step(Cycle now, PacketId& next_packet_id, bool router_in_recovery);
 
-  /// Queues a pre-built packet for injection (tests / examples). Front
+  /// Queues a packet whose record is open in the packet table. Front
   /// insertion is used by the E2E retransmission path.
   void enqueue_packet(std::vector<Flit> flits, bool front = false);
 
@@ -55,7 +57,8 @@ class ProcessingElement {
   void hold_for_e2e(const std::vector<Flit>& flits);
   /// E2E: destination acknowledged — drop the copy.
   void e2e_ack(PacketId pid);
-  /// E2E: destination reported corruption — retransmit a clean copy.
+  /// E2E: destination reported corruption — retransmit a copy re-encoded
+  /// from the packet table's ground-truth payloads.
   void e2e_nack(PacketId pid);
 
   std::size_t pending_packets() const { return pending_.size(); }
@@ -67,7 +70,7 @@ class ProcessingElement {
   /// Architectural-state hash (lock-step differential comparison). Costs
   /// O(lanes x packet length), however long the queues grow: the first
   /// call hashes every queued and held packet once and turns on the digest
-  /// caches below, which every later enqueue, dequeue and stamp keeps
+  /// caches below, which every later enqueue, dequeue and ack keeps
   /// current. A run that never digests never pays for them.
   std::uint64_t state_digest() const;
 
@@ -94,6 +97,7 @@ class ProcessingElement {
   const SimConfig& cfg_;
   Wire* wire_;
   StatsCollector* stats_;
+  PacketTable* packets_;
   std::optional<TrafficSource> source_;
   RingDeque<Packet> pending_;
   std::vector<Lane> lanes_;
@@ -113,7 +117,8 @@ class ProcessingElement {
 };
 
 /// Observer invoked for every delivered (clean) message:
-/// (dest, tail flit, delivery cycle).
+/// (dest, tail flit, delivery cycle). The packet's record is still open in
+/// Network::packets() during the call.
 using DeliveryListener =
     std::function<void(NodeId, const Flit&, Cycle)>;
 
@@ -150,6 +155,10 @@ class Network {
   /// Null unless the config asked for invariant checking (and the hooks
   /// were compiled in).
   InvariantMonitor* monitor() { return monitor_.get(); }
+
+  /// Per-packet records of every packet created and not yet delivered.
+  PacketTable& packets() { return packets_; }
+  const PacketTable& packets() const { return packets_; }
 
   /// Architectural-state hash over routers, wires and PEs — the lock-step
   /// comparison point of the differential fuzz harness.
@@ -295,14 +304,11 @@ class Network {
   // mesh edges.
   std::vector<Wire*> link_wires_;
 
-  // Per-destination, per-packet delivery record maintained between head
-  // and tail ejection: corruption flag + flit count (a lost NACK or
-  // dropped flit shows up as an incomplete message).
-  struct EjectRecord {
-    bool bad = false;
-    int flits = 0;
-  };
-  std::vector<std::unordered_map<PacketId, EjectRecord>> eject_state_;
+  // One record per packet from creation to delivery: birth and injection
+  // cycles, ground-truth payloads and the ejection progress (a lost NACK
+  // or dropped flit shows up as an incomplete message). PEs write it at
+  // creation and injection; on_eject reads it.
+  PacketTable packets_;
 
   // Delayed E2E control messages (ACK/NACK back to the source PE).
   std::multimap<Cycle, EdgeEvent> edge_events_;

@@ -330,7 +330,7 @@ void ReferenceRouter::accept_flit(PortId p, Flit f, Cycle now) {
   // sender credit protocol guarantees a free slot at every arrival
   // (DESIGN.md §4.11), hence CHECK, not drop.
   FTNOC_CHECK(static_cast<int>(vc.buf.size()) < cfg_.vc_buffer_depth);
-  f.arrived_cycle = now;
+  f.arrived_stamp = arrival_stamp(now);
   if (mon_) {
     if (p == kLocalPort) mon_->on_injected();
     mon_->on_flit_accepted(now, id_, p, f);
@@ -375,7 +375,7 @@ void ReferenceRouter::phase_replay_and_switch(Cycle now) {
     for (VcId v = 0; v < num_vcs_; ++v) {
       auto& vc = ivc(p, v);
       if (vc.state != VcState::kActive || vc.buf.empty()) continue;
-      if (vc.buf.front().arrived_cycle >= now) continue;
+      if (arrived_this_cycle(vc.buf.front(), now)) continue;
       if (now < vc.stall_until) continue;
       const PortId o = vc.out_port;
       if (port_busy_[o]) continue;
@@ -462,8 +462,8 @@ void ReferenceRouter::finalize_transmission(PortId o, VcId v, const Flit& f,
       if (stats_) stats_->on_rtx_error_corrected();
       charge(power::EnergyEvent::kRtxBufferWrite);
     } else {
-      stored.codeword.flip(static_cast<int>(faults_->random_below(36)));
-      stored.codeword.flip(36 + static_cast<int>(faults_->random_below(36)));
+      stored.flip_code_bit(static_cast<int>(faults_->random_below(36)));
+      stored.flip_code_bit(36 + static_cast<int>(faults_->random_below(36)));
     }
   }
   out.rtx->record_transmission(stored, now);
@@ -484,8 +484,8 @@ void ReferenceRouter::transmit(PortId o, VcId v, Flit f, Cycle now,
   charge(power::EnergyEvent::kLinkTraversal);
   Flit wire = f;
   if (corrupt_on_wire) {
-    wire.codeword.flip(static_cast<int>(faults_->random_below(36)));
-    wire.codeword.flip(36 + static_cast<int>(faults_->random_below(36)));
+    wire.flip_code_bit(static_cast<int>(faults_->random_below(36)));
+    wire.flip_code_bit(36 + static_cast<int>(faults_->random_below(36)));
   }
   if (cfg_.pipeline_stages == 4) {
     FTNOC_CHECK(!staged_[o].has_value());
@@ -775,7 +775,7 @@ void ReferenceRouter::phase_rt(Cycle now) {
     auto& vc = inputs_[static_cast<std::size_t>(g)];
 
     if (vc.state == VcState::kDraining) {
-      if (!vc.buf.empty() && vc.buf.front().arrived_cycle < now) {
+      if (!vc.buf.empty() && !arrived_this_cycle(vc.buf.front(), now)) {
         const Flit f = vc.buf.front();
         vc.buf.pop_front();
         if (mon_) mon_->on_dropped();
@@ -792,7 +792,7 @@ void ReferenceRouter::phase_rt(Cycle now) {
     }
 
     if (vc.state != VcState::kRouting || vc.buf.empty()) continue;
-    if (vc.buf.front().arrived_cycle >= now) continue;
+    if (arrived_this_cycle(vc.buf.front(), now)) continue;
     if (now < vc.stall_until) continue;
     if (!is_head(vc.buf.front().type)) {
       vc.buf.pop_front();
@@ -1046,7 +1046,7 @@ void ReferenceRouter::phase_deadlock(Cycle now) {
   std::uint32_t absorbed = 0;
   for (int g = 0; g < num_ports_ * num_vcs_; ++g) {
     auto& vc = inputs_[static_cast<std::size_t>(g)];
-    if (vc.buf.empty() || vc.buf.front().arrived_cycle >= now) continue;
+    if (vc.buf.empty() || arrived_this_cycle(vc.buf.front(), now)) continue;
     const auto in_port = static_cast<PortId>(g / num_vcs_);
     const auto in_vc = static_cast<VcId>(g % num_vcs_);
 

@@ -523,14 +523,14 @@ void Router::accept_flit(PortId p, const Flit& f, Cycle now) {
   auto& vc = ivc(p, v);
   // The flit's one copy into this router: its input-ring slot.
   Flit& slot = vc.buf.push_back(f);
-  slot.arrived_cycle = now;
+  slot.arrived_stamp = arrival_stamp(now);
   if (mon_) {
     // Injection is counted where a flit enters the conservation ledger's
     // domain: acceptance from the local PE.
     if (p == kLocalPort) mon_->on_injected();
     mon_->on_flit_accepted(now, id_, p, slot);
   }
-  if (vc.buf.size() == 1) vc.front_arrived = now;
+  if (vc.buf.size() == 1) vc.front_stamp = slot.arrived_stamp;
   ++in_port_occ_[p];
   update_input_work(gid(p, v));
   charge(power::EnergyEvent::kBufferWrite);
@@ -594,7 +594,7 @@ void Router::phase_replay_and_switch(Cycle now) {
       const int v = std::countr_zero(cm);
       auto& vc = ivc(p, static_cast<VcId>(v));
       if (vc.buf.empty()) continue;
-      if (vc.front_arrived >= now) continue;
+      if (vc.front_stamp == arrival_stamp(now)) continue;
       if (now < vc.stall_until) continue;
       const PortId o = vc.out_port;
       if (port_busy_[o]) continue;
@@ -655,7 +655,7 @@ void Router::phase_replay_and_switch(Cycle now) {
     // code below makes: read the flit where it sits.
     const Flit& f = vc.buf.front();
     vc.buf.pop_front();
-    vc.sync_front_arrived();
+    vc.sync_front_stamp();
     --in_port_occ_[p];
     charge(power::EnergyEvent::kBufferRead);
     charge(power::EnergyEvent::kCrossbarTraversal);
@@ -713,8 +713,8 @@ void Router::finalize_transmission(PortId o, VcId v, const Flit& f,
   if (wreck_stored) {
     // Latent fault: harmless unless this copy is ever replayed.
     Flit stored = f;
-    stored.codeword.flip(static_cast<int>(faults_->random_below(36)));
-    stored.codeword.flip(36 + static_cast<int>(faults_->random_below(36)));
+    stored.flip_code_bit(static_cast<int>(faults_->random_below(36)));
+    stored.flip_code_bit(36 + static_cast<int>(faults_->random_below(36)));
     rtx->record_transmission(stored, now);
   } else {
     rtx->record_transmission(f, now);
@@ -755,8 +755,8 @@ void Router::transmit(PortId o, VcId v, const Flit& f, Cycle now,
     ++s.stored.hops;
     s.wire = s.stored;
     if (corrupt_on_wire) {
-      s.wire.codeword.flip(flip1);
-      s.wire.codeword.flip(flip2);
+      s.wire.flip_code_bit(flip1);
+      s.wire.flip_code_bit(flip2);
     }
     ++staged_count_;
   } else {
@@ -769,8 +769,8 @@ void Router::transmit(PortId o, VcId v, const Flit& f, Cycle now,
     wrote_fwd_ |= port_bit(o);
     finalize_transmission(o, v, w, now);
     if (corrupt_on_wire) {
-      w.codeword.flip(flip1);
-      w.codeword.flip(flip2);
+      w.flip_code_bit(flip1);
+      w.flip_code_bit(flip2);
     }
   }
   port_busy_[o] = true;
@@ -1148,10 +1148,10 @@ void Router::phase_rt(Cycle now) {
     auto& vc = inputs_[static_cast<std::size_t>(g)];
 
     if (vc.state == VcState::kDraining) {
-      if (!vc.buf.empty() && vc.front_arrived < now) {
+      if (!vc.buf.empty() && vc.front_stamp != arrival_stamp(now)) {
         const Flit f = vc.buf.front();
         vc.buf.pop_front();
-        vc.sync_front_arrived();
+        vc.sync_front_stamp();
         --in_port_occ_[g / num_vcs_];
         if (mon_) mon_->on_dropped();
         charge(power::EnergyEvent::kBufferRead);
@@ -1168,14 +1168,14 @@ void Router::phase_rt(Cycle now) {
     }
 
     if (vc.buf.empty()) continue;
-    if (vc.front_arrived >= now) continue;
+    if (vc.front_stamp == arrival_stamp(now)) continue;
     if (now < vc.stall_until) continue;
     if (!is_head(vc.buf.front().type)) {
       // A body/tail flit with no open wormhole: its header was dropped and
       // never replayed (possible only when the NACK path itself is faulty,
       // e.g. unprotected handshake lines, §4.6). Discard the stray flit.
       vc.buf.pop_front();
-      vc.sync_front_arrived();
+      vc.sync_front_stamp();
       --in_port_occ_[g / num_vcs_];
       if (mon_) mon_->on_dropped();
       send_credit(static_cast<PortId>(g / num_vcs_),
@@ -1490,7 +1490,7 @@ void Router::phase_deadlock(Cycle now) {
        m != 0; m &= m - 1) {
     const int g = std::countr_zero(m);
     auto& vc = inputs_[static_cast<std::size_t>(g)];
-    if (vc.buf.empty() || vc.front_arrived >= now) continue;
+    if (vc.buf.empty() || vc.front_stamp == arrival_stamp(now)) continue;
     const auto in_port = static_cast<PortId>(g / num_vcs_);
     const auto in_vc = static_cast<VcId>(g % num_vcs_);
 
@@ -1557,7 +1557,7 @@ void Router::phase_deadlock(Cycle now) {
 
     Flit f = vc.buf.front();
     vc.buf.pop_front();
-    vc.sync_front_arrived();
+    vc.sync_front_stamp();
     --in_port_occ_[in_port];
     f.vc = vc.out_vc;
     if (owns) {

@@ -160,12 +160,12 @@ class Router final : public RouterIface {
     Cycle last_advance = 0;
     Cycle stall_until = 0;   ///< Logic-error recovery penalty.
     Cycle state_since = 0;
-    /// Mirror of buf.front().arrived_cycle (valid while buf is non-empty),
+    /// Mirror of buf.front().arrived_stamp (valid while buf is non-empty),
     /// kept by the push/pop sites — the SA nomination scan's same-cycle
     /// check then stays off the flit slab.
-    Cycle front_arrived = 0;
-    void sync_front_arrived() {
-      if (!buf.empty()) front_arrived = buf.front().arrived_cycle;
+    std::uint32_t front_stamp = 0;
+    void sync_front_stamp() {
+      if (!buf.empty()) front_stamp = buf.front().arrived_stamp;
     }
   };
 

@@ -54,7 +54,7 @@ TrafficSource::TrafficSource(const Topology& topo, NodeId self,
 
 std::vector<Flit> TrafficSource::build_packet(PacketId pid, NodeId src,
                                               NodeId dest, int packet_length,
-                                              Cycle birth, Rng* payload_rng) {
+                                              Rng* payload_rng) {
   std::vector<Flit> flits;
   flits.reserve(static_cast<std::size_t>(packet_length));
   for (int i = 0; i < packet_length; ++i) {
@@ -71,18 +71,17 @@ std::vector<Flit> TrafficSource::build_packet(PacketId pid, NodeId src,
     const std::uint64_t payload =
         payload_rng ? payload_rng->next_u64()
                     : (static_cast<std::uint64_t>(pid) << 8) | unsigned(i);
-    flits.push_back(make_flit(t, pid, src, dest, static_cast<std::uint8_t>(i),
-                              birth, payload));
+    flits.push_back(
+        make_flit(t, pid, src, dest, static_cast<std::uint8_t>(i), payload));
   }
   return flits;
 }
 
 std::optional<std::vector<Flit>> TrafficSource::maybe_generate(
-    Cycle now, PacketId& next_packet_id) {
+    PacketId& next_packet_id) {
   if (!rng_.bernoulli(generate_prob_)) return std::nullopt;
   const NodeId dest = pick_destination(topo_, pattern_, self_, rng_);
-  return build_packet(next_packet_id++, self_, dest, packet_length_, now,
-                      &rng_);
+  return build_packet(next_packet_id++, self_, dest, packet_length_, &rng_);
 }
 
 }  // namespace ftnoc

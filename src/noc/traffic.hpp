@@ -30,14 +30,14 @@ class TrafficSource {
 
   /// Returns the flits of a newly generated packet, or nullopt this cycle.
   /// `next_packet_id` is advanced on generation.
-  std::optional<std::vector<Flit>> maybe_generate(Cycle now,
-                                                  PacketId& next_packet_id);
+  std::optional<std::vector<Flit>> maybe_generate(PacketId& next_packet_id);
 
-  /// Deterministically builds one packet (used by tests and by the E2E
-  /// retransmission path, which re-encodes a clean copy).
+  /// Builds one packet, its codewords encoded from payloads drawn from
+  /// `payload_rng` (or, when null, derived from the packet id and flit
+  /// index — tests and trace replay). The network's PacketTable keeps the
+  /// payloads and the birth cycle.
   static std::vector<Flit> build_packet(PacketId pid, NodeId src, NodeId dest,
-                                        int packet_length, Cycle birth,
-                                        Rng* payload_rng);
+                                        int packet_length, Rng* payload_rng);
 
  private:
   const Topology& topo_;

@@ -243,7 +243,7 @@ void run_barrel_property(int depth, Cycle window, std::uint64_t seed) {
           ++pid;
           seq = 0;
         }
-        f = make_flit(FlitType::kBody, pid, 0, 1, seq++, now, now);
+        f = make_flit(FlitType::kBody, pid, 0, 1, seq++, now);
       }
       b.record_transmission(f, now);
       o.record_transmission(f, now);
@@ -253,15 +253,15 @@ void run_barrel_property(int depth, Cycle window, std::uint64_t seed) {
     } else if (r < 0.70) {
       ASSERT_EQ(b.on_nack(), o.on_nack());
     } else if (r < 0.80 && b.free_slots() > 0) {
-      const Flit f = make_flit(FlitType::kBody, pid, 0, 1, seq++, now, now);
+      const Flit f = make_flit(FlitType::kBody, pid, 0, 1, seq++, now);
       b.absorb(f);
       o.absorb(f);
     } else if (r < 0.88 && b.free_slots() > 0) {
-      const Flit f = make_flit(FlitType::kBody, pid, 0, 1, seq++, now, now);
+      const Flit f = make_flit(FlitType::kBody, pid, 0, 1, seq++, now);
       b.absorb_as_owner(f, pid);
       o.absorb_as_owner(f, pid);
     } else if (r < 0.94 && b.free_slots() > 0) {
-      const Flit f = make_flit(FlitType::kBody, pid, 0, 1, seq++, now, now);
+      const Flit f = make_flit(FlitType::kBody, pid, 0, 1, seq++, now);
       b.push_pending_back(f);
       o.push_pending_back(f);
     } else if (b.has_pending()) {

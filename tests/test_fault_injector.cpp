@@ -8,9 +8,9 @@
 namespace ftnoc {
 namespace {
 
-Flit clean_flit() {
-  return make_flit(FlitType::kBody, 1, 0, 1, 1, 0, 0x1234567890ABCDEFULL);
-}
+constexpr std::uint64_t kPayload = 0x1234567890ABCDEFULL;
+
+Flit clean_flit() { return make_flit(FlitType::kBody, 1, 0, 1, 1, kPayload); }
 
 TEST(FaultInjector, ZeroRatesInjectNothing) {
   FaultConfig cfg;  // All rates zero.
@@ -22,7 +22,7 @@ TEST(FaultInjector, ZeroRatesInjectNothing) {
     EXPECT_FALSE(inj.upset_va_allocation());
     EXPECT_FALSE(inj.upset_sa_grant());
   }
-  EXPECT_EQ(ecc::decode(f.codeword).status, ecc::DecodeStatus::kClean);
+  EXPECT_EQ(ecc::decode(f.codeword()).status, ecc::DecodeStatus::kClean);
 }
 
 TEST(FaultInjector, LinkFaultRateRoughlyCalibrated) {
@@ -61,9 +61,9 @@ TEST(FaultInjector, SingleBitFaultIsCorrectable) {
   for (int i = 0; i < 200; ++i) {
     Flit f = clean_flit();
     ASSERT_EQ(inj.maybe_corrupt_link(f), LinkFault::kSingleBit);
-    const auto r = ecc::decode(f.codeword);
+    const auto r = ecc::decode(f.codeword());
     EXPECT_EQ(r.status, ecc::DecodeStatus::kCorrected);
-    EXPECT_EQ(r.data, f.payload);
+    EXPECT_EQ(r.data, kPayload);
   }
 }
 
@@ -75,7 +75,7 @@ TEST(FaultInjector, MultiBitFaultIsDetectedNotCorrected) {
   for (int i = 0; i < 200; ++i) {
     Flit f = clean_flit();
     ASSERT_EQ(inj.maybe_corrupt_link(f), LinkFault::kMultiBit);
-    EXPECT_EQ(ecc::decode(f.codeword).status,
+    EXPECT_EQ(ecc::decode(f.codeword()).status,
               ecc::DecodeStatus::kUncorrectable);
   }
 }
@@ -102,14 +102,14 @@ TEST(ErrorCheckUnit, ClassifiesAndCountsAllThreeOutcomes) {
   EXPECT_EQ(unit.check(clean), FlitCheck::kClean);
 
   Flit single = clean_flit();
-  single.codeword.flip(13);
+  single.flip_code_bit(13);
   EXPECT_EQ(unit.check(single), FlitCheck::kCorrected);
   // The unit repairs the codeword in place.
-  EXPECT_EQ(ecc::decode(single.codeword).status, ecc::DecodeStatus::kClean);
+  EXPECT_EQ(ecc::decode(single.codeword()).status, ecc::DecodeStatus::kClean);
 
   Flit dbl = clean_flit();
-  dbl.codeword.flip(13);
-  dbl.codeword.flip(37);
+  dbl.flip_code_bit(13);
+  dbl.flip_code_bit(37);
   EXPECT_EQ(unit.check(dbl), FlitCheck::kUncorrectable);
 
   EXPECT_EQ(unit.clean_count(), 1u);

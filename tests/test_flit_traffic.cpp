@@ -18,9 +18,8 @@ namespace ftnoc {
 namespace {
 
 TEST(Flit, MakeFlitEncodesPayload) {
-  const Flit f = make_flit(FlitType::kHead, 7, 1, 2, 0, 100, 0xABCDULL);
-  EXPECT_EQ(ecc::decode(f.codeword).data, 0xABCDULL);
-  EXPECT_EQ(f.birth_cycle, 100u);
+  const Flit f = make_flit(FlitType::kHead, 7, 1, 2, 0, 0xABCDULL);
+  EXPECT_EQ(ecc::decode(f.codeword()).data, 0xABCDULL);
   EXPECT_TRUE(is_head(f.type));
   EXPECT_FALSE(is_tail(f.type));
 }
@@ -34,7 +33,7 @@ TEST(Flit, HeadTailPredicates) {
 }
 
 TEST(Flit, DescribeMentionsPacketAndEndpoints) {
-  const Flit f = make_flit(FlitType::kTail, 9, 3, 5, 3, 0, 0);
+  const Flit f = make_flit(FlitType::kTail, 9, 3, 5, 3, 0);
   const std::string d = f.describe();
   EXPECT_NE(d.find("pkt=9"), std::string::npos);
   EXPECT_NE(d.find("3->5"), std::string::npos);
@@ -52,10 +51,9 @@ std::uint64_t flit_hash(const Flit& f) {
 }
 
 Flit digest_base_flit() {
-  Flit f = make_flit(FlitType::kBody, 0x1122334455667788ULL, 3, 9, 2, 100,
+  Flit f = make_flit(FlitType::kBody, 0x1122334455667788ULL, 3, 9, 2,
                      0x0123456789ABCDEFULL);
-  f.inject_cycle = 110;
-  f.arrived_cycle = 120;
+  f.arrived_stamp = 120;
   f.vc = 1;
   f.hops = 4;
   return f;
@@ -67,12 +65,11 @@ TEST(FlitDigest, EachFieldChangesMixFlit) {
   const std::vector<std::pair<std::string, std::function<void(Flit&)>>>
       perturb = {
           {"packet_id", [](Flit& f) { ++f.packet_id; }},
-          {"birth_cycle", [](Flit& f) { ++f.birth_cycle; }},
-          {"inject_cycle", [](Flit& f) { ++f.inject_cycle; }},
-          {"arrived_cycle", [](Flit& f) { ++f.arrived_cycle; }},
-          {"payload", [](Flit& f) { ++f.payload; }},
-          {"codeword.lo", [](Flit& f) { f.codeword.lo ^= 1; }},
-          {"codeword.hi", [](Flit& f) { f.codeword.hi ^= 1; }},
+          {"arrived_stamp", [](Flit& f) { ++f.arrived_stamp; }},
+          {"code_lo", [](Flit& f) { f.code_lo ^= 1; }},
+          {"code_lo bit 63", [](Flit& f) { f.code_lo ^= 1ULL << 63; }},
+          {"code_hi", [](Flit& f) { f.code_hi ^= 1; }},
+          {"code_hi bit 7", [](Flit& f) { f.code_hi ^= 0x80; }},
           {"src", [](Flit& f) { ++f.src; }},
           {"dest", [](Flit& f) { ++f.dest; }},
           {"type", [](Flit& f) { f.type = FlitType::kTail; }},
@@ -90,16 +87,15 @@ TEST(FlitDigest, EachFieldChangesMixFlit) {
 // Field-agnostic form of the check above: flipping any byte of the flit
 // that is not padding must change the digest, so a field added later but
 // left out of mix_flit fails here without this test naming it. The only
-// padding is the tail of the codeword after its `hi` byte.
+// padding is the struct's tail after `hops`, its last field.
 TEST(FlitDigest, EveryNonPaddingByteChangesMixFlit) {
   static_assert(std::is_trivially_copyable_v<Flit>);
-  const std::size_t pad_begin =
-      offsetof(Flit, codeword) + offsetof(ecc::Codeword, hi) + 1;
-  const std::size_t pad_end = offsetof(Flit, codeword) + sizeof(ecc::Codeword);
+  static_assert(sizeof(Flit) == 32);
+  const std::size_t pad_begin = offsetof(Flit, hops) + sizeof(Flit::hops);
+  EXPECT_EQ(pad_begin, 29u);  // 29 field bytes; a new field moves this.
   const Flit base = digest_base_flit();
   const std::uint64_t h0 = flit_hash(base);
-  for (std::size_t i = 0; i < sizeof(Flit); ++i) {
-    if (i >= pad_begin && i < pad_end) continue;
+  for (std::size_t i = 0; i < pad_begin; ++i) {
     unsigned char bytes[sizeof(Flit)];
     std::memcpy(bytes, &base, sizeof(Flit));
     bytes[i] ^= 0x01;  // Bit 0 keeps FlitType a valid enumerator.
@@ -127,7 +123,7 @@ TEST(FlitDigest, MixIsByteWiseFnv1a) {
 }
 
 TEST(TrafficPacket, StructureOfFourFlitPacket) {
-  const auto flits = TrafficSource::build_packet(1, 2, 3, 4, 50, nullptr);
+  const auto flits = TrafficSource::build_packet(1, 2, 3, 4, nullptr);
   ASSERT_EQ(flits.size(), 4u);
   EXPECT_EQ(flits[0].type, FlitType::kHead);
   EXPECT_EQ(flits[1].type, FlitType::kBody);
@@ -137,14 +133,15 @@ TEST(TrafficPacket, StructureOfFourFlitPacket) {
     EXPECT_EQ(flits[i].seq, i);
     EXPECT_EQ(flits[i].src, 2);
     EXPECT_EQ(flits[i].dest, 3);
-    EXPECT_EQ(flits[i].birth_cycle, 50u);
-    EXPECT_EQ(ecc::decode(flits[i].codeword).status,
+    EXPECT_EQ(ecc::decode(flits[i].codeword()).data,
+              (std::uint64_t{1} << 8) | i);
+    EXPECT_EQ(ecc::decode(flits[i].codeword()).status,
               ecc::DecodeStatus::kClean);
   }
 }
 
 TEST(TrafficPacket, SingleFlitPacketIsHeadTail) {
-  const auto flits = TrafficSource::build_packet(1, 0, 1, 1, 0, nullptr);
+  const auto flits = TrafficSource::build_packet(1, 0, 1, 1, nullptr);
   ASSERT_EQ(flits.size(), 1u);
   EXPECT_EQ(flits[0].type, FlitType::kHeadTail);
 }
@@ -210,7 +207,7 @@ TEST(TrafficSource, GenerationRateMatchesInjectionRate) {
   int generated = 0;
   const int cycles = 200'000;
   for (int c = 0; c < cycles; ++c) {
-    if (src.maybe_generate(static_cast<Cycle>(c), pid)) ++generated;
+    if (src.maybe_generate(pid)) ++generated;
   }
   const double rate = static_cast<double>(generated) / cycles;
   EXPECT_NEAR(rate, inj / 4, 0.005);
@@ -220,8 +217,8 @@ TEST(TrafficSource, PacketIdsAdvance) {
   Topology t(4, 4, false);
   TrafficSource src(t, 0, TrafficPattern::kUniformRandom, 1.0, 4, Rng(3));
   PacketId pid = 10;
-  Cycle now = 0;
-  while (!src.maybe_generate(now, pid)) ++now;
+  while (!src.maybe_generate(pid)) {
+  }
   EXPECT_GT(pid, 10u);
 }
 

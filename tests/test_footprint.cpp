@@ -79,9 +79,9 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 namespace ftnoc {
 namespace {
 
-/// Measured 13.0 KiB per node on x86-64 glibc; the budget leaves about
+/// Measured 9.3 KiB per node on x86-64 glibc; the budget leaves about
 /// 10% headroom (DESIGN.md section 4.10 has the per-structure table).
-constexpr double kHeapKibPerNodeBudget = 14.3;
+constexpr double kHeapKibPerNodeBudget = 10.2;
 
 #if !defined(FTNOC_ALLOCATOR_INTERPOSED) && defined(__GLIBC__)
 // Heap held per node by a constructed 32x32 mesh-HBH network; records it
@@ -141,7 +141,7 @@ TEST(Footprint, AllocationsPerNetwork) {
   const long large = news_to_build(8, 8);
   ::testing::Test::RecordProperty("news_4x4", std::to_string(small));
   ::testing::Test::RecordProperty("news_8x8", std::to_string(large));
-  // Measured 61 (4x4) and 205 (8x8) on x86-64 glibc: 13 network-wide
+  // Measured 60 (4x4) and 204 (8x8) on x86-64 glibc: 12 network-wide
   // blocks plus 3 per node (the Router, its storage block, the PE's lane
   // array). A vector per array and a bucket per wheel slot took 572 and
   // 1,484 (DESIGN.md section 4.10, "Construction").

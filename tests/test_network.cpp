@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "noc/simulator.hpp"
 
 namespace ftnoc {
@@ -57,7 +62,7 @@ TEST(Network, InjectionStampSetOnDeliveredTail) {
   Cycle eject = 0;
   sim.network().set_delivery_listener(
       [&](NodeId, const Flit& tail, Cycle now) {
-        inject = tail.inject_cycle;
+        inject = sim.network().packets().find(tail.packet_id)->inject;
         eject = now;
       });
   sim.network().inject_packet(0, 3, 4);
@@ -122,14 +127,13 @@ TEST(NetworkE2e, NackRequeuesCleanCopyAtFront) {
   cfg.protection = LinkProtection::kE2e;
   Simulator sim(cfg);
   auto& pe = sim.network().pe(0);
-  auto flits = TrafficSource::build_packet(77, 0, 3, 4, 5, nullptr);
-  // Simulate a held copy whose wire version got corrupted.
-  for (auto& f : flits) f.codeword.flip(3);
-  pe.hold_for_e2e(flits);
-  pe.e2e_nack(77);
+  // inject_packet opens the record, holds a copy and queues the packet.
+  const PacketId pid = sim.network().inject_packet(0, 3, 4);
   ASSERT_EQ(pe.pending_packets(), 1u);
-  // The requeued copy is re-encoded clean from the payload oracle.
-  // (Verified end-to-end by FaultIntegrationE2e.RetransmitsUntilClean.)
+  pe.e2e_nack(pid);
+  ASSERT_EQ(pe.pending_packets(), 2u);
+  // The requeued copy is re-encoded clean from the packet table's payload
+  // oracle. (Verified end-to-end by FaultIntegrationE2e.RetransmitsUntilClean.)
 }
 
 TEST(NetworkE2e, PeDigestCachesMatchAFirstDigest) {
@@ -163,6 +167,160 @@ TEST(NetworkE2e, PeDigestCachesMatchAFirstDigest) {
   EXPECT_GT(held, 16u);
   EXPECT_GT(every.stats().e2e_retransmits(), 0u);
   EXPECT_EQ(every.state_digest(), once.state_digest());
+}
+
+// --- Packet table ------------------------------------------------------------
+
+// The lowest-id live record, or null.
+PacketTable::Record* first_record(Network& net) {
+  for (PacketId pid = 1; pid < 100'000; ++pid) {
+    if (PacketTable::Record* r = net.packets().find(pid)) return r;
+  }
+  return nullptr;
+}
+
+TEST(NetworkDigest, PacketRecordFieldsReachStateDigest) {
+  // Birth, injection cycle and payloads left the flit for the network's
+  // packet table; the state digest must still see every one of them, both
+  // on the first digest and through the running sum update() keeps.
+  SimConfig cfg;
+  cfg.mesh_width = 4;
+  cfg.mesh_height = 4;
+  cfg.injection_rate = 0.4;
+  using Bump = std::function<void(PacketTable&, PacketTable::Record&)>;
+  const std::vector<std::pair<std::string, Bump>> bumps = {
+      {"birth", [](PacketTable&, PacketTable::Record& r) { ++r.birth; }},
+      {"inject", [](PacketTable&, PacketTable::Record& r) { ++r.inject; }},
+      {"payload",
+       [](PacketTable& t, PacketTable::Record& r) { t.payload(r, 1) ^= 1; }},
+  };
+  for (const auto& [name, bump] : bumps) {
+    for (const bool digest_first : {false, true}) {
+      Network a(cfg);
+      Network b(cfg);
+      for (int c = 0; c < 100; ++c) {
+        a.step();
+        b.step();
+      }
+      const std::uint64_t before = a.state_digest();
+      if (digest_first) {
+        ASSERT_EQ(b.state_digest(), before);
+      }
+      PacketTable::Record* rec = first_record(b);
+      ASSERT_NE(rec, nullptr);
+      b.packets().update(*rec, [&](PacketTable::Record& r) {
+        bump(b.packets(), r);
+      });
+      EXPECT_NE(b.state_digest(), before)
+          << name << " (digest_first=" << digest_first << ")";
+    }
+  }
+}
+
+TEST(PacketTable, RecordsSurviveGrowthAndBackwardShiftErase) {
+  // Identity-hashed ids collide once live ids span more than the
+  // capacity; erasing from the middle of a probe run must keep every
+  // other record reachable with its own payloads.
+  PacketTable t;
+  auto packet = [](PacketId pid, int len) {
+    return TrafficSource::build_packet(pid, 0, 1, len, nullptr);
+  };
+  std::vector<PacketId> live;
+  for (PacketId pid = 1; pid <= 40; ++pid) {
+    t.open(packet(pid, 1 + static_cast<int>(pid % 5)), pid * 10);
+    live.push_back(pid);
+  }
+  // Keep a few old ids while newer ones wrap onto their home slots.
+  for (PacketId pid = 41; pid <= 400; ++pid) {
+    t.open(packet(pid, 1 + static_cast<int>(pid % 5)), pid * 10);
+    live.push_back(pid);
+    const PacketId victim = live[live.size() / 2];
+    if (victim % 7 != 0) {
+      t.erase(victim);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(live.size() / 2));
+    }
+  }
+  ASSERT_EQ(t.size(), live.size());
+  for (const PacketId pid : live) {
+    const PacketTable::Record* r = t.find(pid);
+    ASSERT_NE(r, nullptr) << pid;
+    EXPECT_EQ(r->birth, pid * 10);
+    ASSERT_EQ(r->length, 1 + pid % 5);
+    for (std::uint8_t k = 0; k < r->length; ++k) {
+      EXPECT_EQ(t.payload(*r, k), (pid << 8) | k) << pid;
+    }
+  }
+  for (const PacketId pid : live) t.erase(pid);
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.find(live.front()), nullptr);
+}
+
+struct DrainCase {
+  std::string name;
+  std::function<void(SimConfig&)> tweak;
+};
+
+TEST(PacketTable, DrainedRunsEndWithAnEmptyTable) {
+  // Every record closes when its packet is delivered: a workload replayed
+  // to drain (run_to_drain) must leave nothing behind, across the link
+  // protection schemes, E2E NACK-and-retransmit and a fault storm. The
+  // invariant monitor checks that every ejected flit finds its record.
+  const std::vector<DrainCase> cases = {
+      {"workload", [](SimConfig&) {}},
+      {"hbh", [](SimConfig& c) {
+         c.protection = LinkProtection::kHbh;
+         c.faults.link_error_rate = 1e-2;
+         c.faults.multi_bit_fraction = 0.5;
+       }},
+      {"e2e_nack", [](SimConfig& c) {
+         c.protection = LinkProtection::kE2e;
+         c.faults.link_error_rate = 1e-1;
+       }},
+      {"fec", [](SimConfig& c) {
+         c.protection = LinkProtection::kFec;
+         c.faults.link_error_rate = 1e-2;
+         c.faults.multi_bit_fraction = 0.5;
+       }},
+      {"storm", [](SimConfig& c) {
+         c.routing = RoutingAlgorithm::kMinimalAdaptive;
+         c.adaptive_faults = true;
+         c.deadlock.enable_recovery = true;
+         c.storm_kills.push_back({40, 5, Direction::kEast});
+         c.storm_kills.push_back({80, 9, Direction::kNorth});
+         c.storm_kills.push_back({120, 6, Direction::kSouth});
+       }},
+  };
+  for (const DrainCase& dc : cases) {
+    for (const bool reference : {false, true}) {
+      SimConfig cfg;
+      cfg.mesh_width = 4;
+      cfg.mesh_height = 4;
+      cfg.injection_rate = 0.0;
+      cfg.warmup_messages = 0;
+      cfg.total_messages = 1;  // Ignored: run_to_drain ends the run.
+      cfg.max_cycles = 200'000;
+      cfg.run_to_drain = true;
+      cfg.check_invariants = true;
+      cfg.use_reference_router = reference;
+      cfg.workload_text =
+          "packet_flits 4\n"
+          "all_to_all mix start=0 flits=8 stagger=6\n"
+          "many_to_one sink start=20 dest=5 flits=6 stagger=2\n";
+      dc.tweak(cfg);
+      Simulator sim(cfg);
+      const SimResults r = sim.run();
+      ASSERT_TRUE(r.completed) << dc.name;
+      EXPECT_GT(sim.network().stats().packets_created(), 400u) << dc.name;
+      EXPECT_EQ(sim.network().packets().size(), 0u)
+          << dc.name << " (reference=" << reference << ")";
+      if (dc.name == "e2e_nack") {
+        EXPECT_GT(r.e2e_retransmits, 0u);
+      }
+      if (dc.name == "storm") {
+        EXPECT_GT(r.links_storm_killed, 0u);
+      }
+    }
+  }
 }
 
 TEST(Network, RejectsInvalidConfig) {

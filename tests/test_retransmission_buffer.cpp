@@ -8,7 +8,7 @@ namespace ftnoc {
 namespace {
 
 Flit flit(PacketId pid, std::uint8_t seq, FlitType t = FlitType::kBody) {
-  return make_flit(t, pid, 0, 1, seq, 0, pid * 100 + seq);
+  return make_flit(t, pid, 0, 1, seq, pid * 100 + seq);
 }
 
 TEST(RetransmissionBuffer, StartsEmpty) {

@@ -60,12 +60,31 @@ class RouterHarness : public ::testing::Test {
                    : i == 0               ? FlitType::kHead
                    : i == len - 1         ? FlitType::kTail
                                           : FlitType::kBody;
-      Flit f = make_flit(t, pid, 0, dest, static_cast<std::uint8_t>(i), 0,
+      Flit f = make_flit(t, pid, 0, dest, static_cast<std::uint8_t>(i),
                          0xAB00 + static_cast<std::uint64_t>(i));
       f.vc = 0;  // Local lane 0.
       flits.push_back(f);
     }
     return flits;
+  }
+
+  // Step at which a fresh router sends east the tail of a two-flit packet
+  // whose tail reaches its input buffer at cycle `tail_at` (the head went
+  // ahead, so the wormhole is open and the tail waits only for SA), or 0.
+  Cycle tail_send_step(Cycle tail_at) {
+    now_ = tail_at - 10;
+    build();
+    const auto pkt = make_packet(1, /*dest=*/1, 2);
+    inject(pkt[0]);
+    while (now_ + 1 < tail_at) tick();
+    inject(pkt[1]);  // Readable, and buffered, at tail_at.
+    for (int k = 0; k < 5; ++k) {
+      const Cycle step = now_;
+      tick();
+      const Flit* out = east_out_.flit.peek();
+      if (out != nullptr && is_tail(out->type)) return step;
+    }
+    return 0;
   }
 
   SimConfig cfg_;
@@ -96,7 +115,7 @@ TEST_F(RouterHarness, ForwardsPacketEastInOrder) {
   for (std::uint8_t i = 0; i < 4; ++i) {
     EXPECT_EQ(seen[i].seq, i);
     EXPECT_EQ(seen[i].packet_id, 1u);
-    EXPECT_EQ(ecc::decode(seen[i].codeword).status, ecc::DecodeStatus::kClean);
+    EXPECT_EQ(ecc::decode(seen[i].codeword()).status, ecc::DecodeStatus::kClean);
   }
 }
 
@@ -112,6 +131,18 @@ TEST_F(RouterHarness, HeaderLatencyIsThreePipeStages) {
   // Arrives cycle 1 (buffer write), RT 2, VA 3, SA+ST 4 -> on the wire,
   // readable by the neighbour at cycle 5.
   EXPECT_EQ(out_cycle, 5u);
+}
+
+TEST_F(RouterHarness, ArrivalStampHoldsAcrossCycleTwoToThe32) {
+  // A flit keeps only the low 32 bits of its arrival cycle. It must still
+  // wait out exactly its arrival cycle where those bits wrap: arriving at
+  // 2^32 (stamp 0) it is not eligible for SA that cycle and leaves the
+  // next; arriving at 2^32 - 1 (stamp 0xFFFFFFFF) it leaves at 2^32.
+  constexpr Cycle kWrap = Cycle{1} << 32;
+  EXPECT_EQ(tail_send_step(1'000), 1'001u);
+  EXPECT_EQ(tail_send_step(kWrap - 1), kWrap);
+  EXPECT_EQ(tail_send_step(kWrap), kWrap + 1);
+  EXPECT_EQ(tail_send_step(kWrap + 1), kWrap + 2);
 }
 
 TEST_F(RouterHarness, EjectsPacketDestinedHere) {
@@ -182,8 +213,8 @@ TEST_F(RouterHarness, ReceiverDropsWindowAndNacksUpstream) {
 
   // Cycle 0: corrupted header arrives.
   Flit bad = pkt[0];
-  bad.codeword.flip(3);
-  bad.codeword.flip(40);
+  bad.flip_code_bit(3);
+  bad.flip_code_bit(40);
   east_in_.write(bad);
   tick();  // Router sees it at cycle 1.
 
@@ -296,8 +327,8 @@ TEST_F(RouterHarness, FourStageHbhDropWindowCoversThirdFollower) {
   build();
   auto pkt = make_packet(7, /*dest=*/0, 6);  // Ejects locally at router 0.
   Flit corrupt = pkt[2];
-  corrupt.codeword.flip(3);
-  corrupt.codeword.flip(7);  // Two flips: uncorrectable, forces a NACK.
+  corrupt.flip_code_bit(3);
+  corrupt.flip_code_bit(7);  // Two flips: uncorrectable, forces a NACK.
   // Wall-clock script of the fake East neighbour: the wormhole opens
   // cleanly (seq 0-1), seq 2 arrives wrecked, seq 3-5 are already in
   // flight behind it and arrive back-to-back, and after seeing the NACK
@@ -374,7 +405,7 @@ TEST(RouterIdle, QuiescentCycleChangesNothingAndChargesNothing) {
   EXPECT_TRUE(ejected.empty());
 
   // A flit arriving on a wire gives the router work, and it actually works.
-  Flit f = make_flit(FlitType::kHeadTail, 1, 1, 0, 0, 1'000, 0xBEEF);
+  Flit f = make_flit(FlitType::kHeadTail, 1, 1, 0, 0, 0xBEEF);
   f.vc = 0;
   east_in.write(f);
   east_in.tick();

@@ -91,7 +91,7 @@ TEST(RtxBufferProperty, RandomOpsMatchReferenceModel) {
           buf.record_transmission(f, now);
           ref.record(f.packet_id, f.seq, now);
         } else if (buf.can_accept(now)) {
-          const Flit f = make_flit(FlitType::kBody, pid, 0, 1, seq, 0, 0);
+          const Flit f = make_flit(FlitType::kBody, pid, 0, 1, seq, 0);
           buf.record_transmission(f, now);
           ref.record(pid, seq, now);
           if (++seq == 4) {
@@ -103,7 +103,7 @@ TEST(RtxBufferProperty, RandomOpsMatchReferenceModel) {
         EXPECT_EQ(buf.on_nack(), ref.nack()) << "seed=" << seed;
       } else if (op == 5 && buf.free_slots() > 0) {
         const Flit f =
-            make_flit(FlitType::kBody, 9000 + pid, 0, 1, seq, 0, 0);
+            make_flit(FlitType::kBody, 9000 + pid, 0, 1, seq, 0);
         buf.absorb(f);
         ref.absorb(9000 + pid, seq);
       }
@@ -137,7 +137,7 @@ TEST(RtxBufferProperty, NackNeverResurrectsExpiredFlits) {
       } else if (buf.can_accept(now)) {
         buf.record_transmission(
             make_flit(FlitType::kBody, 1, 0, 1,
-                      static_cast<std::uint8_t>(n_sends % 250), 0, 0),
+                      static_cast<std::uint8_t>(n_sends % 250), 0),
             now);
         ++n_sends;
       }
@@ -164,7 +164,7 @@ TEST(RtxBufferProperty, UtilizationIsAlwaysAFraction) {
     buf.retire_expired(now);
     if (rng.bernoulli(0.5) && buf.can_accept(now)) {
       buf.record_transmission(
-          make_flit(FlitType::kBody, 1, 0, 1, 0, 0, 0), now);
+          make_flit(FlitType::kBody, 1, 0, 1, 0, 0), now);
     }
     ASSERT_GE(buf.occupancy(), 0);
     ASSERT_LE(buf.occupancy(), buf.depth());

@@ -26,7 +26,7 @@ std::vector<TraceRecord> live_source_trace(const Topology& topo, double rate,
   PacketId pid = 0;
   for (Cycle c = 0; c < cycles; ++c) {
     for (NodeId n = 0; n < topo.num_nodes(); ++n) {
-      if (const auto flits = sources[n].maybe_generate(c, pid)) {
+      if (const auto flits = sources[n].maybe_generate(pid)) {
         records.push_back({c, n, flits->front().dest, len});
       }
     }
