@@ -149,9 +149,9 @@ std::optional<std::string> SimConfig::validate() const {
     return err("mesh must be at least 2x1");
   }
   if (num_nodes() > 0xFFFF - 1) return err("too many nodes for NodeId");
-  // The separable allocators use 32-wide round-robin arbiters over P*V
-  // global VC ids; with P = 5 ports that bounds V at 6.
-  if (num_vcs < 1 || num_vcs > 6) return err("num_vcs must be in [1,6]");
+  if (num_vcs < 1 || num_vcs > kMaxVcs) {
+    return err("num_vcs must be in [1,6]");
+  }
   // The optimized router indexes each input ring with 16-bit counters.
   if (vc_buffer_depth < 1 || vc_buffer_depth > 0xFFFF) {
     return err("vc_buffer_depth must be in [1,65535]");

@@ -95,6 +95,10 @@ struct DeadlockConfig {
   Cycle probe_timeout = 128;
 };
 
+/// Most VCs per physical channel: the separable allocators use 32-wide
+/// round-robin arbiters over P*V global VC ids, and P = 5 ports.
+inline constexpr int kMaxVcs = 6;
+
 struct SimConfig {
   // --- Topology (paper §2.2: 8x8 mesh) ---
   int mesh_width = 8;
@@ -102,7 +106,7 @@ struct SimConfig {
   bool torus = false;  ///< Wrap-around links (used by tornado traffic study).
 
   // --- Router microarchitecture ---
-  int num_vcs = 3;            ///< VCs per physical channel (paper: 3).
+  int num_vcs = 3;  ///< VCs per physical channel (paper: 3; <= kMaxVcs).
   int vc_buffer_depth = 4;    ///< Flits per VC transmission buffer.
   int pipeline_stages = 3;    ///< 1..4 (paper evaluates 3-stage).
   int retransmission_depth = 3;  ///< Barrel-shifter depth (paper: 3).

@@ -26,6 +26,13 @@ inline bool is_tail(FlitType t) {
   return t == FlitType::kTail || t == FlitType::kHeadTail;
 }
 
+/// The type of flit `seq` of a `length`-flit packet.
+inline FlitType flit_type(std::uint32_t seq, std::uint32_t length) {
+  if (length == 1) return FlitType::kHeadTail;
+  if (seq == 0) return FlitType::kHead;
+  return seq + 1 == length ? FlitType::kTail : FlitType::kBody;
+}
+
 /// The arrival stamp of cycle `c`: its low 32 bits. A flit records the
 /// stamp of the cycle it entered its current input buffer, and the
 /// pipeline only moves a flit whose stamp differs from the current

@@ -41,11 +41,10 @@ constexpr std::uint64_t inverse_mod_2_64(std::uint64_t b) {
 constexpr std::uint64_t kFoldBaseInv = inverse_mod_2_64(kFoldBase);
 static_assert(kFoldBase * kFoldBaseInv == 1);
 
-// A queued or held packet's digest term (every flit carries its packet id).
-std::uint64_t packet_hash(const std::vector<Flit>& flits) {
+// A queued or held packet's digest term.
+std::uint64_t id_hash(PacketId pid) {
   digest::Fnv h;
-  h.mix(flits.size());
-  for (const Flit& f : flits) h.mix_flit(f);
+  h.mix(pid);
   return h.value();
 }
 }  // namespace
@@ -62,73 +61,47 @@ ProcessingElement::ProcessingElement(NodeId self, const SimConfig& cfg,
       cfg_(cfg),
       wire_(to_router),
       stats_(stats),
-      packets_(packets) {
+      packets_(packets),
+      num_lanes_(cfg.num_vcs) {
   if (cfg.injection_rate > 0.0) {
     source_.emplace(topo, self, cfg.pattern, cfg.injection_rate,
                     cfg.packet_length, rng);
   }
-  lanes_.resize(static_cast<std::size_t>(cfg.num_vcs));
   for (auto& lane : lanes_) lane.credits = cfg.vc_buffer_depth;
 }
 
-void ProcessingElement::enqueue_packet(std::vector<Flit> flits, bool front) {
-  FTNOC_CHECK(!flits.empty());
-  Packet pkt{std::move(flits)};
-  if (digest_on_) {
-    pkt.hash = packet_hash(pkt.flits);
-    pending_fold_ = front ? pending_fold_ * kFoldBase + pkt.hash
-                          : pending_fold_ + pkt.hash * pending_pow_;
-    pending_pow_ *= kFoldBase;
+void ProcessingElement::add_packet(PacketId pid) {
+  if (stats_) stats_->on_packet_created();
+  if (cfg_.protection == LinkProtection::kE2e) {
+    e2e_buffer_.insert(pid);
+    held_sum_ += id_hash(pid);
   }
+  enqueue(pid, /*front=*/false);
+}
+
+void ProcessingElement::enqueue(PacketId pid, bool front) {
+  const std::uint64_t h = id_hash(pid);
   if (front) {
-    pending_.push_front(std::move(pkt));
+    pending_fold_ = pending_fold_ * kFoldBase + h;
+    pending_.push_front(pid);
   } else {
-    pending_.push_back(std::move(pkt));
+    pending_fold_ += h * pending_pow_;
+    pending_.push_back(pid);
   }
-}
-
-std::vector<Flit> ProcessingElement::pop_pending() {
-  Packet& pkt = pending_.front();
-  if (digest_on_) {
-    pending_fold_ = (pending_fold_ - pkt.hash) * kFoldBaseInv;
-    pending_pow_ *= kFoldBaseInv;
-  }
-  std::vector<Flit> flits = std::move(pkt.flits);
-  pending_.pop_front();
-  return flits;
-}
-
-void ProcessingElement::hold_for_e2e(const std::vector<Flit>& flits) {
-  const PacketId pid = flits.front().packet_id;
-  const auto [it, fresh] = e2e_buffer_.try_emplace(pid, Packet{flits});
-  if (fresh && digest_on_) {
-    it->second.hash = packet_hash(flits);
-    held_sum_ += it->second.hash;
-  }
+  pending_pow_ *= kFoldBase;
 }
 
 void ProcessingElement::e2e_ack(PacketId pid) {
-  const auto it = e2e_buffer_.find(pid);
-  if (it == e2e_buffer_.end()) return;
-  held_sum_ -= it->second.hash;  // 0 while the digest caches are off.
-  e2e_buffer_.erase(it);
+  if (e2e_buffer_.erase(pid) != 0) held_sum_ -= id_hash(pid);
 }
 
 void ProcessingElement::e2e_nack(PacketId pid) {
-  const auto it = e2e_buffer_.find(pid);
-  if (it == e2e_buffer_.end()) return;  // Already acknowledged (stale NACK).
-  // Retransmit a clean copy: re-encode every codeword from the ground-truth
-  // payload and inject ahead of new traffic. The packet's record, birth
-  // and injection cycles included, stays open until a clean delivery, so
-  // the measured latency includes the full recovery.
-  const PacketTable::Record* rec = packets_->find(pid);
-  FTNOC_CHECK(rec != nullptr);
-  std::vector<Flit> copy = it->second.flits;
-  for (auto& f : copy) {
-    f.set_codeword(ecc::encode(packets_->payload(*rec, f.seq)));
-  }
-  if (stats_) stats_->on_e2e_retransmit();
-  enqueue_packet(std::move(copy), /*front=*/true);
+  if (!e2e_buffer_.contains(pid)) return;  // Already acknowledged (stale).
+  // Retransmit ahead of new traffic. The packet's record, birth and
+  // injection cycles included, stays open until a clean delivery, so the
+  // measured latency includes the full recovery.
+  if (stats_) stats_->count(Counter::e2e_retransmits);
+  enqueue(pid, /*front=*/true);
 }
 
 bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
@@ -145,55 +118,56 @@ bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
 
   // Generate new traffic.
   if (source_) {
-    if (auto pkt = source_->maybe_generate(next_packet_id)) {
-      packets_->open(*pkt, now);
-      if (stats_) stats_->on_packet_created();
-      if (cfg_.protection == LinkProtection::kE2e) hold_for_e2e(*pkt);
-      enqueue_packet(std::move(*pkt));
+    if (const auto pid = source_->maybe_generate(next_packet_id, *packets_,
+                                                 now)) {
+      add_packet(*pid);
     }
   }
 
   // Move waiting packets into free lanes (one wormhole per local VC) —
   // unless the router is recovering from a deadlock, which admits no new
   // packets.
-  for (std::size_t v = 0; !router_in_recovery && v < lanes_.size(); ++v) {
+  for (int v = 0; !router_in_recovery && v < num_lanes_; ++v) {
     if (pending_.empty()) break;
-    auto& lane = lanes_[v];
+    auto& lane = lanes_[static_cast<std::size_t>(v)];
     if (lane.remaining() != 0) continue;
-    lane.flits = pop_pending();
+    lane.pid = pending_.front();
+    pending_fold_ = (pending_fold_ - id_hash(lane.pid)) * kFoldBaseInv;
+    pending_pow_ *= kFoldBaseInv;
+    pending_.pop_front();
+    const PacketTable::Record* rec = packets_->find(lane.pid);
+    FTNOC_CHECK(rec != nullptr);
+    lane.length = rec->length;
     lane.next = 0;
-    lane_flits_ += static_cast<int>(lane.flits.size());
-    for (auto& f : lane.flits) f.vc = static_cast<VcId>(v);
+    lane_flits_ += static_cast<int>(lane.length);
   }
 
   // Send at most one flit per cycle over the PE-to-router channel. A PE
   // with no flit in any lane (most of them, on a lightly loaded fabric)
   // skips the lane scan.
   if (lane_flits_ == 0 || !wire_->flit.can_write()) return false;
-  const int nv = static_cast<int>(lanes_.size());
+  const int nv = num_lanes_;
   int v = send_rotation_;
   for (int off = 0; off < nv; ++off, v = (v + 1 == nv) ? 0 : v + 1) {
     auto& lane = lanes_[static_cast<std::size_t>(v)];
     if (lane.remaining() == 0 || lane.credits <= 0) continue;
-    Flit& f = lane.flits[lane.next++];
+    PacketTable::Record* rec = packets_->find(lane.pid);
+    FTNOC_DCHECK(rec != nullptr);
+    Flit f = packets_->flit(*rec, self_, static_cast<std::uint8_t>(lane.next));
+    f.vc = static_cast<VcId>(v);
     --lane_flits_;
     --lane.credits;
     // Stamp the network-injection time on the packet's record the moment
     // its header enters the network (the wire delivers it next cycle, hence
     // now + 1 — which also keeps 0 available as the "not injected yet"
     // sentinel). An E2E retransmission keeps the first attempt's stamp.
-    if (is_head(f.type)) {
-      PacketTable::Record* rec = packets_->find(f.packet_id);
-      FTNOC_DCHECK(rec != nullptr);
-      if (rec->inject == 0) {
-        packets_->update(*rec,
-                         [&](PacketTable::Record& r) { r.inject = now + 1; });
-      }
+    if (lane.next == 0 && rec->inject == 0) {
+      packets_->update(*rec,
+                       [&](PacketTable::Record& r) { r.inject = now + 1; });
     }
     wire_->write(f);
-    if (lane.remaining() == 0) {
-      lane.flits = {};  // Packet fully sent: release it.
-      lane.next = 0;
+    if (++lane.next == lane.length) {
+      lane = Lane{.credits = lane.credits};  // Packet fully sent.
     }
     send_rotation_ = (v + 1 == nv) ? 0 : v + 1;
     return true;
@@ -202,32 +176,16 @@ bool ProcessingElement::step(Cycle now, PacketId& next_packet_id,
 }
 
 std::uint64_t ProcessingElement::state_digest() const {
-  if (!digest_on_) {
-    // First digest: hash every queued and held packet once; the enqueue,
-    // dequeue and ack sites keep the caches from here on.
-    for (std::size_t k = 0; k < pending_.size(); ++k) {
-      const Packet& pkt = pending_[k];
-      pkt.hash = packet_hash(pkt.flits);
-      pending_fold_ += pkt.hash * pending_pow_;
-      pending_pow_ *= kFoldBase;
-    }
-    for (const auto& [pid, pkt] : e2e_buffer_) {
-      pkt.hash = packet_hash(pkt.flits);
-      held_sum_ += pkt.hash;
-    }
-    digest_on_ = true;
-  }
   digest::Fnv h;
   h.mix(static_cast<std::uint64_t>(self_));
   h.mix(static_cast<std::uint64_t>(send_rotation_));
-  h.mix(lanes_.size());
-  for (const auto& lane : lanes_) {
-    h.mix(lane.remaining() != 0);  // Busy: a wormhole is in progress.
+  h.mix(static_cast<std::uint64_t>(num_lanes_));
+  for (int v = 0; v < num_lanes_; ++v) {
+    const Lane& lane = lanes_[static_cast<std::size_t>(v)];
+    h.mix(lane.pid);
+    h.mix(static_cast<std::uint64_t>(lane.next) |
+          static_cast<std::uint64_t>(lane.length) << 32);
     h.mix(static_cast<std::uint64_t>(lane.credits));
-    h.mix(lane.remaining());
-    for (std::size_t k = lane.next; k < lane.flits.size(); ++k) {
-      h.mix_flit(lane.flits[k]);
-    }
   }
   h.mix(pending_.size());
   h.mix(pending_fold_);
@@ -428,7 +386,7 @@ void Network::on_eject(NodeId dest, const Flit& f, Cycle now) {
   });
   if (r.status == ecc::DecodeStatus::kCorrected &&
       cfg_.protection == LinkProtection::kE2e) {
-    stats_.on_link_single_corrected();
+    stats_.count(Counter::link_single_corrected);
   }
 
   if (!is_tail(f.type)) return;
@@ -457,7 +415,7 @@ void Network::on_eject(NodeId dest, const Flit& f, Cycle now) {
                          EdgeEvent{f.src, f.packet_id, /*is_nack=*/false});
   }
 
-  if (packet_bad) stats_.on_unprotected_error();
+  if (packet_bad) stats_.count(Counter::unprotected_errors);
   stats_.on_message_ejected(now, rec->birth, rec->inject, packet_bad,
                             f.seq + 1u);
   if (delivery_listener_) delivery_listener_(dest, f, now);
@@ -478,11 +436,9 @@ void Network::fire_due_events() {
 
 PacketId Network::inject_packet(NodeId src, NodeId dest, int length) {
   const PacketId pid = next_packet_id_++;
-  auto flits = TrafficSource::build_packet(pid, src, dest, length, nullptr);
-  packets_.open(flits, now_);
-  stats_.on_packet_created();
-  if (cfg_.protection == LinkProtection::kE2e) pes_[src].hold_for_e2e(flits);
-  pes_[src].enqueue_packet(std::move(flits));
+  packets_.open(pid, dest, static_cast<std::uint32_t>(length), now_,
+                [pid](std::uint32_t k) { return (pid << 8) | k; });
+  pes_[src].add_packet(pid);
   return pid;
 }
 
@@ -526,7 +482,7 @@ void Network::try_kill_link(NodeId n, Direction dir) {
   if (topo_.would_partition(n, dir)) return;  // Veto: limp on.
   const NodeId nb = *topo_.neighbor(n, dir);
   topo_.fail_link(n, dir);
-  stats_.on_storm_link_killed();
+  stats_.count(Counter::links_storm_killed);
   routers_[n]->begin_link_drain(static_cast<PortId>(dir), now_);
   routers_[nb]->begin_link_drain(static_cast<PortId>(opposite(dir)), now_);
   if (!scan_kernel_) {

@@ -4,12 +4,13 @@
 // meter, and the end-to-end (E2E) retransmission machinery that lives at
 // the network edge.
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/config.hpp"
@@ -31,8 +32,10 @@
 namespace ftnoc {
 
 /// A processing element: generates packets, injects flits into its router's
-/// local port under credit flow control, and (for E2E) buffers sent packets
-/// until the destination acknowledges them.
+/// local port under credit flow control, and (for E2E) holds sent packets
+/// until the destination acknowledges them. It carries packet ids only:
+/// each flit is built from the packet's record in the network's packet
+/// table as it is sent.
 class ProcessingElement {
  public:
   ProcessingElement(NodeId self, const SimConfig& cfg, const Topology& topo,
@@ -49,16 +52,14 @@ class ProcessingElement {
   /// marks the wire live.
   bool step(Cycle now, PacketId& next_packet_id, bool router_in_recovery);
 
-  /// Queues a packet whose record is open in the packet table. Front
-  /// insertion is used by the E2E retransmission path.
-  void enqueue_packet(std::vector<Flit> flits, bool front = false);
+  /// Takes a packet whose record just opened in the packet table: counts
+  /// it, holds it under E2E until acknowledged, and queues it.
+  void add_packet(PacketId pid);
 
-  /// E2E: hold a clean copy of the packet until acknowledged.
-  void hold_for_e2e(const std::vector<Flit>& flits);
-  /// E2E: destination acknowledged — drop the copy.
+  /// E2E: destination acknowledged — release the packet.
   void e2e_ack(PacketId pid);
-  /// E2E: destination reported corruption — retransmit a copy re-encoded
-  /// from the packet table's ground-truth payloads.
+  /// E2E: destination reported corruption — queue the packet again, ahead
+  /// of new traffic; its flits are rebuilt clean from the record.
   void e2e_nack(PacketId pid);
 
   std::size_t pending_packets() const { return pending_.size(); }
@@ -67,31 +68,26 @@ class ProcessingElement {
   /// Free injection credits of one local-VC lane (credit-conservation walk).
   int lane_credits(VcId v) const { return lanes_.at(v).credits; }
 
-  /// Architectural-state hash (lock-step differential comparison). Costs
-  /// O(lanes x packet length), however long the queues grow: the first
-  /// call hashes every queued and held packet once and turns on the digest
-  /// caches below, which every later enqueue, dequeue and ack keeps
-  /// current. A run that never digests never pays for them.
+  /// Architectural-state hash (lock-step differential comparison), O(lanes)
+  /// however long the queues grow: the queue and the held set enter
+  /// through running folds of their ids' hashes. A packet's flits are a
+  /// function of its id, its record and `self`, and the network digest
+  /// covers the records.
   std::uint64_t state_digest() const;
 
  private:
   /// One local-VC wormhole: the packet being injected, sent front to
   /// back through a cursor. A lane holds one packet at a time.
   struct Lane {
+    PacketId pid = 0;
+    std::uint32_t length = 0;  ///< Flits in the packet; 0 when idle.
+    std::uint32_t next = 0;    ///< Seq of the next flit to send.
     int credits = 0;
-    std::size_t next = 0;     ///< Index of the next flit to send.
-    std::vector<Flit> flits;  ///< The packet; fully sent once next == size.
-    std::size_t remaining() const { return flits.size() - next; }
+    std::uint32_t remaining() const { return length - next; }
   };
 
-  /// A whole packet and, while the digest caches are on, its hash.
-  struct Packet {
-    std::vector<Flit> flits;
-    mutable std::uint64_t hash = 0;
-  };
-
-  /// Moves the front pending packet out of the queue.
-  std::vector<Flit> pop_pending();
+  /// Queues `pid` at the back, or at the front (E2E retransmission).
+  void enqueue(PacketId pid, bool front);
 
   NodeId self_;
   const SimConfig& cfg_;
@@ -99,21 +95,23 @@ class ProcessingElement {
   StatsCollector* stats_;
   PacketTable* packets_;
   std::optional<TrafficSource> source_;
-  RingDeque<Packet> pending_;
-  std::vector<Lane> lanes_;
+  RingDeque<PacketId> pending_;
+  /// One lane per local VC, inline: lanes_[0 .. num_lanes_).
+  std::array<Lane, kMaxVcs> lanes_{};
+  int num_lanes_ = 0;
   int send_rotation_ = 0;
   int lane_flits_ = 0;  ///< Flits held across lanes_; 0 skips the send scan.
-  std::unordered_map<PacketId, Packet> e2e_buffer_;
+  /// E2E: packets sent or queued and not yet acknowledged.
+  std::unordered_set<PacketId> e2e_buffer_;
 
-  // --- Digest caches (state_digest) ----------------------------------------
-  mutable bool digest_on_ = false;
-  /// Positional fold of the pending packets' hashes, sum of hash_k * B^k
-  /// over queue positions k (mod 2^64), and B^pending_.size(); a push at
-  /// either end or a pop at the front updates both in O(1).
-  mutable std::uint64_t pending_fold_ = 0;
-  mutable std::uint64_t pending_pow_ = 1;
-  /// Sum of the held packets' hashes (e2e_buffer_ is unordered).
-  mutable std::uint64_t held_sum_ = 0;
+  // --- Digest folds (state_digest) -------------------------------------------
+  /// Positional fold of the pending ids' hashes, sum of hash_k * B^k over
+  /// queue positions k (mod 2^64), and B^pending_.size(); a push at either
+  /// end or a pop at the front updates both in O(1).
+  std::uint64_t pending_fold_ = 0;
+  std::uint64_t pending_pow_ = 1;
+  /// Sum of the held ids' hashes (e2e_buffer_ is unordered).
+  std::uint64_t held_sum_ = 0;
 };
 
 /// Observer invoked for every delivered (clean) message:
@@ -152,8 +150,7 @@ class Network {
   const RouterIface& router_base(NodeId n) const { return *routers_.at(n); }
   ProcessingElement& pe(NodeId n) { return pes_.at(n); }
 
-  /// Null unless the config asked for invariant checking (and the hooks
-  /// were compiled in).
+  /// Null unless the config asked for invariant checking.
   InvariantMonitor* monitor() { return monitor_.get(); }
 
   /// Per-packet records of every packet created and not yet delivered.

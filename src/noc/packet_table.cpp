@@ -7,27 +7,20 @@
 
 namespace ftnoc {
 
-void PacketTable::open(const std::vector<Flit>& flits, Cycle birth) {
-  FTNOC_CHECK(!flits.empty());
-  Record r;
-  r.pid = flits.front().packet_id;
-  r.birth = birth;
-  r.length = static_cast<std::uint32_t>(flits.size());
-  FTNOC_DCHECK(r.pid != 0 && find(r.pid) == nullptr);
+PacketTable::Record& PacketTable::insert(PacketId pid, NodeId dest,
+                                         std::uint32_t length, Cycle birth) {
+  FTNOC_CHECK(length >= 1);
+  FTNOC_DCHECK(pid != 0 && find(pid) == nullptr);
   // At most half full, so probe runs stay short.
-  if ((size_ + 1) * 2 > slots_.size() || flits.size() > stride_) {
+  if ((size_ + 1) * 2 > slots_.size() || length > stride_) {
     std::size_t capacity = std::max<std::size_t>(slots_.size(), 16);
     while ((size_ + 1) * 2 > capacity) capacity *= 2;
-    rehash(capacity, std::max(stride_, flits.size()));
+    rehash(capacity, std::max<std::size_t>(stride_, length));
   }
-  const std::size_t i = free_slot(r.pid);
-  slots_[i] = r;
-  std::uint64_t* const out = &payloads_[i * stride_];
-  for (std::size_t k = 0; k < flits.size(); ++k) {
-    out[k] = ecc::extract_data(flits[k].codeword());
-  }
+  Record& r = slots_[free_slot(pid)];
+  r = Record{.pid = pid, .birth = birth, .length = length, .dest = dest};
   ++size_;
-  if (digest_on_) sum_ += record_hash(slots_[i]);
+  return r;
 }
 
 PacketTable::Record* PacketTable::find(PacketId pid) {
@@ -88,7 +81,8 @@ std::uint64_t PacketTable::record_hash(const Record& r) const {
   h.mix(static_cast<std::uint64_t>(r.inject));
   h.mix(static_cast<std::uint64_t>(r.length) |
         static_cast<std::uint64_t>(r.seen) << 32);
-  h.mix(r.bad);
+  h.mix(static_cast<std::uint64_t>(r.bad) |
+        static_cast<std::uint64_t>(r.dest) << 8);
   const std::uint64_t* const p = &payloads_[index_of(r) * stride_];
   for (std::uint32_t k = 0; k < r.length; ++k) h.mix(p[k]);
   return h.value();

@@ -1,9 +1,11 @@
 #pragma once
 // PacketTable — the per-packet facts that no flit carries (DESIGN.md
-// §4.11): the birth and injection cycles, the ground-truth payloads and
-// the ejection progress. Only the source PE and the ejection port read
-// them, so they live once per packet here instead of in every wire, ring
-// and barrel copy of every flit.
+// §4.11): the destination, the birth and injection cycles, the
+// ground-truth payloads and the ejection progress. Only the source PE and
+// the ejection port read them, so they live once per packet here instead
+// of in every wire, ring and barrel copy of every flit. The source side
+// holds nothing but packet ids: it builds each flit from its packet's
+// record when it sends it (flit()).
 //
 // One flat open-addressed table keyed by packet id: a record and its
 // payloads sit in two parallel arrays, so a packet costs no heap node of
@@ -39,11 +41,21 @@ class PacketTable {
     /// whether any of them arrived corrupt.
     std::uint32_t seen = 0;
     bool bad = false;
+    NodeId dest = kInvalidNode;
   };
+  static_assert(sizeof(Record) == 40);
 
-  /// Opens the record of a packet fresh from TrafficSource::build_packet:
-  /// the payloads are read back from its clean codewords.
-  void open(const std::vector<Flit>& flits, Cycle birth);
+  /// Opens the record of a new packet. `payload_of(k)` is called once per
+  /// flit, k = 0 .. length - 1 in order, and returns flit k's payload.
+  template <typename PayloadFn>
+  Record& open(PacketId pid, NodeId dest, std::uint32_t length, Cycle birth,
+               PayloadFn&& payload_of) {
+    Record& r = insert(pid, dest, length, birth);
+    std::uint64_t* const out = &payloads_[index_of(r) * stride_];
+    for (std::uint32_t k = 0; k < length; ++k) out[k] = payload_of(k);
+    if (digest_on_) sum_ += record_hash(r);
+    return r;
+  }
 
   /// The live record of `pid`, or null. Valid until the next open() or
   /// erase().
@@ -59,6 +71,13 @@ class PacketTable {
   std::uint64_t& payload(Record& r, std::uint8_t seq) {
     FTNOC_DCHECK(seq < r.length);
     return payloads_[index_of(r) * stride_ + seq];
+  }
+
+  /// Flit `seq` of `r`'s packet as its source `src` sends it: the codeword
+  /// freshly encoded from the payload, no VC stamped yet.
+  Flit flit(const Record& r, NodeId src, std::uint8_t seq) const {
+    return make_flit(flit_type(seq, r.length), r.pid, src, r.dest, seq,
+                     payload(r, seq));
   }
 
   /// Applies `fn` to `r`, keeping the digest cache current.
@@ -86,6 +105,9 @@ class PacketTable {
     return static_cast<std::size_t>(&r - slots_.data());
   }
   std::uint64_t record_hash(const Record& r) const;
+  /// Claims a slot for a new record, its payloads not yet written.
+  Record& insert(PacketId pid, NodeId dest, std::uint32_t length,
+                 Cycle birth);
   /// Rebuilds the arrays with `capacity` slots of `stride` payloads each.
   void rehash(std::size_t capacity, std::size_t stride);
   /// The first free slot of `pid`'s probe run.

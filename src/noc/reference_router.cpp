@@ -90,7 +90,7 @@ void ReferenceRouter::begin_link_drain(PortId p, Cycle now) {
     if (vc.candidates == 0) {
       vc.state = VcState::kRouting;
       vc.state_since = now;
-      if (stats_) stats_->on_packet_rerouted();
+      if (stats_) stats_->count(Counter::packets_rerouted);
     }
   }
   // A registered deadlock waiter with none of its flits absorbed into the
@@ -111,7 +111,7 @@ void ReferenceRouter::begin_link_drain(PortId p, Cycle now) {
       wvc.out_port = kInvalidPort;
       wvc.out_vc = kInvalidVc;
       wvc.state_since = now;
-      if (stats_) stats_->on_packet_rerouted();
+      if (stats_) stats_->count(Counter::packets_rerouted);
     }
   }
 }
@@ -197,9 +197,9 @@ void ReferenceRouter::phase_maintenance(Cycle now) {
     for (const Credit& c : w->credit.read()) {
       if (faults_ && faults_->upset_handshake()) {
         if (cfg_.tmr_handshaking) {
-          if (stats_) stats_->on_handshake_error_corrected();
+          if (stats_) stats_->count(Counter::handshake_errors_corrected);
         } else {
-          if (stats_) stats_->on_unprotected_error();
+          if (stats_) stats_->count(Counter::unprotected_errors);
           continue;
         }
       }
@@ -210,9 +210,9 @@ void ReferenceRouter::phase_maintenance(Cycle now) {
     if (auto nack = w->nack.read()) {
       if (faults_ && faults_->upset_handshake()) {
         if (cfg_.tmr_handshaking) {
-          if (stats_) stats_->on_handshake_error_corrected();
+          if (stats_) stats_->count(Counter::handshake_errors_corrected);
         } else {
-          if (stats_) stats_->on_unprotected_error();
+          if (stats_) stats_->count(Counter::unprotected_errors);
           nack = nullptr;
         }
       }
@@ -232,7 +232,9 @@ void ReferenceRouter::phase_maintenance(Cycle now) {
           staged_[p].reset();
         }
         if (stats_) {
-          stats_->on_link_retransmission(static_cast<std::uint64_t>(n));
+          stats_->count(Counter::link_retransmission_events);
+          stats_->count(Counter::link_flits_retransmitted,
+                        static_cast<std::uint64_t>(n));
         }
       }
     }
@@ -284,7 +286,7 @@ void ReferenceRouter::handle_incoming_flit(PortId p, Flit f, Cycle now) {
     switch (cfg_.protection) {
       case LinkProtection::kHbh: {
         if (now <= drop_until_[gid(p, f.vc)]) {
-          if (stats_) stats_->on_flit_dropped();
+          if (stats_) stats_->count(Counter::flits_dropped);
           if (mon_) mon_->on_dropped();
           return;
         }
@@ -294,7 +296,7 @@ void ReferenceRouter::handle_incoming_flit(PortId p, Flit f, Cycle now) {
             c == FlitCheck::kUncorrectable ||
             (cfg_.ecc_detect_only && c == FlitCheck::kCorrected);
         if (must_retransmit) {
-          if (stats_) stats_->on_nack_sent();
+          if (stats_) stats_->count(Counter::nacks_sent);
           pending_nacks_.push_back({p, f.vc, now + 1});
           // The reference model never applies test mutations: a 4-stage
           // sender always gets the full 3-cycle drop window.
@@ -304,7 +306,7 @@ void ReferenceRouter::handle_incoming_flit(PortId p, Flit f, Cycle now) {
           return;
         }
         if (c == FlitCheck::kCorrected) {
-          if (stats_) stats_->on_link_single_corrected();
+          if (stats_) stats_->count(Counter::link_single_corrected);
         }
         break;
       }
@@ -312,7 +314,7 @@ void ReferenceRouter::handle_incoming_flit(PortId p, Flit f, Cycle now) {
         charge(power::EnergyEvent::kEccCheck);
         const FlitCheck c = checker_.check(f);
         if (c == FlitCheck::kCorrected) {
-          if (stats_) stats_->on_link_single_corrected();
+          if (stats_) stats_->count(Counter::link_single_corrected);
         }
         break;
       }
@@ -417,10 +419,10 @@ void ReferenceRouter::phase_replay_and_switch(Cycle now) {
         if (ac_requires_neighbor_nack(cfg_.pipeline_stages)) {
           charge(power::EnergyEvent::kNackSignal);
         }
-        if (stats_) stats_->on_sa_error_recovered();
+        if (stats_) stats_->count(Counter::sa_errors_recovered);
         continue;
       }
-      if (stats_) stats_->on_unprotected_error();
+      if (stats_) stats_->count(Counter::unprotected_errors);
       corrupt_in_flight = true;
     }
 
@@ -459,7 +461,7 @@ void ReferenceRouter::finalize_transmission(PortId o, VcId v, const Flit& f,
   Flit stored = f;
   if (faults_ && faults_->upset_rtx_copy()) {
     if (cfg_.duplicate_rtx_buffers) {
-      if (stats_) stats_->on_rtx_error_corrected();
+      if (stats_) stats_->count(Counter::rtx_errors_corrected);
       charge(power::EnergyEvent::kRtxBufferWrite);
     } else {
       stored.flip_code_bit(static_cast<int>(faults_->random_below(36)));
@@ -621,7 +623,7 @@ void ReferenceRouter::phase_va(Cycle now) {
         }
         if (usable == 0) continue;
         vc.candidates = usable;
-        if (stats_) stats_->on_hard_fault_reroute();
+        if (stats_) stats_->count(Counter::hard_fault_reroutes);
         if (mon_) {
           mon_->on_misroute(now, id_, vc.buf.front().packet_id);
         }
@@ -633,12 +635,12 @@ void ReferenceRouter::phase_va(Cycle now) {
         }
         if (live != 0) {
           vc.candidates = live;
-          if (stats_) stats_->on_hard_fault_reroute();
+          if (stats_) stats_->count(Counter::hard_fault_reroutes);
         } else {
           continue;
         }
       } else {
-        if (stats_) stats_->on_rt_error_recovered();
+        if (stats_) stats_->count(Counter::rt_errors_recovered);
         vc.state = VcState::kRouting;
         vc.candidates = 0;
         continue;
@@ -733,11 +735,11 @@ void ReferenceRouter::run_ac_on_va(std::size_t g, Cycle now) {
     const AcReport report = ac_.check(rt_state, va_state, sa_state);
     charge(power::EnergyEvent::kAcCheck);
     FTNOC_CHECK(report.any_error());
-    if (stats_) stats_->on_va_error_recovered();
+    if (stats_) stats_->count(Counter::va_errors_recovered);
     (void)now;
     return;
   }
-  if (stats_) stats_->on_unprotected_error();
+  if (stats_) stats_->count(Counter::unprotected_errors);
   vc.state = VcState::kDraining;
 }
 
@@ -758,7 +760,7 @@ PortMask ReferenceRouter::apply_rt_fault(InputVc& vc, PortMask correct,
     return port_bit(w);
   }
   if (cfg_.routing == RoutingAlgorithm::kXY) {
-    if (stats_) stats_->on_rt_error_recovered();
+    if (stats_) stats_->count(Counter::rt_errors_recovered);
     charge(power::EnergyEvent::kNackSignal);
     charge(power::EnergyEvent::kRetransmission);
     vc.stall_until =
@@ -800,8 +802,8 @@ void ReferenceRouter::phase_rt(Cycle now) {
       send_credit(static_cast<PortId>(g / num_vcs_),
                   static_cast<VcId>(g % num_vcs_));
       if (stats_) {
-        stats_->on_flit_dropped();
-        stats_->on_unprotected_error();
+        stats_->count(Counter::flits_dropped);
+        stats_->count(Counter::unprotected_errors);
       }
       continue;
     }
@@ -813,7 +815,7 @@ void ReferenceRouter::phase_rt(Cycle now) {
       // The reference model never applies the "route_into_dead_link"
       // planted mutation: it always routes fault-aware.
       if (correct == 0) {
-        if (stats_) stats_->on_unreachable_drop();
+        if (stats_) stats_->count(Counter::unreachable_drops);
         vc.state = VcState::kDraining;
         vc.state_since = now;
         continue;
@@ -821,7 +823,7 @@ void ReferenceRouter::phase_rt(Cycle now) {
       if (stats_ &&
           (correct & ~route_fault_free(topo_, cfg_.routing, id_, dest)) !=
               0) {
-        stats_->on_hard_fault_reroute();
+        stats_->count(Counter::hard_fault_reroutes);
       }
     }
     vc.candidates = apply_rt_fault(vc, correct, now);
@@ -902,14 +904,14 @@ void ReferenceRouter::handle_probe(PortId /*from*/, const ProbeSignal& probe,
   charge(power::EnergyEvent::kProbeHop);
   if (probe.hops >
       kProbeTtlPerNode * static_cast<std::uint32_t>(topo_.num_nodes())) {
-    if (stats_) stats_->on_probe_discarded();
+    if (stats_) stats_->count(Counter::probes_discarded);
     return;
   }
   if (probe.origin == id_) {
     FTNOC_TRACE(trace_fmt("[%llu] r%u probe id=%u RETURNED",
                               (unsigned long long)now, id_, probe.probe_id));
     if (agent_.on_probe_returned(probe)) {
-      if (stats_) stats_->on_deadlock_confirmed();
+      if (stats_) stats_->count(Counter::deadlocks_confirmed);
       if (mon_) mon_->on_probe_confirmed(now, id_, probe.probe_id);
       const auto it = own_probe_route_.find(probe.probe_id);
       FTNOC_CHECK(it != own_probe_route_.end());
@@ -948,7 +950,7 @@ void ReferenceRouter::handle_probe(PortId /*from*/, const ProbeSignal& probe,
     if (mon_) mon_->on_probe_forwarded(id_, probe.origin, probe.probe_id);
     queue_control(fwd->first, next);
   } else {
-    if (stats_) stats_->on_probe_discarded();
+    if (stats_) stats_->count(Counter::probes_discarded);
   }
 }
 
@@ -958,7 +960,7 @@ void ReferenceRouter::handle_activation(const ActivationSignal& act,
     const bool was = agent_.in_recovery();
     agent_.on_activation_returned(act);
     if (!was && agent_.in_recovery()) {
-      if (stats_) stats_->on_recovery_entered();
+      if (stats_) stats_->count(Counter::recoveries_entered);
       if (mon_) {
         mon_->on_recovery_entered(
             now, id_, RecoveryTrigger::kActivationReturned, act.origin,
@@ -970,7 +972,7 @@ void ReferenceRouter::handle_activation(const ActivationSignal& act,
   const bool was = agent_.in_recovery();
   const auto fwd = agent_.on_activation(act);
   if (!was && agent_.in_recovery()) {
-    if (stats_) stats_->on_recovery_entered();
+    if (stats_) stats_->count(Counter::recoveries_entered);
     if (mon_) {
       mon_->on_recovery_entered(
           now, id_, RecoveryTrigger::kActivationRelay, act.origin, act.probe_id,
@@ -1020,8 +1022,8 @@ void ReferenceRouter::phase_deadlock(Cycle now) {
     if (agent_.failed_probes() >= kFallbackProbeFailures) {
       agent_.enter_recovery();
       if (stats_) {
-        stats_->on_fallback_recovery();
-        stats_->on_recovery_entered();
+        stats_->count(Counter::fallback_recoveries);
+        stats_->count(Counter::recoveries_entered);
       }
       if (mon_) {
         mon_->on_recovery_entered(
@@ -1037,7 +1039,7 @@ void ReferenceRouter::phase_deadlock(Cycle now) {
     own_probe_route_.clear();
     own_probe_route_[pr.probe_id] = ProbeRoute{chain->first, now};
     queue_control(chain->first, pr);
-    if (stats_) stats_->on_probe_sent();
+    if (stats_) stats_->count(Counter::probes_sent);
     charge(power::EnergyEvent::kProbeHop);
   }
 
@@ -1112,7 +1114,7 @@ void ReferenceRouter::phase_deadlock(Cycle now) {
     charge(power::EnergyEvent::kBufferRead);
     charge(power::EnergyEvent::kRtxBufferWrite);
     send_credit(in_port, in_vc);
-    if (stats_) stats_->on_flit_absorbed();
+    if (stats_) stats_->count(Counter::flits_absorbed);
     vc.last_advance = now;
     if (is_tail(f.type)) {
       release_input_after_tail(in_port, in_vc, now);
@@ -1140,7 +1142,7 @@ void ReferenceRouter::phase_deadlock(Cycle now) {
     agent_.exit_recovery();
     FTNOC_TRACE(trace_fmt("[%llu] r%u exit recovery",
                               (unsigned long long)now, id_));
-    if (stats_) stats_->on_recovery_exited();
+    if (stats_) stats_->count(Counter::recoveries_exited);
   }
 }
 

@@ -158,7 +158,7 @@ void Router::begin_link_drain(PortId p, Cycle now) {
       set_state(g, VcState::kRouting);
       vc.state_since = now;
       update_input_work(g);
-      if (stats_) stats_->on_packet_rerouted();
+      if (stats_) stats_->count(Counter::packets_rerouted);
     }
   }
   // A packet already *holding* this port as a registered deadlock waiter
@@ -189,7 +189,7 @@ void Router::begin_link_drain(PortId p, Cycle now) {
         wvc.out_vc = kInvalidVc;
         wvc.state_since = now;
         update_input_work(wg);
-        if (stats_) stats_->on_packet_rerouted();
+        if (stats_) stats_->count(Counter::packets_rerouted);
       }
     }
   }
@@ -347,9 +347,9 @@ void Router::phase_maintenance(Cycle now) {
       // sender's view of the downstream buffer leaks a slot forever.
       if (f_hs_live_ && faults_->upset_handshake()) {
         if (cfg_.tmr_handshaking) {
-          if (stats_) stats_->on_handshake_error_corrected();
+          if (stats_) stats_->count(Counter::handshake_errors_corrected);
         } else {
-          if (stats_) stats_->on_unprotected_error();
+          if (stats_) stats_->count(Counter::unprotected_errors);
           continue;
         }
       }
@@ -360,11 +360,11 @@ void Router::phase_maintenance(Cycle now) {
     if (auto nack = w->nack.read()) {
       if (f_hs_live_ && faults_->upset_handshake()) {
         if (cfg_.tmr_handshaking) {
-          if (stats_) stats_->on_handshake_error_corrected();
+          if (stats_) stats_->count(Counter::handshake_errors_corrected);
         } else {
           // Lost NACK: the receiver dropped flits that will never be
           // replayed — the packet arrives incomplete.
-          if (stats_) stats_->on_unprotected_error();
+          if (stats_) stats_->count(Counter::unprotected_errors);
           nack = nullptr;
         }
       }
@@ -397,7 +397,9 @@ void Router::phase_maintenance(Cycle now) {
         refresh_rtx_cache(gid(p, nack->vc));
         update_output_work(gid(p, nack->vc));
         if (stats_) {
-          stats_->on_link_retransmission(static_cast<std::uint64_t>(n));
+          stats_->count(Counter::link_retransmission_events);
+          stats_->count(Counter::link_flits_retransmitted,
+                        static_cast<std::uint64_t>(n));
         }
       }
     }
@@ -468,7 +470,7 @@ void Router::handle_incoming_flit(PortId p, Flit& f, Cycle now) {
         if (now <= drop_until_[gid(p, f.vc)]) {
           // Retransmission in progress: this is one of the in-flight flits
           // behind the errored one (Figure 4, "DROP").
-          if (stats_) stats_->on_flit_dropped();
+          if (stats_) stats_->count(Counter::flits_dropped);
           if (mon_) mon_->on_dropped();
           return;
         }
@@ -482,7 +484,7 @@ void Router::handle_incoming_flit(PortId p, Flit& f, Cycle now) {
           // stage), and drop the in-flight followers (two for the paper's
           // 3-cycle loop, Figure 4; three when the sender has a dedicated
           // ST stage and thus a third flit in flight).
-          if (stats_) stats_->on_nack_sent();
+          if (stats_) stats_->count(Counter::nacks_sent);
           pending_nacks_.push_back({p, f.vc, now + 1});
           // A sender with a dedicated ST stage has a third flit in flight,
           // so its drop window is one cycle longer. The "drop_window"
@@ -495,7 +497,7 @@ void Router::handle_incoming_flit(PortId p, Flit& f, Cycle now) {
           return;
         }
         if (c == FlitCheck::kCorrected) {
-          if (stats_) stats_->on_link_single_corrected();
+          if (stats_) stats_->count(Counter::link_single_corrected);
         }
         break;
       }
@@ -503,7 +505,7 @@ void Router::handle_incoming_flit(PortId p, Flit& f, Cycle now) {
         charge(power::EnergyEvent::kEccCheck);
         const FlitCheck c = checker_.check(f);
         if (c == FlitCheck::kCorrected) {
-          if (stats_) stats_->on_link_single_corrected();
+          if (stats_) stats_->count(Counter::link_single_corrected);
         }
         // Uncorrectable flits travel on, silently corrupt — FEC has no
         // retransmission path. Corruption is accounted at ejection.
@@ -642,12 +644,12 @@ void Router::phase_replay_and_switch(Cycle now) {
         if (ac_requires_neighbor_nack(cfg_.pipeline_stages)) {
           charge(power::EnergyEvent::kNackSignal);
         }
-        if (stats_) stats_->on_sa_error_recovered();
+        if (stats_) stats_->count(Counter::sa_errors_recovered);
         continue;
       }
       // Unprotected: the flit collides / is steered wrong — it leaves this
       // router corrupted (cases (b)-(d) of §4.3 all end in a wrecked flit).
-      if (stats_) stats_->on_unprotected_error();
+      if (stats_) stats_->count(Counter::unprotected_errors);
       corrupt_in_flight = true;
     }
 
@@ -703,7 +705,7 @@ void Router::finalize_transmission(PortId o, VcId v, const Flit& f,
   bool wreck_stored = false;
   if (f_rtx_live_ && faults_->upset_rtx_copy()) {
     if (cfg_.duplicate_rtx_buffers) {
-      if (stats_) stats_->on_rtx_error_corrected();
+      if (stats_) stats_->count(Counter::rtx_errors_corrected);
       charge(power::EnergyEvent::kRtxBufferWrite);  // Duplicate access.
     } else {
       wreck_stored = true;
@@ -952,7 +954,7 @@ void Router::phase_va(Cycle now) {
         }
         if (usable == 0) continue;  // Escape ports all draining; retry.
         vc.candidates = usable;
-        if (stats_) stats_->on_hard_fault_reroute();
+        if (stats_) stats_->count(Counter::hard_fault_reroutes);
         if (mon_) {
           mon_->on_misroute(now, id_, vc.buf.front().packet_id);
         }
@@ -969,7 +971,7 @@ void Router::phase_va(Cycle now) {
         }
         if (live != 0) {
           vc.candidates = live;
-          if (stats_) stats_->on_hard_fault_reroute();
+          if (stats_) stats_->count(Counter::hard_fault_reroutes);
           // Fall through: request an output VC on the detour this cycle.
         } else {
           continue;  // Fully cut off; nothing to do.
@@ -978,7 +980,7 @@ void Router::phase_va(Cycle now) {
         // Upset routing computation (mesh edge / wrong-PE ejection): the
         // VA catches it from its link-state table (4.2) and the RT redoes
         // the route - a single-cycle penalty.
-        if (stats_) stats_->on_rt_error_recovered();
+        if (stats_) stats_->count(Counter::rt_errors_recovered);
         set_state(g, VcState::kRouting);
         vc.candidates = 0;
         continue;
@@ -1084,13 +1086,13 @@ void Router::run_ac_on_va(std::size_t g, Cycle now) {
     FTNOC_CHECK(report.any_error());
     // Invalidate the previous cycle's allocation: the input VC stays in
     // kVaWait and re-arbitrates — exactly one cycle lost (§4.1).
-    if (stats_) stats_->on_va_error_recovered();
+    if (stats_) stats_->count(Counter::va_errors_recovered);
     (void)now;
     return;
   }
   // Unprotected VA upset: the packet inherits a broken (or duplicate)
   // wormhole and its flits are effectively lost (§4.1 scenarios 1-3).
-  if (stats_) stats_->on_unprotected_error();
+  if (stats_) stats_->count(Counter::unprotected_errors);
   set_state(static_cast<int>(g), VcState::kDraining);
 }
 
@@ -1123,7 +1125,7 @@ PortMask Router::apply_rt_fault(InputVc& vc, PortMask correct, Cycle now) {
     // 1 (NACK) + n (re-route + retransmission) cycles (§4.2). We charge the
     // penalty and the signalling energy without physically bouncing the
     // header, which keeps the wormhole state machine exact.
-    if (stats_) stats_->on_rt_error_recovered();
+    if (stats_) stats_->count(Counter::rt_errors_recovered);
     charge(power::EnergyEvent::kNackSignal);
     charge(power::EnergyEvent::kRetransmission);
     vc.stall_until =
@@ -1181,8 +1183,8 @@ void Router::phase_rt(Cycle now) {
       send_credit(static_cast<PortId>(g / num_vcs_),
                   static_cast<VcId>(g % num_vcs_));
       if (stats_) {
-        stats_->on_flit_dropped();
-        stats_->on_unprotected_error();
+        stats_->count(Counter::flits_dropped);
+        stats_->count(Counter::unprotected_errors);
       }
       update_input_work(g);
       continue;
@@ -1203,7 +1205,7 @@ void Router::phase_rt(Cycle now) {
         // validate() and the storm-kill veto both refuse): drop the packet
         // rather than wedge the VC forever — graceful degradation,
         // accounted per packet.
-        if (stats_) stats_->on_unreachable_drop();
+        if (stats_) stats_->count(Counter::unreachable_drops);
         set_state(g, VcState::kDraining);
         vc.state_since = now;
         update_input_work(g);
@@ -1214,7 +1216,7 @@ void Router::phase_rt(Cycle now) {
               0) {
         // The fault-aware set offers a direction the fault-free minimal
         // set would not: this hop detours the packet around a hard fault.
-        stats_->on_hard_fault_reroute();
+        stats_->count(Counter::hard_fault_reroutes);
       }
     }
     vc.candidates = apply_rt_fault(vc, correct, now);
@@ -1309,7 +1311,7 @@ void Router::handle_probe(PortId /*from*/, const ProbeSignal& probe,
   if (probe.hops >
       kProbeTtlPerNode * static_cast<std::uint32_t>(topo_.num_nodes())) {
     // The probe is orbiting a cycle that does not contain its origin.
-    if (stats_) stats_->on_probe_discarded();
+    if (stats_) stats_->count(Counter::probes_discarded);
     return;
   }
   if (probe.origin == id_) {
@@ -1321,7 +1323,7 @@ void Router::handle_probe(PortId /*from*/, const ProbeSignal& probe,
       // that relayed our probe). The route entry is guaranteed live: GC
       // never touches the agent's outstanding probe, and a confirmed
       // return implies this id was outstanding.
-      if (stats_) stats_->on_deadlock_confirmed();
+      if (stats_) stats_->count(Counter::deadlocks_confirmed);
       if (mon_) mon_->on_probe_confirmed(now, id_, probe.probe_id);
       FTNOC_CHECK(own_probe_route_ &&
                   own_probe_route_->probe_id == probe.probe_id);
@@ -1366,7 +1368,7 @@ void Router::handle_probe(PortId /*from*/, const ProbeSignal& probe,
     if (mon_) mon_->on_probe_forwarded(id_, probe.origin, probe.probe_id);
     queue_control(fwd->first, next);
   } else {
-    if (stats_) stats_->on_probe_discarded();
+    if (stats_) stats_->count(Counter::probes_discarded);
   }
 }
 
@@ -1375,7 +1377,7 @@ void Router::handle_activation(const ActivationSignal& act, Cycle now) {
     const bool was = agent_.in_recovery();
     agent_.on_activation_returned(act);
     if (!was && agent_.in_recovery()) {
-      if (stats_) stats_->on_recovery_entered();
+      if (stats_) stats_->count(Counter::recoveries_entered);
       if (mon_) {
         mon_->on_recovery_entered(
             now, id_, RecoveryTrigger::kActivationReturned, act.origin,
@@ -1387,7 +1389,7 @@ void Router::handle_activation(const ActivationSignal& act, Cycle now) {
   const bool was = agent_.in_recovery();
   const auto fwd = agent_.on_activation(act);
   if (!was && agent_.in_recovery()) {
-    if (stats_) stats_->on_recovery_entered();
+    if (stats_) stats_->count(Counter::recoveries_entered);
     if (mon_) {
       mon_->on_recovery_entered(
           now, id_, RecoveryTrigger::kActivationRelay, act.origin, act.probe_id,
@@ -1446,8 +1448,8 @@ void Router::phase_deadlock(Cycle now) {
     if (agent_.failed_probes() >= kFallbackProbeFailures) {
       agent_.enter_recovery();
       if (stats_) {
-        stats_->on_fallback_recovery();
-        stats_->on_recovery_entered();
+        stats_->count(Counter::fallback_recoveries);
+        stats_->count(Counter::recoveries_entered);
       }
       if (mon_) {
         mon_->on_recovery_entered(
@@ -1465,7 +1467,7 @@ void Router::phase_deadlock(Cycle now) {
     // confirmed again.
     own_probe_route_ = ProbeRoute{pr.probe_id, chain->first, now};
     queue_control(chain->first, pr);
-    if (stats_) stats_->on_probe_sent();
+    if (stats_) stats_->count(Counter::probes_sent);
     charge(power::EnergyEvent::kProbeHop);
   }
 
@@ -1574,7 +1576,7 @@ void Router::phase_deadlock(Cycle now) {
     charge(power::EnergyEvent::kBufferRead);
     charge(power::EnergyEvent::kRtxBufferWrite);
     send_credit(in_port, in_vc);
-    if (stats_) stats_->on_flit_absorbed();
+    if (stats_) stats_->count(Counter::flits_absorbed);
     vc.last_advance = now;
     if (is_tail(f.type)) {
       release_input_after_tail(in_port, in_vc, now);
@@ -1610,7 +1612,7 @@ void Router::phase_deadlock(Cycle now) {
     agent_.exit_recovery();
     FTNOC_TRACE(trace_fmt("[%llu] r%u exit recovery",
                           (unsigned long long)now, id_));
-    if (stats_) stats_->on_recovery_exited();
+    if (stats_) stats_->count(Counter::recoveries_exited);
   }
 }
 

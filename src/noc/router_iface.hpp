@@ -168,7 +168,7 @@ class RouterIface {
   /// accounting reads one per idle link per measured cycle.
   virtual int input_port_occupancy(PortId p) const = 0;
 
-  /// Order-insensitive-free (FNV-1a, fixed traversal order) hash of every
+  /// Order-sensitive (FNV-1a, fixed traversal order) hash of every
   /// piece of architectural state that determines future behaviour: VC
   /// states, buffered flits, credits, retransmission barrels, staged
   /// registers, arbiter rotations, deadlock-agent state. Derived caches

@@ -28,7 +28,15 @@ enum class CounterGate { kAlways, kPermanentFaults, kStormKills };
 // entry becomes a StatsCollector accessor and a SimResults field of the
 // same name; Simulator::run copies it, sweep/jsonl.cpp emits it and the
 // campaign journal parses it back, all by walking this list. Adding a
-// counter is one line here plus the on_* hook that bumps it.
+// counter is one line here plus the count(Counter::name) call that bumps
+// it.
+//
+// Fault-tolerance entries whose names say less than they count:
+// hard_fault_reroutes, packets detoured non-minimally around a hard-failed
+// link; packets_rerouted, waiting packets whose chosen next hop died and
+// went back to routing; unreachable_drops, packets dropped because no live
+// path to their destination exists; links_storm_killed, fault-storm kills
+// accepted past the partition veto.
 #define FTNOC_COUNTERS(X)                                 \
   X(link_single_corrected, kMeasured, kAlways)            \
   X(link_retransmission_events, kMeasured, kAlways)       \
@@ -109,44 +117,6 @@ class StatsCollector {
     if (kCounterWindow[i] == CounterWindow::kMeasured && !measuring_) return;
     counts_[i] += n;
   }
-
-  // Fault-tolerance events.
-  void on_link_single_corrected() { count(Counter::link_single_corrected); }
-  void on_link_retransmission(std::uint64_t flits) {
-    count(Counter::link_retransmission_events);
-    count(Counter::link_flits_retransmitted, flits);
-  }
-  void on_nack_sent() { count(Counter::nacks_sent); }
-  void on_flit_dropped() { count(Counter::flits_dropped); }
-  void on_rt_error_recovered() { count(Counter::rt_errors_recovered); }
-  void on_va_error_recovered() { count(Counter::va_errors_recovered); }
-  void on_sa_error_recovered() { count(Counter::sa_errors_recovered); }
-  void on_unprotected_error() { count(Counter::unprotected_errors); }
-  void on_e2e_retransmit() { count(Counter::e2e_retransmits); }
-  void on_rtx_error_corrected() { count(Counter::rtx_errors_corrected); }
-  void on_handshake_error_corrected() {
-    count(Counter::handshake_errors_corrected);
-  }
-  /// A packet detoured non-minimally around a hard-failed link.
-  void on_hard_fault_reroute() { count(Counter::hard_fault_reroutes); }
-
-  // Permanent-fault accounting.
-  /// A waiting packet whose chosen next hop died was sent back to routing.
-  void on_packet_rerouted() { count(Counter::packets_rerouted); }
-  /// A packet was dropped because no live path to its destination exists.
-  void on_unreachable_drop() { count(Counter::unreachable_drops); }
-  /// A configured fault-storm kill fired (accepted past the partition
-  /// veto).
-  void on_storm_link_killed() { count(Counter::links_storm_killed); }
-
-  // Deadlock events.
-  void on_probe_sent() { count(Counter::probes_sent); }
-  void on_probe_discarded() { count(Counter::probes_discarded); }
-  void on_deadlock_confirmed() { count(Counter::deadlocks_confirmed); }
-  void on_recovery_entered() { count(Counter::recoveries_entered); }
-  void on_recovery_exited() { count(Counter::recoveries_exited); }
-  void on_fallback_recovery() { count(Counter::fallback_recoveries); }
-  void on_flit_absorbed() { count(Counter::flits_absorbed); }
 
   // --- Per-cycle sampling --------------------------------------------------
   /// `tx_frac` / `rtx_frac`: network-wide occupied-slot fractions this cycle.

@@ -52,36 +52,14 @@ TrafficSource::TrafficSource(const Topology& topo, NodeId self,
   FTNOC_CHECK(generate_prob_ <= 1.0);
 }
 
-std::vector<Flit> TrafficSource::build_packet(PacketId pid, NodeId src,
-                                              NodeId dest, int packet_length,
-                                              Rng* payload_rng) {
-  std::vector<Flit> flits;
-  flits.reserve(static_cast<std::size_t>(packet_length));
-  for (int i = 0; i < packet_length; ++i) {
-    FlitType t;
-    if (packet_length == 1) {
-      t = FlitType::kHeadTail;
-    } else if (i == 0) {
-      t = FlitType::kHead;
-    } else if (i == packet_length - 1) {
-      t = FlitType::kTail;
-    } else {
-      t = FlitType::kBody;
-    }
-    const std::uint64_t payload =
-        payload_rng ? payload_rng->next_u64()
-                    : (static_cast<std::uint64_t>(pid) << 8) | unsigned(i);
-    flits.push_back(
-        make_flit(t, pid, src, dest, static_cast<std::uint8_t>(i), payload));
-  }
-  return flits;
-}
-
-std::optional<std::vector<Flit>> TrafficSource::maybe_generate(
-    PacketId& next_packet_id) {
+std::optional<PacketId> TrafficSource::maybe_generate(
+    PacketId& next_packet_id, PacketTable& packets, Cycle now) {
   if (!rng_.bernoulli(generate_prob_)) return std::nullopt;
   const NodeId dest = pick_destination(topo_, pattern_, self_, rng_);
-  return build_packet(next_packet_id++, self_, dest, packet_length_, &rng_);
+  const PacketId pid = next_packet_id++;
+  packets.open(pid, dest, static_cast<std::uint32_t>(packet_length_), now,
+               [this](std::uint32_t) { return rng_.next_u64(); });
+  return pid;
 }
 
 }  // namespace ftnoc

@@ -4,13 +4,12 @@
 // random (NR), bit-complement (BC) and tornado (TN).
 
 #include <optional>
-#include <vector>
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
 #include "common/topology.hpp"
 #include "common/types.hpp"
-#include "core/flit.hpp"
+#include "noc/packet_table.hpp"
 
 namespace ftnoc {
 
@@ -28,16 +27,12 @@ class TrafficSource {
   TrafficSource(const Topology& topo, NodeId self, TrafficPattern pattern,
                 double injection_rate, int packet_length, Rng rng);
 
-  /// Returns the flits of a newly generated packet, or nullopt this cycle.
+  /// Returns the id of a packet generated this cycle, or nullopt. A new
+  /// packet's record opens in `packets`, born at `now`: the destination
+  /// and then one payload per flit are drawn from this source's RNG.
   /// `next_packet_id` is advanced on generation.
-  std::optional<std::vector<Flit>> maybe_generate(PacketId& next_packet_id);
-
-  /// Builds one packet, its codewords encoded from payloads drawn from
-  /// `payload_rng` (or, when null, derived from the packet id and flit
-  /// index — tests and trace replay). The network's PacketTable keeps the
-  /// payloads and the birth cycle.
-  static std::vector<Flit> build_packet(PacketId pid, NodeId src, NodeId dest,
-                                        int packet_length, Rng* payload_rng);
+  std::optional<PacketId> maybe_generate(PacketId& next_packet_id,
+                                         PacketTable& packets, Cycle now);
 
  private:
   const Topology& topo_;

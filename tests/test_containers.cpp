@@ -118,7 +118,7 @@ TEST(RingDeque, RandomOpsMatchDequeOracle) {
   Rng rng(0xDEC0DE);
   int next = 0;
   for (int step = 0; step < 5000; ++step) {
-    // Pushes outweigh pops, so the ring grows (8, 16, ...) while pops
+    // Pushes outweigh pops, so the ring grows (32, 64, ...) while pops
     // and front pushes keep its head away from slot 0.
     const double r = rng.next_double();
     if (oracle.empty() || r < 0.35) {

@@ -6,12 +6,14 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "noc/digest.hpp"
+#include "noc/packet_table.hpp"
 #include "noc/traffic.hpp"
 
 namespace ftnoc {
@@ -122,28 +124,41 @@ TEST(FlitDigest, MixIsByteWiseFnv1a) {
   }
 }
 
-TEST(TrafficPacket, StructureOfFourFlitPacket) {
-  const auto flits = TrafficSource::build_packet(1, 2, 3, 4, nullptr);
-  ASSERT_EQ(flits.size(), 4u);
-  EXPECT_EQ(flits[0].type, FlitType::kHead);
-  EXPECT_EQ(flits[1].type, FlitType::kBody);
-  EXPECT_EQ(flits[2].type, FlitType::kBody);
-  EXPECT_EQ(flits[3].type, FlitType::kTail);
-  for (std::uint8_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(flits[i].seq, i);
-    EXPECT_EQ(flits[i].src, 2);
-    EXPECT_EQ(flits[i].dest, 3);
-    EXPECT_EQ(ecc::decode(flits[i].codeword()).data,
-              (std::uint64_t{1} << 8) | i);
-    EXPECT_EQ(ecc::decode(flits[i].codeword()).status,
-              ecc::DecodeStatus::kClean);
+// Opens a `length`-flit packet from node 2 to node 3 with random payloads
+// and checks every flit the table builds from its record: type, seq, src,
+// dest, and a codeword that decodes clean to the record's payload.
+void check_flits_from_record(std::uint32_t length,
+                             const std::vector<FlitType>& types) {
+  ASSERT_EQ(types.size(), length);
+  PacketTable t;
+  Rng rng(11);
+  const PacketTable::Record& rec = t.open(
+      /*pid=*/9, /*dest=*/3, length, /*birth=*/5,
+      [&](std::uint32_t) { return rng.next_u64(); });
+  for (std::uint8_t i = 0; i < length; ++i) {
+    const Flit f = t.flit(rec, /*src=*/2, i);
+    EXPECT_EQ(f.type, types[i]) << "flit " << int(i);
+    EXPECT_EQ(f.packet_id, 9u);
+    EXPECT_EQ(f.seq, i);
+    EXPECT_EQ(f.src, 2);
+    EXPECT_EQ(f.dest, 3);
+    const ecc::DecodeResult d = ecc::decode(f.codeword());
+    EXPECT_EQ(d.status, ecc::DecodeStatus::kClean);
+    EXPECT_EQ(d.data, t.payload(rec, i)) << "flit " << int(i);
   }
 }
 
+TEST(TrafficPacket, StructureOfFourFlitPacket) {
+  check_flits_from_record(4, {FlitType::kHead, FlitType::kBody,
+                              FlitType::kBody, FlitType::kTail});
+}
+
+TEST(TrafficPacket, TwoFlitPacketIsHeadThenTail) {
+  check_flits_from_record(2, {FlitType::kHead, FlitType::kTail});
+}
+
 TEST(TrafficPacket, SingleFlitPacketIsHeadTail) {
-  const auto flits = TrafficSource::build_packet(1, 0, 1, 1, nullptr);
-  ASSERT_EQ(flits.size(), 1u);
-  EXPECT_EQ(flits[0].type, FlitType::kHeadTail);
+  check_flits_from_record(1, {FlitType::kHeadTail});
 }
 
 TEST(Destinations, UniformRandomNeverSelf) {
@@ -203,11 +218,15 @@ TEST(TrafficSource, GenerationRateMatchesInjectionRate) {
   Topology t(4, 4, false);
   const double inj = 0.2;  // flits/node/cycle; packets = inj / 4.
   TrafficSource src(t, 0, TrafficPattern::kUniformRandom, inj, 4, Rng(3));
+  PacketTable packets;
   PacketId pid = 1;
   int generated = 0;
   const int cycles = 200'000;
   for (int c = 0; c < cycles; ++c) {
-    if (src.maybe_generate(pid)) ++generated;
+    if (const auto id = src.maybe_generate(pid, packets, c)) {
+      packets.erase(*id);
+      ++generated;
+    }
   }
   const double rate = static_cast<double>(generated) / cycles;
   EXPECT_NEAR(rate, inj / 4, 0.005);
@@ -216,10 +235,17 @@ TEST(TrafficSource, GenerationRateMatchesInjectionRate) {
 TEST(TrafficSource, PacketIdsAdvance) {
   Topology t(4, 4, false);
   TrafficSource src(t, 0, TrafficPattern::kUniformRandom, 1.0, 4, Rng(3));
+  PacketTable packets;
   PacketId pid = 10;
-  while (!src.maybe_generate(pid)) {
+  std::optional<PacketId> id;
+  while (!(id = src.maybe_generate(pid, packets, 0))) {
   }
-  EXPECT_GT(pid, 10u);
+  EXPECT_EQ(*id, 10u);
+  EXPECT_EQ(pid, 11u);
+  const PacketTable::Record* rec = packets.find(10);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->length, 4u);
+  EXPECT_NE(rec->dest, 0);
 }
 
 }  // namespace

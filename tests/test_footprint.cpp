@@ -14,6 +14,10 @@
 // allocation is paid replicas x nodes times (DESIGN.md section 4.10,
 // "Construction").
 //
+// SteadyStateAllocatesNothingPerPacket counts operator new calls over a
+// loaded run after warm-up: the source side carries packet ids and the
+// packet table reuses its slots, so a packet costs no heap block.
+//
 // NetworkIgnoresHeapContents guards the buffers that construction leaves
 // raw (DESIGN.md section 4.11): it fills every fresh block with 0x00 in one
 // run and 0xFF in another, and the two runs must agree on every cycle's
@@ -141,15 +145,45 @@ TEST(Footprint, AllocationsPerNetwork) {
   const long large = news_to_build(8, 8);
   ::testing::Test::RecordProperty("news_4x4", std::to_string(small));
   ::testing::Test::RecordProperty("news_8x8", std::to_string(large));
-  // Measured 60 (4x4) and 204 (8x8) on x86-64 glibc: 12 network-wide
-  // blocks plus 3 per node (the Router, its storage block, the PE's lane
-  // array). A vector per array and a bucket per wheel slot took 572 and
-  // 1,484 (DESIGN.md section 4.10, "Construction").
-  constexpr long kPerNode = 3;
+  // Measured 44 (4x4) and 140 (8x8) on x86-64 glibc: 12 network-wide
+  // blocks plus 2 per node (the Router and its storage block; the PE's
+  // lanes are inline). A vector per array and a bucket per wheel slot
+  // took 572 and 1,484 (DESIGN.md section 4.10, "Construction").
+  constexpr long kPerNode = 2;
   constexpr long kFixed = 16;
   EXPECT_LE(large - small, kPerNode * (64 - 16)) << "per-node blocks grew";
   EXPECT_LE(small, kFixed + kPerNode * 16) << "4x4: " << small;
   EXPECT_LE(large, kFixed + kPerNode * 64) << "8x8: " << large;
+#endif
+}
+
+TEST(Footprint, SteadyStateAllocatesNothingPerPacket) {
+#if defined(FTNOC_ALLOCATOR_INTERPOSED)
+  GTEST_SKIP() << "sanitizer builds replace operator new";
+#else
+  // The paper's 8x8 mesh under HBH at injection 0.25: 5k cycles of
+  // warm-up grow every queue and table to its working size, then 20k
+  // cycles are counted.
+  SimConfig cfg;
+  const auto err = apply_overrides(
+      cfg, {"mesh_width=8", "mesh_height=8", "protection=hbh",
+            "injection_rate=0.25"});
+  ASSERT_FALSE(err.has_value()) << *err;
+  Network net(cfg);
+  for (int c = 0; c < 5'000; ++c) net.step();
+  const std::uint64_t created = net.stats().packets_created();
+  g_news.store(0);
+  g_count_news.store(true);
+  for (int c = 0; c < 20'000; ++c) net.step();
+  g_count_news.store(false);
+  const long news = g_news.load();
+  const std::uint64_t packets = net.stats().packets_created() - created;
+  ::testing::Test::RecordProperty("steady_news", std::to_string(news));
+  ::testing::Test::RecordProperty("steady_packets", std::to_string(packets));
+  ASSERT_GT(packets, 10'000u);
+  // A heap vector per packet made this exactly 1 per packet.
+  EXPECT_LT(static_cast<std::uint64_t>(news) * 100, packets)
+      << news << " allocations for " << packets << " packets";
 #endif
 }
 

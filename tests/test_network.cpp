@@ -132,17 +132,19 @@ TEST(NetworkE2e, NackRequeuesCleanCopyAtFront) {
   ASSERT_EQ(pe.pending_packets(), 1u);
   pe.e2e_nack(pid);
   ASSERT_EQ(pe.pending_packets(), 2u);
-  // The requeued copy is re-encoded clean from the packet table's payload
-  // oracle. (Verified end-to-end by FaultIntegrationE2e.RetransmitsUntilClean.)
+  // The requeued id's flits are built clean from the packet table's
+  // record when they are sent. (Verified end-to-end by
+  // FaultIntegrationE2e.RetransmitsUntilClean.)
 }
 
 TEST(NetworkE2e, PeDigestCachesMatchAFirstDigest) {
-  // From its first call on, ProcessingElement::state_digest keeps cached
-  // per-packet hashes current instead of rehashing every queued flit. A
-  // network digested every cycle must agree with a twin digested only at
-  // the end, whose first call hashes every queue from scratch. Saturated
+  // ProcessingElement::state_digest reads running folds of the queued and
+  // held packet ids, and the packet table keeps a running sum from its
+  // first digest on, instead of rehashing every queued packet and record.
+  // A network digested every cycle must agree with a twin digested only at
+  // the end, whose first call hashes the table from scratch. Saturated
   // E2E traffic over corrupting links grows the source queues, requeues
-  // NACKed packets at the front and stamps held copies on injection.
+  // NACKed packets at the front and stamps records on injection.
   SimConfig cfg;
   cfg.mesh_width = 4;
   cfg.mesh_height = 4;
@@ -181,8 +183,9 @@ PacketTable::Record* first_record(Network& net) {
 
 TEST(NetworkDigest, PacketRecordFieldsReachStateDigest) {
   // Birth, injection cycle and payloads left the flit for the network's
-  // packet table; the state digest must still see every one of them, both
-  // on the first digest and through the running sum update() keeps.
+  // packet table, and the PEs build flits from the record's destination;
+  // the state digest must still see every one of them, both on the first
+  // digest and through the running sum update() keeps.
   SimConfig cfg;
   cfg.mesh_width = 4;
   cfg.mesh_height = 4;
@@ -193,6 +196,7 @@ TEST(NetworkDigest, PacketRecordFieldsReachStateDigest) {
       {"inject", [](PacketTable&, PacketTable::Record& r) { ++r.inject; }},
       {"payload",
        [](PacketTable& t, PacketTable::Record& r) { t.payload(r, 1) ^= 1; }},
+      {"dest", [](PacketTable&, PacketTable::Record& r) { r.dest ^= 1; }},
   };
   for (const auto& [name, bump] : bumps) {
     for (const bool digest_first : {false, true}) {
@@ -222,17 +226,19 @@ TEST(PacketTable, RecordsSurviveGrowthAndBackwardShiftErase) {
   // capacity; erasing from the middle of a probe run must keep every
   // other record reachable with its own payloads.
   PacketTable t;
-  auto packet = [](PacketId pid, int len) {
-    return TrafficSource::build_packet(pid, 0, 1, len, nullptr);
+  auto open = [&t](PacketId pid) {
+    t.open(pid, static_cast<NodeId>(pid % 7),
+           1 + static_cast<std::uint32_t>(pid % 5), pid * 10,
+           [pid](std::uint32_t k) { return (pid << 8) | k; });
   };
   std::vector<PacketId> live;
   for (PacketId pid = 1; pid <= 40; ++pid) {
-    t.open(packet(pid, 1 + static_cast<int>(pid % 5)), pid * 10);
+    open(pid);
     live.push_back(pid);
   }
   // Keep a few old ids while newer ones wrap onto their home slots.
   for (PacketId pid = 41; pid <= 400; ++pid) {
-    t.open(packet(pid, 1 + static_cast<int>(pid % 5)), pid * 10);
+    open(pid);
     live.push_back(pid);
     const PacketId victim = live[live.size() / 2];
     if (victim % 7 != 0) {
@@ -245,6 +251,7 @@ TEST(PacketTable, RecordsSurviveGrowthAndBackwardShiftErase) {
     const PacketTable::Record* r = t.find(pid);
     ASSERT_NE(r, nullptr) << pid;
     EXPECT_EQ(r->birth, pid * 10);
+    EXPECT_EQ(r->dest, pid % 7);
     ASSERT_EQ(r->length, 1 + pid % 5);
     for (std::uint8_t k = 0; k < r->length; ++k) {
       EXPECT_EQ(t.payload(*r, k), (pid << 8) | k) << pid;

@@ -164,8 +164,8 @@ TEST(StatsCollector, WarmupGatesEverything) {
   StatsCollector s;
   // Before measurement: events counted only in lifetime totals.
   s.on_message_ejected(100, 10, 20, false, 4);
-  s.on_link_single_corrected();
-  s.on_probe_sent();
+  s.count(Counter::link_single_corrected);
+  s.count(Counter::probes_sent);
   EXPECT_EQ(s.messages_ejected(), 1u);
   EXPECT_EQ(s.measured_messages(), 0u);
   EXPECT_EQ(s.link_single_corrected(), 0u);
@@ -173,7 +173,7 @@ TEST(StatsCollector, WarmupGatesEverything) {
 
   s.begin_measurement(200);
   s.on_message_ejected(260, 200, 230, false, 4);
-  s.on_link_single_corrected();
+  s.count(Counter::link_single_corrected);
   EXPECT_EQ(s.measured_messages(), 1u);
   EXPECT_EQ(s.link_single_corrected(), 1u);
   // Network latency uses the injection stamp: 260 - 230.
@@ -200,9 +200,10 @@ TEST(StatsCollector, CorruptedOnlyCountedWhenMeasuring) {
 TEST(StatsCollector, LinkErrorsCorrectedCombinesSecAndRetransmissions) {
   StatsCollector s;
   s.begin_measurement(0);
-  s.on_link_single_corrected();
-  s.on_link_single_corrected();
-  s.on_link_retransmission(3);
+  s.count(Counter::link_single_corrected);
+  s.count(Counter::link_single_corrected);
+  s.count(Counter::link_retransmission_events);
+  s.count(Counter::link_flits_retransmitted, 3);
   EXPECT_EQ(s.link_errors_corrected(), 3u);  // 2 SEC + 1 retransmission.
   EXPECT_EQ(s.link_flits_retransmitted(), 3u);
 }

@@ -23,11 +23,13 @@ std::vector<TraceRecord> live_source_trace(const Topology& topo, double rate,
                          root.fork());
   }
   std::vector<TraceRecord> records;
-  PacketId pid = 0;
+  PacketTable packets;
+  PacketId pid = 1;
   for (Cycle c = 0; c < cycles; ++c) {
     for (NodeId n = 0; n < topo.num_nodes(); ++n) {
-      if (const auto flits = sources[n].maybe_generate(pid)) {
-        records.push_back({c, n, flits->front().dest, len});
+      if (const auto id = sources[n].maybe_generate(pid, packets, c)) {
+        records.push_back({c, n, packets.find(*id)->dest, len});
+        packets.erase(*id);
       }
     }
   }
