@@ -188,9 +188,9 @@ std::optional<std::string> SimConfig::validate() const {
   if (warmup_messages >= total_messages) {
     return err("warmup_messages must be < total_messages");
   }
-  if (deadlock.enable_recovery && deadlock.probe_threshold == 0) {
-    return err("probe_threshold must be > 0");
-  }
+  // Every router builds a deadlock agent, recovery or not.
+  if (deadlock.probe_threshold == 0) return err("probe_threshold must be > 0");
+  if (deadlock.probe_timeout == 0) return err("probe_timeout must be > 0");
   if (deadlock.enable_recovery &&
       !recovery_buffer_bound_ok({vc_buffer_depth}, {retransmission_depth},
                                 packet_length)) {

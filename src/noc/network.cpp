@@ -41,7 +41,7 @@ constexpr std::uint64_t inverse_mod_2_64(std::uint64_t b) {
 constexpr std::uint64_t kFoldBaseInv = inverse_mod_2_64(kFoldBase);
 static_assert(kFoldBase * kFoldBaseInv == 1);
 
-// A queued or held packet's digest term.
+// A queued packet's digest term.
 std::uint64_t id_hash(PacketId pid) {
   digest::Fnv h;
   h.mix(pid);
@@ -72,10 +72,6 @@ ProcessingElement::ProcessingElement(NodeId self, const SimConfig& cfg,
 
 void ProcessingElement::add_packet(PacketId pid) {
   if (stats_) stats_->on_packet_created();
-  if (cfg_.protection == LinkProtection::kE2e) {
-    e2e_buffer_.insert(pid);
-    held_sum_ += id_hash(pid);
-  }
   enqueue(pid, /*front=*/false);
 }
 
@@ -91,12 +87,8 @@ void ProcessingElement::enqueue(PacketId pid, bool front) {
   pending_pow_ *= kFoldBase;
 }
 
-void ProcessingElement::e2e_ack(PacketId pid) {
-  if (e2e_buffer_.erase(pid) != 0) held_sum_ -= id_hash(pid);
-}
-
 void ProcessingElement::e2e_nack(PacketId pid) {
-  if (!e2e_buffer_.contains(pid)) return;  // Already acknowledged (stale).
+  if (packets_->find(pid) == nullptr) return;  // Already delivered (stale).
   // Retransmit ahead of new traffic. The packet's record, birth and
   // injection cycles included, stays open until a clean delivery, so the
   // measured latency includes the full recovery.
@@ -189,8 +181,6 @@ std::uint64_t ProcessingElement::state_digest() const {
   }
   h.mix(pending_.size());
   h.mix(pending_fold_);
-  h.mix(e2e_buffer_.size());
-  h.mix(held_sum_);
   return h.value();
 }
 
@@ -290,13 +280,20 @@ Network::Network(const SimConfig& cfg)
   rtx_slots_total_ = cfg_.has_rtx_barrels()
                          ? links * cfg_.num_vcs * cfg_.retransmission_depth
                          : 0;
+  // One horizon for everything due later: router timers clamp to it, and
+  // it outlasts the longest NACK delay (W + H - 1 hops).
+  wheel_slots_ = std::bit_ceil(std::max<std::size_t>(
+      256, static_cast<std::size_t>(topo_.width() + topo_.height())));
+  if (cfg_.protection == LinkProtection::kE2e) {
+    nack_wheel_.resize(wheel_slots_);
+  }
   if (scan_kernel_) {
     // The scan steps every router every cycle.
     stepped_.resize(static_cast<std::size_t>(n));
     for (NodeId i = 0; i < n; ++i) stepped_[i] = i;
   } else {
     wheel_words_ = (static_cast<std::size_t>(n) + 63) / 64;
-    wheel_.assign(kWheelSize * wheel_words_, 0);
+    wheel_.assign(wheel_slots_ * wheel_words_, 0);
     live_wire_mask_.assign((wires_.size() + 63) / 64, 0);
     // Devirtualized router view for the hot pop/wake loop.
     fast_routers_.resize(static_cast<std::size_t>(n));
@@ -399,20 +396,21 @@ void Network::on_eject(NodeId dest, const Flit& f, Cycle now) {
       rec->bad || rec->seen != static_cast<std::uint32_t>(f.seq) + 1;
 
   if (cfg_.protection == LinkProtection::kE2e) {
-    const Cycle delay = static_cast<Cycle>(hop_distance(dest, f.src)) + 1;
     if (packet_bad) {
-      // Request a retransmission from the source; the message is not
-      // delivered yet, and the retransmission's flits count afresh.
+      // Request a retransmission from the source, hop-delayed; the message
+      // is not delivered yet, and the retransmission's flits count afresh.
+      // A clean delivery needs no reply: closing the record below releases
+      // the source's copy.
       packets_.update(*rec, [](PacketTable::Record& p) {
         p.seen = 0;
         p.bad = false;
       });
-      edge_events_.emplace(now + delay,
-                           EdgeEvent{f.src, f.packet_id, /*is_nack=*/true});
+      const Cycle delay = static_cast<Cycle>(hop_distance(dest, f.src)) + 1;
+      FTNOC_DCHECK(delay < wheel_slots_);
+      nack_wheel_[(now + delay) & (wheel_slots_ - 1)].push_back(
+          Nack{f.src, f.packet_id});
       return;
     }
-    edge_events_.emplace(now + delay,
-                         EdgeEvent{f.src, f.packet_id, /*is_nack=*/false});
   }
 
   if (packet_bad) stats_.count(Counter::unprotected_errors);
@@ -423,15 +421,10 @@ void Network::on_eject(NodeId dest, const Flit& f, Cycle now) {
 }
 
 void Network::fire_due_events() {
-  while (!edge_events_.empty() && edge_events_.begin()->first <= now_) {
-    const EdgeEvent ev = edge_events_.begin()->second;
-    edge_events_.erase(edge_events_.begin());
-    if (ev.is_nack) {
-      pes_[ev.target].e2e_nack(ev.pid);
-    } else {
-      pes_[ev.target].e2e_ack(ev.pid);
-    }
-  }
+  if (nack_wheel_.empty()) return;  // Not an E2E network.
+  std::vector<Nack>& due = nack_wheel_[now_ & (wheel_slots_ - 1)];
+  for (const Nack& nack : due) pes_[nack.target].e2e_nack(nack.pid);
+  due.clear();
 }
 
 PacketId Network::inject_packet(NodeId src, NodeId dest, int length) {
@@ -642,10 +635,7 @@ void Network::accumulate_link_stats() {
 }
 
 void Network::schedule(NodeId n, Cycle due) {
-  if (due >= now_ + kWheelSize) {
-    far_due_[due].push_back(n);
-    return;
-  }
+  FTNOC_DCHECK(due > now_ && due < now_ + wheel_slots_);
   wheel_slot(due)[n >> 6] |= 1ull << (n & 63);
 }
 
@@ -663,21 +653,12 @@ void Network::mark_wire_live(std::uint32_t wid) {
 //    internal work), or its one exact timer (own-probe GC) is due;
 //  * a router outside that set has no wire input and no internal work, so
 //    its step would be a no-op; the extra steps inside it (cycle 0, a stale
-//    GC timer) run phases that are no-ops too (no RNG draws, charges,
-//    stats or arbiter movement);
+//    GC timer, a timer clamped to the wheel horizon) run phases that are
+//    no-ops too (no RNG draws, charges, stats or arbiter movement);
 //  * wires hold a signal for exactly one cycle, so only wires with
 //    something in flight need ticking — an untouched wire's tick is a
 //    no-op by construction.
 void Network::step_woken_routers() {
-  // Spill far timers that moved inside the wheel horizon.
-  while (!far_due_.empty() &&
-         far_due_.begin()->first < now_ + kWheelSize) {
-    const auto it = far_due_.begin();
-    std::uint64_t* const slot = wheel_slot(it->first);
-    for (const NodeId n : it->second) slot[n >> 6] |= 1ull << (n & 63);
-    far_due_.erase(it);
-  }
-
   // Pop this cycle's bucket; step the due routers in ascending node order.
   stepped_.clear();
   std::uint64_t* const slot = wheel_slot(now_);
@@ -699,8 +680,10 @@ void Network::step_woken_routers() {
       } else if (wi.timer != 0) {
         // A timer can land in the past when its condition armed late
         // (e.g. the agent's probe stopped being outstanding after the
-        // GC deadline already passed); fire it next cycle.
-        schedule(i, wi.timer > now_ ? wi.timer : now_ + 1);
+        // GC deadline already passed); fire it next cycle. One past the
+        // horizon wakes the router at the last slot instead, where its
+        // idle step reports the timer again.
+        schedule(i, std::clamp(wi.timer, now_ + 1, now_ + wheel_slots_ - 1));
       }
       for (std::uint8_t m = wi.wrote_fwd; m != 0;
            m &= static_cast<std::uint8_t>(m - 1)) {
@@ -766,13 +749,18 @@ std::uint64_t Network::state_digest() const {
   }
   for (std::size_t i = 0; i < pes_.size(); ++i) mix_wire(h, *local_wire(i));
   for (const auto& pe : pes_) h.mix(pe.state_digest());
-  h.mix(edge_events_.size());
-  for (const auto& [cyc, ev] : edge_events_) {
-    h.mix(static_cast<std::uint64_t>(cyc));
-    h.mix(static_cast<std::uint64_t>(ev.target));
-    h.mix(ev.pid);
-    h.mix(ev.is_nack);
+  // NACKs in flight, in due order (a slot's own order is send order).
+  std::uint64_t nacks = 0;
+  for (std::size_t k = 0; k < nack_wheel_.size(); ++k) {
+    const Cycle due = now_ + k;
+    for (const Nack& nack : nack_wheel_[due & (wheel_slots_ - 1)]) {
+      h.mix(static_cast<std::uint64_t>(due));
+      h.mix(static_cast<std::uint64_t>(nack.target));
+      h.mix(nack.pid);
+      ++nacks;
+    }
   }
+  h.mix(nacks);
   h.mix(packets_.size());
   h.mix(packets_.digest());
   return h.value();

@@ -7,10 +7,8 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/config.hpp"
@@ -31,11 +29,11 @@
 
 namespace ftnoc {
 
-/// A processing element: generates packets, injects flits into its router's
-/// local port under credit flow control, and (for E2E) holds sent packets
-/// until the destination acknowledges them. It carries packet ids only:
-/// each flit is built from the packet's record in the network's packet
-/// table as it is sent.
+/// A processing element: generates packets and injects flits into its
+/// router's local port under credit flow control. It carries packet ids
+/// only: each flit is built from the packet's record in the network's
+/// packet table as it is sent. Under E2E that open record is the source's
+/// copy of the packet, kept until a clean delivery closes it.
 class ProcessingElement {
  public:
   ProcessingElement(NodeId self, const SimConfig& cfg, const Topology& topo,
@@ -53,26 +51,23 @@ class ProcessingElement {
   bool step(Cycle now, PacketId& next_packet_id, bool router_in_recovery);
 
   /// Takes a packet whose record just opened in the packet table: counts
-  /// it, holds it under E2E until acknowledged, and queues it.
+  /// it and queues it.
   void add_packet(PacketId pid);
 
-  /// E2E: destination acknowledged — release the packet.
-  void e2e_ack(PacketId pid);
   /// E2E: destination reported corruption — queue the packet again, ahead
-  /// of new traffic; its flits are rebuilt clean from the record.
+  /// of new traffic; its flits are rebuilt clean from the record. A NACK
+  /// for a packet whose record has closed is stale and ignored.
   void e2e_nack(PacketId pid);
 
   std::size_t pending_packets() const { return pending_.size(); }
-  std::size_t e2e_buffer_occupancy() const { return e2e_buffer_.size(); }
 
   /// Free injection credits of one local-VC lane (credit-conservation walk).
   int lane_credits(VcId v) const { return lanes_.at(v).credits; }
 
   /// Architectural-state hash (lock-step differential comparison), O(lanes)
-  /// however long the queues grow: the queue and the held set enter
-  /// through running folds of their ids' hashes. A packet's flits are a
-  /// function of its id, its record and `self`, and the network digest
-  /// covers the records.
+  /// however long the queue grows: it enters through a running fold of its
+  /// ids' hashes. A packet's flits are a function of its id, its record and
+  /// `self`, and the network digest covers the records.
   std::uint64_t state_digest() const;
 
  private:
@@ -101,8 +96,6 @@ class ProcessingElement {
   int num_lanes_ = 0;
   int send_rotation_ = 0;
   int lane_flits_ = 0;  ///< Flits held across lanes_; 0 skips the send scan.
-  /// E2E: packets sent or queued and not yet acknowledged.
-  std::unordered_set<PacketId> e2e_buffer_;
 
   // --- Digest folds (state_digest) -------------------------------------------
   /// Positional fold of the pending ids' hashes, sum of hash_k * B^k over
@@ -110,8 +103,6 @@ class ProcessingElement {
   /// end or a pop at the front updates both in O(1).
   std::uint64_t pending_fold_ = 0;
   std::uint64_t pending_pow_ = 1;
-  /// Sum of the held ids' hashes (e2e_buffer_ is unordered).
-  std::uint64_t held_sum_ = 0;
 };
 
 /// Observer invoked for every delivered (clean) message:
@@ -213,6 +204,8 @@ class Network {
 
  private:
   void on_eject(NodeId dest, const Flit& f, Cycle now);
+  /// Delivers the E2E NACKs due this cycle to their source PEs, in the
+  /// order they were sent.
   void fire_due_events();
   /// Releases every trace record due this cycle into its source PE's
   /// queue.
@@ -244,9 +237,9 @@ class Network {
     rtx_occ_total_ += rtx - rtx_occ_cache_[i];
     rtx_occ_cache_[i] = rtx;
   }
-  /// Schedules router `n` to be stepped at cycle `due` (> now_). Within
-  /// the wheel horizon this sets a bit in the due slot's node mask;
-  /// farther timers spill to the sorted overflow map.
+  /// Schedules router `n` to be stepped at cycle `due`, inside the wheel
+  /// horizon (now_ < due < now_ + wheel_slots_): sets a bit in the due
+  /// slot's node mask.
   void schedule(NodeId n, Cycle due);
   /// Adds a wire to the tick list (dedup'd); it stays until it settles.
   void mark_wire_live(std::uint32_t wid);
@@ -273,10 +266,10 @@ class Network {
     return &wires_[link_wires_.size() + n];
   }
 
-  struct EdgeEvent {
-    NodeId target;      ///< PE that receives the control message (source).
+  /// An E2E NACK on its way back to the corrupted packet's source.
+  struct Nack {
+    NodeId target;  ///< Source PE, which re-queues the packet.
     PacketId pid;
-    bool is_nack;       ///< NACK = retransmit request; otherwise ACK.
   };
 
   SimConfig cfg_;
@@ -307,9 +300,6 @@ class Network {
   // creation and injection; on_eject reads it.
   PacketTable packets_;
 
-  // Delayed E2E control messages (ACK/NACK back to the source PE).
-  std::multimap<Cycle, EdgeEvent> edge_events_;
-
   // Trace replay: sorted records not yet injected.
   std::vector<TraceRecord> trace_;
   std::size_t trace_next_ = 0;
@@ -339,18 +329,26 @@ class Network {
   /// Devirtualized view of routers_ for the event kernel's hot loop
   /// (only populated for optimized-router networks).
   std::vector<Router*> fast_routers_;
-  static constexpr std::size_t kWheelSize = 256;  // Power of two.
-  /// Bucket wheel, one flat block: slot (cycle & 255) is the node bitmask
-  /// of routers due that cycle, wheel_words_ words starting at
-  /// slot * wheel_words_. Spurious entries are harmless (an idle router's
-  /// step is a no-op), so duplicate schedules need no dedup.
+  /// The event wheel holds everything that falls due later; cycle c maps
+  /// to slot (c & (wheel_slots_ - 1)). The slot count is a power of two
+  /// of at least 256 and more than W + H, so the longest NACK delay
+  /// (W + H - 1) stays inside the horizon; a router timer past it is
+  /// clamped to the last slot and re-reported when the router wakes.
+  std::size_t wheel_slots_ = 0;
+  /// Router wake masks (event kernel only), one flat block: wheel_words_
+  /// words per slot, the node bitmask of routers due that cycle. Spurious
+  /// entries are harmless (an idle router's step is a no-op), so duplicate
+  /// schedules need no dedup.
   std::vector<std::uint64_t> wheel_;
   std::size_t wheel_words_ = 0;
   std::uint64_t* wheel_slot(Cycle c) {
-    return wheel_.data() + (c & (kWheelSize - 1)) * wheel_words_;
+    return wheel_.data() + (c & (wheel_slots_ - 1)) * wheel_words_;
   }
-  /// Timers beyond the wheel horizon, spilled back in as now_ approaches.
-  std::map<Cycle, std::vector<NodeId>> far_due_;
+  /// E2E NACKs due each slot, in the order they were sent (E2E networks
+  /// under both kernels; empty otherwise). A slot's vector keeps its
+  /// capacity when it is popped, so a NACK allocates nothing in steady
+  /// state.
+  std::vector<std::vector<Nack>> nack_wheel_;
   /// Routers stepped this cycle, ascending — feeds the recovery-line OR
   /// (membership-sensitive) and the link-stall walk. The scan kernel
   /// fills it once with every node.

@@ -1658,10 +1658,6 @@ int Router::input_buffer_size(PortId p, VcId v) const {
   return static_cast<int>(ivc(p, v).buf.size());
 }
 
-bool Router::input_vc_active(PortId p, VcId v) const {
-  return ivc(p, v).state == VcState::kActive;
-}
-
 // ---------------------------------------------------------------------------
 // Invariant monitor walks (DESIGN.md §4.8).
 // ---------------------------------------------------------------------------

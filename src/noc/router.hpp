@@ -103,8 +103,6 @@ class Router final : public RouterIface {
   int input_port_occupancy(PortId p) const override {
     return in_port_occ_[p];
   }
-  /// Whether an input VC currently holds an active wormhole (tests).
-  bool input_vc_active(PortId p, VcId v) const;
 
   /// Architectural-state hash for lock-step differential comparison.
   std::uint64_t state_digest() const override;

@@ -78,6 +78,24 @@ TEST(Config, RejectsOutOfRangeRates) {
   }
 }
 
+TEST(Config, RejectsZeroProbeTimers) {
+  // Every router builds a deadlock agent whether or not recovery is on, so
+  // a zero probe timer must be refused up front either way, not abort in
+  // the agent's constructor.
+  for (const char* recovery : {"deadlock_recovery=false",
+                               "deadlock_recovery=true"}) {
+    for (const std::string key : {"probe_timeout", "probe_threshold"}) {
+      SimConfig cfg;
+      ASSERT_FALSE(apply_overrides(cfg, {recovery, key + "=0"}).has_value());
+      const auto err = cfg.validate();
+      ASSERT_TRUE(err.has_value()) << recovery << " " << key;
+      EXPECT_NE(err->find(key), std::string::npos) << *err;
+      ASSERT_FALSE(apply_overrides(cfg, {key + "=1"}).has_value());
+      EXPECT_EQ(cfg.validate(), std::nullopt) << recovery << " " << key;
+    }
+  }
+}
+
 TEST(Config, RejectsWarmupNotBelowTotal) {
   SimConfig cfg;
   cfg.warmup_messages = cfg.total_messages;

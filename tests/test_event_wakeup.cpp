@@ -145,31 +145,37 @@ TEST(EventWakeup, ProbeTimeoutGc) {
 // digests stay diverged. (The saturated ProbeTimeoutGc test above cannot
 // catch that: continuous traffic re-ticks the router every cycle.)
 TEST(EventWakeup, ProbeGcAfterTrafficDrains) {
-  SimConfig cfg = sparse_base();
-  cfg.mesh_width = 2;
-  cfg.mesh_height = 2;
-  cfg.num_vcs = 1;  // Single-VC adaptive: the cyclic burst really deadlocks.
-  cfg.injection_rate = 0.0;  // Manual burst only.
-  cfg.routing = RoutingAlgorithm::kMinimalAdaptive;
-  cfg.deadlock.enable_recovery = true;
-  cfg.deadlock.probe_threshold = 24;
-  cfg.deadlock.probe_backoff = 16;
-  cfg.deadlock.probe_timeout = 256;
-  KernelPair nets(cfg);
-  // Diagonal cyclic streams (the IntegrationDeadlock pattern): a real
-  // deadlock forms, recovery breaks it, and exit_recovery() orphans the
-  // in-flight probe bookkeeping — the record that only the due-cycle GC
-  // can reclaim once the burst has drained and the mesh is silent.
-  for (int i = 0; i < 8; ++i) {
-    for (const auto& [src, dst] : {std::pair<NodeId, NodeId>{0, 3},
-                                   {1, 2}, {3, 0}, {2, 1}}) {
-      nets.scan->inject_packet(src, dst, 4);
-      nets.event->inject_packet(src, dst, 4);
+  // A probe_timeout of 1000 puts the GC timer past the event wheel's
+  // 256-slot horizon: the router is woken at the horizon, finds nothing to
+  // do and re-reports the timer until it falls inside.
+  for (const Cycle timeout : {Cycle{256}, Cycle{1000}}) {
+    SCOPED_TRACE("probe_timeout=" + std::to_string(timeout));
+    SimConfig cfg = sparse_base();
+    cfg.mesh_width = 2;
+    cfg.mesh_height = 2;
+    cfg.num_vcs = 1;  // Single-VC adaptive: the cyclic burst deadlocks.
+    cfg.injection_rate = 0.0;  // Manual burst only.
+    cfg.routing = RoutingAlgorithm::kMinimalAdaptive;
+    cfg.deadlock.enable_recovery = true;
+    cfg.deadlock.probe_threshold = 24;
+    cfg.deadlock.probe_backoff = 16;
+    cfg.deadlock.probe_timeout = timeout;
+    KernelPair nets(cfg);
+    // Diagonal cyclic streams (the IntegrationDeadlock pattern): a real
+    // deadlock forms, recovery breaks it, and exit_recovery() orphans the
+    // in-flight probe bookkeeping — the record that only the due-cycle GC
+    // can reclaim once the burst has drained and the mesh is silent.
+    for (int i = 0; i < 8; ++i) {
+      for (const auto& [src, dst] : {std::pair<NodeId, NodeId>{0, 3},
+                                     {1, 2}, {3, 0}, {2, 1}}) {
+        nets.scan->inject_packet(src, dst, 4);
+        nets.event->inject_packet(src, dst, 4);
+      }
     }
+    const auto& st = nets.run(2500 + timeout);
+    EXPECT_GT(st.probes_sent(), 0u) << "burst armed no probes";
+    EXPECT_GT(st.recoveries_entered(), 0u) << "burst never deadlocked";
   }
-  const auto& st = nets.run(2500);
-  EXPECT_GT(st.probes_sent(), 0u) << "burst armed no probes";
-  EXPECT_GT(st.recoveries_entered(), 0u) << "burst never deadlocked";
 }
 
 // Class 4: drain-then-kill. Links die mid-run on a config timeline —

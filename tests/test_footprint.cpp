@@ -161,29 +161,43 @@ TEST(Footprint, SteadyStateAllocatesNothingPerPacket) {
 #if defined(FTNOC_ALLOCATOR_INTERPOSED)
   GTEST_SKIP() << "sanitizer builds replace operator new";
 #else
-  // The paper's 8x8 mesh under HBH at injection 0.25: 5k cycles of
-  // warm-up grow every queue and table to its working size, then 20k
-  // cycles are counted.
-  SimConfig cfg;
-  const auto err = apply_overrides(
-      cfg, {"mesh_width=8", "mesh_height=8", "protection=hbh",
-            "injection_rate=0.25"});
-  ASSERT_FALSE(err.has_value()) << *err;
-  Network net(cfg);
-  for (int c = 0; c < 5'000; ++c) net.step();
-  const std::uint64_t created = net.stats().packets_created();
-  g_news.store(0);
-  g_count_news.store(true);
-  for (int c = 0; c < 20'000; ++c) net.step();
-  g_count_news.store(false);
-  const long news = g_news.load();
-  const std::uint64_t packets = net.stats().packets_created() - created;
-  ::testing::Test::RecordProperty("steady_news", std::to_string(news));
-  ::testing::Test::RecordProperty("steady_packets", std::to_string(packets));
-  ASSERT_GT(packets, 10'000u);
-  // A heap vector per packet made this exactly 1 per packet.
-  EXPECT_LT(static_cast<std::uint64_t>(news) * 100, packets)
-      << news << " allocations for " << packets << " packets";
+  // The paper's 8x8 mesh at injection 0.25, under HBH and under E2E with
+  // enough link errors to NACK packets: 5k cycles of warm-up grow every
+  // queue, table and wheel slot to its working size, then 20k cycles are
+  // counted.
+  for (const char* protection : {"protection=hbh", "protection=e2e"}) {
+    SCOPED_TRACE(protection);
+    const bool e2e = std::string(protection) == "protection=e2e";
+    SimConfig cfg;
+    const auto err = apply_overrides(
+        cfg, {"mesh_width=8", "mesh_height=8", protection,
+              "injection_rate=0.25", e2e ? "link_error_rate=1e-2"
+                                         : "link_error_rate=0"});
+    ASSERT_FALSE(err.has_value()) << *err;
+    Network net(cfg);
+    net.stats().begin_measurement(0);  // Counts the E2E retransmissions.
+    for (int c = 0; c < 5'000; ++c) net.step();
+    const std::uint64_t created = net.stats().packets_created();
+    g_news.store(0);
+    g_count_news.store(true);
+    for (int c = 0; c < 20'000; ++c) net.step();
+    g_count_news.store(false);
+    const long news = g_news.load();
+    const std::uint64_t packets = net.stats().packets_created() - created;
+    const std::string tag = e2e ? "_e2e" : "";
+    ::testing::Test::RecordProperty("steady_news" + tag,
+                                    std::to_string(news));
+    ::testing::Test::RecordProperty("steady_packets" + tag,
+                                    std::to_string(packets));
+    ASSERT_GT(packets, 10'000u);
+    if (e2e) {
+      EXPECT_GT(net.stats().e2e_retransmits(), 0u);
+    }
+    // A heap vector per packet made this exactly 1 per packet under HBH;
+    // a held-id set node and an ACK/NACK map node made it 2 under E2E.
+    EXPECT_LT(static_cast<std::uint64_t>(news) * 100, packets)
+        << news << " allocations for " << packets << " packets";
+  }
 #endif
 }
 
