@@ -1,6 +1,7 @@
 #include "common/topology.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/check.hpp"
 
@@ -60,7 +61,11 @@ bool Topology::link_alive(NodeId n, Direction d) const {
 void Topology::fail_link(NodeId n, Direction d) {
   FTNOC_CHECK(n < num_nodes() && d != Direction::kLocal);
   if (dead_ports_.empty()) {
-    dead_ports_.assign(static_cast<std::size_t>(num_nodes()), 0);
+    const auto n = static_cast<std::size_t>(num_nodes());
+    dead_ports_.assign(n, 0);
+    dest_rows_.resize(n);
+    scratch_row_.resize(n);
+    bfs_queue_.resize(n);
   }
   dead_ports_[n] |= static_cast<std::uint8_t>(1u << static_cast<int>(d));
   if (const auto nb = neighbor(n, d)) {
@@ -71,53 +76,54 @@ void Topology::fail_link(NodeId n, Direction d) {
   ++epoch_;
 }
 
-void Topology::ensure_row(NodeId dest) const {
+void Topology::refresh_row(NodeId dest) const {
   const std::size_t n = static_cast<std::size_t>(num_nodes());
-  if (dist_.empty()) {
-    dist_.assign(n * n, kUnreachable);
-    row_stamp_.assign(n, 0);
-  }
-  if (row_stamp_[dest] == epoch_) return;
-  std::uint16_t* row = dist_.data() + static_cast<std::size_t>(dest) * n;
+  DestRow& r = dest_rows_[dest];
+  std::uint16_t* const row = r.row ? r.row.get() : scratch_row_.data();
   std::fill(row, row + n, kUnreachable);
   row[dest] = 0;
-  std::vector<NodeId> queue;
-  queue.reserve(n);
-  queue.push_back(dest);
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const NodeId cur = queue[head];
+  bfs_queue_[0] = dest;
+  std::size_t tail = 1;
+  for (std::size_t head = 0; head < tail; ++head) {
+    const NodeId cur = bfs_queue_[head];
     for (int p = 0; p < 4; ++p) {
       const auto d = static_cast<Direction>(p);
       if (!link_alive(cur, d)) continue;
       const NodeId nb = *neighbor(cur, d);
       if (row[nb] != kUnreachable) continue;
       row[nb] = static_cast<std::uint16_t>(row[cur] + 1);
-      queue.push_back(nb);
+      bfs_queue_[tail++] = nb;
     }
   }
-  row_stamp_[dest] = epoch_;
+  r.stamp = epoch_;
+  if (r.row) return;
+  for (std::size_t cur = 0; cur < n; ++cur) {
+    if (row[cur] != closed_form_distance(static_cast<NodeId>(cur), dest)) {
+      r.row = std::make_unique_for_overwrite<std::uint16_t[]>(n);
+      std::copy(row, row + n, r.row.get());
+      return;
+    }
+  }
 }
 
-std::uint16_t Topology::fault_distance(NodeId from, NodeId to) const {
-  FTNOC_DCHECK(from < num_nodes() && to < num_nodes());
-  if (!has_faults_) {
-    // Fault-free fabrics never build the table; callers should not ask.
-    const Coord a = coord_of(from);
-    const Coord b = coord_of(to);
-    int dx = b.x - a.x;
-    int dy = b.y - a.y;
-    if (dx < 0) dx = -dx;
-    if (dy < 0) dy = -dy;
-    if (torus_) {
-      if (width_ - dx < dx) dx = width_ - dx;
-      if (height_ - dy < dy) dy = height_ - dy;
-    }
-    return static_cast<std::uint16_t>(dx + dy);
+std::size_t Topology::stored_rows() const {
+  return static_cast<std::size_t>(
+      std::count_if(dest_rows_.begin(), dest_rows_.end(),
+                    [](const DestRow& r) { return r.row != nullptr; }));
+}
+
+std::uint16_t Topology::closed_form_distance(NodeId from, NodeId to) const {
+  const Coord a = coord_of(from);
+  const Coord b = coord_of(to);
+  int dx = b.x - a.x;
+  int dy = b.y - a.y;
+  if (dx < 0) dx = -dx;
+  if (dy < 0) dy = -dy;
+  if (torus_) {
+    if (width_ - dx < dx) dx = width_ - dx;
+    if (height_ - dy < dy) dy = height_ - dy;
   }
-  ensure_row(to);
-  return dist_[static_cast<std::size_t>(to) *
-                   static_cast<std::size_t>(num_nodes()) +
-               from];
+  return static_cast<std::uint16_t>(dx + dy);
 }
 
 bool Topology::reaches_all(NodeId skip_n, Direction skip_d) const {

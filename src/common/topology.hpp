@@ -6,12 +6,15 @@
 //
 // The topology also carries the permanent-fault state of the fabric: a
 // per-port dead-link mask (static dead_links plus mid-run storm kills) and
-// a BFS distance table over the live links that route() consults to steer
-// around faults. Fault-free topologies keep the mask empty and pay
-// nothing. It depends only on common/, so SimConfig::validate() checks a
-// fault set against the same neighbour table the network builds.
+// BFS distance rows over the live links that route() consults to steer
+// around faults, stored only for the destinations a fault detours.
+// Fault-free topologies keep the mask empty and pay nothing. It depends
+// only on common/, so SimConfig::validate() checks a fault set against the
+// same neighbour table the network builds.
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -70,9 +73,21 @@ class Topology {
 
   /// Minimum hop count from `from` to `to` over live links only, or
   /// kUnreachable. Exact (BFS) — route() picks ports that strictly decrease
-  /// it, which guarantees delivery between connected pairs.
-  std::uint16_t fault_distance(NodeId from, NodeId to) const;
+  /// it, which guarantees delivery between connected pairs. The closed
+  /// form unless a fault detours `to` (see detour_row()).
+  std::uint16_t fault_distance(NodeId from, NodeId to) const {
+    FTNOC_DCHECK(from < num_nodes() && to < num_nodes());
+    if (has_faults_) {
+      if (const std::uint16_t* row = detour_row(to)) return row[from];
+    }
+    return closed_form_distance(from, to);
+  }
   static constexpr std::uint16_t kUnreachable = 0xFFFF;
+
+  /// Destinations whose distance row is stored because a fault detours
+  /// them (DESIGN.md §4.9). Counts only rows built so far: a row is
+  /// checked on the first fault_distance() query toward its destination.
+  std::size_t stored_rows() const;
 
   /// Route-table version: bumped by every fail_link().
   /// Routers compare it against the epoch their in-flight routing
@@ -82,15 +97,23 @@ class Topology {
   std::uint32_t route_epoch() const { return epoch_; }
 
  private:
-  /// Lazily (re)builds the single-destination BFS row for `dest` if its
-  /// stamp is older than the current epoch. Replaces the all-pairs rebuild
-  /// that used to run on *every* kill: a fault storm of S kills on an
-  /// N-node mesh paid O(S * N^2) on the hot path; now each kill is O(1) and
-  /// only rows that routing actually consults are recomputed, at most once
-  /// per epoch each. Row values are identical to the eager build (BFS
-  /// levels are queue-order independent), which the fault_degradation
+  /// Hop count over every physical link: Manhattan, or the shorter way
+  /// around each ring of a torus. The live-link distance on a fault-free
+  /// fabric, and a lower bound on it once links die.
+  std::uint16_t closed_form_distance(NodeId from, NodeId to) const;
+  /// The stored live-link row of `dest`, or null when every entry equals
+  /// the closed form. Checks the destination again once per route epoch.
+  const std::uint16_t* detour_row(NodeId dest) const {
+    const DestRow& r = dest_rows_[dest];
+    if (r.stamp != epoch_) refresh_row(dest);
+    return r.row.get();
+  }
+  /// Runs the BFS of `dest` over live links and brings dest_rows_[dest]
+  /// up to the current epoch. Only rows that routing consults are built,
+  /// at most once per epoch each, so a kill costs O(1). Row values are
+  /// queue-order independent (BFS levels), which the fault_degradation
   /// golden digest pins.
-  void ensure_row(NodeId dest) const;
+  void refresh_row(NodeId dest) const;
   bool dead_port(NodeId n, Direction d) const;
   /// BFS from node 0 over live links, additionally treating the link
   /// leaving `skip_n` through `skip_d` as dead (kLocal skips nothing).
@@ -107,12 +130,24 @@ class Topology {
   bool has_faults_ = false;
   std::uint32_t epoch_ = 0;
   std::vector<std::uint8_t> dead_ports_;  ///< Per node, bit per direction.
-  /// dist_[dest * num_nodes + cur]; allocated on the first fault, each row
-  /// filled on demand. Mutable: rows are a cache of pure-function values.
-  mutable std::vector<std::uint16_t> dist_;
-  /// Epoch each dist_ row was built at; 0 = never (epoch_ >= 1 once any
-  /// fault exists, so a zero stamp is always stale).
-  mutable std::vector<std::uint32_t> row_stamp_;
+  /// Per-destination distance state, sized on the first fault.
+  /// Mutable: rows are a cache of pure-function values.
+  struct DestRow {
+    /// Epoch the row was last checked at; 0 = never (epoch_ >= 1 once any
+    /// fault exists, so a zero stamp is always stale).
+    std::uint32_t stamp = 0;
+    /// The live-link BFS row when it differs from the closed form
+    /// somewhere, else null. Links only die and distances only grow, so a
+    /// detoured destination stays detoured: its row is rebuilt in place
+    /// on a new epoch and never freed, and each row is its own block, so
+    /// storing one never moves another.
+    std::unique_ptr<std::uint16_t[]> row;
+  };
+  mutable std::vector<DestRow> dest_rows_;
+  /// BFS scratch reused by every refresh_row(): the row of a destination
+  /// not yet known to be detoured, and the node queue.
+  mutable std::vector<std::uint16_t> scratch_row_;
+  mutable std::vector<NodeId> bfs_queue_;
 };
 
 }  // namespace ftnoc

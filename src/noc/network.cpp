@@ -280,8 +280,9 @@ Network::Network(const SimConfig& cfg)
   rtx_slots_total_ = cfg_.has_rtx_barrels()
                          ? links * cfg_.num_vcs * cfg_.retransmission_depth
                          : 0;
-  // One horizon for everything due later: router timers clamp to it, and
-  // it outlasts the longest NACK delay (W + H - 1 hops).
+  // One horizon for everything due later: router timers past it wake the
+  // router on a grid anchored at the timer, and it outlasts the longest
+  // NACK delay (W + H - 1 hops).
   wheel_slots_ = std::bit_ceil(std::max<std::size_t>(
       256, static_cast<std::size_t>(topo_.width() + topo_.height())));
   if (cfg_.protection == LinkProtection::kE2e) {
@@ -653,8 +654,9 @@ void Network::mark_wire_live(std::uint32_t wid) {
 //    internal work), or its one exact timer (own-probe GC) is due;
 //  * a router outside that set has no wire input and no internal work, so
 //    its step would be a no-op; the extra steps inside it (cycle 0, a stale
-//    GC timer, a timer clamped to the wheel horizon) run phases that are
-//    no-ops too (no RNG draws, charges, stats or arbiter movement);
+//    GC timer, a wake on the grid of a timer past the horizon) run phases
+//    that are no-ops too (no RNG draws, charges, stats or arbiter
+//    movement);
 //  * wires hold a signal for exactly one cycle, so only wires with
 //    something in flight need ticking — an untouched wire's tick is a
 //    no-op by construction.
@@ -681,9 +683,14 @@ void Network::step_woken_routers() {
         // A timer can land in the past when its condition armed late
         // (e.g. the agent's probe stopped being outstanding after the
         // GC deadline already passed); fire it next cycle. One past the
-        // horizon wakes the router at the last slot instead, where its
-        // idle step reports the timer again.
-        schedule(i, std::clamp(wi.timer, now_ + 1, now_ + wheel_slots_ - 1));
+        // horizon H = S - 1 wakes the router at timer - k*H, the nearest
+        // such cycle inside the horizon, where its idle step reports the
+        // timer again. Anchoring the grid on the timer, not on now, lets
+        // reports from consecutive steps share one wake.
+        const Cycle horizon = wheel_slots_ - 1;
+        schedule(i, wi.timer <= now_
+                        ? now_ + 1
+                        : now_ + 1 + (wi.timer - now_ - 1) % horizon);
       }
       for (std::uint8_t m = wi.wrote_fwd; m != 0;
            m &= static_cast<std::uint8_t>(m - 1)) {

@@ -332,8 +332,9 @@ class Network {
   /// The event wheel holds everything that falls due later; cycle c maps
   /// to slot (c & (wheel_slots_ - 1)). The slot count is a power of two
   /// of at least 256 and more than W + H, so the longest NACK delay
-  /// (W + H - 1) stays inside the horizon; a router timer past it is
-  /// clamped to the last slot and re-reported when the router wakes.
+  /// (W + H - 1) stays inside the horizon; a router timer past it wakes
+  /// the router at timer - k * (wheel_slots_ - 1), the nearest such cycle
+  /// inside the horizon, where it is re-reported.
   std::size_t wheel_slots_ = 0;
   /// Router wake masks (event kernel only), one flat block: wheel_words_
   /// words per slot, the node bitmask of routers due that cycle. Spurious

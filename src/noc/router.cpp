@@ -115,6 +115,9 @@ std::size_t Router::carve_storage(std::byte* block) {
   carve(sa_in_arbs_, static_cast<std::size_t>(num_ports_), num_vcs_);
   carve(sa_out_arbs_, static_cast<std::size_t>(num_ports_), num_ports_);
   carve(replay_arbs_, static_cast<std::size_t>(num_ports_), num_vcs_);
+  carve(staged_, cfg_.pipeline_stages == 4
+                     ? static_cast<std::size_t>(num_ports_)
+                     : 0);
   return used;
 }
 
@@ -266,7 +269,7 @@ void Router::step(Cycle now) {
     for (std::uint32_t dm = draining_; dm != 0; dm &= dm - 1) {
       const PortId p = static_cast<PortId>(std::countr_zero(dm));
       if (((out_work_ >> (p * num_vcs_)) & vmask) != 0) continue;
-      if (staged_[p].has_value()) continue;
+      if (staged(p) != nullptr) continue;
       link_dead_[p] = true;
       draining_ &= static_cast<std::uint8_t>(~port_bit(p));
     }
@@ -383,8 +386,8 @@ void Router::phase_maintenance(Cycle now) {
         // at the front: the rollback may have just queued older flits
         // ahead of it, so scan the whole pending region or the replay is
         // double-queued and a duplicate reaches the receiver.)
-        if (staged_[p] && staged_[p]->vc == nack->vc) {
-          const Flit& s = staged_[p]->stored;
+        if (const StagedFlit* st = staged(p); st && st->vc == nack->vc) {
+          const Flit& s = st->stored;
           const bool still_pending =
               rtx->pending_contains(s.packet_id, s.seq);
           if (!still_pending) {
@@ -554,7 +557,7 @@ void Router::phase_replay_and_switch(Cycle now) {
     if (o == kLocalPort || out_wires_[o] == nullptr) continue;
     const std::uint32_t cand = (rtx_pending_mask_ >> (o * num_vcs_)) & vmask;
     if (cand == 0) continue;
-    if (cfg_.pipeline_stages == 4 && staged_[o].has_value()) continue;
+    if (staged(o) != nullptr) continue;
     std::uint32_t mask = 0;
     for (std::uint32_t cm = cand; cm != 0; cm &= cm - 1) {
       const int v = std::countr_zero(cm);
@@ -601,7 +604,7 @@ void Router::phase_replay_and_switch(Cycle now) {
       const PortId o = vc.out_port;
       if (port_busy_[o]) continue;
       if (o != kLocalPort) {
-        if (cfg_.pipeline_stages == 4 && staged_[o].has_value()) continue;
+        if (staged(o) != nullptr) continue;
         auto& out = ovc(o, vc.out_vc);
         // In-order delivery: this packet's own pending (older) flits must
         // replay first. A recovery waiter's pending flits do not block the
@@ -751,7 +754,7 @@ void Router::transmit(PortId o, VcId v, const Flit& f, Cycle now,
   if (cfg_.pipeline_stages == 4) {
     // The dedicated ST stage: barrel recording happens at flush time so
     // the NACK-loop ages line up with the wire.
-    FTNOC_CHECK(!staged_[o].has_value());
+    FTNOC_CHECK(staged(o) == nullptr);
     StagedFlit& s = staged_[o].emplace(StagedFlit{f, f, v});
     s.stored.vc = v;
     ++s.stored.hops;
@@ -1768,20 +1771,14 @@ void Router::check_local_invariants(Cycle now) {
                    std::to_string(rtx_pending_mask_) + " vs " +
                    std::to_string(pend_m) + ")");
   }
-  int staged = 0;
+  int occupied = 0;
   for (PortId p = 0; p < num_ports_; ++p) {
-    if (!staged_[p]) continue;
-    ++staged;
-    if (cfg_.pipeline_stages != 4) {
-      mon_->fail(InvariantId::kStagedRegister, now, id_, p, staged_[p]->vc,
-                 "ST staging register occupied on a " +
-                     std::to_string(cfg_.pipeline_stages) + "-stage router");
-    }
+    if (staged(p) != nullptr) ++occupied;
   }
-  if (staged != staged_count_) {
+  if (occupied != staged_count_) {
     mon_->fail(InvariantId::kStagedRegister, now, id_, -1, -1,
                "staged_count_ is " + std::to_string(staged_count_) + " but " +
-                   std::to_string(staged) + " register(s) are occupied");
+                   std::to_string(occupied) + " register(s) are occupied");
   }
 }
 
@@ -1789,12 +1786,13 @@ long long Router::live_flit_count() const {
   long long n = 0;
   for (const auto& in : inputs_) n += static_cast<long long>(in.buf.size());
   for (PortId p = 0; p < num_ports_; ++p) {
-    if (!staged_[p]) continue;
+    const StagedFlit* const st = staged(p);
+    if (st == nullptr) continue;
     // A staged *replay* was never consumed from the pending region (the
     // pop happens at flush time), so the pending entry is the one live
     // instance and the register holds its shadow.
-    const Flit& s = staged_[p]->stored;
-    const auto& rtx = orx(gid(p, staged_[p]->vc));
+    const Flit& s = st->stored;
+    const auto& rtx = orx(gid(p, st->vc));
     const bool shadow = rtx && rtx->has_pending() &&
                         rtx->front_pending().packet_id == s.packet_id &&
                         rtx->front_pending().seq == s.seq;
@@ -1815,10 +1813,10 @@ int Router::held_credits(PortId p, VcId v) const {
       if (rtx->pending_credit_held(i)) ++n;
     }
   }
-  if (staged_[p] && staged_[p]->vc == v) {
+  if (const StagedFlit* st = staged(p); st && st->vc == v) {
     // The staged flit holds a downstream slot unless it is a replay whose
     // pending entry still records the credit (counted above).
-    const Flit& s = staged_[p]->stored;
+    const Flit& s = st->stored;
     const bool counted_in_pending =
         rtx && rtx->has_pending() &&
         rtx->front_pending().packet_id == s.packet_id &&
@@ -1874,11 +1872,14 @@ std::uint64_t Router::state_digest() const {
     h.mix(static_cast<std::uint64_t>(va_arbs_[g].last_grant()));
   }
   for (PortId p = 0; p < num_ports_; ++p) {
-    h.mix(staged_[p].has_value());
-    if (staged_[p]) {
-      h.mix_flit(staged_[p]->wire);
-      h.mix_flit(staged_[p]->stored);
-      h.mix(static_cast<std::uint64_t>(staged_[p]->vc));
+    // A router without registers mixes `false` per port, as the
+    // reference router's always-present empty registers do.
+    const StagedFlit* const st = staged(p);
+    h.mix(st != nullptr);
+    if (st != nullptr) {
+      h.mix_flit(st->wire);
+      h.mix_flit(st->stored);
+      h.mix(static_cast<std::uint64_t>(st->vc));
     }
     h.mix(link_dead_[p]);
     h.mix((draining_ & port_bit(p)) != 0);

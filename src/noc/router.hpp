@@ -421,8 +421,18 @@ class Router final : public RouterIface {
     Flit stored;
     VcId vc;
   };
-  std::array<std::optional<StagedFlit>, kNumDirections> staged_;
+  static_assert(std::is_trivially_destructible_v<std::optional<StagedFlit>>);
+  /// One register per port, carved from storage_ at 4 stages only: empty
+  /// on 1-3-stage routers, which never stage a flit. Read it through
+  /// staged().
+  std::span<std::optional<StagedFlit>> staged_;
   int staged_count_ = 0;  ///< Occupied entries of staged_ (fast skip).
+  /// Port `p`'s staged flit, or null when its register is empty or the
+  /// router has none.
+  const StagedFlit* staged(PortId p) const {
+    if (staged_.empty() || !staged_[p]) return nullptr;
+    return &*staged_[p];
+  }
   InlineVec<PendingNack, 8> pending_nacks_;
   InlineVec<OutboxItem, 8> outbox_;
   /// Route of this router's latest probe; a fresh probe replaces it.

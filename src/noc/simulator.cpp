@@ -61,6 +61,21 @@ SimResults Simulator::run() {
   SimResults r;
   r.completed = drain_mode ? drained()
                            : stats.messages_ejected() >= cfg_.total_messages;
+  // Packet ledger, O(1) on every run: a record opens when its packet is
+  // created and closes only at its delivery. A packet dropped as
+  // unreachable or discarded as an unprotected-allocation casualty keeps
+  // its record, so created = ejected + live records, and the drops are
+  // among the live ones.
+  const std::uint64_t live = net.packets().size();
+  if (stats.packets_created() != stats.messages_ejected() + live) {
+    std::fprintf(stderr,
+                 "packet ledger broken: created=%llu ejected=%llu "
+                 "live_records=%llu\n",
+                 static_cast<unsigned long long>(stats.packets_created()),
+                 static_cast<unsigned long long>(stats.messages_ejected()),
+                 static_cast<unsigned long long>(live));
+    r.completed = false;
+  }
   r.cycles = net.now();
   r.router_steps = net.router_steps();
   r.wire_ticks = net.wire_ticks();

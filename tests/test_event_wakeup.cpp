@@ -146,9 +146,20 @@ TEST(EventWakeup, ProbeTimeoutGc) {
 // catch that: continuous traffic re-ticks the router every cycle.)
 TEST(EventWakeup, ProbeGcAfterTrafficDrains) {
   // A probe_timeout of 1000 puts the GC timer past the event wheel's
-  // 256-slot horizon: the router is woken at the horizon, finds nothing to
-  // do and re-reports the timer until it falls inside.
-  for (const Cycle timeout : {Cycle{256}, Cycle{1000}}) {
+  // 256-slot horizon: the router is woken on a grid of 255-cycle steps
+  // back from the timer, finds nothing to do and re-reports the timer
+  // until it falls inside. The work pins count the event kernel's router
+  // steps: clamping a far timer to the last slot instead gave 537 steps
+  // at 1000 (one extra wake chain per router that reported the same timer
+  // from consecutive steps) with the same final digest.
+  struct Pin {
+    Cycle timeout;
+    std::uint64_t router_steps;
+    std::uint64_t digest;
+  };
+  for (const Pin pin : {Pin{256, 531, 0xbdf0b0fd1576a1a4ull},
+                        Pin{1000, 534, 0xb67be2f443602df5ull}}) {
+    const Cycle timeout = pin.timeout;
     SCOPED_TRACE("probe_timeout=" + std::to_string(timeout));
     SimConfig cfg = sparse_base();
     cfg.mesh_width = 2;
@@ -175,6 +186,8 @@ TEST(EventWakeup, ProbeGcAfterTrafficDrains) {
     const auto& st = nets.run(2500 + timeout);
     EXPECT_GT(st.probes_sent(), 0u) << "burst armed no probes";
     EXPECT_GT(st.recoveries_entered(), 0u) << "burst never deadlocked";
+    EXPECT_EQ(nets.event->router_steps(), pin.router_steps);
+    EXPECT_EQ(nets.event->state_digest(), pin.digest);
   }
 }
 

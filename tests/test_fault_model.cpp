@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -170,11 +173,52 @@ TEST(FaultModelProperty, EscapePortsMatchBfsOracleOnRandomFaultedMeshes) {
   }
 }
 
+// Hop count over every physical link (Manhattan, or the shorter way
+// around each torus ring), computed independently of Topology.
+int closed_form_distance(const Topology& topo, NodeId a, NodeId b) {
+  const Coord ca = topo.coord_of(a);
+  const Coord cb = topo.coord_of(b);
+  int dx = std::abs(ca.x - cb.x);
+  int dy = std::abs(ca.y - cb.y);
+  if (topo.torus()) {
+    dx = std::min(dx, topo.width() - dx);
+    dy = std::min(dy, topo.height() - dy);
+  }
+  return dx + dy;
+}
+
+// Checks fault_distance() against the oracle for every pair, then checks
+// that the topology stores a row for exactly the destinations whose
+// oracle row differs from the closed form somewhere; returns how many
+// those are.
+int expect_exact_rows(const Topology& topo, const std::string& where) {
+  int detoured = 0;
+  for (NodeId dest = 0; dest < topo.num_nodes(); ++dest) {
+    const std::vector<int> oracle = oracle_distances(topo, dest);
+    int wrong = 0;
+    bool differs = false;
+    for (NodeId cur = 0; cur < topo.num_nodes(); ++cur) {
+      const int want =
+          oracle[cur] < 0 ? Topology::kUnreachable : oracle[cur];
+      if (static_cast<int>(topo.fault_distance(cur, dest)) != want) ++wrong;
+      if (want != closed_form_distance(topo, cur, dest)) differs = true;
+    }
+    EXPECT_EQ(wrong, 0) << where << ": wrong distances toward " << dest;
+    if (differs) ++detoured;
+  }
+  if (topo.has_faults()) {
+    EXPECT_EQ(topo.stored_rows(), static_cast<std::size_t>(detoured))
+        << where << ": stored rows must be exactly the detoured ones";
+  }
+  return detoured;
+}
+
 TEST(Topology, RouteEpochBumpsAndLazyRowsStayExact) {
-  // The per-destination distance rows are rebuilt lazily (PR 8): a
-  // fail_link() only bumps the route epoch, and each row re-runs its BFS
-  // on first use afterwards. Rows primed before a kill must not serve
-  // stale distances after it.
+  // The per-destination distance rows are rebuilt lazily: a fail_link()
+  // only bumps the route epoch, and each destination re-runs its BFS on
+  // first use afterwards. Rows primed before a kill must not serve stale
+  // distances after it, and a row is stored only where a fault detours
+  // its destination; every other one answers with the closed form.
   Topology topo(4, 4, false);
   const std::uint32_t e0 = topo.route_epoch();
   // Prime every row at full health, so staleness would actually show.
@@ -186,14 +230,41 @@ TEST(Topology, RouteEpochBumpsAndLazyRowsStayExact) {
   EXPECT_EQ(topo.route_epoch(), e0 + 1);
   topo.fail_link(9, Direction::kNorth);
   EXPECT_EQ(topo.route_epoch(), e0 + 2);
-  for (NodeId dest = 0; dest < topo.num_nodes(); ++dest) {
-    const std::vector<int> oracle = oracle_distances(topo, dest);
-    for (NodeId cur = 0; cur < topo.num_nodes(); ++cur) {
-      EXPECT_EQ(static_cast<int>(topo.fault_distance(cur, dest)),
-                oracle[cur])
-          << cur << " -> " << dest << " after mid-run kills";
-    }
+  expect_exact_rows(topo, "4x4 after mid-run kills");
+
+  // The fabric_32x32 benchmark's stagger: East cut at column 1 + j % 30,
+  // row j. A quarter of the destinations are detoured.
+  Topology fabric(32, 32, false);
+  for (int j = 0; j < 8; ++j) {
+    fabric.fail_link(static_cast<NodeId>(j * 32 + 1 + j % 30),
+                     Direction::kEast);
   }
+  EXPECT_EQ(expect_exact_rows(fabric, "32x32 stagger"), 256);
+  EXPECT_EQ(fabric.stored_rows(), 256u);
+
+  // A 16x16 torus: wrap-around rings give the closed form its min() terms,
+  // and one of the kills is a wrap channel.
+  Topology torus(16, 16, true);
+  torus.fail_link(3 * 16 + 15, Direction::kEast);  // Wraps to column 0.
+  torus.fail_link(5 * 16 + 7, Direction::kSouth);
+  torus.fail_link(9 * 16 + 2, Direction::kEast);
+  torus.fail_link(0, Direction::kNorth);  // Wraps to row 15.
+  EXPECT_GT(expect_exact_rows(torus, "16x16 torus"), 0);
+
+  // A storm sequence (the storm_drain_8x8 kill sites plus two more), each
+  // kill landing after every row was primed: rebuilt rows stay exact and
+  // a detoured destination stays stored.
+  Topology storm(8, 8, false);
+  expect_exact_rows(storm, "8x8 before the storm");
+  std::size_t stored = 0;
+  for (int j = 0; j < 8; ++j) {
+    storm.fail_link(static_cast<NodeId>((j % 8) * 8 + 1 + j % 6),
+                    Direction::kEast);
+    expect_exact_rows(storm, "8x8 after storm kill " + std::to_string(j));
+    EXPECT_GE(storm.stored_rows(), stored) << "a stored row was freed";
+    stored = storm.stored_rows();
+  }
+  EXPECT_GT(stored, 0u);
 }
 
 TEST(FaultEscalation, JointlyPartitioningRequestsTrimToSafePrefix) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "noc/simulator.hpp"
 #include "power/energy_model.hpp"
@@ -66,6 +67,42 @@ TEST(Simulator, EnergyAccountedOnlyAfterWarmup) {
   ASSERT_TRUE(ra.completed && rb.completed);
   EXPECT_NEAR(ra.energy_per_message_nj, rb.energy_per_message_nj,
               ra.energy_per_message_nj * 0.1);
+}
+
+TEST(Simulator, PacketLedgerCatchesALostRecord) {
+  // Every run checks created = ejected + live packet records at its end.
+  // Erasing the record of a packet that is still queued at its source
+  // breaks that identity without crashing the run: the delivery that
+  // completes the run erases it, and a queued packet has no flit in the
+  // network that could still reach an ejection port.
+  SimConfig cfg = quick();
+  cfg.injection_rate = 0.6;  // Saturated: the source queues stay long.
+  Simulator clean(cfg);
+  ASSERT_TRUE(clean.run().completed);
+
+  Simulator sim(cfg);
+  Network& net = sim.network();
+  bool erased = false;
+  net.set_delivery_listener([&](NodeId, const Flit& f, Cycle) {
+    if (erased || net.stats().messages_ejected() < cfg.total_messages) {
+      return;
+    }
+    for (PacketId pid = f.packet_id + 1; pid < f.packet_id + 100'000; ++pid) {
+      const PacketTable::Record* rec = net.packets().find(pid);
+      if (rec != nullptr && rec->inject == 0) {
+        net.packets().erase(pid);
+        erased = true;
+        return;
+      }
+    }
+  });
+  testing::internal::CaptureStderr();
+  const SimResults r = sim.run();
+  const std::string err = testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(erased) << "no queued packet was left to erase";
+  EXPECT_EQ(r.messages_ejected, cfg.total_messages);
+  EXPECT_FALSE(r.completed) << "the ledger missed a lost record";
+  EXPECT_NE(err.find("packet ledger broken"), std::string::npos) << err;
 }
 
 TEST(Simulator, SummaryMentionsKeyMetrics) {
