@@ -83,6 +83,10 @@ class Topology {
     return closed_form_distance(from, to);
   }
   static constexpr std::uint16_t kUnreachable = 0xFFFF;
+  /// Hop count over every physical link: Manhattan, or the shorter way
+  /// around each ring of a torus. The live-link distance on a fault-free
+  /// fabric, and a lower bound on it once links die.
+  std::uint16_t closed_form_distance(NodeId from, NodeId to) const;
 
   /// Destinations whose distance row is stored because a fault detours
   /// them (DESIGN.md §4.9). Counts only rows built so far: a row is
@@ -97,10 +101,6 @@ class Topology {
   std::uint32_t route_epoch() const { return epoch_; }
 
  private:
-  /// Hop count over every physical link: Manhattan, or the shorter way
-  /// around each ring of a torus. The live-link distance on a fault-free
-  /// fabric, and a lower bound on it once links die.
-  std::uint16_t closed_form_distance(NodeId from, NodeId to) const;
   /// The stored live-link row of `dest`, or null when every entry equals
   /// the closed form. Checks the destination again once per route epoch.
   const std::uint16_t* detour_row(NodeId dest) const {

@@ -16,7 +16,7 @@ DeadlockAgent::DeadlockAgent(NodeId self, Cycle probe_threshold,
   FTNOC_CHECK(probe_timeout >= 1);
 }
 
-ProbeSignal DeadlockAgent::make_probe(PortId target_port, VcId target_vc,
+ProbeSignal DeadlockAgent::make_probe(PortId via, VcId target_vc,
                                       Cycle now) {
   if (outstanding_.has_value()) {
     // The previous probe expired unreturned.
@@ -25,9 +25,10 @@ ProbeSignal DeadlockAgent::make_probe(PortId target_port, VcId target_vc,
   ProbeSignal p;
   p.origin = self_;
   p.probe_id = next_probe_id_++;
-  p.in_port = target_port;
+  p.in_port = static_cast<PortId>(opposite(static_cast<Direction>(via)));
   p.in_vc = target_vc;
   outstanding_ = p.probe_id;
+  probe_port_ = via;
   outstanding_since_ = now;
   last_probe_cycle_ = now;
   ever_probed_ = true;
@@ -79,19 +80,21 @@ const DeadlockAgent::SeenProbe* DeadlockAgent::find_seen(
   return nullptr;
 }
 
-bool DeadlockAgent::on_probe_returned(const ProbeSignal& p) {
+std::optional<PortId> DeadlockAgent::on_probe_returned(const ProbeSignal& p) {
   if (!outstanding_ || *outstanding_ != p.probe_id) {
     // Stale or duplicate return.
-    return false;
+    return std::nullopt;
   }
+  const PortId via = probe_port_;
   outstanding_.reset();
+  probe_port_ = kInvalidPort;
   failed_probes_ = 0;
   if (recovery_mode_) {
     // Rule 4: a peer's activation got here first; discard our probe.
-    return false;
+    return std::nullopt;
   }
   ++deadlocks_confirmed_;
-  return true;
+  return via;
 }
 
 std::optional<PortId> DeadlockAgent::on_activation(
@@ -129,6 +132,7 @@ void DeadlockAgent::exit_recovery() {
   // cannot re-trigger recovery spuriously.
   seen_.clear();
   outstanding_.reset();
+  probe_port_ = kInvalidPort;
 }
 
 }  // namespace ftnoc

@@ -109,8 +109,10 @@ class DeadlockAgent {
   bool should_probe(Cycle blocked_cycles, Cycle now) const {
     return blocked_cycles > probe_threshold_ && may_probe(now);
   }
-  /// Mints a new probe originating here; remembers it as outstanding.
-  ProbeSignal make_probe(PortId target_port, VcId target_vc, Cycle now);
+  /// Mints a new probe originating here, leaving through output port
+  /// `via` toward VC `target_vc` of the neighbour's facing input port;
+  /// remembers its id and `via` as outstanding.
+  ProbeSignal make_probe(PortId via, VcId target_vc, Cycle now);
 
   // --- Rule 2 -----------------------------------------------------------
   /// Classifies an incoming probe. `target_blocked` is whether the named
@@ -123,10 +125,11 @@ class DeadlockAgent {
                                 PortId next_in_port, VcId next_in_vc);
 
   // --- Probe return / activation ----------------------------------------
-  /// The origin's own probe came back. Returns true if it should trigger
-  /// an activation (false if recovery was already activated by a peer —
-  /// Rule 4 says the stale probe is discarded).
-  bool on_probe_returned(const ProbeSignal& p);
+  /// The origin's own probe came back. Returns the port it left through
+  /// when it confirms a deadlock, so the activation follows the same
+  /// cycle; nullopt for a stale return or when a peer's activation got
+  /// here first (Rule 4 says the probe is then discarded).
+  std::optional<PortId> on_probe_returned(const ProbeSignal& p);
 
   /// Rule 3/4: handles an incoming activation. Returns the output port to
   /// forward the activation to (following the remembered probe chain), or
@@ -145,11 +148,13 @@ class DeadlockAgent {
   void exit_recovery();
 
   bool waiting_for_probe() const { return outstanding_.has_value(); }
-  /// Id of the in-flight probe, if any (routers GC per-probe bookkeeping
-  /// for every id except this one — a live probe's return still needs it).
+  /// Id of the in-flight probe, if any.
   const std::optional<std::uint32_t>& outstanding_probe() const {
     return outstanding_;
   }
+  /// Output port the in-flight probe left through; kInvalidPort when no
+  /// probe is outstanding.
+  PortId probe_port() const { return probe_port_; }
   NodeId self() const { return self_; }
   Cycle probe_threshold() const { return probe_threshold_; }
   Cycle probe_timeout() const { return probe_timeout_; }
@@ -189,6 +194,7 @@ class DeadlockAgent {
   bool ever_probed_ = false;
   std::uint32_t next_probe_id_ = 1;
   std::optional<std::uint32_t> outstanding_;  ///< Our in-flight probe id.
+  PortId probe_port_ = kInvalidPort;  ///< Port outstanding_ left through.
   int failed_probes_ = 0;
   bool recovery_mode_ = false;
   std::vector<SeenProbe> seen_;  ///< Probes relayed through this node.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -244,6 +243,7 @@ Network::Network(const SimConfig& cfg)
     routers_[i]->set_eject_fn([this, i](const Flit& f, Cycle now) {
       on_eject(i, f, now);
     });
+    routers_[i]->set_drop_fn([this](PacketId pid) { on_drop(pid); });
   }
 
   pes_.reserve(static_cast<std::size_t>(n));
@@ -280,21 +280,19 @@ Network::Network(const SimConfig& cfg)
   rtx_slots_total_ = cfg_.has_rtx_barrels()
                          ? links * cfg_.num_vcs * cfg_.retransmission_depth
                          : 0;
-  // One horizon for everything due later: router timers past it wake the
-  // router on a grid anchored at the timer, and it outlasts the longest
-  // NACK delay (W + H - 1 hops).
-  wheel_slots_ = std::bit_ceil(std::max<std::size_t>(
-      256, static_cast<std::size_t>(topo_.width() + topo_.height())));
+  // The NACK horizon outlasts the longest NACK delay (W + H - 1 cycles).
   if (cfg_.protection == LinkProtection::kE2e) {
-    nack_wheel_.resize(wheel_slots_);
+    nack_wheel_.resize(std::bit_ceil(
+        static_cast<std::size_t>(topo_.width() + topo_.height())));
   }
   if (scan_kernel_) {
     // The scan steps every router every cycle.
     stepped_.resize(static_cast<std::size_t>(n));
     for (NodeId i = 0; i < n; ++i) stepped_[i] = i;
   } else {
-    wheel_words_ = (static_cast<std::size_t>(n) + 63) / 64;
-    wheel_.assign(wheel_slots_ * wheel_words_, 0);
+    const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
+    wake_now_.assign(words, 0);
+    wake_next_.assign(words, 0);
     live_wire_mask_.assign((wires_.size() + 63) / 64, 0);
     // Devirtualized router view for the hot pop/wake loop.
     fast_routers_.resize(static_cast<std::size_t>(n));
@@ -303,8 +301,7 @@ Network::Network(const SimConfig& cfg)
     }
     // Everybody gets one initial step at cycle 0; routers that stay
     // idle simply never re-arm.
-    std::uint64_t* const slot0 = wheel_slot(0);
-    for (NodeId i = 0; i < n; ++i) slot0[i >> 6] |= 1ull << (i & 63);
+    for (NodeId i = 0; i < n; ++i) wake_now_[i >> 6] |= 1ull << (i & 63);
   }
 
   // Per-link analytics (DESIGN.md §4.14). Allocated only when asked for:
@@ -340,20 +337,6 @@ Network::Network(const SimConfig& cfg)
     }
     load_trace(std::move(records));
   }
-}
-
-int Network::hop_distance(NodeId a, NodeId b) const {
-  const Coord ca = topo_.coord_of(a);
-  const Coord cb = topo_.coord_of(b);
-  // Manhattan distance; for a torus the wrap-around path may be shorter,
-  // but the E2E control path is routed minimally either way.
-  int dx = std::abs(ca.x - cb.x);
-  int dy = std::abs(ca.y - cb.y);
-  if (topo_.torus()) {
-    dx = std::min(dx, topo_.width() - dx);
-    dy = std::min(dy, topo_.height() - dy);
-  }
-  return dx + dy;
 }
 
 void Network::on_eject(NodeId dest, const Flit& f, Cycle now) {
@@ -406,9 +389,12 @@ void Network::on_eject(NodeId dest, const Flit& f, Cycle now) {
         p.seen = 0;
         p.bad = false;
       });
-      const Cycle delay = static_cast<Cycle>(hop_distance(dest, f.src)) + 1;
-      FTNOC_DCHECK(delay < wheel_slots_);
-      nack_wheel_[(now + delay) & (wheel_slots_ - 1)].push_back(
+      // The E2E control path is routed minimally, over every physical
+      // link.
+      const Cycle delay =
+          static_cast<Cycle>(topo_.closed_form_distance(dest, f.src)) + 1;
+      FTNOC_DCHECK(delay < nack_wheel_.size());
+      nack_wheel_[(now + delay) & (nack_wheel_.size() - 1)].push_back(
           Nack{f.src, f.packet_id});
       return;
     }
@@ -421,9 +407,18 @@ void Network::on_eject(NodeId dest, const Flit& f, Cycle now) {
   packets_.erase(f.packet_id);
 }
 
+void Network::on_drop(PacketId pid) {
+  // The tail is the packet's last flit anywhere: its source sent it (under
+  // E2E too, the source's copy is this record, and no NACK can re-queue a
+  // packet that never reached its destination), and nothing downstream of
+  // the discarding router holds any of it.
+  packets_.erase(pid);
+  ++packets_dropped_;
+}
+
 void Network::fire_due_events() {
   if (nack_wheel_.empty()) return;  // Not an E2E network.
-  std::vector<Nack>& due = nack_wheel_[now_ & (wheel_slots_ - 1)];
+  std::vector<Nack>& due = nack_wheel_[now_ & (nack_wheel_.size() - 1)];
   for (const Nack& nack : due) pes_[nack.target].e2e_nack(nack.pid);
   due.clear();
 }
@@ -482,8 +477,8 @@ void Network::try_kill_link(NodeId n, Direction dir) {
   if (!scan_kernel_) {
     // A granted kill puts both endpoints back on the schedule until their
     // drains complete.
-    schedule(n, now_ + 1);
-    schedule(nb, now_ + 1);
+    schedule(n);
+    schedule(nb);
   }
 }
 
@@ -534,7 +529,7 @@ void Network::step() {
                          (recovery && routers_[i]->in_recovery())) &&
         !scan_kernel_) {
       // The PE drove the injection wire: the router consumes next cycle.
-      schedule(i, now_ + 1);
+      schedule(i);
       mark_wire_live(local_wire_id(i));
     }
   }
@@ -582,6 +577,9 @@ void Network::step() {
   // After the wire ticks everything in flight is visible in a channel's
   // current value, so the structural walks see a settled snapshot.
   if (monitor_) run_invariant_walks();
+  // The routers woken for this cycle were all stepped (their mask is
+  // clear again); the next cycle's set takes its place.
+  wake_now_.swap(wake_next_);
   ++now_;
 }
 
@@ -635,11 +633,6 @@ void Network::accumulate_link_stats() {
   }
 }
 
-void Network::schedule(NodeId n, Cycle due) {
-  FTNOC_DCHECK(due > now_ && due < now_ + wheel_slots_);
-  wheel_slot(due)[n >> 6] |= 1ull << (n & 63);
-}
-
 void Network::mark_wire_live(std::uint32_t wid) {
   if ((live_wire_mask_[wid >> 6] >> (wid & 63)) & 1ull) return;
   live_wire_mask_[wid >> 6] |= 1ull << (wid & 63);
@@ -649,24 +642,22 @@ void Network::mark_wire_live(std::uint32_t wid) {
 // The event kernel's router schedule. Byte-identical to the reference
 // network's full scan by construction:
 //  * a router is stepped at cycle t iff a signal written at t-1 is readable
-//    on one of its wires this cycle (the writer's wake masks), its own
+//    on one of its wires this cycle (the writer's wake masks) or its own
 //    retained state demands it (retick — take_wake_info()'s definition of
-//    internal work), or its one exact timer (own-probe GC) is due;
+//    internal work);
 //  * a router outside that set has no wire input and no internal work, so
-//    its step would be a no-op; the extra steps inside it (cycle 0, a stale
-//    GC timer, a wake on the grid of a timer past the horizon) run phases
-//    that are no-ops too (no RNG draws, charges, stats or arbiter
-//    movement);
+//    its step would be a no-op; the extra steps inside it (cycle 0, a
+//    retick that finds nothing left to do) run phases that are no-ops
+//    too (no RNG draws, charges, stats or arbiter movement);
 //  * wires hold a signal for exactly one cycle, so only wires with
 //    something in flight need ticking — an untouched wire's tick is a
 //    no-op by construction.
 void Network::step_woken_routers() {
-  // Pop this cycle's bucket; step the due routers in ascending node order.
+  // Pop this cycle's mask; step the woken routers in ascending node order.
   stepped_.clear();
-  std::uint64_t* const slot = wheel_slot(now_);
-  for (std::size_t w = 0; w < wheel_words_; ++w) {
-    std::uint64_t bits = slot[w];
-    slot[w] = 0;
+  for (std::size_t w = 0; w < wake_now_.size(); ++w) {
+    std::uint64_t bits = wake_now_[w];
+    wake_now_[w] = 0;
     while (bits != 0) {
       const auto i = static_cast<NodeId>(
           (w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
@@ -677,21 +668,7 @@ void Network::step_woken_routers() {
       note_occupancy(i, r->tx_buffer_occupancy(), r->rtx_buffer_occupancy());
 
       const WakeInfo wi = r->take_wake_info();
-      if (wi.retick) {
-        schedule(i, now_ + 1);
-      } else if (wi.timer != 0) {
-        // A timer can land in the past when its condition armed late
-        // (e.g. the agent's probe stopped being outstanding after the
-        // GC deadline already passed); fire it next cycle. One past the
-        // horizon H = S - 1 wakes the router at timer - k*H, the nearest
-        // such cycle inside the horizon, where its idle step reports the
-        // timer again. Anchoring the grid on the timer, not on now, lets
-        // reports from consecutive steps share one wake.
-        const Cycle horizon = wheel_slots_ - 1;
-        schedule(i, wi.timer <= now_
-                        ? now_ + 1
-                        : now_ + 1 + (wi.timer - now_ - 1) % horizon);
-      }
+      if (wi.retick) schedule(i);
       for (std::uint8_t m = wi.wrote_fwd; m != 0;
            m &= static_cast<std::uint8_t>(m - 1)) {
         const int d = std::countr_zero(static_cast<unsigned>(m));
@@ -699,7 +676,7 @@ void Network::step_woken_routers() {
         FTNOC_DCHECK(nb.has_value());
         mark_wire_live(static_cast<std::uint32_t>(i) * 4 +
                        static_cast<std::uint32_t>(d));
-        if (nb) schedule(*nb, now_ + 1);
+        if (nb) schedule(*nb);
       }
       for (std::uint8_t m = wi.wrote_back; m != 0;
            m &= static_cast<std::uint8_t>(m - 1)) {
@@ -715,7 +692,7 @@ void Network::step_woken_routers() {
         mark_wire_live(static_cast<std::uint32_t>(*nb) * 4 +
                        static_cast<std::uint32_t>(
                            opposite(static_cast<Direction>(d))));
-        schedule(*nb, now_ + 1);
+        schedule(*nb);
       }
     }
   }
@@ -760,7 +737,7 @@ std::uint64_t Network::state_digest() const {
   std::uint64_t nacks = 0;
   for (std::size_t k = 0; k < nack_wheel_.size(); ++k) {
     const Cycle due = now_ + k;
-    for (const Nack& nack : nack_wheel_[due & (wheel_slots_ - 1)]) {
+    for (const Nack& nack : nack_wheel_[due & (nack_wheel_.size() - 1)]) {
       h.mix(static_cast<std::uint64_t>(due));
       h.mix(static_cast<std::uint64_t>(nack.target));
       h.mix(nack.pid);

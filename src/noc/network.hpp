@@ -144,9 +144,14 @@ class Network {
   /// Null unless the config asked for invariant checking.
   InvariantMonitor* monitor() { return monitor_.get(); }
 
-  /// Per-packet records of every packet created and not yet delivered.
+  /// Per-packet records of every packet created and neither delivered nor
+  /// dropped.
   PacketTable& packets() { return packets_; }
   const PacketTable& packets() const { return packets_; }
+  /// Packets a router discarded whole (an unprotected-allocation
+  /// casualty): each closed its record when its tail was discarded, so
+  /// created = ejected + dropped + live records.
+  std::uint64_t packets_dropped() const { return packets_dropped_; }
 
   /// Architectural-state hash over routers, wires and PEs — the lock-step
   /// comparison point of the differential fuzz harness.
@@ -204,6 +209,8 @@ class Network {
 
  private:
   void on_eject(NodeId dest, const Flit& f, Cycle now);
+  /// Closes the record of a packet whose tail a router discarded.
+  void on_drop(PacketId pid);
   /// Delivers the E2E NACKs due this cycle to their source PEs, in the
   /// order they were sent.
   void fire_due_events();
@@ -217,14 +224,13 @@ class Network {
   /// the wires ticked this cycle and, of the routers stepped this cycle,
   /// those holding buffered flits.
   void accumulate_link_stats();
-  int hop_distance(NodeId a, NodeId b) const;
   /// End-of-cycle structural walks: per-router local checks, the
   /// network-wide flit-conservation ledger and the per-link credit sums.
   void run_invariant_walks();
 
   // --- Kernel scheduling (DESIGN.md §4.10) ---------------------------------
-  /// Event kernel: steps the routers due this cycle (wheel pop, ascending
-  /// node id) and schedules whatever their wake reports ask for.
+  /// Event kernel: steps the routers woken for this cycle (ascending node
+  /// id) and schedules whatever their wake reports ask for.
   void step_woken_routers();
   /// Event kernel: ticks only wires with signals in flight; settled wires
   /// leave the live list.
@@ -237,10 +243,9 @@ class Network {
     rtx_occ_total_ += rtx - rtx_occ_cache_[i];
     rtx_occ_cache_[i] = rtx;
   }
-  /// Schedules router `n` to be stepped at cycle `due`, inside the wheel
-  /// horizon (now_ < due < now_ + wheel_slots_): sets a bit in the due
-  /// slot's node mask.
-  void schedule(NodeId n, Cycle due);
+  /// Schedules router `n` to be stepped next cycle: sets its bit in the
+  /// next-cycle wake mask.
+  void schedule(NodeId n) { wake_next_[n >> 6] |= 1ull << (n & 63); }
   /// Adds a wire to the tick list (dedup'd); it stays until it settles.
   void mark_wire_live(std::uint32_t wid);
   /// Kills link (`n`, `dir`) unless it is already dead or the kill would
@@ -294,11 +299,12 @@ class Network {
   // mesh edges.
   std::vector<Wire*> link_wires_;
 
-  // One record per packet from creation to delivery: birth and injection
-  // cycles, ground-truth payloads and the ejection progress (a lost NACK
-  // or dropped flit shows up as an incomplete message). PEs write it at
-  // creation and injection; on_eject reads it.
+  // One record per packet from creation to delivery or drop: birth and
+  // injection cycles, ground-truth payloads and the ejection progress (a
+  // lost NACK or dropped flit shows up as an incomplete message). PEs
+  // write it at creation and injection; on_eject reads it.
   PacketTable packets_;
+  std::uint64_t packets_dropped_ = 0;
 
   // Trace replay: sorted records not yet injected.
   std::vector<TraceRecord> trace_;
@@ -324,31 +330,24 @@ class Network {
 
   // --- Kernel state ---------------------------------------------------------
   /// True when this network runs the per-cycle full scan (reference
-  /// routers; optimized routers always run the event wheel).
+  /// routers; optimized routers always run the event kernel).
   bool scan_kernel_ = false;
   /// Devirtualized view of routers_ for the event kernel's hot loop
   /// (only populated for optimized-router networks).
   std::vector<Router*> fast_routers_;
-  /// The event wheel holds everything that falls due later; cycle c maps
-  /// to slot (c & (wheel_slots_ - 1)). The slot count is a power of two
-  /// of at least 256 and more than W + H, so the longest NACK delay
-  /// (W + H - 1) stays inside the horizon; a router timer past it wakes
-  /// the router at timer - k * (wheel_slots_ - 1), the nearest such cycle
-  /// inside the horizon, where it is re-reported.
-  std::size_t wheel_slots_ = 0;
-  /// Router wake masks (event kernel only), one flat block: wheel_words_
-  /// words per slot, the node bitmask of routers due that cycle. Spurious
-  /// entries are harmless (an idle router's step is a no-op), so duplicate
+  /// Router wake masks (event kernel only): the node bitmask of routers
+  /// to step this cycle and of those scheduled for the next. Every wake
+  /// falls due on the next cycle, so step() swaps them at its end. Spurious
+  /// bits are harmless (an idle router's step is a no-op), so duplicate
   /// schedules need no dedup.
-  std::vector<std::uint64_t> wheel_;
-  std::size_t wheel_words_ = 0;
-  std::uint64_t* wheel_slot(Cycle c) {
-    return wheel_.data() + (c & (wheel_slots_ - 1)) * wheel_words_;
-  }
-  /// E2E NACKs due each slot, in the order they were sent (E2E networks
-  /// under both kernels; empty otherwise). A slot's vector keeps its
-  /// capacity when it is popped, so a NACK allocates nothing in steady
-  /// state.
+  std::vector<std::uint64_t> wake_now_;
+  std::vector<std::uint64_t> wake_next_;
+  /// E2E NACKs due each cycle, in the order they were sent (E2E networks
+  /// under both kernels; empty otherwise); cycle c maps to slot
+  /// (c & (nack_wheel_.size() - 1)). The slot count is a power of two of
+  /// at least W + H, so the longest NACK delay (W + H - 1) stays inside the
+  /// horizon. A slot's vector keeps its capacity when it is popped, so a
+  /// NACK allocates nothing in steady state.
   std::vector<std::vector<Nack>> nack_wheel_;
   /// Routers stepped this cycle, ascending — feeds the recovery-line OR
   /// (membership-sensitive) and the link-stall walk. The scan kernel

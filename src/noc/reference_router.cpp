@@ -116,21 +116,14 @@ void ReferenceRouter::begin_link_drain(PortId p, Cycle now) {
   }
 }
 
-void ReferenceRouter::rehome_stale_routes(Cycle now) {
+void ReferenceRouter::rehome_stale_routes() {
   const std::uint32_t e = topo_.route_epoch();
   if (e == route_epoch_seen_) return;
   route_epoch_seen_ = e;
   for (int g = 0; g < num_ports_ * num_vcs_; ++g) {
     auto& vc = inputs_[static_cast<std::size_t>(g)];
     if (vc.state != VcState::kVaWait || vc.buf.empty()) continue;
-    const PortMask fresh =
-        route(topo_, cfg_.routing, id_, vc.buf.front().dest);
-    if (fresh == vc.candidates) continue;
-    vc.candidates = fresh;
-    if (fresh == 0) {
-      vc.state = VcState::kRouting;
-      vc.state_since = now;
-    }
+    vc.candidates = route(topo_, cfg_.routing, id_, vc.buf.front().dest);
   }
 }
 
@@ -156,7 +149,7 @@ void ReferenceRouter::step(Cycle now) {
     }
   }
   // Online reconfiguration (§4.12), mirrored from the optimized kernel.
-  rehome_stale_routes(now);
+  rehome_stale_routes();
   // On an idle router every phase is a no-op; the differential comparison
   // against the event-scheduled optimized kernel checks that.
   std::fill(port_busy_.begin(), port_busy_.end(), false);
@@ -610,11 +603,7 @@ void ReferenceRouter::phase_va(Cycle now) {
         // Non-minimal escape tier (DESIGN.md §4.12), mirrored from Router.
         const PortMask esc =
             fault_escape_ports(topo_, id_, vc.buf.front().dest);
-        if (esc == 0) {
-          vc.state = VcState::kRouting;
-          vc.candidates = 0;
-          continue;
-        }
+        FTNOC_CHECK(esc != 0);
         PortMask usable = 0;
         for (PortId o = 0; o < num_ports_; ++o) {
           if (mask_has(esc, o) && o != kLocalPort && port_allocatable(o)) {
@@ -788,6 +777,7 @@ void ReferenceRouter::phase_rt(Cycle now) {
         if (is_tail(f.type)) {
           vc.state = VcState::kRouting;
           vc.state_since = now;
+          if (drop_) drop_(f.packet_id);
         }
       }
       continue;
@@ -811,15 +801,10 @@ void ReferenceRouter::phase_rt(Cycle now) {
     charge(power::EnergyEvent::kRouteCompute);
     const NodeId dest = vc.buf.front().dest;
     const PortMask correct = route(topo_, cfg_.routing, id_, dest);
+    FTNOC_CHECK(correct != 0);
     if (topo_.has_faults()) {
       // The reference model never applies the "route_into_dead_link"
       // planted mutation: it always routes fault-aware.
-      if (correct == 0) {
-        if (stats_) stats_->count(Counter::unreachable_drops);
-        vc.state = VcState::kDraining;
-        vc.state_since = now;
-        continue;
-      }
       if (stats_ &&
           (correct & ~route_fault_free(topo_, cfg_.routing, id_, dest)) !=
               0) {
@@ -910,15 +895,10 @@ void ReferenceRouter::handle_probe(PortId /*from*/, const ProbeSignal& probe,
   if (probe.origin == id_) {
     FTNOC_TRACE(trace_fmt("[%llu] r%u probe id=%u RETURNED",
                               (unsigned long long)now, id_, probe.probe_id));
-    if (agent_.on_probe_returned(probe)) {
+    if (const auto via = agent_.on_probe_returned(probe)) {
       if (stats_) stats_->count(Counter::deadlocks_confirmed);
       if (mon_) mon_->on_probe_confirmed(now, id_, probe.probe_id);
-      const auto it = own_probe_route_.find(probe.probe_id);
-      FTNOC_CHECK(it != own_probe_route_.end());
-      queue_control(it->second.port, ActivationSignal{id_, probe.probe_id});
-      own_probe_route_.erase(it);
-    } else {
-      own_probe_route_.erase(probe.probe_id);
+      queue_control(*via, ActivationSignal{id_, probe.probe_id});
     }
     return;
   }
@@ -992,19 +972,6 @@ void ReferenceRouter::phase_deadlock(Cycle now) {
   }
   if (!cfg_.deadlock.enable_recovery) return;
 
-  if (!own_probe_route_.empty()) {
-    const auto& live = agent_.outstanding_probe();
-    for (auto it = own_probe_route_.begin();
-         it != own_probe_route_.end();) {
-      const bool spared = live.has_value() && *live == it->first;
-      if (!spared && now - it->second.sent_at > agent_.probe_timeout()) {
-        it = own_probe_route_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
   for (int g = 0; g < num_ports_ * num_vcs_; ++g) {
     auto& vc = inputs_[static_cast<std::size_t>(g)];
     if (vc.buf.empty()) continue;
@@ -1015,9 +982,8 @@ void ReferenceRouter::phase_deadlock(Cycle now) {
     if (!agent_.should_probe(blocked, now)) continue;
     const auto chain = resolve_chain(vc);
     if (!chain) continue;
-    const ProbeSignal pr = agent_.make_probe(
-        static_cast<PortId>(opposite(static_cast<Direction>(chain->first))),
-        chain->second, now);
+    const ProbeSignal pr =
+        agent_.make_probe(chain->first, chain->second, now);
     if (mon_) mon_->on_probe_minted(id_, pr.probe_id);
     if (agent_.failed_probes() >= kFallbackProbeFailures) {
       agent_.enter_recovery();
@@ -1036,8 +1002,6 @@ void ReferenceRouter::phase_deadlock(Cycle now) {
         "[%llu] r%u PROBE id=%u via port %d target(%d,%d)",
         (unsigned long long)now, id_, pr.probe_id, (int)chain->first,
         (int)pr.in_port, (int)pr.in_vc));
-    own_probe_route_.clear();
-    own_probe_route_[pr.probe_id] = ProbeRoute{chain->first, now};
     queue_control(chain->first, pr);
     if (stats_) stats_->count(Counter::probes_sent);
     charge(power::EnergyEvent::kProbeHop);
@@ -1304,19 +1268,10 @@ std::uint64_t ReferenceRouter::state_digest() const {
       h.mix_activation(item.activation);
     }
   }
-  h.mix(own_probe_route_.size());
-  std::uint64_t route_sum = 0;
-  for (const auto& [pid, r] : own_probe_route_) {
-    digest::Fnv e;
-    e.mix(pid);
-    e.mix(static_cast<std::uint64_t>(r.port));
-    e.mix(static_cast<std::uint64_t>(r.sent_at));
-    route_sum += e.value();
-  }
-  h.mix(route_sum);
   h.mix(agent_.in_recovery());
   h.mix(agent_.waiting_for_probe());
   h.mix(agent_.outstanding_probe().value_or(0));
+  h.mix(static_cast<std::uint64_t>(agent_.probe_port()));
   h.mix(static_cast<std::uint64_t>(agent_.failed_probes()));
   h.mix(progress_this_cycle_);
   return h.value();

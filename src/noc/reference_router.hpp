@@ -14,7 +14,7 @@
 //     cycle (the scan kernel), and on a truly idle router the phases are
 //     provable no-ops, which is exactly the property the differential
 //     comparison against the event-scheduled optimized kernel verifies;
-//   * plain std::deque/std::vector/std::map instead of slab rings and
+//   * plain std::deque/std::vector instead of slab rings and
 //     InlineVec, and barrels that own their slots instead of a router slab.
 //
 // Because the optimized kernel iterates work-mask bits in ascending gid
@@ -26,7 +26,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -57,6 +56,7 @@ class ReferenceRouter final : public RouterIface {
 
   void connect(PortId p, Wire* in, Wire* out) override;
   void set_eject_fn(EjectFn fn) override { eject_ = std::move(fn); }
+  void set_drop_fn(DropFn fn) override { drop_ = std::move(fn); }
   void fail_link(PortId p) override;
   void step(Cycle now) override;
 
@@ -123,11 +123,6 @@ class ReferenceRouter final : public RouterIface {
     ActivationSignal activation;
   };
 
-  struct ProbeRoute {
-    PortId port = kInvalidPort;
-    Cycle sent_at = 0;
-  };
-
   struct StagedFlit {
     Flit wire;
     Flit stored;
@@ -168,7 +163,7 @@ class ReferenceRouter final : public RouterIface {
   void release_input_after_tail(PortId p, VcId v, Cycle now);
   void maybe_release_outputs(Cycle now);
   /// Online reconfiguration (DESIGN.md §4.12), mirrored from Router.
-  void rehome_stale_routes(Cycle now);
+  void rehome_stale_routes();
   bool vc_blocked(const InputVc& vc, Cycle now) const;
   std::optional<std::pair<PortId, VcId>> resolve_chain(const InputVc& vc) const;
   void run_ac_on_va(std::size_t new_entry, Cycle now);
@@ -192,6 +187,7 @@ class ReferenceRouter final : public RouterIface {
   power::EnergyMeter* meter_;
   StatsCollector* stats_;
   EjectFn eject_;
+  DropFn drop_;
   InvariantMonitor* mon_ = nullptr;
 
   std::array<Wire*, kNumDirections> in_wires_{};
@@ -221,7 +217,6 @@ class ReferenceRouter final : public RouterIface {
   std::array<std::optional<StagedFlit>, kNumDirections> staged_;
   std::vector<PendingNack> pending_nacks_;
   std::vector<OutboxItem> outbox_;
-  std::map<std::uint32_t, ProbeRoute> own_probe_route_;
   bool progress_this_cycle_ = false;
 };
 

@@ -198,30 +198,21 @@ void Router::begin_link_drain(PortId p, Cycle now) {
   }
 }
 
-void Router::rehome_stale_routes(Cycle now) {
+void Router::rehome_stale_routes() {
   const std::uint32_t e = topo_.route_epoch();
   if (e == route_epoch_seen_) return;
   route_epoch_seen_ = e;
   // Every kVaWait head re-routes against the rebuilt distance tables
-  // instead of allocating on a stale candidate set. Sets that merely
-  // shift keep waiting (the VA re-filters them next cycle); a set that
-  // collapses to empty goes back to kRouting, where phase_rt drops the
-  // packet with the usual unreachable accounting. kVaWait implies the
+  // instead of allocating on a stale candidate set; it keeps waiting (the
+  // VA re-filters the fresh set next cycle). The live fabric stays
+  // connected, so the fresh set is never empty. kVaWait implies the
   // in_work_ bit, which both kernels treat as a mandatory re-tick — so
   // scan and event runs observe every epoch at the same cycle.
   for (std::uint32_t m = in_state(VcState::kVaWait); m != 0; m &= m - 1) {
     const int g = std::countr_zero(m);
     auto& vc = inputs_[static_cast<std::size_t>(g)];
     if (vc.buf.empty()) continue;
-    const PortMask fresh =
-        route(topo_, cfg_.routing, id_, vc.buf.front().dest);
-    if (fresh == vc.candidates) continue;
-    vc.candidates = fresh;
-    if (fresh == 0) {
-      set_state(g, VcState::kRouting);
-      vc.state_since = now;
-      update_input_work(g);
-    }
+    vc.candidates = route(topo_, cfg_.routing, id_, vc.buf.front().dest);
   }
 }
 
@@ -243,19 +234,6 @@ WakeInfo Router::take_wake_info() {
              draining_ != 0 || !pending_nacks_.empty() ||
              !outbox_.empty() || progress_this_cycle_ ||
              agent_.in_recovery();
-  if (!w.retick && own_probe_route_) {
-    // The only delayed action an otherwise-idle router performs is the
-    // own-probe bookkeeping GC in phase_deadlock, which first fires at
-    // sent_at + probe_timeout + 1. The agent's outstanding probe is spared
-    // by the GC, and it can only stop being outstanding during a stepped
-    // cycle (probe return or a fresh probe) — after which this re-arms.
-    const auto& live = agent_.outstanding_probe();
-    if (live != own_probe_route_->probe_id) {
-      const Cycle due =
-          own_probe_route_->sent_at + agent_.probe_timeout() + 1;
-      if (w.timer == 0 || due < w.timer) w.timer = due;
-    }
-  }
   return w;
 }
 
@@ -277,7 +255,7 @@ void Router::step(Cycle now) {
   // Online reconfiguration (§4.12): reconcile in-flight route decisions
   // with the topology's current epoch before any phase allocates on them.
   // No-op (one compare) while the epoch is unchanged.
-  rehome_stale_routes(now);
+  rehome_stale_routes();
   std::fill(port_busy_.begin(), port_busy_.end(), false);
   phase_maintenance(now);
   phase_receive(now);
@@ -942,13 +920,7 @@ void Router::phase_va(Cycle now) {
         // reported to the invariant monitor's misroute-bound check.
         const PortMask esc =
             fault_escape_ports(topo_, id_, vc.buf.front().dest);
-        if (esc == 0) {
-          // No live neighbour reaches dest: re-route, where phase_rt
-          // drops the packet with the unreachable accounting.
-          set_state(g, VcState::kRouting);
-          vc.candidates = 0;
-          continue;
-        }
+        FTNOC_CHECK(esc != 0);  // The live fabric stays connected.
         PortMask usable = 0;
         for (PortId o = 0; o < num_ports_; ++o) {
           if (mask_has(esc, o) && o != kLocalPort && port_allocatable(o)) {
@@ -1166,6 +1138,7 @@ void Router::phase_rt(Cycle now) {
         if (is_tail(f.type)) {
           set_state(g, VcState::kRouting);
           vc.state_since = now;
+          if (drop_) drop_(f.packet_id);
         }
         update_input_work(g);
       }
@@ -1196,23 +1169,15 @@ void Router::phase_rt(Cycle now) {
     charge(power::EnergyEvent::kRouteCompute);
     const NodeId dest = vc.buf.front().dest;
     PortMask correct = route(topo_, cfg_.routing, id_, dest);
+    // validate() and the storm-kill veto keep the live fabric connected,
+    // so every destination is reachable.
+    FTNOC_CHECK(correct != 0);
     if (topo_.has_faults()) {
       if (mutation_ == TestMutation::kRouteIntoDeadLink) {
         // Planted mutation (fuzz-harness self-test): route by the closed
         // form, as a router whose RT link-state input is stuck-at-good
         // would — it aims wormholes straight into dead links.
         correct = route_fault_free(topo_, cfg_.routing, id_, dest);
-      }
-      if (correct == 0) {
-        // No live path to dest (the fault set partitions the mesh, which
-        // validate() and the storm-kill veto both refuse): drop the packet
-        // rather than wedge the VC forever — graceful degradation,
-        // accounted per packet.
-        if (stats_) stats_->count(Counter::unreachable_drops);
-        set_state(g, VcState::kDraining);
-        vc.state_since = now;
-        update_input_work(g);
-        continue;
       }
       if (stats_ &&
           (correct & ~route_fault_free(topo_, cfg_.routing, id_, dest)) !=
@@ -1320,24 +1285,13 @@ void Router::handle_probe(PortId /*from*/, const ProbeSignal& probe,
   if (probe.origin == id_) {
     FTNOC_TRACE(trace_fmt("[%llu] r%u probe id=%u RETURNED",
                           (unsigned long long)now, id_, probe.probe_id));
-    if (agent_.on_probe_returned(probe)) {
+    if (const auto via = agent_.on_probe_returned(probe)) {
       // The probe circled the suspected cycle: genuine deadlock. Send the
-      // activation around the same path (Rule 3 consumers are the nodes
-      // that relayed our probe). The route entry is guaranteed live: GC
-      // never touches the agent's outstanding probe, and a confirmed
-      // return implies this id was outstanding.
+      // activation out the port the probe left through, around the same
+      // path (Rule 3 consumers are the nodes that relayed our probe).
       if (stats_) stats_->count(Counter::deadlocks_confirmed);
       if (mon_) mon_->on_probe_confirmed(now, id_, probe.probe_id);
-      FTNOC_CHECK(own_probe_route_ &&
-                  own_probe_route_->probe_id == probe.probe_id);
-      queue_control(own_probe_route_->port,
-                    ActivationSignal{id_, probe.probe_id});
-      own_probe_route_.reset();
-    } else if (own_probe_route_ &&
-               own_probe_route_->probe_id == probe.probe_id) {
-      // Stale or duplicate return: the bookkeeping (if it survived GC)
-      // is dead weight now.
-      own_probe_route_.reset();
+      queue_control(*via, ActivationSignal{id_, probe.probe_id});
     }
     return;
   }
@@ -1414,16 +1368,6 @@ void Router::phase_deadlock(Cycle now) {
   }
   if (!cfg_.deadlock.enable_recovery) return;
 
-  // GC own-probe bookkeeping for probes past their timeout, sparing the
-  // agent's outstanding probe: a late return can still be confirmed and
-  // must find its forward port. Everything else is unreachable (a return
-  // for a non-outstanding id is always discarded).
-  if (own_probe_route_ &&
-      agent_.outstanding_probe() != own_probe_route_->probe_id &&
-      now - own_probe_route_->sent_at > agent_.probe_timeout()) {
-    own_probe_route_.reset();
-  }
-
   // Rule 1: launch a probe for an over-threshold blocked VC. Both
   // established wormholes (credit-blocked) and VA-waiting heads
   // (channel-blocked) can anchor a deadlock; for the latter the chain is
@@ -1440,9 +1384,8 @@ void Router::phase_deadlock(Cycle now) {
     if (!agent_.should_probe(blocked, now)) continue;
     const auto chain = resolve_chain(vc);
     if (!chain) continue;
-    const ProbeSignal pr = agent_.make_probe(
-        static_cast<PortId>(opposite(static_cast<Direction>(chain->first))),
-        chain->second, now);
+    const ProbeSignal pr =
+        agent_.make_probe(chain->first, chain->second, now);
     if (mon_) mon_->on_probe_minted(id_, pr.probe_id);
     // Fallback: repeated probe expiry with zero local progress means this
     // router's blocked packets feed a deadlocked region whose cycle does
@@ -1465,10 +1408,6 @@ void Router::phase_deadlock(Cycle now) {
                           (unsigned long long)now, id_, pr.probe_id,
                           (int)chain->first, (int)pr.in_port,
                           (int)pr.in_vc));
-    // A freshly minted probe supersedes all older bookkeeping: the agent
-    // allows one live probe at a time, so prior entries can never be
-    // confirmed again.
-    own_probe_route_ = ProbeRoute{pr.probe_id, chain->first, now};
     queue_control(chain->first, pr);
     if (stats_) stats_->count(Counter::probes_sent);
     charge(power::EnergyEvent::kProbeHop);
@@ -1904,21 +1843,10 @@ std::uint64_t Router::state_digest() const {
       h.mix_activation(item.activation);
     }
   }
-  // The same bytes as ReferenceRouter's route map: its size, then the sum
-  // of the entry hashes (here at most one).
-  h.mix(probe_route_entries());
-  std::uint64_t route_sum = 0;
-  if (own_probe_route_) {
-    digest::Fnv e;
-    e.mix(own_probe_route_->probe_id);
-    e.mix(static_cast<std::uint64_t>(own_probe_route_->port));
-    e.mix(static_cast<std::uint64_t>(own_probe_route_->sent_at));
-    route_sum = e.value();
-  }
-  h.mix(route_sum);
   h.mix(agent_.in_recovery());
   h.mix(agent_.waiting_for_probe());
   h.mix(agent_.outstanding_probe().value_or(0));
+  h.mix(static_cast<std::uint64_t>(agent_.probe_port()));
   h.mix(static_cast<std::uint64_t>(agent_.failed_probes()));
   h.mix(progress_this_cycle_);
   return h.value();

@@ -54,15 +54,12 @@ namespace ftnoc {
 /// output ports the router drove forward signals on (flit/probe/
 /// activation — wakes the downstream consumer), which input-side bundles
 /// it drove backward signals on (credit/NACK — wakes the upstream
-/// producer; bit kLocalPort wakes the PE), whether the router wants an
-/// unconditional self-tick next cycle, and an optional exact timer for
-/// the one delayed action that needs no per-cycle work in between
-/// (own-probe GC). `timer == 0` means no timer.
+/// producer; bit kLocalPort wakes the PE), and whether the router wants
+/// a self-tick next cycle. Every wake falls due on the next cycle.
 struct WakeInfo {
   std::uint8_t wrote_fwd = 0;
   std::uint8_t wrote_back = 0;
   bool retick = false;
-  Cycle timer = 0;
 };
 
 class Router final : public RouterIface {
@@ -78,6 +75,7 @@ class Router final : public RouterIface {
   void connect(PortId p, Wire* in, Wire* out) override;
 
   void set_eject_fn(EjectFn fn) override { eject_ = std::move(fn); }
+  void set_drop_fn(DropFn fn) override { drop_ = std::move(fn); }
 
   /// Marks a link port as hard-failed (pre-programmed into the VA's
   /// link-state table, §4.2). The VA never allocates toward a dead port;
@@ -95,8 +93,6 @@ class Router final : public RouterIface {
   int rtx_buffer_occupancy() const override;
   int rtx_buffer_slots() const override;
   bool in_recovery() const override { return agent_.in_recovery(); }
-  /// Live own-probe route entries, 0 or 1 (bounded-memory test).
-  std::size_t probe_route_entries() const { return own_probe_route_ ? 1 : 0; }
 
   /// Occupancy of one input VC buffer (tests).
   int input_buffer_size(PortId p, VcId v) const override;
@@ -121,9 +117,8 @@ class Router final : public RouterIface {
 
   // --- Event-driven scheduling (DESIGN.md §4.10) --------------------------
   /// Wake bookkeeping of the step() that just ran: which wires were
-  /// driven, whether any retained state demands a self-tick next cycle,
-  /// and the exact own-probe GC deadline when that is the *only* thing
-  /// left. Consuming resets the wrote masks for the next step.
+  /// driven and whether any retained state demands a self-tick next
+  /// cycle. Consuming resets the wrote masks for the next step.
   WakeInfo take_wake_info();
 
  private:
@@ -197,13 +192,6 @@ class Router final : public RouterIface {
   };
   static_assert(std::is_trivially_copyable_v<OutboxItem> &&
                 std::is_trivially_destructible_v<OutboxItem>);
-
-  /// Forward port (and mint time, for GC) of a probe this router launched.
-  struct ProbeRoute {
-    std::uint32_t probe_id = 0;
-    PortId port = kInvalidPort;
-    Cycle sent_at = 0;
-  };
 
   // --- Phases --------------------------------------------------------------
   void phase_maintenance(Cycle now);
@@ -312,10 +300,8 @@ class Router final : public RouterIface {
   void maybe_release_outputs(Cycle now);
   /// Online reconfiguration (DESIGN.md §4.12): when the topology's route
   /// epoch has moved since this router last looked, recompute every
-  /// kVaWait candidate set against the rebuilt distance tables. A set that
-  /// collapses to empty sends the VC back to kRouting, where phase_rt
-  /// re-routes or drops it with the usual unreachable accounting.
-  void rehome_stale_routes(Cycle now);
+  /// kVaWait candidate set against the rebuilt distance tables.
+  void rehome_stale_routes();
   bool vc_blocked(const InputVc& vc, Cycle now) const;
   /// Next link of a blocked dependency chain through an input VC.
   std::optional<std::pair<PortId, VcId>> resolve_chain(const InputVc& vc) const;
@@ -359,6 +345,7 @@ class Router final : public RouterIface {
   power::EnergyMeter* meter_;
   StatsCollector* stats_;
   EjectFn eject_;
+  DropFn drop_;
   InvariantMonitor* mon_ = nullptr;  ///< Null unless check_invariants.
 
   // --- Wiring ---------------------------------------------------------------
@@ -435,8 +422,6 @@ class Router final : public RouterIface {
   }
   InlineVec<PendingNack, 8> pending_nacks_;
   InlineVec<OutboxItem, 8> outbox_;
-  /// Route of this router's latest probe; a fresh probe replaces it.
-  std::optional<ProbeRoute> own_probe_route_;
   /// Any input-buffer slot freed this cycle (SA, drain, absorb, eject) —
   /// feeds DeadlockAgent::note_progress for the fallback-recovery trigger.
   bool progress_this_cycle_ = false;

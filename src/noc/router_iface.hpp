@@ -134,6 +134,9 @@ struct Wire {
 
 /// Callback delivering an ejected flit to the local processing element.
 using EjectFn = std::function<void(const Flit&, Cycle)>;
+/// Callback reporting a packet whose tail a router discarded: every flit
+/// of it is gone, so no delivery will ever close its record.
+using DropFn = std::function<void(PacketId)>;
 
 class RouterIface {
  public:
@@ -148,6 +151,7 @@ class RouterIface {
   /// nullptr for a nonexistent link (mesh edge).
   virtual void connect(PortId p, Wire* in, Wire* out) = 0;
   virtual void set_eject_fn(EjectFn fn) = 0;
+  virtual void set_drop_fn(DropFn fn) = 0;
   /// Marks a link port as hard-failed (pre-programmed into the VA's
   /// link-state table, §4.2). The VA never allocates toward a dead port.
   virtual void fail_link(PortId p) = 0;

@@ -85,9 +85,9 @@ PortMask route(const Topology& topo, RoutingAlgorithm algo, NodeId current,
   FTNOC_DCHECK(current < topo.num_nodes() && dest < topo.num_nodes());
   if (current == dest) return port_bit(Direction::kLocal);
   // A faulted fabric routes by live-link BFS distance for every algorithm;
-  // an unreachable destination returns the empty mask (the router drops
-  // the packet as unreachable). Fault-free fabrics keep the closed forms
-  // below bit-for-bit (the golden digests pin this).
+  // an unreachable destination would return the empty mask. Fault-free
+  // fabrics keep the closed forms below bit-for-bit (the golden digests
+  // pin this).
   if (topo.has_faults()) {
     return fault_aware_ports(topo, algo, current, dest);
   }

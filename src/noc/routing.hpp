@@ -42,8 +42,8 @@ PortId first_port(PortMask m);
 /// every algorithm switches to fault-aware mode: only live ports whose
 /// neighbour is strictly closer to `dest` in live-link BFS distance are
 /// offered (minimal-adaptive around the faults, guaranteed delivery for
-/// connected pairs), and the mask is empty iff `dest` is unreachable — the
-/// caller must then drop the packet.
+/// connected pairs), and the mask is empty iff `dest` is unreachable, which
+/// the connected live fabric rules out (routers check it).
 PortMask route(const Topology& topo, RoutingAlgorithm algo, NodeId current,
                NodeId dest);
 

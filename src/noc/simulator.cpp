@@ -36,16 +36,14 @@ SimResults Simulator::run() {
   }
 
   // Drain mode (run_to_drain with a loaded trace/workload): run until
-  // every released packet left the network — ejected or dropped en route —
-  // instead of counting ejections against total_messages. Meant for pure
-  // trace-driven runs (injection_rate = 0); a live synthetic source keeps
-  // creating packets and the drain condition then only closes the run at
-  // max_cycles.
+  // every released packet left the network — ejected or dropped en route,
+  // either of which closes its record — instead of counting ejections
+  // against total_messages. Meant for pure trace-driven runs
+  // (injection_rate = 0); a live synthetic source keeps creating packets
+  // and the drain condition then only closes the run at max_cycles.
   const bool drain_mode = cfg_.run_to_drain && net.trace_loaded();
   auto drained = [&]() {
-    return net.trace_drained() &&
-           stats.packets_created() ==
-               stats.messages_ejected() + stats.unreachable_drops();
+    return net.trace_drained() && net.packets().size() == 0;
   };
   while (net.now() < cfg_.max_cycles &&
          (drain_mode ? !drained()
@@ -62,17 +60,17 @@ SimResults Simulator::run() {
   r.completed = drain_mode ? drained()
                            : stats.messages_ejected() >= cfg_.total_messages;
   // Packet ledger, O(1) on every run: a record opens when its packet is
-  // created and closes only at its delivery. A packet dropped as
-  // unreachable or discarded as an unprotected-allocation casualty keeps
-  // its record, so created = ejected + live records, and the drops are
-  // among the live ones.
+  // created and closes at its delivery or when a router discards its
+  // tail, so created = ejected + dropped + live records.
   const std::uint64_t live = net.packets().size();
-  if (stats.packets_created() != stats.messages_ejected() + live) {
+  if (stats.packets_created() !=
+      stats.messages_ejected() + net.packets_dropped() + live) {
     std::fprintf(stderr,
                  "packet ledger broken: created=%llu ejected=%llu "
-                 "live_records=%llu\n",
+                 "dropped=%llu live_records=%llu\n",
                  static_cast<unsigned long long>(stats.packets_created()),
                  static_cast<unsigned long long>(stats.messages_ejected()),
+                 static_cast<unsigned long long>(net.packets_dropped()),
                  static_cast<unsigned long long>(live));
     r.completed = false;
   }

@@ -259,8 +259,7 @@ std::vector<SweepPoint> fault_storm_points(const SimConfig& base) {
   // (messages_ejected / packets_created) read across points is a
   // degradation curve. The kill sites reuse the fault_degradation stagger
   // (East cut at column 1 + j % (W-2), row j % H), which never partitions
-  // a W >= 4 mesh — so with the non-minimal escape tier enabled every
-  // destination stays reachable and unreachable_drops must end at 0.
+  // a W >= 4 mesh, so every destination stays reachable.
   std::vector<SweepPoint> points;
   const int w = base.mesh_width;
   const int h = base.mesh_height;

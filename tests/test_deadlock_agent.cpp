@@ -73,6 +73,35 @@ TEST(DeadlockAgent, OwnProbeReturnConfirmsDeadlock) {
   EXPECT_FALSE(a.waiting_for_probe());
 }
 
+TEST(DeadlockAgent, ProbePortLivesAsLongAsTheOutstandingProbe) {
+  // The origin's only record of its probe's route is the agent's: the
+  // port comes back on a confirmed return and is gone wherever the
+  // outstanding id goes.
+  DeadlockAgent a(5, 10, 4);
+  EXPECT_EQ(a.probe_port(), kInvalidPort);
+  const ProbeSignal p = a.make_probe(/*via=*/1, /*target_vc=*/0, 100);
+  EXPECT_EQ(p.in_port, 3);  // East out of here is West in at the neighbour.
+  EXPECT_EQ(a.probe_port(), 1);
+  EXPECT_EQ(a.on_probe_returned(p), std::optional<PortId>(1));
+  EXPECT_EQ(a.probe_port(), kInvalidPort);
+
+  // exit_recovery() orphans a probe still in flight.
+  a.exit_recovery();
+  const ProbeSignal orphan = a.make_probe(2, 0, 200);
+  EXPECT_EQ(a.probe_port(), 2);
+  a.enter_recovery();
+  a.exit_recovery();
+  EXPECT_EQ(a.probe_port(), kInvalidPort);
+  EXPECT_EQ(a.on_probe_returned(orphan), std::nullopt);
+
+  // Rule 4: a return after a peer's activation hands back no port.
+  const ProbeSignal own = a.make_probe(0, 0, 300);
+  EXPECT_EQ(a.probe_port(), 0);
+  a.enter_recovery();
+  EXPECT_EQ(a.on_probe_returned(own), std::nullopt);
+  EXPECT_EQ(a.probe_port(), kInvalidPort);
+}
+
 TEST(DeadlockAgent, StaleProbeReturnIsIgnored) {
   DeadlockAgent a(5, 10, 4);
   ProbeSignal stale;

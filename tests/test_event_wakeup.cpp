@@ -1,7 +1,7 @@
-// Timer-wakeup regression tests for the event-queue kernel (DESIGN.md
-// §4.10): every class of *delayed* action must schedule a router
-// self-tick at (or before) its due cycle, else an otherwise-idle router
-// sleeps through it and the event kernel diverges from the scan kernel.
+// Wake-up regression tests for the event kernel (DESIGN.md §4.10): every
+// class of *delayed* action must keep its router re-ticking until its due
+// cycle, else an otherwise-idle router sleeps through it and the event
+// kernel diverges from the scan kernel.
 //
 // Each test locks a ReferenceRouter network (which always runs the scan
 // kernel) and an optimized-Router network (which always runs the event
@@ -16,8 +16,8 @@
 // Delayed-action classes covered:
 //   1. HBH NACK send_at / drop windows      (link errors, 3- and 4-stage)
 //   2. Retransmission-barrel retire deadlines (NACK window expiry)
-//   3. Probe timeouts and own-probe GC      (deadlock recovery, the one
-//      exact WakeInfo::timer)
+//   3. Probe timeouts                       (deadlock recovery; an
+//      orphaned probe needs no wake at all)
 //   4. Drain-then-kill completion           (mid-run storm kills)
 
 #include <gtest/gtest.h>
@@ -49,7 +49,7 @@ const StatsCollector& expect_lockstep(Network& scan, Network& event,
     EXPECT_EQ(scan.state_digest(), event.state_digest())
         << "event kernel diverged from scan kernel at cycle "
         << event.now() << " — a delayed action fired without a scheduled "
-        << "self-tick (timer-wakeup bug)";
+        << "self-tick (wake-up bug)";
     if (scan.state_digest() != event.state_digest()) break;
   }
   return event.stats();
@@ -122,44 +122,32 @@ TEST(EventWakeup, HbhWindowsFourStage) {
 }
 
 // Class 3: probe timeouts. Adaptive routing with recovery enabled and a
-// low probe threshold sends real probes; the own-probe bookkeeping GC at
-// sent_at + probe_timeout + 1 is the one delayed action an otherwise
-// fully idle router performs, carried by the exact WakeInfo::timer.
+// low probe threshold sends real probes; a probe's timeout only matters to
+// a router with a blocked VC, which re-ticks every cycle anyway.
 TEST(EventWakeup, ProbeTimeoutGc) {
   SimConfig cfg = sparse_base();
   cfg.routing = RoutingAlgorithm::kMinimalAdaptive;
   cfg.num_vcs = 2;
-  cfg.injection_rate = 0.35;  // Enough contention to arm probes...
+  cfg.injection_rate = 0.35;  // Enough contention to arm probes.
   cfg.total_messages = 120;
   cfg.deadlock.enable_recovery = true;
-  cfg.deadlock.probe_threshold = 16;  // ...and the due-cycle probe GC
-  KernelPair nets(cfg);  // GC fires on idle routers.
+  cfg.deadlock.probe_threshold = 16;
+  KernelPair nets(cfg);
   EXPECT_GT(nets.run(4000).probes_sent(), 0u) << "scenario sent no probes";
 }
 
-// Class 3, idle half: the GC must fire on a network with NO traffic left.
-// A hotspot burst arms probes, then injection stops entirely; the records
-// in own_probe_route_ are only collected at sent_at + probe_timeout + 1,
-// long after every wire has settled — if the WakeInfo::timer is dropped,
-// the event-kernel router sleeps forever with the stale record and the
-// digests stay diverged. (The saturated ProbeTimeoutGc test above cannot
-// catch that: continuous traffic re-ticks the router every cycle.)
+// Class 3, idle half: a probe orphaned by exit_recovery() costs an idle
+// network no wake. A cyclic burst deadlocks, recovery breaks it and
+// resets the origin's agent with its probe still in flight; once the
+// burst drains, nothing is left to do. The only record of that probe is
+// the agent's, cleared at the reset, so no router sleeps past a due
+// action and none is woken to find nothing: the event kernel's router
+// steps do not depend on probe_timeout. (When the origin kept its own
+// copy of the probe's route, a GC timer at sent_at + probe_timeout + 1
+// woke it for 531 steps at 256 and 534 at 1000.)
 TEST(EventWakeup, ProbeGcAfterTrafficDrains) {
-  // A probe_timeout of 1000 puts the GC timer past the event wheel's
-  // 256-slot horizon: the router is woken on a grid of 255-cycle steps
-  // back from the timer, finds nothing to do and re-reports the timer
-  // until it falls inside. The work pins count the event kernel's router
-  // steps: clamping a far timer to the last slot instead gave 537 steps
-  // at 1000 (one extra wake chain per router that reported the same timer
-  // from consecutive steps) with the same final digest.
-  struct Pin {
-    Cycle timeout;
-    std::uint64_t router_steps;
-    std::uint64_t digest;
-  };
-  for (const Pin pin : {Pin{256, 531, 0xbdf0b0fd1576a1a4ull},
-                        Pin{1000, 534, 0xb67be2f443602df5ull}}) {
-    const Cycle timeout = pin.timeout;
+  std::optional<std::uint64_t> steps;
+  for (const Cycle timeout : {Cycle{256}, Cycle{1000}}) {
     SCOPED_TRACE("probe_timeout=" + std::to_string(timeout));
     SimConfig cfg = sparse_base();
     cfg.mesh_width = 2;
@@ -174,8 +162,7 @@ TEST(EventWakeup, ProbeGcAfterTrafficDrains) {
     KernelPair nets(cfg);
     // Diagonal cyclic streams (the IntegrationDeadlock pattern): a real
     // deadlock forms, recovery breaks it, and exit_recovery() orphans the
-    // in-flight probe bookkeeping — the record that only the due-cycle GC
-    // can reclaim once the burst has drained and the mesh is silent.
+    // in-flight probe.
     for (int i = 0; i < 8; ++i) {
       for (const auto& [src, dst] : {std::pair<NodeId, NodeId>{0, 3},
                                      {1, 2}, {3, 0}, {2, 1}}) {
@@ -186,8 +173,12 @@ TEST(EventWakeup, ProbeGcAfterTrafficDrains) {
     const auto& st = nets.run(2500 + timeout);
     EXPECT_GT(st.probes_sent(), 0u) << "burst armed no probes";
     EXPECT_GT(st.recoveries_entered(), 0u) << "burst never deadlocked";
-    EXPECT_EQ(nets.event->router_steps(), pin.router_steps);
-    EXPECT_EQ(nets.event->state_digest(), pin.digest);
+    EXPECT_EQ(nets.event->state_digest(), nets.scan->state_digest());
+    EXPECT_LT(nets.event->router_steps(), 531u);
+    if (steps) {
+      EXPECT_EQ(nets.event->router_steps(), *steps);
+    }
+    steps = nets.event->router_steps();
   }
 }
 

@@ -283,7 +283,7 @@ TEST(FaultEscalation, JointlyPartitioningRequestsTrimToSafePrefix) {
   cfg.storm_kills.push_back({5, 0, Direction::kEast});
   cfg.storm_kills.push_back({5, 0, Direction::kSouth});
   // Under both kernels: the ReferenceRouter network scans, the optimized
-  // one runs the event wheel.
+  // one runs the event kernel.
   for (const bool reference : {true, false}) {
     cfg.use_reference_router = reference;
     Simulator sim(cfg);

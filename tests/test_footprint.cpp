@@ -186,7 +186,7 @@ TEST(Footprint, AllocationsPerNetwork) {
   const long large = news_to_build(8, 8);
   ::testing::Test::RecordProperty("news_4x4", std::to_string(small));
   ::testing::Test::RecordProperty("news_8x8", std::to_string(large));
-  // Measured 44 (4x4) and 140 (8x8) on x86-64 glibc: 12 network-wide
+  // Measured 45 (4x4) and 141 (8x8) on x86-64 glibc: 13 network-wide
   // blocks plus 2 per node (the Router and its storage block; the PE's
   // lanes are inline). A vector per array and a bucket per wheel slot
   // took 572 and 1,484 (DESIGN.md section 4.10, "Construction").
@@ -204,7 +204,7 @@ TEST(Footprint, SteadyStateAllocatesNothingPerPacket) {
 #else
   // The paper's 8x8 mesh at injection 0.25, under HBH and under E2E with
   // enough link errors to NACK packets: 5k cycles of warm-up grow every
-  // queue, table and wheel slot to its working size, then 20k cycles are
+  // queue, table and NACK slot to its working size, then 20k cycles are
   // counted.
   for (const char* protection : {"protection=hbh", "protection=e2e"}) {
     SCOPED_TRACE(protection);

@@ -105,6 +105,53 @@ TEST(Simulator, PacketLedgerCatchesALostRecord) {
   EXPECT_NE(err.find("packet ledger broken"), std::string::npos) << err;
 }
 
+TEST(Simulator, DrainModeClosesOnDroppedPackets) {
+  // Unprotected VA upsets (no Allocation Comparator) discard whole packets
+  // at a router. Each drop closes its packet's record when the tail is
+  // discarded, so a drained workload replay ends with no open record and
+  // created = ejected + dropped, instead of waiting for deliveries that
+  // can never come until max_cycles. The reference and optimized networks
+  // run in lockstep with the invariant monitor on, drop for drop.
+  SimConfig cfg;
+  cfg.mesh_width = 4;
+  cfg.mesh_height = 4;
+  cfg.injection_rate = 0.0;
+  cfg.run_to_drain = true;
+  cfg.workload_text =
+      "packet_flits 4\n"
+      "all_to_all exchange start=0 bytes=256 stagger=11\n";
+  cfg.enable_ac = false;
+  cfg.faults.va_error_rate = 1e-2;
+  cfg.max_cycles = 50'000;
+  cfg.warmup_messages = 0;
+  cfg.check_invariants = true;
+
+  SimConfig ref_cfg = cfg;
+  ref_cfg.use_reference_router = true;
+  Network ref(ref_cfg);
+  Network opt(cfg);
+  const auto drained = [](const Network& n) {
+    return n.trace_drained() && n.packets().size() == 0;
+  };
+  while (!drained(opt) && opt.now() < cfg.max_cycles) {
+    ref.step();
+    opt.step();
+    ASSERT_EQ(ref.state_digest(), opt.state_digest())
+        << "cycle " << opt.now();
+  }
+  EXPECT_TRUE(drained(ref));
+  ASSERT_TRUE(drained(opt)) << "ran to max_cycles";
+  EXPECT_GT(opt.packets_dropped(), 0u) << "scenario dropped no packet";
+  EXPECT_EQ(opt.packets_dropped(), ref.packets_dropped());
+  EXPECT_EQ(opt.stats().packets_created(),
+            opt.stats().messages_ejected() + opt.packets_dropped());
+
+  const SimResults r = run_simulation(cfg);
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(r.cycles, opt.now());
+  EXPECT_GT(r.unprotected_errors, 0u);
+}
+
 TEST(Simulator, SummaryMentionsKeyMetrics) {
   const SimResults r = run_simulation(quick());
   const std::string s = r.summary();
