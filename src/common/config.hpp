@@ -157,12 +157,11 @@ struct SimConfig {
   /// Storm schedule, sorted by cycle (validate() enforces). Override
   /// syntax: "storm_kill=CYCLE:NODE:D" with D in {N,E,S,W}, repeatable.
   std::vector<LinkKill> storm_kills;
-  /// Self-healing routing tier (DESIGN.md §4.12): when every minimal
-  /// fault-aware candidate of a waiting head is locally unusable (dead or
-  /// draining), detour it non-minimally over the live escape ports closest
-  /// to the destination instead of parking it (non-XY) or bouncing it back
-  /// to RT (XY). Off by default; fault-free behaviour and all existing
-  /// golden digests are unaffected. Override: "adaptive_faults=1".
+  /// No effect: a head aimed at a dead or draining link takes the VA's
+  /// RT-upset catch whatever its value (DESIGN.md §4.12). The key stays
+  /// because the benchmark harness passes it and the fault_storm /
+  /// workload_hotspot goldens and campaign config hashes carry its
+  /// column. Override: "adaptive_faults=1".
   bool adaptive_faults = false;
   /// Allocation Comparator present (§4). Off = logic upsets go unprotected
   /// (ablation baseline).

@@ -19,7 +19,6 @@ const char* to_string(InvariantId id) {
     case InvariantId::kProbeLifecycle: return "probe-lifecycle";
     case InvariantId::kRecoveryBufferBound: return "recovery-buffer-bound";
     case InvariantId::kDeadLinkTraversal: return "dead-link-traversal";
-    case InvariantId::kMisrouteBound: return "misroute-bound";
     case InvariantId::kPacketRecord: return "packet-record";
   }
   return "?";
@@ -31,7 +30,6 @@ InvariantMonitor::InvariantMonitor(const SimConfig& cfg) : cfg_(cfg) {
   minted_.resize(nodes);
   confirmed_.resize(nodes);
   relayed_.resize(nodes * nodes);
-  misroute_bound_ = 4 * static_cast<std::uint32_t>(cfg.num_nodes());
   // A lost NACK (unprotected handshake upset) legitimately produces seq
   // gaps and stray flits at a receiver, and an unprotected VA upset can
   // hand two packets the same output VC (§4.3 scenarios (2)/(3)),
@@ -228,17 +226,6 @@ void InvariantMonitor::on_recovery_entered(Cycle now, NodeId router,
              std::to_string(rtx_size) + " M=" +
              std::to_string(cfg_.packet_length) +
              " violating Eq. (1): sum(T+R) > M*sum(ceil(T/M))");
-  }
-}
-
-void InvariantMonitor::on_misroute(Cycle now, NodeId router, PacketId pid) {
-  const std::uint32_t count = ++misroutes_[pid];
-  if (count > misroute_bound_) {
-    fail(InvariantId::kMisrouteBound, now, router, -1, -1,
-         "packet " + std::to_string(pid) + " detoured " +
-             std::to_string(count) + " times (bound " +
-             std::to_string(misroute_bound_) +
-             "): the escape tier is livelocking it");
   }
 }
 

@@ -45,7 +45,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/config.hpp"
@@ -64,12 +63,6 @@ enum class InvariantId : std::uint8_t {
   kProbeLifecycle,
   kRecoveryBufferBound,
   kDeadLinkTraversal,
-  /// Non-minimal escape tier (DESIGN.md §4.12): a single packet must not
-  /// accrue more escape detours than 4 * num_nodes. Between detours the
-  /// packet routes by strict BFS-distance descent, so its total work is
-  /// bounded by (detours + 1) * diameter; a packet exceeding the bound is
-  /// livelocking on the misroute path.
-  kMisrouteBound,
   /// Every ejected flit finds its packet's live record in the network's
   /// PacketTable (DESIGN.md §4.11): records open at creation and close
   /// at delivery, so a miss is a duplicate or a never-created packet.
@@ -138,12 +131,6 @@ class InvariantMonitor {
                            NodeId origin, std::uint32_t probe_id,
                            int tx_size, int rtx_size);
 
-  // --- Non-minimal escape tier ---------------------------------------------
-  /// Called each time a router detours packet `pid` over the escape-port
-  /// set (adaptive_faults). Fails kMisrouteBound when one packet's detour
-  /// count exceeds 4 * num_nodes (livelock on the misroute path).
-  void on_misroute(Cycle now, NodeId router, PacketId pid);
-
  private:
   struct StreamState {
     bool open = false;
@@ -189,12 +176,6 @@ class InvariantMonitor {
   std::vector<ProbeRecord> minted_;   ///< Per origin: latest minted probe.
   std::vector<RecentIds> confirmed_;  ///< Per origin: returned probes.
   std::vector<RecentIds> relayed_;    ///< Per (relay, origin): relayed probes.
-
-  // Escape-detour counts per packet (kMisrouteBound). Entries are few —
-  // detours only happen while a candidate set is stale around a fresh
-  // fault — so a flat map keyed by packet id is plenty.
-  std::uint32_t misroute_bound_ = 0;
-  std::unordered_map<PacketId, std::uint32_t> misroutes_;
 };
 
 }  // namespace ftnoc

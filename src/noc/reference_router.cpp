@@ -428,7 +428,7 @@ void ReferenceRouter::phase_replay_and_switch(Cycle now) {
     vc.last_advance = now;
 
     if (vc.out_port == kLocalPort) {
-      eject(f, static_cast<PortId>(p), v, now);
+      eject(f, now);
       if (tail) {
         ovc(kLocalPort, vc.out_vc).allocated = false;
       }
@@ -493,10 +493,7 @@ void ReferenceRouter::transmit(PortId o, VcId v, Flit f, Cycle now,
   port_busy_[o] = true;
 }
 
-void ReferenceRouter::eject(const Flit& f, PortId in_port, VcId in_vc,
-                            Cycle now) {
-  (void)in_port;
-  (void)in_vc;
+void ReferenceRouter::eject(const Flit& f, Cycle now) {
   if (mon_) mon_->on_ejected();
   if (eject_) eject_(f, now);
 }
@@ -584,8 +581,8 @@ void ReferenceRouter::phase_va(Cycle now) {
     if (now < vc.stall_until) continue;
     FTNOC_CHECK(is_head(vc.buf.front().type));
 
+    // Only an upset RT names an unusable port; the VA catches it (§4.2).
     bool any_valid = false;
-    bool dead_candidate = false;
     for (PortId o = 0; o < num_ports_; ++o) {
       if (!mask_has(vc.candidates, o)) continue;
       if (o == kLocalPort ? vc.buf.front().dest == id_
@@ -593,47 +590,12 @@ void ReferenceRouter::phase_va(Cycle now) {
         any_valid = true;
         break;
       }
-      if (o != kLocalPort && port_has_neighbor(o) &&
-          (link_dead_[o] || (draining_ & port_bit(o)) != 0)) {
-        dead_candidate = true;
-      }
     }
     if (!any_valid) {
-      if (cfg_.adaptive_faults && dead_candidate) {
-        // Non-minimal escape tier (DESIGN.md §4.12), mirrored from Router.
-        const PortMask esc =
-            fault_escape_ports(topo_, id_, vc.buf.front().dest);
-        FTNOC_CHECK(esc != 0);
-        PortMask usable = 0;
-        for (PortId o = 0; o < num_ports_; ++o) {
-          if (mask_has(esc, o) && o != kLocalPort && port_allocatable(o)) {
-            usable |= port_bit(o);
-          }
-        }
-        if (usable == 0) continue;
-        vc.candidates = usable;
-        if (stats_) stats_->count(Counter::hard_fault_reroutes);
-        if (mon_) {
-          mon_->on_misroute(now, id_, vc.buf.front().packet_id);
-        }
-      } else if (dead_candidate &&
-                 cfg_.routing != RoutingAlgorithm::kXY) {
-        PortMask live = 0;
-        for (PortId o = 0; o < num_ports_; ++o) {
-          if (o != kLocalPort && port_allocatable(o)) live |= port_bit(o);
-        }
-        if (live != 0) {
-          vc.candidates = live;
-          if (stats_) stats_->count(Counter::hard_fault_reroutes);
-        } else {
-          continue;
-        }
-      } else {
-        if (stats_) stats_->count(Counter::rt_errors_recovered);
-        vc.state = VcState::kRouting;
-        vc.candidates = 0;
-        continue;
-      }
+      if (stats_) stats_->count(Counter::rt_errors_recovered);
+      vc.state = VcState::kRouting;
+      vc.candidates = 0;
+      continue;
     }
 
     auto req = pick_va_request(vc, static_cast<PortId>(g / num_vcs_),
@@ -655,7 +617,7 @@ void ReferenceRouter::phase_va(Cycle now) {
     charge(power::EnergyEvent::kVcAllocation);
 
     if (faults_ && faults_->upset_va_allocation()) {
-      run_ac_on_va(static_cast<std::size_t>(g), now);
+      run_ac_on_va(static_cast<std::size_t>(g));
       continue;
     }
 
@@ -671,7 +633,7 @@ void ReferenceRouter::phase_va(Cycle now) {
   }
 }
 
-void ReferenceRouter::run_ac_on_va(std::size_t g, Cycle now) {
+void ReferenceRouter::run_ac_on_va(std::size_t g) {
   auto& vc = inputs_[g];
   std::vector<RoutingStateEntry> rt_state;
   std::vector<VaStateEntry> va_state;
@@ -725,7 +687,6 @@ void ReferenceRouter::run_ac_on_va(std::size_t g, Cycle now) {
     charge(power::EnergyEvent::kAcCheck);
     FTNOC_CHECK(report.any_error());
     if (stats_) stats_->count(Counter::va_errors_recovered);
-    (void)now;
     return;
   }
   if (stats_) stats_->count(Counter::unprotected_errors);

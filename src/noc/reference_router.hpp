@@ -158,7 +158,7 @@ class ReferenceRouter final : public RouterIface {
   void transmit(PortId out_port, VcId out_vc, Flit f, Cycle now,
                 bool consume_credit, bool corrupt_on_wire = false);
   void finalize_transmission(PortId o, VcId v, const Flit& f, Cycle now);
-  void eject(const Flit& f, PortId in_port, VcId in_vc, Cycle now);
+  void eject(const Flit& f, Cycle now);
   void send_credit(PortId p, VcId v);
   void release_input_after_tail(PortId p, VcId v, Cycle now);
   void maybe_release_outputs(Cycle now);
@@ -166,7 +166,7 @@ class ReferenceRouter final : public RouterIface {
   void rehome_stale_routes();
   bool vc_blocked(const InputVc& vc, Cycle now) const;
   std::optional<std::pair<PortId, VcId>> resolve_chain(const InputVc& vc) const;
-  void run_ac_on_va(std::size_t new_entry, Cycle now);
+  void run_ac_on_va(std::size_t new_entry);
   void queue_control(PortId port, const ProbeSignal& p);
   void queue_control(PortId port, const ActivationSignal& a);
   void flush_outbox();

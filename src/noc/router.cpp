@@ -647,7 +647,7 @@ void Router::phase_replay_and_switch(Cycle now) {
     vc.last_advance = now;
 
     if (vc.out_port == kLocalPort) {
-      eject(f, static_cast<PortId>(p), v, now);
+      eject(f, now);
       if (tail) {
         set_alloc(gid(kLocalPort, vc.out_vc), false);
         update_output_work(gid(kLocalPort, vc.out_vc));
@@ -759,9 +759,7 @@ void Router::transmit(PortId o, VcId v, const Flit& f, Cycle now,
   port_busy_[o] = true;
 }
 
-void Router::eject(const Flit& f, PortId in_port, VcId in_vc, Cycle now) {
-  (void)in_port;
-  (void)in_vc;
+void Router::eject(const Flit& f, Cycle now) {
   if (mon_) mon_->on_ejected();
   if (eject_) eject_(f, now);
 }
@@ -892,11 +890,12 @@ void Router::phase_va(Cycle now) {
     FTNOC_CHECK(is_head(vc.buf.front().type));
 
     // A candidate set with no usable port can only come from an upset
-    // routing computation (mesh edge / wrong-PE ejection): the VA catches
-    // it from its link-state table (§4.2) and the RT redoes the route —
-    // a single-cycle penalty in current-node-routing pipelines.
+    // routing computation: fault-aware routing offers live ports only, and
+    // every waiting head re-routes after a kill. Whether the upset named a
+    // mesh edge, a dead or draining link or a wrong-PE ejection, the VA
+    // catches it from its link-state table (§4.2) and the RT redoes the
+    // route - a single-cycle penalty.
     bool any_valid = false;
-    bool dead_candidate = false;
     for (PortId o = 0; o < num_ports_; ++o) {
       if (!mask_has(vc.candidates, o)) continue;
       if (o == kLocalPort ? vc.buf.front().dest == id_
@@ -904,62 +903,12 @@ void Router::phase_va(Cycle now) {
         any_valid = true;
         break;
       }
-      if (o != kLocalPort && port_has_neighbor(o) &&
-          (link_dead_[o] || (draining_ & port_bit(o)) != 0)) {
-        dead_candidate = true;
-      }
     }
     if (!any_valid) {
-      if (cfg_.adaptive_faults && dead_candidate) {
-        // Non-minimal escape tier (DESIGN.md §4.12): every candidate
-        // direction crosses a hard-failed or draining link, so detour
-        // over the live ports whose neighbour still reaches the
-        // destination — chosen from the BFS table, preferring the
-        // smallest neighbour distance, so a sideways or backward hop is
-        // taken only when it provably leads somewhere. Each detour is
-        // reported to the invariant monitor's misroute-bound check.
-        const PortMask esc =
-            fault_escape_ports(topo_, id_, vc.buf.front().dest);
-        FTNOC_CHECK(esc != 0);  // The live fabric stays connected.
-        PortMask usable = 0;
-        for (PortId o = 0; o < num_ports_; ++o) {
-          if (mask_has(esc, o) && o != kLocalPort && port_allocatable(o)) {
-            usable |= port_bit(o);
-          }
-        }
-        if (usable == 0) continue;  // Escape ports all draining; retry.
-        vc.candidates = usable;
-        if (stats_) stats_->count(Counter::hard_fault_reroutes);
-        if (mon_) {
-          mon_->on_misroute(now, id_, vc.buf.front().packet_id);
-        }
-        // Fall through: request an output VC on the detour this cycle.
-      } else if (dead_candidate &&
-                 cfg_.routing != RoutingAlgorithm::kXY) {
-        // Every minimal direction crosses a hard-failed link: detour
-        // non-minimally over any live port; the next hop re-routes
-        // minimally from there (the paper's "redirect blocked flits to
-        // another direction using an adaptive routing scheme", 3.2.2).
-        PortMask live = 0;
-        for (PortId o = 0; o < num_ports_; ++o) {
-          if (o != kLocalPort && port_allocatable(o)) live |= port_bit(o);
-        }
-        if (live != 0) {
-          vc.candidates = live;
-          if (stats_) stats_->count(Counter::hard_fault_reroutes);
-          // Fall through: request an output VC on the detour this cycle.
-        } else {
-          continue;  // Fully cut off; nothing to do.
-        }
-      } else {
-        // Upset routing computation (mesh edge / wrong-PE ejection): the
-        // VA catches it from its link-state table (4.2) and the RT redoes
-        // the route - a single-cycle penalty.
-        if (stats_) stats_->count(Counter::rt_errors_recovered);
-        set_state(g, VcState::kRouting);
-        vc.candidates = 0;
-        continue;
-      }
+      if (stats_) stats_->count(Counter::rt_errors_recovered);
+      set_state(g, VcState::kRouting);
+      vc.candidates = 0;
+      continue;
     }
 
     auto req = pick_va_request(vc, static_cast<PortId>(g / num_vcs_),
@@ -986,7 +935,7 @@ void Router::phase_va(Cycle now) {
     charge(power::EnergyEvent::kVcAllocation);
 
     if (f_va_live_ && faults_->upset_va_allocation()) {
-      run_ac_on_va(static_cast<std::size_t>(g), now);
+      run_ac_on_va(static_cast<std::size_t>(g));
       continue;
     }
 
@@ -1003,7 +952,7 @@ void Router::phase_va(Cycle now) {
   }
 }
 
-void Router::run_ac_on_va(std::size_t g, Cycle now) {
+void Router::run_ac_on_va(std::size_t g) {
   auto& vc = inputs_[g];
   // Build the corrupted VA state entry the soft error produced. The upset
   // manifests as one of the §4.1 scenarios; we synthesize it and feed the
@@ -1062,7 +1011,6 @@ void Router::run_ac_on_va(std::size_t g, Cycle now) {
     // Invalidate the previous cycle's allocation: the input VC stays in
     // kVaWait and re-arbitrates — exactly one cycle lost (§4.1).
     if (stats_) stats_->count(Counter::va_errors_recovered);
-    (void)now;
     return;
   }
   // Unprotected VA upset: the packet inherits a broken (or duplicate)

@@ -294,7 +294,7 @@ class Router final : public RouterIface {
   /// stored-copy upset process). Runs inside transmit() for 1-3-stage
   /// routers and at the staged-register flush for 4-stage ones.
   void finalize_transmission(PortId o, VcId v, const Flit& f, Cycle now);
-  void eject(const Flit& f, PortId in_port, VcId in_vc, Cycle now);
+  void eject(const Flit& f, Cycle now);
   void send_credit(PortId p, VcId v);
   void release_input_after_tail(PortId p, VcId v, Cycle now);
   void maybe_release_outputs(Cycle now);
@@ -305,7 +305,7 @@ class Router final : public RouterIface {
   bool vc_blocked(const InputVc& vc, Cycle now) const;
   /// Next link of a blocked dependency chain through an input VC.
   std::optional<std::pair<PortId, VcId>> resolve_chain(const InputVc& vc) const;
-  void run_ac_on_va(std::size_t new_entry, Cycle now);
+  void run_ac_on_va(std::size_t new_entry);
   void queue_control(PortId port, const ProbeSignal& p);
   void queue_control(PortId port, const ActivationSignal& a);
   void flush_outbox();

@@ -94,27 +94,6 @@ PortMask route(const Topology& topo, RoutingAlgorithm algo, NodeId current,
   return route_fault_free(topo, algo, current, dest);
 }
 
-PortMask fault_escape_ports(const Topology& topo, NodeId current,
-                            NodeId dest) {
-  FTNOC_DCHECK(current < topo.num_nodes() && dest < topo.num_nodes());
-  std::uint16_t best = Topology::kUnreachable;
-  PortMask m = 0;
-  for (PortId p = 0; p < 4; ++p) {
-    const auto d = static_cast<Direction>(p);
-    if (!topo.link_alive(current, d)) continue;
-    const std::uint16_t nd = topo.fault_distance(*topo.neighbor(current, d),
-                                                 dest);
-    if (nd == Topology::kUnreachable) continue;
-    if (nd < best) {
-      best = nd;
-      m = port_bit(p);
-    } else if (nd == best) {
-      m |= port_bit(p);
-    }
-  }
-  return m;
-}
-
 PortMask route_fault_free(const Topology& topo, RoutingAlgorithm algo,
                           NodeId current, NodeId dest) {
   FTNOC_DCHECK(current < topo.num_nodes() && dest < topo.num_nodes());

@@ -49,24 +49,10 @@ PortMask route(const Topology& topo, RoutingAlgorithm algo, NodeId current,
 
 /// The closed-form (fault-blind) port set: what route() would return if the
 /// topology carried no permanent faults. Routers compare this against the
-/// fault-aware mask to detect forced non-minimal detours, and the fuzzer's
+/// fault-aware mask to count detours (hard_fault_reroutes), and the fuzzer's
 /// planted "route_into_dead_link" mutation substitutes it for route().
 PortMask route_fault_free(const Topology& topo, RoutingAlgorithm algo,
                           NodeId current, NodeId dest);
-
-/// Non-minimal escape tier (`adaptive_faults`, DESIGN.md §4.12): the live
-/// ports whose neighbour can still reach `dest` at all (finite live-link
-/// BFS distance), restricted to the minimum such neighbour distance. Unlike
-/// route(), the set may contain sideways or backward hops (neighbour
-/// distance == or == +1 of the local distance) — the misrouting step the
-/// paper's §3.2.2 "redirect blocked flits to another direction" calls for.
-/// Routers consult it only when every minimal candidate is locally
-/// unusable; the next hop re-routes by strict descent, so each escape hop
-/// is an isolated, bounded detour rather than a routing mode (the
-/// misroute-bound invariant enforces that packets do not livelock on it).
-/// Empty iff no live neighbour reaches `dest` — the caller drops.
-PortMask fault_escape_ports(const Topology& topo, NodeId current,
-                            NodeId dest);
 
 /// Average minimal hop count between distinct node pairs (analysis helper
 /// used by tests).

@@ -32,8 +32,9 @@ enum class CounterGate { kAlways, kPermanentFaults, kStormKills };
 // it.
 //
 // Fault-tolerance entries whose names say less than they count:
-// hard_fault_reroutes, packets detoured non-minimally around a hard-failed
-// link; packets_rerouted, waiting packets whose chosen next hop died and
+// hard_fault_reroutes, RT computations whose fault-aware port set offers
+// a direction the closed-form set does not (a detour around a dead link);
+// packets_rerouted, waiting packets whose chosen next hop died and
 // went back to routing; unreachable_drops, always 0 (the live fabric stays
 // connected, so no packet lacks a path; the benchmark harness still reads
 // the row); links_storm_killed, fault-storm kills accepted past the

@@ -269,6 +269,7 @@ std::vector<SweepPoint> fault_storm_points(const SimConfig& base) {
     pt.label = "FaultStorm/adaptive/k=" + std::to_string(k);
     pt.config = base;
     pt.config.routing = RoutingAlgorithm::kMinimalAdaptive;
+    // No effect (config.hpp); set so the pinned JSONL column holds.
     pt.config.adaptive_faults = true;
     pt.config.injection_rate = 0.2;
     pt.config.deadlock.enable_recovery = true;
@@ -494,6 +495,7 @@ std::vector<SweepPoint> workload_hotspot_points(const SimConfig& base) {
     pt.config.link_stats = true;
     pt.config.run_to_drain = true;
     pt.config.routing = RoutingAlgorithm::kMinimalAdaptive;
+    // No effect (config.hpp); set so the pinned JSONL column holds.
     pt.config.adaptive_faults = true;
     pt.config.deadlock.enable_recovery = true;
     pt.config.deadlock.probe_threshold = 32;

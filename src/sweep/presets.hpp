@@ -62,7 +62,7 @@ std::vector<SweepPoint> fault_degradation_points(const SimConfig& base);
 
 /// Fault-storm scenario (DESIGN.md §4.12): point k kills the first k links
 /// of a shared timeline *mid-run* (one every 250 cycles) under adaptive
-/// routing with the non-minimal escape tier enabled. Reads the delivered
+/// routing with deadlock recovery. Reads the delivered
 /// fraction as a degradation curve; the kill set never partitions, so
 /// unreachable_drops must end at 0 on every point.
 std::vector<SweepPoint> fault_storm_points(const SimConfig& base);

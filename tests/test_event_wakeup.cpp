@@ -186,13 +186,10 @@ TEST(EventWakeup, ProbeGcAfterTrafficDrains) {
 // the event kernel must fire each kill at the same cycle as the scan
 // kernel, schedule both endpoints' drains, and keep stepping them until
 // the drains complete; the route-epoch re-home of parked kVaWait heads
-// must also land on the same cycle in both kernels. adaptive_faults is on
-// so kills whose drains swallow a head's whole minimal set exercise the
-// non-minimal escape tier in lock-step too.
+// must also land on the same cycle in both kernels.
 TEST(EventWakeup, StormKillsMidRunLockstep) {
   SimConfig cfg = sparse_base();
   cfg.routing = RoutingAlgorithm::kMinimalAdaptive;
-  cfg.adaptive_faults = true;
   cfg.deadlock.enable_recovery = true;
   cfg.deadlock.probe_threshold = 32;
   cfg.deadlock.probe_backoff = 17;
@@ -246,7 +243,6 @@ TEST(EventWakeup, WorkloadReplayFaultedLockstep) {
   SimConfig cfg = sparse_base();
   cfg.injection_rate = 0.0;  // Pure workload-driven.
   cfg.routing = RoutingAlgorithm::kMinimalAdaptive;
-  cfg.adaptive_faults = true;
   cfg.link_stats = true;
   cfg.dead_links.push_back({5, Direction::kEast});
   for (const Direction d :
@@ -268,13 +264,12 @@ TEST(EventWakeup, WorkloadReplayFaultedLockstep) {
   EXPECT_EQ(nets.scan->link_stall_counts(), nets.event->link_stall_counts());
 }
 
-// A workload replay with storm kills mid-run: drains, re-homes, escape
+// A workload replay with storm kills mid-run: drains, re-homes, fault-aware
 // detours and recovery absorption all move flits in and out of buffers.
 SimConfig storm_workload() {
   SimConfig cfg = sparse_base();
   cfg.injection_rate = 0.0;  // Pure workload-driven.
   cfg.routing = RoutingAlgorithm::kMinimalAdaptive;
-  cfg.adaptive_faults = true;
   cfg.num_vcs = 1;  // Single-VC adaptive: the replay really deadlocks.
   cfg.deadlock.enable_recovery = true;
   cfg.deadlock.probe_threshold = 16;
@@ -368,17 +363,17 @@ TEST(EventWakeup, FaultedTopologyLockstep) {
 // The deadlock-recovery path under mid-run kills at 8x8: one hotspot
 // burst toward node 36 plus an all-to-all exchange, replayed to drain
 // while six East links die (the k=6 point of the storm-drain benchmark).
-// Probes, confirmed deadlocks, recovery absorption and escape detours all
-// fire, so every router phase walks its per-state VC masks through every
+// Probes, confirmed deadlocks, recovery absorption and fault-aware detours
+// all fire, so every router phase walks its per-state VC masks through every
 // state. The ReferenceRouter (scan) and the optimized Router (event) must
 // agree every cycle, with the invariant monitor re-deriving each mask.
 TEST(EventWakeup, StormDrainRecoveryLockstep) {
   SimConfig cfg;
   std::vector<std::string> ov = {
-      "mesh_width=8",      "mesh_height=8",       "injection_rate=0",
-      "link_stats=1",      "routing=adaptive",    "adaptive_faults=1",
-      "deadlock_recovery=1", "probe_threshold=32", "probe_backoff=17",
-      "warmup_messages=0", "check_invariants=1"};
+      "mesh_width=8",        "mesh_height=8",      "injection_rate=0",
+      "link_stats=1",        "routing=adaptive",   "deadlock_recovery=1",
+      "probe_threshold=32",  "probe_backoff=17",   "warmup_messages=0",
+      "check_invariants=1"};
   for (int j = 0; j < 6; ++j) {
     ov.push_back("storm_kill=" + std::to_string(250 + 250 * j) + ":" +
                  std::to_string((j % 8) * 8 + 1 + j % 6) + ":E");

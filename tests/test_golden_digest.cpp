@@ -142,8 +142,8 @@ TEST(GoldenDigest, FaultDegradationPresetByteIdentical) {
 }
 
 // The fault_storm preset is the only pinned family whose faults land
-// *mid-run* (storm kills, drains, route-epoch re-homes and the
-// non-minimal escape tier all fire inside the measurement window); the
+// *mid-run* (storm kills, drains and route-epoch re-homes all fire
+// inside the measurement window); the
 // static fault_degradation pin above cannot see a byte-level regression
 // in any of that machinery.
 TEST(GoldenDigest, FaultStormPresetByteIdentical) {

@@ -135,8 +135,7 @@ RunResult run_pair(const std::vector<std::string>& overrides, Cycle cycles,
 // Fault-topology override keys that define the faulted mesh a finding ran
 // on; the selftest asserts minimization preserves at least one of them.
 bool is_fault_override(const std::string& o) {
-  return o.rfind("dead_link=", 0) == 0 || o.rfind("storm_kill=", 0) == 0 ||
-         o.rfind("adaptive_faults=", 0) == 0;
+  return o.rfind("dead_link=", 0) == 0 || o.rfind("storm_kill=", 0) == 0;
 }
 
 // Randomized configuration generation. Every knob is emitted as an
@@ -207,7 +206,6 @@ std::vector<std::string> random_config(Rng& rng) {
     // oracle. Cycles ascend (validate() requires it); partition-prone
     // draws are fine — the veto trims them at runtime identically in
     // both implementations — but mesh-edge draws are redrawn.
-    bool any_faults = false;
     if (rng.bernoulli(0.2)) {
       static const char* kDirs[] = {"N", "E", "S", "W"};
       const int k = 1 + static_cast<int>(rng.next_below(2));
@@ -220,14 +218,6 @@ std::vector<std::string> random_config(Rng& rng) {
                 ":" + kDirs[rng.next_below(4)]);
         at += 100 + rng.next_below(300);
       }
-      any_faults = true;
-    }
-    for (const auto& o : ov) any_faults = any_faults || is_fault_override(o);
-    // The non-minimal escape tier only acts on faulted fabrics; sample it
-    // half the time there (and occasionally elsewhere, where it must be
-    // behaviour-neutral).
-    if (rng.bernoulli(any_faults ? 0.5 : 0.05)) {
-      add("adaptive_faults", "1");
     }
 
     SimConfig probe;
